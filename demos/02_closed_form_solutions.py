@@ -42,7 +42,7 @@ for kind in ("bgg", "bs"):
 print()
 
 rs = np.linspace(1.02, 12.0, 300)
-ts = [analysis.r_to_t("bs", r) for r in rs]
+ts = analysis.r_to_t("bs", rs)
 shapes = np.array([analysis.closed_form("bs", r).as_array() for r in rs])
 write_svg_plot(OUT / "round_solution.svg",
                [(ts, shapes[:, 0], "A"), (ts, shapes[:, 2], "B")],

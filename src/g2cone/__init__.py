@@ -17,23 +17,27 @@ The package is organized around five pieces:
   exactness oracles.
 * :mod:`g2cone.cli` -- the ``g2cone`` command with the verification
   suites and artifact emission (CSV / JSON / SVG).
+
+The classes re-exported here load their module on first access, so
+importing the closure oracle ``g2cone.exterior`` never loads the flow
+it checks.
 """
 
-from .exterior import DerivVector, KForm, ShapeState
-from .flow import ChartPoint, MonitorVector, SphereState
-from .shoot import ALCFit, SeriesStart, Trajectory
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "KForm",
-    "ShapeState",
-    "DerivVector",
-    "SphereState",
-    "ChartPoint",
-    "MonitorVector",
-    "SeriesStart",
-    "Trajectory",
-    "ALCFit",
-    "__version__",
-]
+_EXPORTS = {
+    "exterior": ("KForm", "ShapeState", "DerivVector"),
+    "flow": ("SphereState", "ChartPoint", "MonitorVector"),
+    "shoot": ("SeriesStart", "Trajectory", "ALCFit"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

@@ -16,14 +16,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import flow
 from .exterior import ShapeState
+from .shoot import gauss_legendre
 
 __all__ = [
     "StationaryReport",
-    "ClosedFormCurve",
     "EigenResidualError",
     "CLOSED_FORM_KINDS",
     "stationary_points",
@@ -66,21 +65,6 @@ class StationaryReport:
     eigenvectors: np.ndarray | None = None  # rows are tangent 4-vectors
     classification: tuple | None = None  # counts (negative, zero, positive)
     field_residual: float = field(default=0.0)
-
-
-@dataclass(frozen=True)
-class ClosedFormCurve:
-    """One of the classical explicit solutions, parameterized by r."""
-
-    kind: str
-    r_min: float
-    r_min_open: bool
-
-    def state(self, r: float) -> ShapeState:
-        return closed_form(self.kind, r)
-
-    def t(self, r: float) -> float:
-        return r_to_t(self.kind, r)
 
 
 CLOSED_FORM_KINDS = ("bgg", "bs", "singular")
@@ -218,10 +202,11 @@ def closed_form_domain(kind: str) -> tuple:
     raise ValueError(f"unknown closed form kind {kind!r}")
 
 
-def _check_domain(kind: str, r: float) -> None:
+def _check_domain(kind: str, r) -> None:
     r_min, open_end = closed_form_domain(kind)
-    if r < r_min or (open_end and r == r_min):
-        raise ValueError(f"r={r} outside the {kind} domain "
+    r_lo = np.min(r)
+    if r_lo < r_min or (open_end and r_lo == r_min):
+        raise ValueError(f"r={r_lo} outside the {kind} domain "
                          f"({'(' if open_end else '['}{r_min}, inf)")
 
 
@@ -235,7 +220,7 @@ def closed_form(kind: str, r: float) -> ShapeState:
     """
     _check_domain(kind, r)
     if kind == "bgg":
-        a1 = math.sqrt((r - 2.25) * (r + 2.25) / ((r - 0.75) * (r + 0.75)))
+        a1 = dr_dt(kind, r)  # dt = dr / A1
         a2 = math.sqrt((r + 0.75) * (r - 2.25) / 3.0)
         b1 = 2.0 * r / 3.0
         b2 = math.sqrt((r - 0.75) * (r + 2.25) / 3.0)
@@ -246,17 +231,19 @@ def closed_form(kind: str, r: float) -> ShapeState:
     return ShapeState(a, a, b, b)
 
 
-def dr_dt(kind: str, r: float) -> float:
+def dr_dt(kind: str, r):
     """dr/dt along each closed form: the metric's radial lapse.
 
     For the asymmetric solution dt = dr / A1(r); the two round solutions
     carry dt^2 = dr^2 / (1 -+ r^-3) in their metric normal form.
+    Accepts a float or an array of r.
     """
     _check_domain(kind, r)
     if kind == "bgg":
-        return closed_form(kind, r).A1
-    sign = -1.0 if kind == "bs" else 1.0
-    return math.sqrt(1.0 + sign * r**-3)
+        g = np.sqrt((r - 2.25) * (r + 2.25) / ((r - 0.75) * (r + 0.75)))
+    else:
+        g = np.sqrt(1.0 + (-1.0 if kind == "bs" else 1.0) * r**-3)
+    return float(g) if np.ndim(r) == 0 else g
 
 
 # t-origins: the bgg cone tip is r = 9/4; the bs bolt is r = 1; the
@@ -264,33 +251,28 @@ def dr_dt(kind: str, r: float) -> float:
 _T_ORIGIN = {"bgg": 2.25, "bs": 1.0, "singular": 1.0}
 
 
-def r_to_t(kind: str, r: float) -> float:
+def r_to_t(kind: str, r):
     """Arc-length parameter t(r) = integral of 1/(dr/dt), strictly increasing.
 
-    The integrand has an integrable 1/sqrt endpoint singularity at the
-    bgg and bs origins; substituting r = r0 + s^2 removes it, so the
-    quadrature sees a smooth integrand throughout.
+    Accepts a float or an array of r.  The integrand has an integrable
+    1/sqrt endpoint singularity at the bgg and bs origins; substituting
+    r = r0 + s^2 removes it, so the quadrature (eight 20-point
+    Gauss-Legendre panels) sees a smooth integrand throughout.
     """
     _check_domain(kind, r)
     r0 = _T_ORIGIN[kind]
-    if r == r0:
-        return 0.0
     if kind == "singular":
-        val, err = quad(lambda rr: 1.0 / dr_dt(kind, rr), r0, r,
-                        epsabs=1e-14, epsrel=1e-12, limit=200)
+        t = gauss_legendre(lambda rr: 1.0 / dr_dt(kind, rr), r0, r, panels=8)
     else:
         # t = int 2 s ds / g(r0 + s^2); g ~ c s at the origin, so the
-        # integrand extends continuously to s = 0 (evaluated just off it)
+        # integrand extends continuously to s = 0
         def integrand(s):
             # keep s^2 above the rounding floor of r0 so the lapse is nonzero
-            s = max(s, 1e-7)
+            s = np.maximum(s, 1e-7)
             return 2.0 * s / dr_dt(kind, r0 + s * s)
 
-        s_hi = math.sqrt(r - r0)
-        val, err = quad(integrand, 0.0, s_hi, epsabs=1e-14, epsrel=1e-12, limit=200)
-    if abs(err) > 1e-9 * max(1.0, abs(val)):
-        raise RuntimeError(f"quadrature error {err:.2e} too large for t({r})")
-    return val
+        t = gauss_legendre(integrand, 0.0, np.sqrt(np.asarray(r, dtype=float) - r0), panels=8)
+    return float(t) if np.ndim(r) == 0 else t
 
 
 def verify_solution(kind: str, r_samples) -> dict:

@@ -115,6 +115,9 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
+        for name in ("t_max", "u_max", "tol", "conv_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"--{name.replace('_', '-')} must be finite")
         if self.t_max <= 0 or self.u_max <= 0:
             raise ConfigError("horizons must be positive")
         if self.stride < 1:
@@ -123,6 +126,8 @@ class RunConfig:
             raise ConfigError("order must lie in 3..8")
         if self.tol <= 0 or self.conv_tol <= 0:
             raise ConfigError("tolerances must be positive")
+        if self.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         if self.mu is not None and self.mu_range is not None:
             raise ConfigError("--mu and --mu-range are mutually exclusive")
 
@@ -181,23 +186,17 @@ def _shoot_pipeline(mu: float, cfg: RunConfig) -> dict:
     """Family run shared by the shoot and sweep commands."""
     traj = shoot.family_shape_trajectory(mu, t_max=cfg.t_max, tol=cfg.tol,
                                          order=cfg.order, stride=cfg.stride)
-    u_end = float(traj.stats["u"][-1])
-    cont = None
-    if u_end < cfg.u_max and traj.termination == shoot.REACHED_HORIZON:
-        cont = shoot.integrate_sphere(flow.SphereState.from_array(traj.spheres[-1]),
-                                      u_end, cfg.u_max, f0=float(traj.f[-1]),
-                                      tol=cfg.tol)
-    if cont is not None:
-        all_spheres = np.concatenate([traj.spheres, cont.spheres[1:]])
-        all_u = np.concatenate([traj.stats["u"], cont.params[1:]])
-    else:
-        all_spheres = traj.spheres
-        all_u = np.asarray(traj.stats["u"])
-    dist = np.linalg.norm(all_spheres - flow.SINF.as_array(), axis=1)
-    suffix = np.maximum.accumulate(dist[::-1])[::-1]
-    inside = suffix <= cfg.conv_tol
-    converged = bool(inside.any())
-    u_conv = float(all_u[int(np.argmax(inside))]) if converged else None
+    # convergence is certified on the whole path in u: the shape run,
+    # continued on the sphere up to the u horizon when it ends early
+    u, spheres, f = traj.stats["u"], traj.spheres, traj.f
+    if u[-1] < cfg.u_max and traj.termination == shoot.REACHED_HORIZON:
+        cont = shoot.integrate_sphere(flow.SphereState.from_array(spheres[-1]), float(u[-1]),
+                                      cfg.u_max, f0=float(f[-1]), tol=cfg.tol)
+        u = np.concatenate([u, cont.params[1:]])
+        spheres = np.concatenate([spheres, cont.spheres[1:]])
+        f = np.concatenate([f, cont.f[1:]])
+    path = shoot.Trajectory.from_samples("u", u, spheres=spheres, f=f)
+    converged, u_conv = shoot.detect_convergence(path, flow.SINF, cfg.conv_tol)
 
     F = traj.monitor("F")
     fit = shoot.alc_fit(traj, 0.5) if traj.params[-1] - traj.params[0] >= 30 else None
@@ -208,7 +207,7 @@ def _shoot_pipeline(mu: float, cfg: RunConfig) -> dict:
         "positivity_ok": traj.termination != shoot.POSITIVITY_VIOLATION,
         "converged": converged,
         "u_converged": u_conv,
-        "dist_end": float(dist[-1]),
+        "dist_end": float(np.linalg.norm(path.spheres[-1] - flow.SINF.as_array())),
         "F_initial": float(F[0]),
         "F_drift": float(np.max(np.abs(F - F[0]))),
         "fit": fit,
@@ -315,19 +314,8 @@ _ORACLE_F = {"bgg": _F_BGG, "bs": _F_BS, "singular": _F_SINGULAR}
 def _bs_trajectory(r_hi: float = 300.0, n: int = 260) -> shoot.Trajectory:
     """The round closed form as a t-parameterized trajectory (for asymptotics)."""
     rs = np.geomspace(1.5, r_hi, n)
-    from scipy.integrate import quad
-    ts = [analysis.r_to_t("bs", rs[0])]
-    for i in range(1, len(rs)):
-        inc, _ = quad(lambda r: 1.0 / analysis.dr_dt("bs", r), rs[i - 1], rs[i],
-                      epsabs=1e-14, epsrel=1e-12)
-        ts.append(ts[-1] + inc)
     shapes = np.array([analysis.closed_form("bs", r).as_array() for r in rs])
-    f = np.linalg.norm(shapes, axis=1)
-    spheres = shapes / f[:, None]
-    mon = np.array([flow.monitors(flow.SphereState.from_array(a), float(fi)).as_array()
-                    for a, fi in zip(spheres, f)])
-    return shoot.Trajectory("t", np.array(ts), shapes, spheres, f, mon,
-                            shoot.REACHED_HORIZON, {})
+    return shoot.Trajectory.from_samples("t", analysis.r_to_t("bs", rs), shapes=shapes)
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
@@ -451,15 +439,8 @@ _SLOPES_LIMIT = np.array([0.0, 1.0 / math.sqrt(3.0), 2.0 / 3.0, 1.0 / math.sqrt(
 
 def _witness(traj: shoot.Trajectory) -> float:
     """F / f^3 at the first crossing of alpha3 = WITNESS_ALPHA3 (scale-free)."""
-    a3 = traj.spheres[:, 2]
-    above = np.nonzero(a3 >= WITNESS_ALPHA3)[0]
-    if above.size == 0 or above[0] == 0:
-        return float("nan")
-    i = int(above[0])
-    w = (WITNESS_ALPHA3 - a3[i - 1]) / (a3[i] - a3[i - 1])
-    s = traj.spheres[i - 1] + w * (traj.spheres[i] - traj.spheres[i - 1])
-    s /= np.linalg.norm(s)
-    return flow.first_integral_sphere(flow.SphereState.from_array(s))
+    s = shoot.sample_at_level(traj, WITNESS_ALPHA3)
+    return float("nan") if s is None else flow.first_integral(s)
 
 
 def _max_torsion(traj: shoot.Trajectory, limit: int = 80) -> tuple:

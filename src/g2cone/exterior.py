@@ -143,9 +143,6 @@ class KForm:
     def max_abs(self) -> float:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
 
-    def prune(self, tol: float = 0.0) -> "KForm":
-        return KForm(self.degree, {i: v for i, v in self.coeffs.items() if abs(v) > tol})
-
     def allclose(self, other: "KForm", tol: float = 1e-12) -> bool:
         if self.degree != other.degree:
             return False

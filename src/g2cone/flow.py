@@ -37,7 +37,6 @@ __all__ = [
     "rhs",
     "velocity",
     "first_integral",
-    "first_integral_sphere",
     "to_sphere",
     "from_sphere",
     "tangential_field",
@@ -50,6 +49,7 @@ __all__ = [
     "symmetry",
     "symmetry_group",
     "monitors",
+    "monitor_table",
     "MONITOR_NAMES",
 ]
 
@@ -151,11 +151,16 @@ def velocity(r: np.ndarray) -> np.ndarray:
     a1, a2, b1, b2 = r
     if a2 == 0.0 or b1 == 0.0 or b2 == 0.0:
         raise ZeroDivisionError(f"vector field undefined at {tuple(r)}")
+    return np.array(_components(a1, a2, b1, b2))
+
+
+def _components(a1, a2, b1, b2) -> tuple:
+    """The four components of V, elementwise on scalars or arrays."""
     v1 = 0.5 * (a1 * a1 / (a2 * a2) - a1 * a1 / (b2 * b2))
     v2 = 0.5 * ((b2 * b2 - a2 * a2 + b1 * b1) / (b1 * b2) - a1 / a2)
     v3 = (a2 * a2 + b2 * b2 - b1 * b1) / (a2 * b2)
     v4 = 0.5 * ((a2 * a2 - b2 * b2 + b1 * b1) / (a2 * b1) + a1 / b2)
-    return np.array([v1, v2, v3, v4])
+    return v1, v2, v3, v4
 
 
 def rhs(state: ShapeState) -> DerivVector:
@@ -164,15 +169,13 @@ def rhs(state: ShapeState) -> DerivVector:
 
 
 def first_integral(state: ShapeState | np.ndarray) -> float:
-    """F = 2 A1 A2 B2 - B1 (B2^2 - A2^2), constant along the flow."""
+    """F = 2 A1 A2 B2 - B1 (B2^2 - A2^2), constant along the flow.
+
+    An array of shape (4, n) gives the n values of its columns.
+    """
     r = state.as_array() if isinstance(state, ShapeState) else np.asarray(state, dtype=float)
     a1, a2, b1, b2 = r
     return 2.0 * a1 * a2 * b2 - b1 * (b2 * b2 - a2 * a2)
-
-
-def first_integral_sphere(s: SphereState) -> float:
-    """F restricted to the unit sphere (the cubic scales as f^3)."""
-    return first_integral(s.as_array())
 
 
 # -- radial / tangential split ------------------------------------------
@@ -315,18 +318,13 @@ def apply_symmetry(obj, k: int):
     mat, reverse = symmetry(k)
     if isinstance(obj, SphereState):
         return SphereState.from_array(mat @ obj.as_array())
-    # duck-typed trajectory: params, spheres, f, shapes, monitors arrays
+    # duck-typed trajectory: rebuilt by its own class from params, spheres, f
     spheres = obj.spheres @ mat.T
-    params = obj.params
-    f = obj.f
+    params, f = obj.params, obj.f
     if reverse:
-        spheres = spheres[::-1].copy()
-        f = f[::-1].copy()
-        params = (-params)[::-1].copy()
-    mon = np.array([monitors(SphereState.from_array(a), float(fi)).as_array()
-                    for a, fi in zip(spheres, f)])
-    return obj.replace(params=params, spheres=spheres, f=f,
-                       shapes=spheres * f[:, None], monitors=mon)
+        spheres, f, params = spheres[::-1], f[::-1], -params[::-1]
+    return type(obj).from_samples(obj.kind, params, spheres=spheres, f=f,
+                                  termination=obj.termination, stats=obj.stats)
 
 
 def symmetry_group() -> list:
@@ -354,32 +352,35 @@ def symmetry_group() -> list:
 
 
 def monitors(s: SphereState, f: float) -> MonitorVector:
-    """All scalar monitors at (S, f); entries at singular loci come back NaN.
+    """All scalar monitors at (S, f): one row of monitor_table."""
+    return MonitorVector(*monitor_table(s.as_array()[None, :], [f])[0].tolist())
 
-    A denominator within 1e-8 of zero means the value would be numerical
-    noise (this happens by construction at the endpoints of the family
-    trajectories), so it is reported missing instead.
+
+def monitor_table(spheres, f) -> np.ndarray:
+    """Monitors (n, 9) in the order MONITOR_NAMES at unit directions (n, 4) and scales (n,).
+
+    Entries at singular loci come back NaN: a denominator within 1e-8 of
+    zero means the value would be numerical noise (this happens by
+    construction at the endpoints of the family trajectories), the log
+    in F2 needs a positive argument, and beta needs alpha2, alpha3 and
+    alpha4 nonzero.
     """
-    a1, a2, a3, a4 = s.alpha1, s.alpha2, s.alpha3, s.alpha4
-    nan = float("nan")
-    fs = first_integral_sphere(s)
-    f_int = f**3 * fs
-
+    a = np.asarray(spheres, dtype=float)
+    f = np.asarray(f, dtype=float)
+    a1, a2, a3, a4 = a.T
+    fs = first_integral(a.T)
     d24 = (a4 - a2) * (a4 + a2)  # alpha4^2 - alpha2^2, factored
-    f1 = a1 * a2 * a4 / fs if abs(fs) > _MONITOR_EPS else nan
-
-    f2 = nan
-    if min(abs(a1), abs(a4 - a2)) > _MONITOR_EPS and abs(a2 * a4) > _MONITOR_EPS:
+    eps = _MONITOR_EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f1 = np.where(np.abs(fs) > eps, a1 * a2 * a4 / fs, np.nan)
         arg = a3 * d24 / (a4 * a2 * a1)
-        f2 = math.log(arg) if arg > 0.0 else nan
-
-    f3 = math.log(a2 / a4) if a2 > _MONITOR_EPS and a4 > _MONITOR_EPS else nan
-    f4 = a3 / a4 if abs(a4) > _MONITOR_EPS else nan
-    f5 = a4 * a4 - a3 * a3
-    g1 = a2 * a4 - a1 * a3
-    g2 = a1 * a4 - a2 * a3
-    try:
-        beta = radial_log_derivative(s)
-    except ZeroDivisionError:
-        beta = nan
-    return MonitorVector(f_int, f1, f2, f3, f4, f5, g1, g2, beta)
+        f2_ok = ((np.minimum(np.abs(a1), np.abs(a4 - a2)) > eps) & (np.abs(a2 * a4) > eps)
+                 & (arg > 0.0))
+        f2 = np.where(f2_ok, np.log(arg), np.nan)
+        f3 = np.where((a2 > eps) & (a4 > eps), np.log(a2 / a4), np.nan)
+        f4 = np.where(np.abs(a4) > eps, a3 / a4, np.nan)
+        v1, v2, v3, v4 = _components(a1, a2, a3, a4)
+        beta = np.where((a2 != 0.0) & (a3 != 0.0) & (a4 != 0.0),
+                        v1 * a1 + v2 * a2 + v3 * a3 + v4 * a4, np.nan)
+    return np.column_stack([f**3 * fs, f1, f2, f3, f4, a4 * a4 - a3 * a3,
+                            a2 * a4 - a1 * a3, a1 * a4 - a2 * a3, beta])

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import flow
 from .exterior import ShapeState
@@ -33,12 +32,13 @@ __all__ = [
     "STEP_FAILURE",
     "series_start",
     "eval_series",
-    "series_offset",
+    "gauss_legendre",
     "integrate_shape",
     "integrate_sphere",
     "launch_sphere",
     "unstable_direction",
     "detect_convergence",
+    "sample_at_level",
     "alc_fit",
     "family_shape_trajectory",
     "escapes_invariant_region",
@@ -106,6 +106,22 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.params)
+
+    @classmethod
+    def from_samples(cls, kind: str, params, *, shapes=None, spheres=None, f=None,
+                     termination: str = REACHED_HORIZON, stats=None) -> "Trajectory":
+        """Assemble from shapes, or from spheres and f; the other columns are derived.
+
+        The monitor table is always computed here, so every trajectory
+        carries monitors consistent with its samples.
+        """
+        if shapes is None:
+            shapes = spheres * f[:, None]
+        else:
+            f = np.linalg.norm(shapes, axis=1)
+            spheres = shapes / f[:, None]
+        return cls(kind, np.asarray(params, dtype=float), shapes, spheres, f,
+                   flow.monitor_table(spheres, f), termination, dict(stats or {}))
 
     def replace(self, **kw) -> "Trajectory":
         return replace(self, **kw)
@@ -205,9 +221,23 @@ def eval_series(s: SeriesStart, t: float) -> ShapeState:
     return ShapeState.from_array(powers @ s.coefficients)
 
 
-def series_offset(s: SeriesStart) -> float:
-    """Launch offset used for family trajectories (trust radius, <= 1e-2)."""
-    return s.truncation_offset()
+# -- quadrature --------------------------------------------------------------
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+
+
+def gauss_legendre(fn, a, b, panels: int = 1):
+    """Composite 20-point Gauss-Legendre rule for smooth integrands.
+
+    fn maps an array of abscissae to integrand values elementwise; a and
+    b may be arrays of one shape, giving one integral per entry.  The
+    nodes avoid the endpoints, so an integrand only needs a continuous
+    extension there.
+    """
+    a = np.asarray(a, dtype=float)[..., None, None]
+    h = (np.asarray(b, dtype=float)[..., None, None] - a) / panels
+    x = a + h * (np.arange(panels)[:, None] + 0.5 * (_GL_X + 1.0))
+    return np.sum(0.5 * h * _GL_W * fn(x), axis=(-2, -1))
 
 
 # -- Dormand-Prince 5(4) ---------------------------------------------------
@@ -305,23 +335,6 @@ def _integrate(field, x0, y0, x1, rtol, atol, max_step=np.inf, project=None, sto
 # -- trajectory assembly ----------------------------------------------------
 
 
-def _monitor_block(spheres: np.ndarray, f: np.ndarray) -> np.ndarray:
-    rows = []
-    for a, fi in zip(spheres, f):
-        rows.append(flow.monitors(flow.SphereState.from_array(a), float(fi)).as_array())
-    return np.array(rows)
-
-
-def _shape_trajectory(ts, ys, termination, stats) -> Trajectory:
-    shapes = ys[:, :4]
-    f = np.linalg.norm(shapes, axis=1)
-    spheres = shapes / f[:, None]
-    stats = dict(stats)
-    stats["u"] = ys[:, 4].copy()
-    return Trajectory("t", ts, shapes, spheres, f, _monitor_block(spheres, f),
-                      termination, stats)
-
-
 def integrate_shape(start: ShapeState, t0: float, t1: float, tol: float = 1e-10,
                     atol: float = 1e-12, stride: int = 1, max_step: float = np.inf,
                     u0: float = 0.0) -> Trajectory:
@@ -346,7 +359,8 @@ def integrate_shape(start: ShapeState, t0: float, t1: float, tol: float = 1e-10,
 
     ts, ys, term, stats = _integrate(field, t0, np.append(r, u0), t1, tol, atol,
                                      max_step=max_step, stop=stop, record_every=stride)
-    return _shape_trajectory(ts, ys, term, stats)
+    return Trajectory.from_samples("t", ts, shapes=ys[:, :4], termination=term,
+                                   stats={**stats, "u": ys[:, 4].copy()})
 
 
 def integrate_sphere(start: flow.SphereState, u0: float, u1: float, f0: float = 1.0,
@@ -378,10 +392,8 @@ def integrate_sphere(start: flow.SphereState, u0: float, u1: float, f0: float = 
     us, ys, term, stats = _integrate(field, u0, np.append(a0, math.log(f0)), u1, tol,
                                      atol, max_step=max_step, project=project,
                                      record_every=stride)
-    spheres = ys[:, :4]
-    f = np.exp(ys[:, 4])
-    return Trajectory("u", us, spheres * f[:, None], spheres, f,
-                      _monitor_block(spheres, f), term, dict(stats))
+    return Trajectory.from_samples("u", us, spheres=ys[:, :4], f=np.exp(ys[:, 4]),
+                                   termination=term, stats=stats)
 
 
 def unstable_direction(mu: float) -> np.ndarray:
@@ -413,8 +425,6 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0, tol: float 
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
     if not 0.0 < eps <= 1e-4:
         raise ValueError(f"eps must lie in (0, 1e-4], got {eps}")
-    tgt = (target if target is not None else flow.SINF).as_array()
-
     # phase 1: chart state (x, y, z, u, ln f) in the chart time v
     p0 = np.array([0.0, 0.0, mu]) + eps * unstable_direction(mu)
 
@@ -442,17 +452,16 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0, tol: float 
                             u_max, f0=float(math.exp(chart_lnf[-1])), tol=tol, atol=atol,
                             max_step=max_step, stride=stride)
 
-    params = np.concatenate([chart_u[:-1], tail.params])
-    spheres = np.concatenate([chart_spheres[:-1], tail.spheres])
-    f = np.concatenate([np.exp(chart_lnf[:-1]), tail.f])
-    shapes = spheres * f[:, None]
     stats = dict(tail.stats)
     stats["chart"] = {"v_span": float(vs[-1]), "steps": cstats["steps"],
                       "u_switch": u_switch}
-    traj = Trajectory("u", params, shapes, spheres, f,
-                      _monitor_block(spheres, f), tail.termination, stats)
+    traj = Trajectory.from_samples(
+        "u", np.concatenate([chart_u[:-1], tail.params]),
+        spheres=np.concatenate([chart_spheres[:-1], tail.spheres]),
+        f=np.concatenate([np.exp(chart_lnf[:-1]), tail.f]),
+        termination=tail.termination, stats=stats)
     if traj.termination == REACHED_HORIZON:
-        converged, _ = detect_convergence(traj, flow.SphereState.from_array(tgt), conv_tol)
+        converged, _ = detect_convergence(traj, target, conv_tol)
         if converged:
             traj = traj.replace(termination=CONVERGED)
     return traj
@@ -472,6 +481,23 @@ def detect_convergence(traj: Trajectory, target=None, tol: float = 1e-6):
     if not inside.any():
         return False, None
     return True, float(traj.params[int(np.argmax(inside))])
+
+
+def sample_at_level(traj: Trajectory, level: float, column: int = 2):
+    """Sphere point where a coordinate first reaches level, or None.
+
+    Linear interpolation between the bracketing samples, renormalized to
+    the unit sphere; None when the path starts at or above the level or
+    never reaches it.
+    """
+    col = traj.spheres[:, column]
+    above = np.nonzero(col >= level)[0]
+    if above.size == 0 or above[0] == 0:
+        return None
+    i = int(above[0])
+    w = (level - col[i - 1]) / (col[i] - col[i - 1])
+    s = traj.spheres[i - 1] + w * (traj.spheres[i] - traj.spheres[i - 1])
+    return s / np.linalg.norm(s)
 
 
 def alc_fit(traj: Trajectory, window_fraction: float = 0.5) -> ALCFit:
@@ -561,9 +587,9 @@ def family_shape_trajectory(mu: float, t_max: float = 200.0, tol: float = 1e-10,
     start = eval_series(s, delta)
 
     def inv_f(t):
-        powers = t ** np.arange(s.order + 1)
-        return 1.0 / np.linalg.norm(powers @ s.coefficients)
+        return 1.0 / np.linalg.norm(t[..., None] ** np.arange(s.order + 1) @ s.coefficients,
+                                    axis=-1)
 
-    u0, _ = quad(inv_f, 0.0, delta, epsabs=1e-14, epsrel=1e-12)
+    u0 = float(gauss_legendre(inv_f, 0.0, delta))
     return integrate_shape(start, delta, t_max, tol=tol, atol=atol, stride=stride,
                            max_step=max_step, u0=u0)

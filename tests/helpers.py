@@ -22,13 +22,6 @@ def central_derivative(ts, ys, i, half=3):
     return out if out.size > 1 else float(out[0])
 
 
-def nonuniform_central_3pt(x0, x1, x2, f0, f1, f2):
-    """First derivative at x1 from three unequally spaced samples."""
-    return (f0 * (x1 - x2) / ((x0 - x1) * (x0 - x2))
-            + f1 * (2 * x1 - x0 - x2) / ((x1 - x0) * (x1 - x2))
-            + f2 * (x1 - x0) / ((x2 - x0) * (x2 - x1)))
-
-
 def hermite_sample(params, values, derivs, x):
     """Cubic Hermite interpolation of a sampled curve at parameter x."""
     i = int(np.searchsorted(params, x))
@@ -44,24 +37,8 @@ def hermite_sample(params, values, derivs, x):
             + h01 * values[i] + h11 * h * derivs[i])
 
 
-def sample_at_level(traj, level, column=2):
-    """Linear interpolation of the sphere path at the first crossing of a level."""
-    col = traj.spheres[:, column]
-    above = np.nonzero(col >= level)[0]
-    if above.size == 0 or above[0] == 0:
-        return None
-    i = int(above[0])
-    w = (level - col[i - 1]) / (col[i] - col[i - 1])
-    s = traj.spheres[i - 1] + w * (traj.spheres[i] - traj.spheres[i - 1])
-    return s / np.linalg.norm(s)
-
-
 def constant_trajectory(s: flow.SphereState, f0=2.0, slope=1.0, n=50, t_hi=80.0):
     """Synthetic exactly-conic trajectory along a fixed sphere direction."""
     t = np.linspace(1.0, t_hi, n)
-    f = f0 + slope * t
-    spheres = np.tile(s.as_array(), (n, 1))
-    shapes = spheres * f[:, None]
-    mon = np.array([flow.monitors(s, float(x)).as_array() for x in f])
-    return shoot.Trajectory("t", t, shapes, spheres, f, mon,
-                            shoot.REACHED_HORIZON, {})
+    return shoot.Trajectory.from_samples("t", t, spheres=np.tile(s.as_array(), (n, 1)),
+                                         f=f0 + slope * t)

@@ -252,12 +252,27 @@ def test_r_to_t_monotone():
 
 
 def test_r_to_t_endpoint_singularity_cross_check():
-    """The smooth substituted quadrature agrees with a raw singular one."""
+    """The smooth substituted quadrature agrees with a raw singular one, and
+    with adaptive quadrature of the same substituted integrand, on floats and arrays."""
     for kind, r0 in (("bgg", 2.25), ("bs", 1.0)):
         for r in (r0 + 0.3, r0 + 2.0, r0 + 20.0):
             raw, err = quad(lambda rr: 1.0 / dr_dt(kind, rr), r0, r,
                             epsabs=1e-13, epsrel=1e-11, limit=400)
             assert r_to_t(kind, r) == pytest.approx(raw, abs=max(5e-9, 5 * abs(err)))
+    grids = {"bs": (1.3, 3.0, 20.0, 100.0, 300.0), "bgg": (2.5, 5.0, 20.0, 50.0),
+             "singular": (0.1, 0.5, 2.0, 10.0, 50.0)}
+    for kind, rs in grids.items():
+        r0 = {"bgg": 2.25, "bs": 1.0, "singular": 1.0}[kind]
+        batch = r_to_t(kind, np.array(rs))
+        for r, t_batch in zip(rs, batch):
+            if kind == "singular":  # smooth on (0, inf): no substitution
+                ref, _ = quad(lambda rr: 1.0 / dr_dt(kind, rr), r0, r,
+                              epsabs=0.0, epsrel=1e-13, limit=200)
+            else:
+                ref, _ = quad(lambda s: 2.0 * s / dr_dt(kind, r0 + s * s), 0.0,
+                              math.sqrt(r - r0), epsabs=0.0, epsrel=1e-13, limit=200)
+            assert r_to_t(kind, r) == pytest.approx(ref, rel=1e-11, abs=0.0), (kind, r)
+            assert t_batch == pytest.approx(ref, rel=1e-11, abs=0.0), (kind, r)
 
 
 def test_r_to_t_domain():

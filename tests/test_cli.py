@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import g2cone
 from g2cone.cli import CSV_HEADER, SWEEP_HEADER, main
 
 
@@ -44,11 +47,18 @@ def test_verify_torsion_invalid_config(tmp_path):
 
 
 def test_invalid_common_options(tmp_path):
-    assert run(["shoot", "--mu", "0.5", "--stride", "0", "--out", str(tmp_path)]) == 2
-    assert run(["shoot", "--mu", "1.5", "--out", str(tmp_path)]) == 2
-    assert run(["shoot", "--out", str(tmp_path)]) == 2  # no mu
-    assert run(["shoot", "--mu", "0.5", "--order", "11", "--out", str(tmp_path)]) == 2
-    assert run(["sweep", "--mu-range", "nonsense", "--out", str(tmp_path)]) == 2
+    for argv in (["shoot", "--mu", "0.5", "--stride", "0"],
+                 ["shoot", "--mu", "1.5"],
+                 ["shoot"],  # no mu
+                 ["shoot", "--mu", "0.5", "--order", "11"],
+                 ["sweep", "--mu-range", "nonsense"],
+                 ["shoot", "--mu", "0.3", "--t-max", "nan"],
+                 ["shoot", "--mu", "0.3", "--t-max", "inf"],
+                 ["shoot", "--mu", "0.3", "--u-max", "nan"],
+                 ["shoot", "--mu", "0.3", "--tol", "nan"],
+                 ["shoot", "--mu", "0.3", "--conv-tol", "nan"],
+                 ["verify-torsion", "--seed", "-1"]):
+        assert run(argv + ["--out", str(tmp_path)]) == 2, argv
 
 
 # -- oracle ----------------------------------------------------------------------
@@ -199,3 +209,21 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_runtime_imports():
+    """The command runs on numpy alone, and the closure oracle loads none of
+    the flow modules it is checked against (fresh interpreter)."""
+    code = ("import json, sys\n"
+            "import g2cone.exterior\n"
+            "oracle = sorted(m for m in sys.modules if m.startswith('g2cone'))\n"
+            "import g2cone.cli\n"
+            "print(json.dumps([oracle, sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy')]))\n")
+    src = str(Path(g2cone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    oracle, scipy_modules = json.loads(proc.stdout)
+    assert not {"g2cone.flow", "g2cone.shoot", "g2cone.analysis"} & set(oracle), oracle
+    assert scipy_modules == []

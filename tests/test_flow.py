@@ -333,6 +333,74 @@ def test_monitors_at_limit_direction():
     assert math.isnan(m.F2)
 
 
+def test_monitor_table_nan_guards():
+    """Each row sits on a singular locus; exactly the guarded entries are NaN."""
+    rows = np.array([
+        flow.S1.as_array(),      # cubic F = 0 on the sphere: F1
+        [0.0, 0.5, 0.6, 0.7],    # alpha1 = 0: F2
+        [0.3, 0.5, 0.6, 0.5],    # alpha4 = alpha2: F2
+        [0.3, 0.6, 0.5, 0.4],    # alpha4 < alpha2, F2's log argument < 0: F2
+        [0.5, 1e-9, 0.6, 0.7],   # alpha2 ~ 0: F2 (|alpha2 alpha4|) and F3
+        [0.5, 0.6, 0.7, 5e-9],   # alpha4 ~ 0: F2, F3 and F4
+        [0.3, 0.5, 0.0, 0.6],    # alpha3 = 0: beta, and F2's log argument = 0
+    ])
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    table = flow.monitor_table(rows, np.full(len(rows), 1.5))
+    expected = [{"F1"}, {"F2"}, {"F2"}, {"F2"}, {"F2", "F3"}, {"F2", "F3", "F4"},
+                {"F2", "beta"}]
+    assert table.shape == (len(rows), 9)
+    for row, want in zip(table, expected):
+        assert {n for n, v in zip(flow.MONITOR_NAMES, row) if math.isnan(v)} == want
+
+
+def test_monitor_table_generic_row():
+    """S = (1, 2, 2, 4)/5 at f = 2, every entry by hand.
+
+    F/f^3 = 2(.2)(.4)(.8) - .4(.64 - .16) = -0.064, F1 = .064/-.064,
+    F2 = ln(.4 * .48 / .064) = ln 3, and V(S) = (3/32, 3/4, 2, -7/8) so
+    beta = <V, S> = 0.41875.
+    """
+    s = np.array([[0.2, 0.4, 0.4, 0.8]])
+    expected = [-0.512, -1.0, math.log(3.0), -math.log(2.0), 0.5, 0.48, 0.24, 0.0, 0.41875]
+    table = flow.monitor_table(s, [2.0])
+    assert np.max(np.abs(table[0] - expected)) <= 1e-15
+    assert flow.monitors(flow.SphereState.from_array(s[0]), 2.0).as_array().tolist() \
+        == table[0].tolist()
+
+
+def _monitors_reference(a, f):
+    """Per-sample scalar monitors: the loop that monitor_table replaces."""
+    a1, a2, a3, a4 = (float(x) for x in a)
+    nan, eps = math.nan, 1e-8
+    fs = 2.0 * a1 * a2 * a4 - a3 * (a4 * a4 - a2 * a2)
+    f1 = a1 * a2 * a4 / fs if abs(fs) > eps else nan
+    f2 = nan
+    if min(abs(a1), abs(a4 - a2)) > eps and abs(a2 * a4) > eps:
+        arg = a3 * (a4 - a2) * (a4 + a2) / (a4 * a2 * a1)
+        f2 = math.log(arg) if arg > 0.0 else nan
+    f3 = math.log(a2 / a4) if a2 > eps and a4 > eps else nan
+    f4 = a3 / a4 if abs(a4) > eps else nan
+    beta = float(np.dot(flow.velocity(np.asarray(a)), a)) if a2 and a3 and a4 else nan
+    return [f**3 * fs, f1, f2, f3, f4, a4 * a4 - a3 * a3, a2 * a4 - a1 * a3,
+            a1 * a4 - a2 * a3, beta]
+
+
+def test_monitor_table_matches_per_sample_reference(family_launches):
+    """Same values and NaN pattern as the scalar loop along a family path.
+
+    The vectorised logs and powers may round differently in the last
+    digit, hence the tolerance of a few ulps.
+    """
+    for mu in (0.3, 0.8):
+        traj = family_launches[mu]
+        ref = np.array([_monitors_reference(a, fi) for a, fi in zip(traj.spheres, traj.f)])
+        table = flow.monitor_table(traj.spheres, traj.f)
+        assert np.array_equal(np.isnan(table), np.isnan(ref)), mu
+        ok = ~np.isnan(ref)
+        assert np.max(np.abs(table[ok] - ref[ok]) / np.maximum(1.0, np.abs(ref[ok]))) \
+            <= 1e-14, mu
+
+
 def test_wall_derivative_identities():
     """dG1/du = -(2/alpha2) G2 on {G1=0}, and symmetrically for G2."""
     rng = np.random.default_rng(7)
@@ -368,7 +436,7 @@ def test_monotone_relations_along_trajectory():
     f1 = traj.monitor("F1")
     f2 = traj.monitor("F2")
     S = traj.spheres
-    fs = np.array([flow.first_integral_sphere(flow.SphereState.from_array(a)) for a in S])
+    fs = flow.first_integral(S.T)
     sel = np.nonzero((u > 0.3) & (u < u[-1] - 0.05))[0]
     worst2 = worst3 = 0.0
     for i in sel[::5]:

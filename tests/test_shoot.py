@@ -8,8 +8,8 @@ from scipy.optimize import brentq
 from g2cone import flow, shoot
 from g2cone.analysis import closed_form, dr_dt, r_to_t
 from g2cone.exterior import ShapeState
-from conftest import MU_CONVERGING
-from helpers import constant_trajectory, sample_at_level
+from conftest import MU_CONVERGING, MU_GRID
+from helpers import constant_trajectory
 
 SQ3 = math.sqrt(3.0)
 
@@ -82,7 +82,7 @@ def test_eval_series_rejects_beyond_trust_radius():
 def test_series_offset_consistency_step_doubling():
     """Launching at delta and delta/2 lands on the same solution at t = 1."""
     s = shoot.series_start(0.4, order=5)
-    delta = shoot.series_offset(s)
+    delta = s.truncation_offset()
     ends = []
     for d in (delta, delta / 2.0):
         start = shoot.eval_series(s, d)
@@ -126,6 +126,16 @@ def test_family_f_initial_matches_seed():
         assert traj.monitor("F")[0] == pytest.approx(mu * (1 - mu * mu), abs=1e-11)
 
 
+def test_family_u0_matches_quad(family_shapes):
+    """u at the launch offset is the integral of 1/f over the series launch."""
+    for mu in MU_GRID:
+        s = shoot.series_start(mu)
+        delta = s.truncation_offset(1e-12)
+        ref, _ = quad(lambda t: 1.0 / np.linalg.norm(t ** np.arange(s.order + 1) @ s.coefficients),
+                      0.0, delta, epsabs=1e-16, epsrel=0.0)
+        assert abs(family_shapes[mu].stats["u"][0] - ref) <= 1e-15, mu
+
+
 def test_positivity_along_family(family_shapes):
     for mu in MU_CONVERGING:
         assert np.all(family_shapes[mu].shapes > 0.0)
@@ -162,7 +172,7 @@ def test_single_g2_sign_change_below_edge(family_shapes):
 def test_tolerance_scaling():
     """Halving the tolerance moves the endpoint by less than the error budget."""
     s = shoot.series_start(0.5, order=4)
-    delta = shoot.series_offset(s)
+    delta = s.truncation_offset()
     start = shoot.eval_series(s, delta)
     a = shoot.integrate_shape(start, delta, 10.0, tol=1e-8)
     b = shoot.integrate_shape(start, delta, 10.0, tol=5e-9)
@@ -213,7 +223,7 @@ def test_launch_eps_robustness():
     """Halving the launch offset leaves the path unchanged to 1e-6."""
     runs = [shoot.launch_sphere(0.5, eps=e, u_max=10.0, max_step=0.005)
             for e in (1e-5, 5e-6)]
-    states = [sample_at_level(tr, 0.3) for tr in runs]
+    states = [shoot.sample_at_level(tr, 0.3) for tr in runs]
     assert np.max(np.abs(states[0] - states[1])) <= 1e-6
 
 
@@ -222,8 +232,8 @@ def test_projection_consistency_series_vs_chart_launch():
     shp = shoot.family_shape_trajectory(0.5, t_max=5.0, tol=1e-12, max_step=0.005)
     lch = shoot.launch_sphere(0.5, eps=1e-5, u_max=6.0, max_step=0.005)
     for level in np.arange(0.05, 0.31, 0.05):
-        a = sample_at_level(shp, level)
-        b = sample_at_level(lch, level)
+        a = shoot.sample_at_level(shp, level)
+        b = shoot.sample_at_level(lch, level)
         assert np.max(np.abs(a - b)) <= 1e-5, f"level {level}"
 
 
@@ -276,11 +286,7 @@ def test_detect_convergence_requires_staying():
     away /= np.linalg.norm(away)
     spheres = np.array([away, sinf, away])
     params = np.array([0.0, 1.0, 2.0])
-    f = np.ones(3)
-    mon = np.array([flow.monitors(flow.SphereState.from_array(a), 1.0).as_array()
-                    for a in spheres])
-    traj = shoot.Trajectory("u", params, spheres * f[:, None], spheres, f, mon,
-                            shoot.REACHED_HORIZON, {})
+    traj = shoot.Trajectory.from_samples("u", params, spheres=spheres, f=np.ones(3))
     ok, _ = shoot.detect_convergence(traj, tol=1e-6)
     assert not ok
 
@@ -305,12 +311,7 @@ def test_alc_fit_round_closed_form_slopes():
                       epsabs=1e-14, epsrel=1e-12)
         ts.append(ts[-1] + inc)
     shapes = np.array([closed_form("bs", r).as_array() for r in rs])
-    f = np.linalg.norm(shapes, axis=1)
-    spheres = shapes / f[:, None]
-    mon = np.array([flow.monitors(flow.SphereState.from_array(a), float(fi)).as_array()
-                    for a, fi in zip(spheres, f)])
-    traj = shoot.Trajectory("t", np.array(ts), shapes, spheres, f, mon,
-                            shoot.REACHED_HORIZON, {})
+    traj = shoot.Trajectory.from_samples("t", ts, shapes=shapes)
     fit = shoot.alc_fit(traj, 0.5)
     expected = np.array([1 / 3, 1 / 3, 1 / SQ3, 1 / SQ3])
     assert np.max(np.abs(fit.slopes - expected)) <= 1e-3
