@@ -21,7 +21,7 @@ print("sweep over mu (sphere-normalized seed (mu, lambda, 0, lambda)):")
 print(f"{'mu':>6} {'outcome':22} {'u_conv':>8} {'min G1':>9} {'min dist to S1':>15}")
 for mu in np.arange(1, 10) / 10.0:
     traj = shoot.launch_sphere(mu, u_max=60.0)
-    ok, u_conv = shoot.detect_convergence(traj, tol=1e-6)
+    ok, u_conv = shoot.detect_convergence(traj.spheres, traj.params, tol=1e-6)
     g1 = traj.monitor("G1")
     d1 = float(np.min(np.linalg.norm(traj.spheres - flow.S1.as_array(), axis=1)))
     outcome = "converges to S_inf" if ok else "escapes (incomplete)"

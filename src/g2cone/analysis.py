@@ -33,6 +33,7 @@ __all__ = [
     "closed_form_domain",
     "dr_dt",
     "r_to_t",
+    "R_TO_T_MAX",
     "verify_solution",
     "S1_EIGENVALUES",
     "CHART_EIGENVALUES",
@@ -246,32 +247,33 @@ def dr_dt(kind: str, r):
     return float(g) if np.ndim(r) == 0 else g
 
 
-# t-origins: the bgg cone tip is r = 9/4; the bs bolt is r = 1; the
-# singular solution has no smooth closure, so t(1) = 0 is a convention
-_T_ORIGIN = {"bgg": 2.25, "bs": 1.0, "singular": 1.0}
+# dt = dr / g(r) with r = r0 + s^2 becomes dt = h(r) ds, h = 2 s / g(r).
+# At the bgg and bs origins g ~ c s and the factor s cancels by hand, so h
+# is smooth there; the singular form takes r0 = 0, which keeps its branch
+# point at r = 0 off the path.  Each h is analytic 0.5 off the real s axis.
+# The t-origins are the bgg cone tip r = 9/4 and the bs bolt r = 1 (s = 0);
+# the singular solution has no smooth closure, so t(1) = 0 (s = 1).
+_SUBSTITUTION = {
+    "bgg": (2.25, 0.0, lambda r: 2.0 * np.sqrt((r - 0.75) * (r + 0.75) / (r + 2.25))),
+    "bs": (1.0, 0.0, lambda r: 2.0 * r**1.5 / np.sqrt(r * r + r + 1.0)),
+    "singular": (0.0, 1.0, lambda r: 2.0 * r * r / np.sqrt(1.0 + r**3)),
+}
+R_TO_T_MAX = 1e6  # the rule's cost grows as sqrt(r)
 
 
 def r_to_t(kind: str, r):
     """Arc-length parameter t(r) = integral of 1/(dr/dt), strictly increasing.
 
-    Accepts a float or an array of r.  The integrand has an integrable
-    1/sqrt endpoint singularity at the bgg and bs origins; substituting
-    r = r0 + s^2 removes it, so the quadrature (eight 20-point
-    Gauss-Legendre panels) sees a smooth integrand throughout.
+    Accepts a float or an array of r, up to R_TO_T_MAX.  The integrand
+    has an integrable 1/sqrt endpoint singularity at the bgg and bs
+    origins; substituting r = r0 + s^2 removes it, so the composite
+    Gauss-Legendre rule sees a smooth integrand throughout.
     """
     _check_domain(kind, r)
-    r0 = _T_ORIGIN[kind]
-    if kind == "singular":
-        t = gauss_legendre(lambda rr: 1.0 / dr_dt(kind, rr), r0, r, panels=8)
-    else:
-        # t = int 2 s ds / g(r0 + s^2); g ~ c s at the origin, so the
-        # integrand extends continuously to s = 0
-        def integrand(s):
-            # keep s^2 above the rounding floor of r0 so the lapse is nonzero
-            s = np.maximum(s, 1e-7)
-            return 2.0 * s / dr_dt(kind, r0 + s * s)
-
-        t = gauss_legendre(integrand, 0.0, np.sqrt(np.asarray(r, dtype=float) - r0), panels=8)
+    if not np.all(np.asarray(r) <= R_TO_T_MAX):
+        raise ValueError(f"r_to_t needs finite r <= {R_TO_T_MAX:g}")
+    r0, s0, h = _SUBSTITUTION[kind]
+    t = gauss_legendre(lambda s: h(r0 + s * s), s0, np.sqrt(np.asarray(r, dtype=float) - r0))
     return float(t) if np.ndim(r) == 0 else t
 
 

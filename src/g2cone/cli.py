@@ -188,15 +188,13 @@ def _shoot_pipeline(mu: float, cfg: RunConfig) -> dict:
                                          order=cfg.order, stride=cfg.stride)
     # convergence is certified on the whole path in u: the shape run,
     # continued on the sphere up to the u horizon when it ends early
-    u, spheres, f = traj.stats["u"], traj.spheres, traj.f
+    u, spheres = traj.stats["u"], traj.spheres
     if u[-1] < cfg.u_max and traj.termination == shoot.REACHED_HORIZON:
         cont = shoot.integrate_sphere(flow.SphereState.from_array(spheres[-1]), float(u[-1]),
-                                      cfg.u_max, f0=float(f[-1]), tol=cfg.tol)
+                                      cfg.u_max, f0=float(traj.f[-1]), tol=cfg.tol)
         u = np.concatenate([u, cont.params[1:]])
         spheres = np.concatenate([spheres, cont.spheres[1:]])
-        f = np.concatenate([f, cont.f[1:]])
-    path = shoot.Trajectory.from_samples("u", u, spheres=spheres, f=f)
-    converged, u_conv = shoot.detect_convergence(path, flow.SINF, cfg.conv_tol)
+    converged, u_conv = shoot.detect_convergence(spheres, u, flow.SINF, cfg.conv_tol)
 
     F = traj.monitor("F")
     fit = shoot.alc_fit(traj, 0.5) if traj.params[-1] - traj.params[0] >= 30 else None
@@ -207,7 +205,7 @@ def _shoot_pipeline(mu: float, cfg: RunConfig) -> dict:
         "positivity_ok": traj.termination != shoot.POSITIVITY_VIOLATION,
         "converged": converged,
         "u_converged": u_conv,
-        "dist_end": float(np.linalg.norm(path.spheres[-1] - flow.SINF.as_array())),
+        "dist_end": float(np.linalg.norm(spheres[-1] - flow.SINF.as_array())),
         "F_initial": float(F[0]),
         "F_drift": float(np.max(np.abs(F - F[0]))),
         "fit": fit,

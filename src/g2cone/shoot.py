@@ -226,16 +226,19 @@ def eval_series(s: SeriesStart, t: float) -> ShapeState:
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 
 
-def gauss_legendre(fn, a, b, panels: int = 1):
+def gauss_legendre(fn, a, b):
     """Composite 20-point Gauss-Legendre rule for smooth integrands.
 
     fn maps an array of abscissae to integrand values elementwise; a and
-    b may be arrays of one shape, giving one integral per entry.  The
-    nodes avoid the endpoints, so an integrand only needs a continuous
-    extension there.
+    b may be arrays of one shape, giving one integral per entry.  At
+    least eight panels, at most one unit wide: accurate to rounding when
+    fn is analytic 0.5 off the real segment.  The nodes avoid the
+    endpoints, so fn only needs a continuous extension there.
     """
     a = np.asarray(a, dtype=float)[..., None, None]
-    h = (np.asarray(b, dtype=float)[..., None, None] - a) / panels
+    b = np.asarray(b, dtype=float)[..., None, None]
+    panels = max(8, math.ceil(np.max(np.abs(b - a), initial=0.0)))
+    h = (b - a) / panels
     x = a + h * (np.arange(panels)[:, None] + 0.5 * (_GL_X + 1.0))
     return np.sum(0.5 * h * _GL_W * fn(x), axis=(-2, -1))
 
@@ -461,36 +464,37 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0, tol: float 
         f=np.concatenate([np.exp(chart_lnf[:-1]), tail.f]),
         termination=tail.termination, stats=stats)
     if traj.termination == REACHED_HORIZON:
-        converged, _ = detect_convergence(traj, target, conv_tol)
+        converged, _ = detect_convergence(traj.spheres, traj.params, target, conv_tol)
         if converged:
             traj = traj.replace(termination=CONVERGED)
     return traj
 
 
-def detect_convergence(traj: Trajectory, target=None, tol: float = 1e-6):
-    """First parameter value after which the trajectory stays within tol of target.
+def detect_convergence(spheres, params, target=None, tol: float = 1e-6):
+    """First parameter value after which a sphere path stays within tol of target.
 
-    Returns (True, parameter) on success, (False, None) when the
-    trajectory never enters, or enters but leaves again before its end.
+    spheres is (n, 4) and params its n parameter values.  Returns
+    (True, parameter) on success, (False, None) when the path never
+    enters, or enters but leaves again before its end.
     """
     tgt = (target if target is not None else flow.SINF).as_array()
-    dist = np.linalg.norm(traj.spheres - tgt, axis=1)
+    dist = np.linalg.norm(spheres - tgt, axis=1)
     # suffix maximum: within tolerance from index i onward
     suffix = np.maximum.accumulate(dist[::-1])[::-1]
     inside = suffix <= tol
     if not inside.any():
         return False, None
-    return True, float(traj.params[int(np.argmax(inside))])
+    return True, float(params[int(np.argmax(inside))])
 
 
-def sample_at_level(traj: Trajectory, level: float, column: int = 2):
-    """Sphere point where a coordinate first reaches level, or None.
+def sample_at_level(traj: Trajectory, level: float):
+    """Sphere point where alpha3 first reaches level, or None.
 
     Linear interpolation between the bracketing samples, renormalized to
     the unit sphere; None when the path starts at or above the level or
     never reaches it.
     """
-    col = traj.spheres[:, column]
+    col = traj.spheres[:, 2]
     above = np.nonzero(col >= level)[0]
     if above.size == 0 or above[0] == 0:
         return None

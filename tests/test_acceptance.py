@@ -159,7 +159,7 @@ def test_criterion_4_family_convergence():
     start = time.monotonic()
     for mu in MU_GRID:
         launch = shoot.launch_sphere(mu, u_max=60.0)
-        ok, u_conv = shoot.detect_convergence(launch, tol=1e-6)
+        ok, u_conv = shoot.detect_convergence(launch.spheres, launch.params, tol=1e-6)
         if not ok or u_conv >= 60.0:
             g1 = launch.monitor("G1")
             crossed = bool(np.any(g1 < 0))

@@ -6,6 +6,7 @@ import pytest
 from g2cone import analysis, flow
 from g2cone.analysis import (
     CHART_EIGENVALUES,
+    R_TO_T_MAX,
     S1_EIGENVALUES,
     EigenResidualError,
     closed_form,
@@ -253,14 +254,16 @@ def test_r_to_t_monotone():
 
 def test_r_to_t_endpoint_singularity_cross_check():
     """The smooth substituted quadrature agrees with a raw singular one, and
-    with adaptive quadrature of the same substituted integrand, on floats and arrays."""
+    with adaptive quadrature of the unfactored substituted integrand (the raw
+    one for the singular form), on floats and arrays, up to R_TO_T_MAX."""
     for kind, r0 in (("bgg", 2.25), ("bs", 1.0)):
         for r in (r0 + 0.3, r0 + 2.0, r0 + 20.0):
             raw, err = quad(lambda rr: 1.0 / dr_dt(kind, rr), r0, r,
                             epsabs=1e-13, epsrel=1e-11, limit=400)
             assert r_to_t(kind, r) == pytest.approx(raw, abs=max(5e-9, 5 * abs(err)))
-    grids = {"bs": (1.3, 3.0, 20.0, 100.0, 300.0), "bgg": (2.5, 5.0, 20.0, 50.0),
-             "singular": (0.1, 0.5, 2.0, 10.0, 50.0)}
+    grids = {"bs": (1.3, 3.0, 20.0, 100.0, 300.0, 1e5, R_TO_T_MAX),
+             "bgg": (2.5, 5.0, 20.0, 50.0, 1e5, R_TO_T_MAX),
+             "singular": (1e-6, 0.1, 0.5, 2.0, 10.0, 50.0, 1e5)}
     for kind, rs in grids.items():
         r0 = {"bgg": 2.25, "bs": 1.0, "singular": 1.0}[kind]
         batch = r_to_t(kind, np.array(rs))
@@ -276,8 +279,9 @@ def test_r_to_t_endpoint_singularity_cross_check():
 
 
 def test_r_to_t_domain():
-    with pytest.raises(ValueError):
-        r_to_t("bs", 0.9)
+    for r in (0.9, 1.01 * R_TO_T_MAX, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            r_to_t("bs", r)
 
 
 # -- exactness reports ----------------------------------------------------------------

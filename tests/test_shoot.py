@@ -240,7 +240,7 @@ def test_projection_consistency_series_vs_chart_launch():
 def test_pi_confinement_until_convergence(family_launches):
     for mu in MU_CONVERGING:
         traj = family_launches[mu]
-        _, u_conv = shoot.detect_convergence(traj)
+        _, u_conv = shoot.detect_convergence(traj.spheres, traj.params)
         sel = (traj.params > traj.params[0]) & (traj.params <= u_conv)
         s = traj.spheres[sel]
         assert np.all(s[:, 3] > s[:, 1])
@@ -261,20 +261,21 @@ def test_sphere_projection_drift_logged(family_launches):
 
 def test_detect_convergence_family_member():
     traj = shoot.launch_sphere(0.5, u_max=40.0)
-    ok, u_conv = shoot.detect_convergence(traj, tol=1e-6)
+    ok, u_conv = shoot.detect_convergence(traj.spheres, traj.params, tol=1e-6)
     assert ok
     assert 5.0 < u_conv < 40.0
 
 
 def test_detect_convergence_never_reaches_conic_point():
     traj = shoot.launch_sphere(0.5, u_max=40.0)
-    ok, _ = shoot.detect_convergence(traj, target=flow.S1, tol=1e-6)
+    ok, _ = shoot.detect_convergence(traj.spheres, traj.params, target=flow.S1,
+                                   tol=1e-6)
     assert not ok
 
 
 def test_detect_convergence_constant_trajectory():
     traj = constant_trajectory(flow.SINF)
-    ok, u0 = shoot.detect_convergence(traj, tol=1e-6)
+    ok, u0 = shoot.detect_convergence(traj.spheres, traj.params, tol=1e-6)
     assert ok
     assert u0 == traj.params[0]
 
@@ -286,8 +287,7 @@ def test_detect_convergence_requires_staying():
     away /= np.linalg.norm(away)
     spheres = np.array([away, sinf, away])
     params = np.array([0.0, 1.0, 2.0])
-    traj = shoot.Trajectory.from_samples("u", params, spheres=spheres, f=np.ones(3))
-    ok, _ = shoot.detect_convergence(traj, tol=1e-6)
+    ok, _ = shoot.detect_convergence(spheres, params, tol=1e-6)
     assert not ok
 
 
