@@ -205,6 +205,8 @@ def closed_form_domain(kind: str) -> tuple:
 
 def _check_domain(kind: str, r) -> None:
     r_min, open_end = closed_form_domain(kind)
+    if not np.all(np.isfinite(r)):
+        raise ValueError(f"{kind} closed form needs finite r")
     r_lo = np.min(r)
     if r_lo < r_min or (open_end and r_lo == r_min):
         raise ValueError(f"r={r_lo} outside the {kind} domain "
@@ -270,8 +272,8 @@ def r_to_t(kind: str, r):
     Gauss-Legendre rule sees a smooth integrand throughout.
     """
     _check_domain(kind, r)
-    if not np.all(np.asarray(r) <= R_TO_T_MAX):
-        raise ValueError(f"r_to_t needs finite r <= {R_TO_T_MAX:g}")
+    if np.max(r) > R_TO_T_MAX:
+        raise ValueError(f"r_to_t needs r <= {R_TO_T_MAX:g}")
     r0, s0, h = _SUBSTITUTION[kind]
     t = gauss_legendre(lambda s: h(r0 + s * s), s0, np.sqrt(np.asarray(r, dtype=float) - r0))
     return float(t) if np.ndim(r) == 0 else t

@@ -1,10 +1,11 @@
 """Command-line surface: verification suites, trajectory runs, mu sweeps.
 
-Every command writes a JSON report (always, including on failure) and
-exits 0 only when all of its assertions pass; 1 signals an assertion
-failure and 2 an invalid configuration.  CSV and SVG artifacts are
-controlled by --format and never affect the exit status.  Given the
-same configuration and seed, all outputs are byte-identical.
+`main` writes every command's JSON report, also on failure and on a
+rejected configuration, and exits 0 only when all of its assertions
+pass; 1 signals an assertion failure and 2 an invalid configuration.
+CSV and SVG artifacts are controlled by --format and never affect the
+exit status.  Given the same configuration and seed, all outputs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from . import analysis, flow, shoot
 from . import exterior as ext
 from .reporting import write_csv, write_json, write_svg_plot
 
-__all__ = ["main", "build_parser", "RunConfig"]
+__all__ = ["main", "build_parser"]
 
 CSV_HEADER = ["t", "u", "A1", "A2", "B1", "B2", "alpha1", "alpha2", "alpha3", "alpha4",
               "f", "F", "F1", "F2", "F3", "F4", "F5", "G1", "G2", "beta"]
@@ -78,95 +78,59 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated configuration of one command invocation."""
+# options echoed in every accepted report, in this order
+ECHOED = ("t_max", "u_max", "tol", "conv_tol", "order", "stride", "seed", "format")
+MAX_SAMPLES = 100_000
+MAX_MU_POINTS = 1_000
 
-    command: str
-    mu: float | None
-    mu_range: str | None
-    t_max: float
-    u_max: float
-    tol: float
-    conv_tol: float
-    order: int
-    stride: int
-    out: str
-    formats: tuple
-    seed: int
-    samples: int = 200
-    debug_flip_psi: bool = False
 
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        formats = tuple(sorted({f.strip() for f in args.format.split(",") if f.strip()}))
-        bad = set(formats) - {"csv", "json", "svg"}
-        if bad:
-            raise ConfigError(f"unknown output formats: {sorted(bad)}")
-        cfg = RunConfig(
-            command=args.command, mu=args.mu, mu_range=args.mu_range,
-            t_max=args.t_max, u_max=args.u_max, tol=args.tol,
-            conv_tol=args.conv_tol, order=args.order, stride=args.stride,
-            out=args.out, formats=formats, seed=args.seed,
-            samples=getattr(args, "samples", 200),
-            debug_flip_psi=getattr(args, "debug_flip_psi", False),
-        )
-        cfg.validate()
-        return cfg
+def validate(args) -> None:
+    """Reject an unusable configuration; normalizes --format to a sorted list."""
+    args.format = sorted({f.strip() for f in args.format.split(",") if f.strip()})
+    bad = set(args.format) - {"csv", "json", "svg"}
+    if bad:
+        raise ConfigError(f"unknown output formats: {sorted(bad)}")
+    for name in ("t_max", "u_max", "tol", "conv_tol"):
+        if not math.isfinite(getattr(args, name)):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite")
+    if args.t_max <= 0 or args.u_max <= 0:
+        raise ConfigError("horizons must be positive")
+    if args.stride < 1:
+        raise ConfigError("stride must be >= 1")
+    if not 3 <= args.order <= 8:
+        raise ConfigError("order must lie in 3..8")
+    if args.tol <= 0 or args.conv_tol <= 0:
+        raise ConfigError("tolerances must be positive")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
+    if not 1 <= getattr(args, "samples", 1) <= MAX_SAMPLES:
+        raise ConfigError(f"--samples must lie in 1..{MAX_SAMPLES}")
+    if args.mu is not None and args.mu_range is not None:
+        raise ConfigError("--mu and --mu-range are mutually exclusive")
 
-    def validate(self) -> None:
-        for name in ("t_max", "u_max", "tol", "conv_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"--{name.replace('_', '-')} must be finite")
-        if self.t_max <= 0 or self.u_max <= 0:
-            raise ConfigError("horizons must be positive")
-        if self.stride < 1:
-            raise ConfigError("stride must be >= 1")
-        if not 3 <= self.order <= 8:
-            raise ConfigError("order must lie in 3..8")
-        if self.tol <= 0 or self.conv_tol <= 0:
-            raise ConfigError("tolerances must be positive")
-        if self.seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        if self.mu is not None and self.mu_range is not None:
-            raise ConfigError("--mu and --mu-range are mutually exclusive")
 
-    def mu_values(self, default) -> list:
-        if self.mu is not None:
-            values = [self.mu]
-        elif self.mu_range is not None:
-            try:
-                lo, hi, n = self.mu_range.split(":")
-                lo, hi, n = float(lo), float(hi), int(n)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad --mu-range {self.mu_range!r}: want LO:HI:N") from exc
-            if n < 1:
-                raise ConfigError("--mu-range needs N >= 1")
-            values = [lo] if n == 1 else list(np.linspace(lo, hi, n))
-        else:
-            values = list(default)
-        for mu in values:
-            if not 0.0 < mu < 1.0:
-                raise ConfigError(f"mu must lie in (0, 1), got {mu}")
-        return [float(mu) for mu in values]
-
-    def echo(self) -> dict:
-        return {"t_max": self.t_max, "u_max": self.u_max, "tol": self.tol,
-                "conv_tol": self.conv_tol, "order": self.order, "stride": self.stride,
-                "seed": self.seed, "format": list(self.formats)}
+def mu_values(args, default) -> list:
+    """The requested mu grid (--mu, --mu-range or the default), each in (0, 1)."""
+    if args.mu is not None:
+        values = [args.mu]
+    elif args.mu_range is not None:
+        try:
+            lo, hi, n = args.mu_range.split(":")
+            lo, hi, n = float(lo), float(hi), int(n)
+        except ValueError as exc:
+            raise ConfigError(f"bad --mu-range {args.mu_range!r}: want LO:HI:N") from exc
+        if not 1 <= n <= MAX_MU_POINTS:
+            raise ConfigError(f"--mu-range needs N in 1..{MAX_MU_POINTS}")
+        values = [lo] if n == 1 else list(np.linspace(lo, hi, n))
+    else:
+        values = list(default)
+    for mu in values:
+        if not 0.0 < mu < 1.0:
+            raise ConfigError(f"mu must lie in (0, 1), got {mu}")
+    return [float(mu) for mu in values]
 
 
 # -- trajectory emission -----------------------------------------------------
-
-
-def _trajectory_rows(traj: shoot.Trajectory):
-    u = traj.stats.get("u")
-    for i in range(len(traj)):
-        t = traj.params[i] if traj.kind == "t" else float("nan")
-        ui = u[i] if u is not None else (traj.params[i] if traj.kind == "u" else float("nan"))
-        yield ([t, ui] + list(traj.shapes[i]) + list(traj.spheres[i])
-               + [traj.f[i]] + list(traj.monitors[i]))
 
 
 def _monitor_extrema(traj: shoot.Trajectory) -> dict:
@@ -182,33 +146,31 @@ def _monitor_extrema(traj: shoot.Trajectory) -> dict:
     return out
 
 
-def _shoot_pipeline(mu: float, cfg: RunConfig) -> dict:
-    """Family run shared by the shoot and sweep commands."""
-    traj = shoot.family_shape_trajectory(mu, t_max=cfg.t_max, tol=cfg.tol,
-                                         order=cfg.order, stride=cfg.stride)
+def _shoot_pipeline(mu: float, args) -> tuple:
+    """Family run shared by the shoot and sweep commands: (traj, fit, summary)."""
+    traj = shoot.family_shape_trajectory(mu, t_max=args.t_max, tol=args.tol,
+                                         order=args.order, stride=args.stride)
     # convergence is certified on the whole path in u: the shape run,
     # continued on the sphere up to the u horizon when it ends early
     u, spheres = traj.stats["u"], traj.spheres
-    if u[-1] < cfg.u_max and traj.termination == shoot.REACHED_HORIZON:
+    if u[-1] < args.u_max and traj.termination == shoot.REACHED_HORIZON:
         cont = shoot.integrate_sphere(flow.SphereState.from_array(spheres[-1]), float(u[-1]),
-                                      cfg.u_max, f0=float(traj.f[-1]), tol=cfg.tol)
+                                      args.u_max, f0=float(traj.f[-1]), tol=args.tol)
         u = np.concatenate([u, cont.params[1:]])
         spheres = np.concatenate([spheres, cont.spheres[1:]])
-    converged, u_conv = shoot.detect_convergence(spheres, u, flow.SINF, cfg.conv_tol)
+    converged, u_conv = shoot.detect_convergence(spheres, u, flow.SINF, args.conv_tol)
 
     F = traj.monitor("F")
     fit = shoot.alc_fit(traj, 0.5) if traj.params[-1] - traj.params[0] >= 30 else None
-    return {
-        "traj": traj,
+    return traj, fit, {
         "mu": mu,
         "termination": traj.termination,
         "positivity_ok": traj.termination != shoot.POSITIVITY_VIOLATION,
         "converged": converged,
         "u_converged": u_conv,
-        "dist_end": float(np.linalg.norm(spheres[-1] - flow.SINF.as_array())),
+        "dist_to_target_end": float(np.linalg.norm(spheres[-1] - flow.SINF.as_array())),
         "F_initial": float(F[0]),
         "F_drift": float(np.max(np.abs(F - F[0]))),
-        "fit": fit,
     }
 
 
@@ -220,19 +182,18 @@ def _fit_dict(fit) -> dict | None:
             "max_relative_deviation": fit.max_relative_deviation, "note": fit.note}
 
 
-def _write_shoot_artifacts(res: dict, outdir: Path, formats: set) -> list:
-    mu = res["mu"]
-    traj = res["traj"]
+def _write_shoot_artifacts(mu: float, traj: shoot.Trajectory, outdir: Path,
+                           formats: list) -> list:
     tag = f"shoot_mu{mu:.6g}"
     files = []
     if "csv" in formats:
         path = outdir / f"{tag}.csv"
-        write_csv(path, CSV_HEADER, _trajectory_rows(traj))
+        write_csv(path, CSV_HEADER, np.column_stack([traj.params, traj.stats["u"], traj.shapes,
+                                                     traj.spheres, traj.f, traj.monitors]))
         files.append(path.name)
     if "svg" in formats:
-        t = traj.params
         path = outdir / f"{tag}_shapes.svg"
-        write_svg_plot(path, [(t, traj.shapes[:, j], n) for j, n in
+        write_svg_plot(path, [(traj.params, traj.shapes[:, j], n) for j, n in
                               enumerate(("A1", "A2", "B1", "B2"))],
                        f"shape functions, mu={mu:.6g}", "t", "value")
         files.append(path.name)
@@ -249,29 +210,23 @@ def _write_shoot_artifacts(res: dict, outdir: Path, formats: set) -> list:
 
 
 # -- commands -----------------------------------------------------------------
+# each fills in the report main started, including "pass", writes its own
+# CSV/SVG artifacts and returns the report's file name
 
 
-def cmd_verify_torsion(cfg: RunConfig) -> int:
-    outdir = _prepare_out(cfg)
-    n = cfg.samples
-    report = {"schema": 1, "command": "verify-torsion", "config": cfg.echo(),
-              "n_samples": n}
-    if n <= 0:
-        report["error"] = "need a positive number of samples"
-        write_json(outdir / "verify_torsion.json", report)
-        print("verify-torsion: invalid config (samples <= 0)", file=sys.stderr)
-        return 2
+def cmd_verify_torsion(args, outdir: Path, report: dict) -> str:
+    report["n_samples"] = args.samples
     psi = None
-    if cfg.debug_flip_psi:
+    if args.debug_flip_psi:
         flipped = dict(ext.g2_form().coeffs)
         key = (4, 5, 6)
         flipped[key] = -flipped[key]
         psi = ext.KForm(3, flipped)
         report["debug_flip_psi"] = True
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     worst_rel, worst_res, failures = 0.0, 0.0, 0
     worst_case = None
-    for _ in range(n):
+    for _ in range(args.samples):
         state = ext.ShapeState(*rng.uniform(0.2, 5.0, size=4))
         analytic = flow.rhs(state).as_array()
         try:
@@ -286,27 +241,21 @@ def cmd_verify_torsion(cfg: RunConfig) -> int:
         worst_res = max(worst_res, res)
         if rel > 1e-9 or res > 1e-10:
             failures += 1
-    passed = failures == 0
     report.update({
         "max_relative_mismatch": None if math.isinf(worst_rel) else worst_rel,
         "solve_failures": int(np.isinf(worst_rel)),
         "max_residual_at_analytic_derivs": worst_res,
         "failing_samples": failures,
         "worst_state": worst_case,
-        "pass": passed,
+        "pass": failures == 0,
     })
-    write_json(outdir / "verify_torsion.json", report)
-    print(f"verify-torsion: {'PASS' if passed else 'FAIL'} "
-          f"(rel {report['max_relative_mismatch']}, residual {worst_res:.3e})")
-    return 0 if passed else 1
+    return "verify_torsion.json"
 
 
-_F_BGG = -27.0 / 8.0
-_F_BS = -1.0 / (3.0 * math.sqrt(3.0))
-_F_SINGULAR = 1.0 / (3.0 * math.sqrt(3.0))
-
-_ORACLE_GRIDS = {"bgg": (2.3, 50.0), "bs": (1.2, 50.0), "singular": (0.1, 50.0)}
-_ORACLE_F = {"bgg": _F_BGG, "bs": _F_BS, "singular": _F_SINGULAR}
+# closed form -> (r grid lower end, upper end, conserved value of F)
+_ORACLE = {"bgg": (2.3, 50.0, -27.0 / 8.0),
+           "bs": (1.2, 50.0, -1.0 / (3.0 * math.sqrt(3.0))),
+           "singular": (0.1, 50.0, 1.0 / (3.0 * math.sqrt(3.0)))}
 
 
 def _bs_trajectory(r_hi: float = 300.0, n: int = 260) -> shoot.Trajectory:
@@ -316,64 +265,37 @@ def _bs_trajectory(r_hi: float = 300.0, n: int = 260) -> shoot.Trajectory:
     return shoot.Trajectory.from_samples("t", analysis.r_to_t("bs", rs), shapes=shapes)
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    outdir = _prepare_out(cfg)
-    report = {"schema": 1, "command": "oracle", "config": cfg.echo()}
+def cmd_oracle(args, outdir: Path, report: dict) -> str:
     ok = True
     for kind in analysis.CLOSED_FORM_KINDS:
-        lo, hi = _ORACLE_GRIDS[kind]
+        lo, hi, f_expected = _ORACLE[kind]
         res = analysis.verify_solution(kind, np.linspace(lo, hi, 200))
-        f_expected = _ORACLE_F[kind]
         f_dev = max(abs(res["F_mean"] - f_expected), res["F_spread"])
         entry = {"max_mismatch": res["max_mismatch"], "F_constant": f_expected,
                  "F_deviation": f_dev, "r_range": [lo, hi], "n_samples": 200,
                  "pass": res["max_mismatch"] <= 1e-7 and f_dev <= 1e-9}
         ok = ok and entry["pass"]
         report[kind] = entry
-    fit = shoot.alc_fit(_bs_trajectory(), 0.5)
-    report["bs_asymptotics"] = _fit_dict(fit)
+    report["bs_asymptotics"] = _fit_dict(shoot.alc_fit(_bs_trajectory(), 0.5))
     report["pass"] = ok
-    write_json(outdir / "oracle.json", report)
-    print(f"oracle: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return "oracle.json"
 
 
-def cmd_shoot(cfg: RunConfig) -> int:
-    outdir = _prepare_out(cfg)
-    mus = cfg.mu_values(default=[])
+def cmd_shoot(args, outdir: Path, report: dict) -> str:
+    mus = mu_values(args, default=[])
     if len(mus) != 1:
         raise ConfigError("shoot needs exactly one --mu")
-    mu = mus[0]
-    res = _shoot_pipeline(mu, cfg)
-    files = _write_shoot_artifacts(res, outdir, set(cfg.formats))
-    report = {
-        "schema": 1, "command": "shoot", "mu": mu, "config": cfg.echo(),
-        "termination": res["termination"],
-        "positivity_ok": res["positivity_ok"],
-        "converged": res["converged"],
-        "u_converged": res["u_converged"],
-        "dist_to_target_end": res["dist_end"],
-        "F_initial": res["F_initial"],
-        "F_drift": res["F_drift"],
-        "alc": _fit_dict(res["fit"]),
-        "monitors": _monitor_extrema(res["traj"]),
-        "notes": [shoot.ALC_NOTE],
-        "files": files,
-    }
-    ok = res["positivity_ok"] and res["converged"]
-    report["pass"] = ok
-    write_json(outdir / f"shoot_mu{mu:.6g}.json", report)
-    print(f"shoot mu={mu:.6g}: {'PASS' if ok else 'FAIL'} "
-          f"(converged={res['converged']}, u_conv={res['u_converged']})")
-    return 0 if ok else 1
+    traj, fit, summary = _shoot_pipeline(mus[0], args)
+    report.update(summary, alc=_fit_dict(fit), monitors=_monitor_extrema(traj),
+                  notes=[shoot.ALC_NOTE],
+                  files=_write_shoot_artifacts(mus[0], traj, outdir, args.format))
+    report["pass"] = summary["positivity_ok"] and summary["converged"]
+    return f"shoot_mu{mus[0]:.6g}.json"
 
 
-def cmd_stationary(cfg: RunConfig) -> int:
-    outdir = _prepare_out(cfg)
-    mus = cfg.mu_values(default=[0.25, 0.5, 0.75])
-    report = {"schema": 1, "command": "stationary", "config": cfg.echo()}
+def cmd_stationary(args, outdir: Path, report: dict) -> str:
+    mus = mu_values(args, default=[0.25, 0.5, 0.75])
     ok = True
-
     points = {}
     for rep in analysis.stationary_points(with_eigendata=True):
         entry = {
@@ -427,9 +349,7 @@ def cmd_stationary(cfg: RunConfig) -> int:
         charts.append(entry)
     report["chart"] = charts
     report["pass"] = ok
-    write_json(outdir / "stationary.json", report)
-    print(f"stationary: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return "stationary.json"
 
 
 _SLOPES_LIMIT = np.array([0.0, 1.0 / math.sqrt(3.0), 2.0 / 3.0, 1.0 / math.sqrt(3.0)])
@@ -451,19 +371,16 @@ def _max_torsion(traj: shoot.Trajectory, limit: int = 80) -> tuple:
     return float(worst[0]), float(worst[1])
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    outdir = _prepare_out(cfg)
-    formats = set(cfg.formats)
-    mus = cfg.mu_values(default=np.arange(1, 10) / 10.0)
+def cmd_sweep(args, outdir: Path, report: dict) -> str:
+    mus = mu_values(args, default=np.arange(1, 10) / 10.0)
     rows = []
     members = []
     ok = True
     for mu in mus:
-        res = _shoot_pipeline(mu, cfg)
-        _write_shoot_artifacts(res, outdir, formats)
-        dpsi, dstar = _max_torsion(res["traj"])
-        witness = _witness(res["traj"])
-        fit = res["fit"]
+        traj, fit, res = _shoot_pipeline(mu, args)
+        _write_shoot_artifacts(mu, traj, outdir, args.format)
+        dpsi, dstar = _max_torsion(traj)
+        witness = _witness(traj)
         slopes = fit.slopes if fit is not None else [float("nan")] * 4
         f_target = mu * (1.0 - mu * mu)  # 2 lambda^2 mu at the singular orbit
         member_ok = (res["converged"] and res["positivity_ok"]
@@ -481,21 +398,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
     witnesses = [m["witness_F_over_f3"] for m in members]
     distinct = all(abs(a - b) > 1e-9 for i, a in enumerate(witnesses)
                    for b in witnesses[i + 1:])
-    ok = ok and distinct
     # the aggregate table is the command's primary product, always written
     write_csv(outdir / "sweep.csv", SWEEP_HEADER, rows)
-    report = {"schema": 1, "command": "sweep", "config": cfg.echo(),
-              "mu_values": list(mus), "members": members,
-              "witnesses_distinct": distinct, "notes": [shoot.ALC_NOTE], "pass": ok}
-    write_json(outdir / "sweep.json", report)
-    print(f"sweep: {'PASS' if ok else 'FAIL'} ({sum(m['pass'] for m in members)}/{len(members)} members)")
-    return 0 if ok else 1
-
-
-def _prepare_out(cfg: RunConfig) -> Path:
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
+    report.update({"mu_values": list(mus), "members": members, "witnesses_distinct": distinct,
+                   "notes": [shoot.ALC_NOTE], "pass": ok and distinct})
+    return "sweep.json"
 
 
 _COMMANDS = {
@@ -508,14 +415,28 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: the only place that makes --out, writes the JSON
+    report and prints the verdict.  Exit 0 pass, 1 fail, 2 invalid config."""
+    args = build_parser().parse_args(argv)
+    outdir = Path(args.out)
     try:
-        cfg = RunConfig.from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"g2cone: cannot use --out {args.out!r}: {exc}", file=sys.stderr)
+        return 2
+    report = {"schema": 1, "command": args.command}
+    try:
+        validate(args)
+        report["config"] = {name: getattr(args, name) for name in ECHOED}
+        name = _COMMANDS[args.command](args, outdir, report)
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
+        # a rejected value (say inf) may not serialize: the config is not echoed
+        name = args.command.replace("-", "_") + ".json"
+        report = {"schema": 1, "command": args.command, "error": str(exc), "pass": False}
+    write_json(outdir / name, report)
+    print(f"{args.command}: {'PASS' if report['pass'] else 'FAIL'}")
+    return 2 if "error" in report else 0 if report["pass"] else 1
 
 
 if __name__ == "__main__":

@@ -298,21 +298,6 @@ def _psi_pair(psi: KForm | None = None) -> tuple:
     return _CACHED_PAIR
 
 
-def torsion_residual(state: ShapeState, derivs: DerivVector, psi: KForm | None = None) -> tuple:
-    """Largest coefficients of d(Psi) and d(star Psi) at the given point.
-
-    Both vanish exactly when (state, derivs) sits on the torsion-free
-    locus of the G2 structure.  A non-default psi (e.g. with a flipped
-    sign, as a negative control) can be supplied.
-    """
-    _check_positive(state)
-    diffs = coframe_differentials(state, derivs)
-    p, star = _psi_pair(psi)
-    dpsi = exterior_derivative(p, diffs)
-    dstar = exterior_derivative(star, diffs)
-    return dpsi.max_abs(), dstar.max_abs()
-
-
 _IDX4 = list(itertools.combinations(range(1, DIM + 1), 4))
 _IDX5 = list(itertools.combinations(range(1, DIM + 1), 5))
 
@@ -327,6 +312,18 @@ def residual_coefficients(state: ShapeState, derivs: DerivVector,
     vec = [dpsi.coeffs.get(i, 0.0) for i in _IDX4]
     vec += [dstar.coeffs.get(i, 0.0) for i in _IDX5]
     return np.array(vec)
+
+
+def torsion_residual(state: ShapeState, derivs: DerivVector, psi: KForm | None = None) -> tuple:
+    """Largest coefficients of d(Psi) and d(star Psi) at the given point.
+
+    Both vanish exactly when (state, derivs) sits on the torsion-free
+    locus of the G2 structure.  A non-default psi (e.g. with a flipped
+    sign, as a negative control) can be supplied.
+    """
+    _check_positive(state)
+    vec = np.abs(residual_coefficients(state, derivs, psi))
+    return float(np.max(vec[:len(_IDX4)])), float(np.max(vec[len(_IDX4):]))
 
 
 def torsion_system(state: ShapeState, psi: KForm | None = None):

@@ -311,20 +311,23 @@ def apply_symmetry(obj, k: int):
     """Apply symmetry k to a SphereState or to a sphere trajectory.
 
     For trajectories the parameter axis is negated and the sample order
-    reversed when the symmetry includes u -> -u; the scale f is carried
-    along unchanged (signed permutations preserve |R|) and the monitors
-    are recomputed on the transformed samples.
+    reversed when the symmetry includes u -> -u, and so is a t-trajectory's
+    u column in its stats; the scale f is carried along unchanged (signed
+    permutations preserve |R|) and the monitors are recomputed on the
+    transformed samples.
     """
     mat, reverse = symmetry(k)
     if isinstance(obj, SphereState):
         return SphereState.from_array(mat @ obj.as_array())
     # duck-typed trajectory: rebuilt by its own class from params, spheres, f
     spheres = obj.spheres @ mat.T
-    params, f = obj.params, obj.f
+    params, f, stats = obj.params, obj.f, dict(obj.stats)
     if reverse:
         spheres, f, params = spheres[::-1], f[::-1], -params[::-1]
+        if "u" in stats:  # the u column of a t-trajectory moves with its samples
+            stats["u"] = -stats["u"][::-1]
     return type(obj).from_samples(obj.kind, params, spheres=spheres, f=f,
-                                  termination=obj.termination, stats=obj.stats)
+                                  termination=obj.termination, stats=stats)
 
 
 def symmetry_group() -> list:

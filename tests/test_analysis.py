@@ -222,6 +222,14 @@ def test_closed_form_domains():
         closed_form("singular", 0.0)
     with pytest.raises(ValueError):
         closed_form("nope", 3.0)
+    # non-finite r is outside every domain (NaN slipped past the lower bound)
+    for kind in analysis.CLOSED_FORM_KINDS:
+        for bad in (math.nan, math.inf):
+            for call in (lambda: closed_form(kind, bad), lambda: dr_dt(kind, bad),
+                         lambda: dr_dt(kind, np.array([3.0, bad])),
+                         lambda: verify_solution(kind, [bad, 2.0])):
+                with pytest.raises(ValueError):
+                    call()
 
 
 def test_round_and_singular_forms_are_formal_mirrors():

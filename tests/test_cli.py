@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import g2cone
-from g2cone.cli import CSV_HEADER, SWEEP_HEADER, main
+from g2cone.cli import (CSV_HEADER, MAX_MU_POINTS, MAX_SAMPLES, SWEEP_HEADER,
+                        ConfigError, build_parser, main, mu_values, validate)
 
 
 def run(args):
@@ -40,25 +41,47 @@ def test_verify_torsion_negative_control(tmp_path):
     assert rep["debug_flip_psi"] is True
 
 
-def test_verify_torsion_invalid_config(tmp_path):
-    assert run(["verify-torsion", "--samples", "0", "--out", str(tmp_path)]) == 2
-    # the report is still written
-    assert (tmp_path / "verify_torsion.json").exists()
-
-
 def test_invalid_common_options(tmp_path):
-    for argv in (["shoot", "--mu", "0.5", "--stride", "0"],
-                 ["shoot", "--mu", "1.5"],
-                 ["shoot"],  # no mu
-                 ["shoot", "--mu", "0.5", "--order", "11"],
-                 ["sweep", "--mu-range", "nonsense"],
-                 ["shoot", "--mu", "0.3", "--t-max", "nan"],
-                 ["shoot", "--mu", "0.3", "--t-max", "inf"],
-                 ["shoot", "--mu", "0.3", "--u-max", "nan"],
-                 ["shoot", "--mu", "0.3", "--tol", "nan"],
-                 ["shoot", "--mu", "0.3", "--conv-tol", "nan"],
-                 ["verify-torsion", "--seed", "-1"]):
-        assert run(argv + ["--out", str(tmp_path)]) == 2, argv
+    # a rejected configuration exits 2 and still writes <command>.json
+    for i, argv in enumerate((["verify-torsion", "--samples", "0"],
+                              ["verify-torsion", "--seed", "-1"],
+                              ["verify-torsion", "--format", "bogus"],
+                              ["shoot", "--mu", "0.5", "--stride", "0"],
+                              ["shoot", "--mu", "1.5"],
+                              ["shoot"],  # no mu
+                              ["shoot", "--mu", "0.5", "--order", "11"],
+                              ["shoot", "--mu", "0.3", "--t-max", "nan"],
+                              ["shoot", "--mu", "0.3", "--t-max", "inf"],
+                              ["shoot", "--mu", "0.3", "--u-max", "nan"],
+                              ["shoot", "--mu", "0.3", "--tol", "nan"],
+                              ["shoot", "--mu", "0.3", "--conv-tol", "nan"],
+                              ["sweep", "--mu-range", "nonsense"])):
+        out = tmp_path / str(i)
+        assert run(argv + ["--out", str(out)]) == 2, argv
+        rep = load(out / (argv[0].replace("-", "_") + ".json"))
+        assert rep["command"] == argv[0], argv
+        assert rep["pass"] is False, argv
+        assert isinstance(rep["error"], str) and rep["error"], argv
+
+
+def test_input_bounds():
+    parse = build_parser().parse_args
+    validate(parse(["verify-torsion", "--samples", str(MAX_SAMPLES)]))
+    with pytest.raises(ConfigError):
+        validate(parse(["verify-torsion", "--samples", str(MAX_SAMPLES + 1)]))
+    grid = mu_values(parse(["sweep", "--mu-range", f"0.1:0.9:{MAX_MU_POINTS}"]), [])
+    assert len(grid) == MAX_MU_POINTS
+    for n in (0, MAX_MU_POINTS + 1):
+        with pytest.raises(ConfigError):
+            mu_values(parse(["sweep", "--mu-range", f"0.1:0.9:{n}"]), [])
+
+
+def test_unusable_out_directory(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    assert run(["oracle", "--out", str(blocker)]) == 2
+    assert str(blocker) in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory\n"
 
 
 # -- oracle ----------------------------------------------------------------------

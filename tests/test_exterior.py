@@ -280,6 +280,14 @@ def test_torsion_residual_unit_state_flow_derivs():
 def test_torsion_residual_off_locus():
     res = torsion_residual(ShapeState(1, 1, 1, 1), DerivVector(0, 0, 0, 0))
     assert max(res) > 0.1
+    # the two halves of the coefficient vector are exactly d(Psi) and d(star Psi)
+    state, derivs = ShapeState(1.0, 1.3, 0.8, 1.1), DerivVector(0.2, -0.1, 0.7, 0.4)
+    diffs = coframe_differentials(state, derivs)
+    psi = g2_form()
+    expected = (exterior_derivative(psi, diffs).max_abs(),
+                exterior_derivative(hodge_star(psi), diffs).max_abs())
+    assert expected[0] != expected[1]
+    assert torsion_residual(state, derivs) == expected
 
 
 def test_torsion_residual_at_analytic_derivs_along_trajectory(family_shapes):

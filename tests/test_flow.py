@@ -509,6 +509,13 @@ def test_apply_symmetry_to_trajectory():
         # scalar monitors built from squares are preserved under k = 4
         if not reverse:
             assert np.allclose(image.monitor("F5"), base.monitor("F5"), atol=1e-15)
+    # a t-trajectory's u column is reversed and negated with its samples
+    base = shoot.family_shape_trajectory(0.3, t_max=5.0)
+    for k in (2, 3):
+        image = flow.apply_symmetry(base, k)
+        assert np.array_equal(image.params, -base.params[::-1])
+        assert np.array_equal(image.stats["u"], -base.stats["u"][::-1])
+    assert np.array_equal(flow.apply_symmetry(base, 4).stats["u"], base.stats["u"])
 
 
 def test_symmetry_group_closure():
