@@ -53,6 +53,6 @@ print()
 print("Near the conic stationary direction both classical solutions")
 print("approach the same ray on the sphere:")
 for r in (5.0, 20.0, 100.0):
-    s, _ = flow.to_sphere(analysis.closed_form("bs", r))
-    d = np.linalg.norm(s.as_array() - flow.S1.as_array())
+    shape = analysis.closed_form("bs", r).as_array()
+    d = np.linalg.norm(shape / np.linalg.norm(shape) - flow.S1)
     print(f"  round solution at r = {r:5.1f}: |S - S1| = {d:.3e}")

@@ -37,11 +37,11 @@ print(f"  conserved cubic F: {F[0]:.12f} (drift {np.max(np.abs(F - F[0])):.2e}; 
       f"seed value mu(1 - mu^2) = {MU * (1 - MU**2):.12f})")
 
 u_end = float(traj.stats["u"][-1])
-cont = shoot.integrate_sphere(flow.SphereState.from_array(traj.spheres[-1]),
-                              u_end, 60.0, f0=float(traj.f[-1]), tol=1e-10)
+cont = shoot.integrate_sphere(traj.spheres[-1], u_end, 60.0, f0=float(traj.f[-1]),
+                              tol=1e-10)
 ok, u_conv = shoot.detect_convergence(cont.spheres, cont.params, tol=1e-6)
 print(f"  sphere continuation: converged to the limit direction at u = {u_conv:.3f}")
-print(f"  final distance: {np.linalg.norm(cont.spheres[-1] - flow.SINF.as_array()):.2e}")
+print(f"  final distance: {np.linalg.norm(cont.spheres[-1] - flow.SINF):.2e}")
 print()
 
 fit = shoot.alc_fit(traj, 0.5)

@@ -13,10 +13,10 @@ import math
 
 import numpy as np
 
-from g2cone import analysis, flow
+from g2cone import analysis
 
 for rep in analysis.stationary_points(with_eigendata=True):
-    print(f"{rep.name}: {np.round(rep.point.as_array(), 10)}")
+    print(f"{rep.name}: {np.round(rep.point, 10)}")
     print(f"  |W| = {rep.field_residual:.2e}, symmetry orbit size {rep.orbit_size}")
     print(f"  tangential eigenvalues: {np.round(rep.eigenvalues.real, 8)}")
     neg, zer, pos = rep.classification
@@ -38,7 +38,7 @@ print()
 print("Linearization of the desingularized chart field on the singular arc:")
 for mu in (0.25, 0.5, 0.75):
     lam = math.sqrt((1 - mu * mu) / 2)
-    jac = analysis.linearize(flow.ChartPoint(0.0, 0.0, mu), "modified-chart")
+    jac = analysis.linearize(np.array([0.0, 0.0, mu]), "modified-chart")
     w, v = analysis.eig_small(jac)
     i = int(np.argmax(w.real))
     vec = v[:, i].real

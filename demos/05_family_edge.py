@@ -23,7 +23,7 @@ for mu in np.arange(1, 10) / 10.0:
     traj = shoot.launch_sphere(mu, u_max=60.0)
     ok, u_conv = shoot.detect_convergence(traj.spheres, traj.params, tol=1e-6)
     g1 = traj.monitor("G1")
-    d1 = float(np.min(np.linalg.norm(traj.spheres - flow.S1.as_array(), axis=1)))
+    d1 = float(np.min(np.linalg.norm(traj.spheres - flow.S1, axis=1)))
     outcome = "converges to S_inf" if ok else "escapes (incomplete)"
     u_str = f"{u_conv:8.2f}" if ok else "       -"
     print(f"{mu:6.1f} {outcome:22} {u_str} {np.min(g1):+9.4f} {d1:15.4e}")
@@ -37,7 +37,7 @@ print()
 print("just below the edge the trajectory grazes the conic point S1:")
 for mu in (0.52, 0.54, 0.5441):
     traj = shoot.family_shape_trajectory(mu, t_max=60.0, tol=1e-12)
-    d1 = float(np.min(np.linalg.norm(traj.spheres - flow.S1.as_array(), axis=1)))
+    d1 = float(np.min(np.linalg.norm(traj.spheres - flow.S1, axis=1)))
     print(f"  mu = {mu:<7}: closest approach to S1 = {d1:.3e}")
 print()
 print("the edge member is asymptotically conic (it limits onto S1, where the")

@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "exterior": ("KForm", "ShapeState", "DerivVector"),
-    "flow": ("SphereState", "ChartPoint", "MonitorVector"),
     "shoot": ("SeriesStart", "Trajectory", "ALCFit"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

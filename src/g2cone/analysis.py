@@ -59,7 +59,7 @@ class EigenResidualError(RuntimeError):
 class StationaryReport:
     """A stationary direction of the sphere flow with optional eigendata."""
 
-    point: flow.SphereState
+    point: np.ndarray  # unit direction on S^3
     name: str
     orbit_size: int
     eigenvalues: np.ndarray | None = None
@@ -90,13 +90,13 @@ def stationary_points(with_eigendata: bool = False) -> list:
     """
     reports = []
     for name, s in (("S1", flow.S1), ("Sinf", flow.SINF)):
-        res = float(np.linalg.norm(flow.tangential_field(s)))
-        rep = StationaryReport(point=s, name=name, orbit_size=_orbit_size(s.as_array()),
+        res = float(np.linalg.norm(flow.sphere_field(s)[0]))
+        rep = StationaryReport(point=s, name=name, orbit_size=_orbit_size(s),
                                field_residual=res)
         if with_eigendata:
             jac = linearize(s, "tangential")
             w, v = eig_small(jac)
-            basis = tangent_basis(s.as_array())
+            basis = tangent_basis(s)
             rep.eigenvalues = w
             rep.eigenvectors = np.array([basis.T @ v[:, i] for i in range(len(w))])
             re = w.real
@@ -130,40 +130,30 @@ def linearize(point, system: str) -> np.ndarray:
     """Jacobian of the chosen flow at a stationary point, by central differences.
 
     system="tangential": the degree-0 extension W(R/|R|) differentiated
-    at a SphereState and expressed in an orthonormal tangent basis
+    at a unit direction and expressed in an orthonormal tangent basis
     (3 x 3; eigenvalues are basis independent).
     system="modified-chart": the Jacobian of the desingularized chart
-    field at a ChartPoint on the singular arc.
+    field at a chart point (x, y, z) on the singular arc.
     Rejects points where the respective field is not below 1e-8.
     """
+    p = np.asarray(point, dtype=float)
     if system == "tangential":
-        s = point.as_array()
-        if np.linalg.norm(flow.tangential_field(point)) > 1e-8:
-            raise ValueError(f"{point} is not stationary for the tangential flow")
-        basis = tangent_basis(s)
-
-        def w_ext(r):
-            return flow._w(r / np.linalg.norm(r))
-
-        jac = np.empty((3, 3))
-        for j in range(3):
-            fp = w_ext(s + _FD_STEP * basis[j])
-            fm = w_ext(s - _FD_STEP * basis[j])
-            jac[:, j] = basis @ ((fp - fm) / (2.0 * _FD_STEP))
-        return jac
-    if system == "modified-chart":
-        p = point.as_array()
-        if np.linalg.norm(flow.modified_field(point)) > 1e-8:
-            raise ValueError(f"{point} is not stationary for the chart flow")
-        jac = np.empty((3, 3))
-        for j in range(3):
-            dp = np.zeros(3)
-            dp[j] = _FD_STEP
-            fp = flow.modified_field(flow.ChartPoint(*(p + dp)))
-            fm = flow.modified_field(flow.ChartPoint(*(p - dp)))
-            jac[:, j] = (fp - fm) / (2.0 * _FD_STEP)
-        return jac
-    raise ValueError(f"unknown system {system!r}")
+        def fn(r):
+            return flow.sphere_field(r / np.linalg.norm(r))[0]
+        basis = tangent_basis(p)
+    elif system == "modified-chart":
+        def fn(q):
+            return flow.modified_field(q)[0]
+        basis = np.eye(3)
+    else:
+        raise ValueError(f"unknown system {system!r}")
+    if np.linalg.norm(fn(p)) > 1e-8:
+        raise ValueError(f"{tuple(p)} is not stationary for the {system} flow")
+    jac = np.empty((3, 3))
+    for j in range(3):
+        fp, fm = fn(p + _FD_STEP * basis[j]), fn(p - _FD_STEP * basis[j])
+        jac[:, j] = basis @ ((fp - fm) / (2.0 * _FD_STEP))
+    return jac
 
 
 def eig_small(m: np.ndarray):

@@ -95,6 +95,9 @@ def validate(args) -> None:
             raise ConfigError(f"--{name.replace('_', '-')} must be finite")
     if args.t_max <= 0 or args.u_max <= 0:
         raise ConfigError("horizons must be positive")
+    if args.t_max <= shoot.SERIES_MAX_OFFSET:
+        raise ConfigError(f"--t-max must exceed the series launch offset "
+                          f"{shoot.SERIES_MAX_OFFSET:g}")
     if args.stride < 1:
         raise ConfigError("stride must be >= 1")
     if not 3 <= args.order <= 8:
@@ -154,21 +157,20 @@ def _shoot_pipeline(mu: float, args) -> tuple:
     # continued on the sphere up to the u horizon when it ends early
     u, spheres = traj.stats["u"], traj.spheres
     if u[-1] < args.u_max and traj.termination == shoot.REACHED_HORIZON:
-        cont = shoot.integrate_sphere(flow.SphereState.from_array(spheres[-1]), float(u[-1]),
-                                      args.u_max, f0=float(traj.f[-1]), tol=args.tol)
+        cont = shoot.integrate_sphere(spheres[-1], float(u[-1]), args.u_max,
+                                      f0=float(traj.f[-1]), tol=args.tol)
         u = np.concatenate([u, cont.params[1:]])
         spheres = np.concatenate([spheres, cont.spheres[1:]])
     converged, u_conv = shoot.detect_convergence(spheres, u, flow.SINF, args.conv_tol)
 
     F = traj.monitor("F")
-    fit = shoot.alc_fit(traj, 0.5) if traj.params[-1] - traj.params[0] >= 30 else None
-    return traj, fit, {
+    return traj, shoot.alc_fit(traj, 0.5), {
         "mu": mu,
         "termination": traj.termination,
         "positivity_ok": traj.termination != shoot.POSITIVITY_VIOLATION,
         "converged": converged,
         "u_converged": u_conv,
-        "dist_to_target_end": float(np.linalg.norm(spheres[-1] - flow.SINF.as_array())),
+        "dist_to_target_end": float(np.linalg.norm(spheres[-1] - flow.SINF)),
         "F_initial": float(F[0]),
         "F_drift": float(np.max(np.abs(F - F[0]))),
     }
@@ -228,13 +230,14 @@ def cmd_verify_torsion(args, outdir: Path, report: dict) -> str:
     worst_case = None
     for _ in range(args.samples):
         state = ext.ShapeState(*rng.uniform(0.2, 5.0, size=4))
-        analytic = flow.rhs(state).as_array()
+        deriv = flow.rhs(state)
+        analytic = deriv.as_array()
         try:
             solved = ext.solve_torsion_free_derivs(state, psi).as_array()
             rel = float(np.max(np.abs(solved - analytic) / np.maximum(1.0, np.abs(analytic))))
         except ext.TorsionSolveError:
             rel = float("inf")
-        res = max(ext.torsion_residual(state, flow.rhs(state), psi))
+        res = max(ext.torsion_residual(state, deriv, psi))
         if rel > worst_rel or res > worst_res:
             worst_case = [state.A1, state.A2, state.B1, state.B2]
         worst_rel = max(worst_rel, rel)
@@ -299,7 +302,7 @@ def cmd_stationary(args, outdir: Path, report: dict) -> str:
     points = {}
     for rep in analysis.stationary_points(with_eigendata=True):
         entry = {
-            "point": list(rep.point.as_array()),
+            "point": list(rep.point),
             "field_residual": rep.field_residual,
             "orbit_size": rep.orbit_size,
             "eigenvalues_real": list(rep.eigenvalues.real),
@@ -328,7 +331,7 @@ def cmd_stationary(args, outdir: Path, report: dict) -> str:
     charts = []
     for mu in mus:
         lam = math.sqrt((1.0 - mu * mu) / 2.0)
-        jac = analysis.linearize(flow.ChartPoint(0.0, 0.0, mu), "modified-chart")
+        jac = analysis.linearize(np.array([0.0, 0.0, mu]), "modified-chart")
         w, v = analysis.eig_small(jac)
         got = np.sort(w.real)
         expected = np.sort(analysis.CHART_EIGENVALUES)

@@ -19,39 +19,20 @@ radial log-derivative).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exterior import DerivVector, ShapeState
 
 __all__ = [
-    "SphereState",
-    "ChartPoint",
-    "MonitorVector",
-    "S0",
-    "S1",
-    "SINF",
-    "CHART_RADIUS",
-    "CHART_MIN_RADICAND",
-    "rhs",
-    "velocity",
-    "first_integral",
-    "to_sphere",
-    "from_sphere",
-    "tangential_field",
-    "radial_log_derivative",
-    "chart_to_sphere",
-    "sphere_to_chart",
-    "modified_field",
-    "chart_log_scale_rate",
-    "apply_symmetry",
-    "symmetry",
-    "symmetry_group",
-    "monitors",
-    "monitor_table",
-    "MONITOR_NAMES",
+    "S0", "S1", "SINF", "CHART_RADIUS", "CHART_MIN_RADICAND",
+    "rhs", "velocity", "first_integral", "sphere_field",
+    "chart_to_sphere", "sphere_to_chart", "modified_field",
+    "apply_symmetry", "symmetry", "symmetry_group", "monitor_table", "MONITOR_NAMES",
 ]
+
+# Points are plain arrays: a unit direction (alpha1, alpha2, alpha3, alpha4)
+# on S^3 has shape (4,), a chart point (x, y, z) has shape (3,).
 
 # chart validity: disc of this radius in (x, y), and enough room under
 # the square root to recover alpha2, alpha4
@@ -61,82 +42,28 @@ CHART_MIN_RADICAND = 0.05
 # denominators smaller than this produce flagged-missing monitor entries
 _MONITOR_EPS = 1e-8
 
-
-@dataclass(frozen=True)
-class SphereState:
-    """Unit shape direction (alpha1, alpha2, alpha3, alpha4) on S^3."""
-
-    alpha1: float
-    alpha2: float
-    alpha3: float
-    alpha4: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha1, self.alpha2, self.alpha3, self.alpha4], dtype=float)
-
-    @staticmethod
-    def from_array(a) -> "SphereState":
-        return SphereState(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """Coordinates (x, y, z) = (alpha3, alpha4 - alpha2, alpha1) near the arc J."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    def radicand(self) -> float:
-        return 2.0 - 2.0 * self.x**2 - self.y**2 - 2.0 * self.z**2
-
-
-@dataclass(frozen=True)
-class MonitorVector:
-    """Scalar functionals along a trajectory; NaN marks a flagged-missing entry."""
-
-    F: float
-    F1: float
-    F2: float
-    F3: float
-    F4: float
-    F5: float
-    G1: float
-    G2: float
-    beta: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.F, self.F1, self.F2, self.F3, self.F4, self.F5, self.G1, self.G2, self.beta]
-        )
-
-
 MONITOR_NAMES = ("F", "F1", "F2", "F3", "F4", "F5", "G1", "G2", "beta")
 
-# stationary directions of the tangential flow
-S1 = SphereState(
-    1.0 / (2.0 * math.sqrt(2.0)),
-    1.0 / (2.0 * math.sqrt(2.0)),
-    math.sqrt(3.0) / (2.0 * math.sqrt(2.0)),
-    math.sqrt(3.0) / (2.0 * math.sqrt(2.0)),
-)
-SINF = SphereState(
-    0.0,
-    math.sqrt(3.0) / math.sqrt(10.0),
-    math.sqrt(2.0) / math.sqrt(5.0),
-    math.sqrt(3.0) / math.sqrt(10.0),
-)
+
+def _frozen(values) -> np.ndarray:
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
-def S0(mu: float) -> SphereState:
+# stationary directions of the tangential flow (read-only)
+S1 = _frozen([1.0 / (2.0 * math.sqrt(2.0)), 1.0 / (2.0 * math.sqrt(2.0)),
+              math.sqrt(3.0) / (2.0 * math.sqrt(2.0)), math.sqrt(3.0) / (2.0 * math.sqrt(2.0))])
+SINF = _frozen([0.0, math.sqrt(3.0) / math.sqrt(10.0), math.sqrt(2.0) / math.sqrt(5.0),
+                math.sqrt(3.0) / math.sqrt(10.0)])
+
+
+def S0(mu: float) -> np.ndarray:
     """Singular-arc point (mu, lambda, 0, lambda) with 2 lambda^2 + mu^2 = 1."""
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
     lam = math.sqrt((1.0 - mu * mu) / 2.0)
-    return SphereState(mu, lam, 0.0, lam)
+    return np.array([mu, lam, 0.0, lam])
 
 
 # -- the vector field ---------------------------------------------------
@@ -181,82 +108,58 @@ def first_integral(state: ShapeState | np.ndarray) -> float:
 # -- radial / tangential split ------------------------------------------
 
 
-def to_sphere(state: ShapeState) -> tuple:
-    """Split R = f S; returns (S, f) with f = |R|."""
-    r = state.as_array()
-    f = float(np.linalg.norm(r))
-    if f == 0.0:
-        raise ValueError("cannot project the zero shape to the sphere")
-    return SphereState.from_array(r / f), f
-
-
-def from_sphere(s: SphereState, f: float) -> ShapeState:
-    """Rebuild the shape from direction and scale."""
-    if f <= 0.0:
-        raise ValueError(f"scale must be positive, got {f}")
-    return ShapeState.from_array(f * s.as_array())
-
-
-def _w(alpha: np.ndarray) -> np.ndarray:
-    v = velocity(alpha)
-    return v - np.dot(v, alpha) * alpha
-
-
-def tangential_field(s: SphereState) -> np.ndarray:
-    """W(S) = V(S) - <V(S), S> S; tangent to the sphere where defined."""
-    a = s.as_array()
-    if a[1] == 0.0 or a[2] == 0.0 or a[3] == 0.0:
-        raise ZeroDivisionError(f"tangential field undefined at {s}")
-    return _w(a)
-
-
-def radial_log_derivative(s: SphereState) -> float:
-    """beta = <V(S), S>, the logarithmic growth rate of the scale f."""
-    a = s.as_array()
-    if a[1] == 0.0 or a[2] == 0.0 or a[3] == 0.0:
-        raise ZeroDivisionError(f"radial rate undefined at {s}")
-    return float(np.dot(velocity(a), a))
+def sphere_field(a: np.ndarray) -> tuple:
+    """(W, beta) at a unit direction: W = V - beta S is the tangential field
+    and beta = <V(S), S> the logarithmic growth rate of the scale f."""
+    v = velocity(a)
+    beta = float(np.dot(v, a))
+    return v - beta * a, beta
 
 
 # -- chart around the singular arc J -------------------------------------
 
 
-def chart_to_sphere(p: ChartPoint) -> SphereState:
+def _radicand(p) -> float:
+    x, y, z = p
+    return 2.0 - 2.0 * x**2 - y**2 - 2.0 * z**2
+
+
+def chart_to_sphere(p: np.ndarray) -> np.ndarray:
     """Recover the sphere point from chart coordinates.
 
     alpha2 = (sqrt(2 - 2x^2 - y^2 - 2z^2) - y)/2 and alpha4 the same with
     +y; rejects points where the radicand is negative.
     """
-    rad = p.radicand()
+    rad = _radicand(p)
     if rad < 0.0:
-        raise ValueError(f"chart radicand negative at {p}")
+        raise ValueError(f"chart radicand negative at {tuple(p)}")
+    x, y, z = p
     root = math.sqrt(rad)
-    return SphereState(p.z, 0.5 * (root - p.y), p.x, 0.5 * (root + p.y))
+    return np.array([z, 0.5 * (root - y), x, 0.5 * (root + y)], dtype=float)
 
 
-def sphere_to_chart(s: SphereState) -> ChartPoint:
+def sphere_to_chart(s: np.ndarray) -> np.ndarray:
     """Inverse chart map, valid near J where alpha4 >= alpha2."""
-    return ChartPoint(s.alpha3, s.alpha4 - s.alpha2, s.alpha1)
+    return np.array([s[2], s[3] - s[1], s[0]], dtype=float)
 
 
-def _check_chart(p: ChartPoint) -> None:
-    if p.x * p.x + p.y * p.y > CHART_RADIUS**2:
-        raise ValueError(f"chart point {p} outside radius {CHART_RADIUS}")
-    if p.radicand() < CHART_MIN_RADICAND:
-        raise ValueError(f"chart radicand too small at {p}")
-
-
-def _desingularized(p: ChartPoint) -> tuple:
-    """x W as a smooth 4-vector at the chart point, plus x <V, S>.
+def modified_field(p: np.ndarray) -> tuple:
+    """(g, x beta) at a chart point: g = (x W_x, x W_y, x W_z) is the
+    desingularized chart field, zero exactly on J, and x beta = x <V(S), S>
+    is d(ln f)/dv in the chart time.  Both are smooth through x = 0.
 
     V = Vreg + P / alpha3 with P supported on the (alpha2, alpha4)
     components, so x W = q - <q, S> S with q = x Vreg + P extends
     smoothly through x = 0.  alpha4^2 - alpha2^2 is evaluated as
     y (alpha2 + alpha4), exact near the arc where the difference is tiny.
     """
+    x, y, _ = p
+    if x * x + y * y > CHART_RADIUS**2:
+        raise ValueError(f"chart point {tuple(p)} outside radius {CHART_RADIUS}")
+    if _radicand(p) < CHART_MIN_RADICAND:
+        raise ValueError(f"chart radicand too small at {tuple(p)}")
     s = chart_to_sphere(p)
-    a1, a2, a3, a4 = s.alpha1, s.alpha2, s.alpha3, s.alpha4
-    x, y = p.x, p.y
+    a1, a2, a3, a4 = s
     diff24 = y * (a2 + a4)  # alpha4^2 - alpha2^2 without cancellation
     vreg = np.array(
         [
@@ -267,25 +170,10 @@ def _desingularized(p: ChartPoint) -> tuple:
         ]
     )
     pole = np.array([0.0, 0.5 * diff24 / a4, 0.0, -0.5 * diff24 / a2])
-    sv = s.as_array()
     q = x * vreg + pole
-    xbeta = float(np.dot(q, sv))
-    xw = q - xbeta * sv
-    return xw, xbeta
-
-
-def modified_field(p: ChartPoint) -> np.ndarray:
-    """Desingularized chart field (x W_x, x W_y, x W_z); vanishes exactly on J."""
-    _check_chart(p)
-    xw, _ = _desingularized(p)
-    return np.array([xw[2], xw[3] - xw[1], xw[0]])
-
-
-def chart_log_scale_rate(p: ChartPoint) -> float:
-    """x <V(S), S>: d(ln f)/dv in the chart time, smooth through x = 0."""
-    _check_chart(p)
-    _, xbeta = _desingularized(p)
-    return xbeta
+    xbeta = float(np.dot(q, s))
+    xw = q - xbeta * s
+    return np.array([xw[2], xw[3] - xw[1], xw[0]]), xbeta
 
 
 # -- discrete symmetries --------------------------------------------------
@@ -308,7 +196,7 @@ def symmetry(k: int) -> tuple:
 
 
 def apply_symmetry(obj, k: int):
-    """Apply symmetry k to a SphereState or to a sphere trajectory.
+    """Apply symmetry k to a unit direction (an array) or to a sphere trajectory.
 
     For trajectories the parameter axis is negated and the sample order
     reversed when the symmetry includes u -> -u, and so is a t-trajectory's
@@ -317,8 +205,8 @@ def apply_symmetry(obj, k: int):
     transformed samples.
     """
     mat, reverse = symmetry(k)
-    if isinstance(obj, SphereState):
-        return SphereState.from_array(mat @ obj.as_array())
+    if isinstance(obj, np.ndarray):
+        return mat @ obj
     # duck-typed trajectory: rebuilt by its own class from params, spheres, f
     spheres = obj.spheres @ mat.T
     params, f, stats = obj.params, obj.f, dict(obj.stats)
@@ -352,11 +240,6 @@ def symmetry_group() -> list:
 
 
 # -- monitors --------------------------------------------------------------
-
-
-def monitors(s: SphereState, f: float) -> MonitorVector:
-    """All scalar monitors at (S, f): one row of monitor_table."""
-    return MonitorVector(*monitor_table(s.as_array()[None, :], [f])[0].tolist())
 
 
 def monitor_table(spheres, f) -> np.ndarray:

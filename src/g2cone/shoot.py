@@ -30,6 +30,7 @@ __all__ = [
     "CONVERGED",
     "POSITIVITY_VIOLATION",
     "STEP_FAILURE",
+    "SERIES_MAX_OFFSET",
     "series_start",
     "eval_series",
     "gauss_legendre",
@@ -52,6 +53,7 @@ POSITIVITY_VIOLATION = "positivity-violation"
 STEP_FAILURE = "step-failure"
 
 POSITIVITY_FLOOR = 1e-9
+SERIES_MAX_OFFSET = 1e-2  # the series launch offset never exceeds this t
 CHART_SWITCH_X = 0.01  # leave the desingularized chart once alpha3 reaches this
 
 # The limit direction has alpha1 = 0 and alpha3 > 0: the bounded metric
@@ -78,11 +80,11 @@ class SeriesStart:
     coefficients: np.ndarray  # shape (order+1, 4)
 
     def truncation_offset(self, tol: float = 1e-10) -> float:
-        """Largest launch offset with last-term estimate below tol, capped at 1e-2."""
+        """Largest launch offset with last-term estimate below tol, at most SERIES_MAX_OFFSET."""
         last = np.max(np.abs(self.coefficients[-1]))
         if last == 0.0:
-            return 1e-2
-        return min(1e-2, (tol / last) ** (1.0 / self.order))
+            return SERIES_MAX_OFFSET
+        return min(SERIES_MAX_OFFSET, (tol / last) ** (1.0 / self.order))
 
 
 @dataclass(frozen=True)
@@ -122,9 +124,6 @@ class Trajectory:
             spheres = shapes / f[:, None]
         return cls(kind, np.asarray(params, dtype=float), shapes, spheres, f,
                    flow.monitor_table(spheres, f), termination, dict(stats or {}))
-
-    def replace(self, **kw) -> "Trajectory":
-        return replace(self, **kw)
 
     def monitor(self, name: str) -> np.ndarray:
         return self.monitors[:, flow.MONITOR_NAMES.index(name)]
@@ -366,10 +365,11 @@ def integrate_shape(start: ShapeState, t0: float, t1: float, tol: float = 1e-10,
                                    stats={**stats, "u": ys[:, 4].copy()})
 
 
-def integrate_sphere(start: flow.SphereState, u0: float, u1: float, f0: float = 1.0,
+def integrate_sphere(start: np.ndarray, u0: float, u1: float, f0: float = 1.0,
                      tol: float = 1e-10, atol: float = 1e-12, max_step: float = 0.25,
                      stride: int = 1) -> Trajectory:
-    """Integrate the tangential system in u with the scale riding along.
+    """Integrate the tangential system in u from the unit direction start,
+    with the scale riding along.
 
     The state is renormalized to the unit sphere after every accepted
     step (pre-projection drift is logged in stats["max_drift"]);
@@ -377,15 +377,13 @@ def integrate_sphere(start: flow.SphereState, u0: float, u1: float, f0: float = 
     """
     if f0 <= 0.0:
         raise ValueError("f0 must be positive")
-    a0 = start.as_array()
+    a0 = np.asarray(start, dtype=float)
     if abs(np.linalg.norm(a0) - 1.0) > 1e-9:
         raise ValueError(f"start must be a unit vector, got |S| = {np.linalg.norm(a0)}")
 
     def field(_, y):
-        a = y[:4]
-        v = flow.velocity(a)
-        beta = float(np.dot(v, a))
-        return np.append(v - beta * a, beta)
+        w, beta = flow.sphere_field(y[:4])
+        return np.append(w, beta)
 
     def project(y):
         out = y.copy()
@@ -432,9 +430,8 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0, tol: float 
     p0 = np.array([0.0, 0.0, mu]) + eps * unstable_direction(mu)
 
     def chart_field(_, y):
-        p = flow.ChartPoint(y[0], y[1], y[2])
-        g = flow.modified_field(p)
-        return np.array([g[0], g[1], g[2], y[0], flow.chart_log_scale_rate(p)])
+        g, xbeta = flow.modified_field(y[:3])
+        return np.array([g[0], g[1], g[2], y[0], xbeta])
 
     def chart_stop(_, y):
         return "switch" if y[0] >= CHART_SWITCH_X else None
@@ -443,16 +440,14 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0, tol: float 
                                        2000.0, tol, atol, stop=chart_stop)
     if term != "switch":
         raise RuntimeError(f"chart phase did not reach the switch threshold ({term})")
-    chart_spheres = np.array(
-        [flow.chart_to_sphere(flow.ChartPoint(*y[:3])).as_array() for y in cys]
-    )
+    chart_spheres = np.array([flow.chart_to_sphere(y[:3]) for y in cys])
     chart_u = cys[:, 3]
     chart_lnf = cys[:, 4]
 
     # phase 2: tangential system in u
     u_switch = float(chart_u[-1])
-    tail = integrate_sphere(flow.SphereState.from_array(chart_spheres[-1]), u_switch,
-                            u_max, f0=float(math.exp(chart_lnf[-1])), tol=tol, atol=atol,
+    tail = integrate_sphere(chart_spheres[-1], u_switch, u_max,
+                            f0=float(math.exp(chart_lnf[-1])), tol=tol, atol=atol,
                             max_step=max_step, stride=stride)
 
     stats = dict(tail.stats)
@@ -466,19 +461,19 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0, tol: float 
     if traj.termination == REACHED_HORIZON:
         converged, _ = detect_convergence(traj.spheres, traj.params, target, conv_tol)
         if converged:
-            traj = traj.replace(termination=CONVERGED)
+            traj = replace(traj, termination=CONVERGED)
     return traj
 
 
 def detect_convergence(spheres, params, target=None, tol: float = 1e-6):
     """First parameter value after which a sphere path stays within tol of target.
 
-    spheres is (n, 4) and params its n parameter values.  Returns
-    (True, parameter) on success, (False, None) when the path never
-    enters, or enters but leaves again before its end.
+    spheres is (n, 4), params its n parameter values and target a unit
+    direction (default: the limit direction).  Returns (True, parameter)
+    on success, (False, None) when the path never enters, or enters but
+    leaves again before its end.
     """
-    tgt = (target if target is not None else flow.SINF).as_array()
-    dist = np.linalg.norm(spheres - tgt, axis=1)
+    dist = np.linalg.norm(spheres - (flow.SINF if target is None else target), axis=1)
     # suffix maximum: within tolerance from index i onward
     suffix = np.maximum.accumulate(dist[::-1])[::-1]
     inside = suffix <= tol
@@ -504,23 +499,22 @@ def sample_at_level(traj: Trajectory, level: float):
     return s / np.linalg.norm(s)
 
 
-def alc_fit(traj: Trajectory, window_fraction: float = 0.5) -> ALCFit:
+def alc_fit(traj: Trajectory, window_fraction: float = 0.5) -> ALCFit | None:
     """Affine fit of the shape functions over the trailing t-window.
 
     Certifies the asymptotically conic behaviour: each metric function
-    approaches an affine function of t, one of them a constant.
+    approaches an affine function of t, one of them a constant.  None
+    when the recorded samples cannot carry a fit: a t span below 30 or
+    a trailing window below 10 in t.
     """
     if traj.kind != "t":
         raise ValueError("asymptotic fit needs a t-parameterized trajectory")
-    span = traj.params[-1] - traj.params[0]
-    if span < 30.0:
-        raise ValueError(f"t horizon {span:.3g} too short for an asymptotic fit")
     if not 0.0 < window_fraction <= 1.0:
         raise ValueError("window_fraction must lie in (0, 1]")
-    t_lo = traj.params[-1] - window_fraction * span
-    sel = traj.params >= t_lo
-    if traj.params[-1] - traj.params[sel][0] < 10.0:
-        raise ValueError("fit window shorter than 10 in t")
+    span = traj.params[-1] - traj.params[0]
+    sel = traj.params >= traj.params[-1] - window_fraction * span
+    if span < 30.0 or traj.params[-1] - traj.params[sel][0] < 10.0:
+        return None
     ts = traj.params[sel]
     slopes = np.empty(4)
     intercepts = np.empty(4)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from g2cone import flow, shoot
+from g2cone import shoot
 
 
 def central_derivative(ts, ys, i, half=3):
@@ -37,8 +37,8 @@ def hermite_sample(params, values, derivs, x):
             + h01 * values[i] + h11 * h * derivs[i])
 
 
-def constant_trajectory(s: flow.SphereState, f0=2.0, slope=1.0, n=50, t_hi=80.0):
-    """Synthetic exactly-conic trajectory along a fixed sphere direction."""
+def constant_trajectory(s, f0=2.0, slope=1.0, n=50, t_hi=80.0):
+    """Synthetic exactly-conic trajectory along a fixed unit direction s."""
     t = np.linspace(1.0, t_hi, n)
-    return shoot.Trajectory.from_samples("t", t, spheres=np.tile(s.as_array(), (n, 1)),
+    return shoot.Trajectory.from_samples("t", t, spheres=np.tile(s, (n, 1)),
                                          f=f0 + slope * t)

@@ -125,7 +125,7 @@ def test_criterion_3_stationary_eigendata():
         failures.append(f"S1 eigenvalues off by {err:.2e}")
     for mu in (0.25, 0.5, 0.75):
         lam = math.sqrt((1 - mu * mu) / 2)
-        jac = analysis.linearize(flow.ChartPoint(0.0, 0.0, mu), "modified-chart")
+        jac = analysis.linearize(np.array([0.0, 0.0, mu]), "modified-chart")
         wc, vc = analysis.eig_small(jac)
         got = np.sort(wc.real)
         stated = np.sort([2.0, -2.0, 0.0])

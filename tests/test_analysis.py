@@ -31,9 +31,9 @@ def test_stationary_points_catalog():
     reports = stationary_points()
     names = {r.name: r for r in reports}
     assert set(names) == {"S1", "Sinf"}
-    assert np.allclose(names["S1"].point.as_array(),
+    assert np.allclose(names["S1"].point,
                        np.array([1, 1, SQ3, SQ3]) / (2 * SQ2), atol=1e-16)
-    assert np.allclose(names["Sinf"].point.as_array(),
+    assert np.allclose(names["Sinf"].point,
                        [0.0, SQ3 / math.sqrt(10), math.sqrt(2 / 5), SQ3 / math.sqrt(10)],
                        atol=1e-16)
     for r in reports:
@@ -43,14 +43,14 @@ def test_stationary_points_catalog():
 
 
 def test_conic_point_algebraic_relations():
-    a1, a2, a3, a4 = flow.S1.as_array()
+    a1, a2, a3, a4 = flow.S1
     assert a1**2 == pytest.approx((4.0 / 3.0) * a2**2 * a4**2 / (a2**2 + a4**2), abs=1e-15)
     assert 4.0 * (a4**2 - a2**2) ** 2 == pytest.approx((a4**2 + a2**2) ** 2, abs=1e-15)
     assert a3**2 == pytest.approx(3.0 * (a4**2 - a2**2) ** 2 / (a2**2 + a4**2), abs=1e-15)
 
 
 def test_tangent_basis_orthonormal():
-    for s in (flow.S1.as_array(), flow.SINF.as_array()):
+    for s in (flow.S1, flow.SINF):
         basis = tangent_basis(s)
         assert basis.shape == (3, 4)
         gram = basis @ basis.T
@@ -73,7 +73,7 @@ def test_tangential_eigenvalues_at_conic_point():
 def test_tangential_eigenvector_at_conic_point():
     jac = linearize(flow.S1, "tangential")
     w, v = eig_small(jac)
-    basis = tangent_basis(flow.S1.as_array())
+    basis = tangent_basis(flow.S1)
     i = int(np.argmin(np.abs(w.real - (-2.0 * SQ2))))
     vec = basis.T @ v[:, i].real
     vec /= np.linalg.norm(vec)
@@ -81,7 +81,7 @@ def test_tangential_eigenvector_at_conic_point():
     target /= np.linalg.norm(target)
     assert abs(abs(np.dot(vec, target)) - 1.0) <= 1e-10
     # tangency to the point and to the diagonal locus a1=a2, a3=a4
-    assert abs(np.dot(vec, flow.S1.as_array())) <= 1e-10
+    assert abs(np.dot(vec, flow.S1)) <= 1e-10
     assert abs(vec[0] - vec[1]) <= 1e-8
     assert abs(vec[2] - vec[3]) <= 1e-8
 
@@ -107,7 +107,7 @@ def test_chart_linearization(mu):
     the outgoing eigenvector (1, mu/(4 lam), 0).
     """
     lam = math.sqrt((1 - mu * mu) / 2)
-    jac = linearize(flow.ChartPoint(0.0, 0.0, mu), "modified-chart")
+    jac = linearize(np.array([0.0, 0.0, mu]), "modified-chart")
     expected = np.array([[2.0, 0.0, 0.0], [mu / lam, -2.0, 0.0], [0.0, 0.0, 0.0]])
     assert np.max(np.abs(jac - expected)) <= 1e-7
     w, v = eig_small(jac)
@@ -122,9 +122,9 @@ def test_chart_linearization(mu):
 
 def test_linearize_rejects_non_stationary():
     with pytest.raises(ValueError):
-        linearize(flow.SphereState(0.5, 0.5, 0.5, 0.5), "tangential")
+        linearize(np.full(4, 0.5), "tangential")
     with pytest.raises(ValueError):
-        linearize(flow.ChartPoint(0.2, 0.1, 0.5), "modified-chart")
+        linearize(np.array([0.2, 0.1, 0.5]), "modified-chart")
     with pytest.raises(ValueError):
         linearize(flow.S1, "unknown")
 
@@ -138,7 +138,7 @@ def test_stationary_reports_with_eigendata():
     for rep in reports.values():
         for i, lam in enumerate(rep.eigenvalues):
             vec = rep.eigenvectors[i]
-            assert abs(np.dot(vec.real, rep.point.as_array())) <= 1e-10
+            assert abs(np.dot(vec.real, rep.point)) <= 1e-10
 
 
 # -- small eigenproblems ------------------------------------------------------------

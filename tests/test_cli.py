@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import g2cone
+from g2cone.shoot import SERIES_MAX_OFFSET
 from g2cone.cli import (CSV_HEADER, MAX_MU_POINTS, MAX_SAMPLES, SWEEP_HEADER,
                         ConfigError, build_parser, main, mu_values, validate)
 
@@ -52,6 +53,7 @@ def test_invalid_common_options(tmp_path):
                               ["shoot", "--mu", "0.5", "--order", "11"],
                               ["shoot", "--mu", "0.3", "--t-max", "nan"],
                               ["shoot", "--mu", "0.3", "--t-max", "inf"],
+                              ["shoot", "--mu", "0.3", "--t-max", "1e-300"],  # below launch
                               ["shoot", "--mu", "0.3", "--u-max", "nan"],
                               ["shoot", "--mu", "0.3", "--tol", "nan"],
                               ["shoot", "--mu", "0.3", "--conv-tol", "nan"],
@@ -69,6 +71,10 @@ def test_input_bounds():
     validate(parse(["verify-torsion", "--samples", str(MAX_SAMPLES)]))
     with pytest.raises(ConfigError):
         validate(parse(["verify-torsion", "--samples", str(MAX_SAMPLES + 1)]))
+    # the shape run starts at the series launch offset, at most SERIES_MAX_OFFSET
+    validate(parse(["shoot", "--t-max", str(float(np.nextafter(SERIES_MAX_OFFSET, 1.0)))]))
+    with pytest.raises(ConfigError):
+        validate(parse(["shoot", "--t-max", str(SERIES_MAX_OFFSET)]))
     grid = mu_values(parse(["sweep", "--mu-range", f"0.1:0.9:{MAX_MU_POINTS}"]), [])
     assert len(grid) == MAX_MU_POINTS
     for n in (0, MAX_MU_POINTS + 1):
@@ -134,6 +140,13 @@ def test_shoot_alc_block(tmp_path):
     expected = [0.0, 1 / math.sqrt(3), 2 / 3, 1 / math.sqrt(3)]
     assert np.max(np.abs(np.array(slopes) - expected)) <= 2e-2
     assert rep["alc"]["note"]
+
+
+def test_shoot_stride_too_sparse_for_fit(tmp_path, capsys):
+    # two recorded samples cannot carry an asymptotic fit: reported, not raised
+    assert run(["shoot", "--mu", "0.3", "--stride", "100000", "--out", str(tmp_path)]) in (0, 1)
+    assert load(tmp_path / "shoot_mu0.3.json")["alc"] is None
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_shoot_beyond_family_edge_reports_and_fails(tmp_path):

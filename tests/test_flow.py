@@ -11,6 +11,15 @@ from helpers import central_derivative, hermite_sample
 SQ3 = math.sqrt(3.0)
 
 
+def _w(a):
+    return flow.sphere_field(a)[0]
+
+
+def _radicand(p):
+    x, y, z = p
+    return 2.0 - 2.0 * x**2 - y**2 - 2.0 * z**2
+
+
 # -- the vector field ----------------------------------------------------------
 
 
@@ -78,37 +87,22 @@ def test_first_integral_conserved_along_trajectory(family_shapes):
 # -- radial / tangential split ----------------------------------------------------
 
 
-def test_to_sphere_normalization():
-    s, f = flow.to_sphere(ShapeState(1, 1, 1, 1))
-    assert f == pytest.approx(2.0, abs=0)
-    assert np.allclose(s.as_array(), 0.5)
-
-
-def test_sphere_round_trip():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        state = ShapeState(*rng.uniform(0.1, 5.0, size=4))
-        s, f = flow.to_sphere(state)
-        back = flow.from_sphere(s, f)
-        assert np.max(np.abs(back.as_array() - state.as_array())) <= 1e-15 * f
-
-
 def test_singular_orbit_is_unit():
-    s, f = flow.to_sphere(ShapeState(*flow.S0(0.3).as_array()))
-    assert f == pytest.approx(1.0, abs=1e-15)
-    assert s.alpha3 == 0.0
+    s = flow.S0(0.3)
+    assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-15)
+    assert s[2] == 0.0
 
 
-def test_to_sphere_rejects_zero():
-    with pytest.raises(ValueError):
-        flow.to_sphere(ShapeState(0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        flow.from_sphere(flow.SINF, 0.0)
+def test_stationary_directions_are_read_only():
+    # writing the same value back leaves the constants intact if it succeeds
+    for s in (flow.S1, flow.SINF):
+        with pytest.raises(ValueError):
+            s[1] = s[1]
 
 
 def test_tangential_field_vanishes_at_stationary_points():
-    assert np.linalg.norm(flow.tangential_field(flow.S1)) <= 1e-12
-    assert np.linalg.norm(flow.tangential_field(flow.SINF)) <= 1e-12
+    assert np.linalg.norm(flow.sphere_field(flow.S1)[0]) <= 1e-12
+    assert np.linalg.norm(flow.sphere_field(flow.SINF)[0]) <= 1e-12
 
 
 def test_tangential_field_orthogonal_to_state():
@@ -116,15 +110,14 @@ def test_tangential_field_orthogonal_to_state():
     for _ in range(30):
         a = rng.uniform(0.05, 1.0, size=4)
         a /= np.linalg.norm(a)
-        s = flow.SphereState.from_array(a)
-        assert abs(np.dot(flow.tangential_field(s), a)) <= 1e-13
+        assert abs(np.dot(flow.sphere_field(a)[0], a)) <= 1e-13
 
 
 def test_radial_log_derivative_values():
-    assert flow.radial_log_derivative(flow.SINF) == pytest.approx(
+    assert flow.sphere_field(flow.SINF)[1] == pytest.approx(
         math.sqrt(10.0) / 3.0, abs=1e-14)
     # V is parallel to S at the conic point with rate 2 sqrt(2) / 3
-    assert flow.radial_log_derivative(flow.S1) == pytest.approx(
+    assert flow.sphere_field(flow.S1)[1] == pytest.approx(
         2.0 * math.sqrt(2.0) / 3.0, abs=1e-14)
 
 
@@ -144,13 +137,13 @@ def test_radial_rate_scale_invariant():
 def test_chart_to_sphere_on_arc():
     for mu in (0.2, 0.5, 0.8):
         lam = math.sqrt((1 - mu**2) / 2)
-        s = flow.chart_to_sphere(flow.ChartPoint(0.0, 0.0, mu))
-        assert np.allclose(s.as_array(), [mu, lam, 0.0, lam], atol=1e-15)
+        s = flow.chart_to_sphere(np.array([0.0, 0.0, mu]))
+        assert np.allclose(s, [mu, lam, 0.0, lam], atol=1e-15)
 
 
 def test_chart_origin_is_midpoint():
-    s = flow.chart_to_sphere(flow.ChartPoint(0.0, 0.0, 0.0))
-    assert np.allclose(s.as_array(), [0.0, 1 / math.sqrt(2), 0.0, 1 / math.sqrt(2)],
+    s = flow.chart_to_sphere(np.zeros(3))
+    assert np.allclose(s, [0.0, 1 / math.sqrt(2), 0.0, 1 / math.sqrt(2)],
                        atol=1e-16)
 
 
@@ -158,66 +151,60 @@ def test_chart_round_trip():
     rng = np.random.default_rng(8)
     count = 0
     while count < 100:
-        p = flow.ChartPoint(*rng.uniform(-0.2, 0.2, size=2), rng.uniform(0.0, 0.9))
-        if p.radicand() < 0.05:
+        p = np.append(rng.uniform(-0.2, 0.2, size=2), rng.uniform(0.0, 0.9))
+        if _radicand(p) < 0.05:
             continue
         count += 1
         s = flow.chart_to_sphere(p)
         q = flow.sphere_to_chart(s)
-        assert np.max(np.abs(q.as_array() - p.as_array())) <= 1e-14
+        assert np.max(np.abs(q - p)) <= 1e-14
         back = flow.chart_to_sphere(q)
-        assert np.max(np.abs(back.as_array() - s.as_array())) <= 1e-14
+        assert np.max(np.abs(back - s)) <= 1e-14
 
 
 def test_chart_rejects_negative_radicand():
     with pytest.raises(ValueError):
-        flow.chart_to_sphere(flow.ChartPoint(0.4, 0.2, 0.95))
+        flow.chart_to_sphere(np.array([0.4, 0.2, 0.95]))
 
 
 def test_modified_field_vanishes_exactly_on_arc():
     for mu in (0.1, 0.5, 0.9):
-        assert np.all(flow.modified_field(flow.ChartPoint(0.0, 0.0, mu)) == 0.0)
+        assert np.all(flow.modified_field(np.array([0.0, 0.0, mu]))[0] == 0.0)
 
 
 def test_modified_field_matches_direct_xw_off_arc():
-    # away from x = 0 the desingularized field is literally x W in chart parts
+    # away from x = 0 the desingularized field is literally x W in chart
+    # parts, and the chart scale rate is x beta
     rng = np.random.default_rng(12)
     for _ in range(20):
-        p = flow.ChartPoint(rng.uniform(0.05, 0.25), rng.uniform(-0.1, 0.1),
-                            rng.uniform(0.1, 0.8))
-        if p.radicand() < 0.05:
+        p = np.array([rng.uniform(0.05, 0.25), rng.uniform(-0.1, 0.1),
+                      rng.uniform(0.1, 0.8)])
+        if _radicand(p) < 0.05:
             continue
-        s = flow.chart_to_sphere(p)
-        w = flow.tangential_field(s)
-        expected = p.x * np.array([w[2], w[3] - w[1], w[0]])
-        assert np.max(np.abs(flow.modified_field(p) - expected)) <= 1e-12
+        w, beta = flow.sphere_field(flow.chart_to_sphere(p))
+        g, x_beta = flow.modified_field(p)
+        assert np.max(np.abs(g - p[0] * np.array([w[2], w[3] - w[1], w[0]]))) <= 1e-12
+        assert x_beta == pytest.approx(p[0] * beta, abs=1e-13)
 
 
 def test_modified_field_rejects_outside_chart():
     with pytest.raises(ValueError):
-        flow.modified_field(flow.ChartPoint(0.4, 0.0, 0.5))
-
-
-def test_chart_log_scale_rate_matches_x_beta():
-    p = flow.ChartPoint(0.12, 0.03, 0.4)
-    s = flow.chart_to_sphere(p)
-    assert flow.chart_log_scale_rate(p) == pytest.approx(
-        p.x * flow.radial_log_derivative(s), abs=1e-13)
+        flow.modified_field(np.array([0.4, 0.0, 0.5]))
 
 
 # -- symmetries -------------------------------------------------------------------
 
 
 def test_symmetry_examples():
-    s = flow.SphereState(0.1, 0.2, 0.3, 0.4)
-    assert np.allclose(flow.apply_symmetry(s, 1).as_array(), [-0.1, 0.4, 0.3, 0.2])
-    assert np.allclose(flow.apply_symmetry(s, 4).as_array(), [0.1, 0.2, -0.3, -0.4])
+    s = np.array([0.1, 0.2, 0.3, 0.4])
+    assert np.allclose(flow.apply_symmetry(s, 1), [-0.1, 0.4, 0.3, 0.2])
+    assert np.allclose(flow.apply_symmetry(s, 4), [0.1, 0.2, -0.3, -0.4])
 
 
 def test_symmetry_four_is_involution():
-    s = flow.SphereState(0.3, -0.1, 0.7, 0.2)
+    s = np.array([0.3, -0.1, 0.7, 0.2])
     twice = flow.apply_symmetry(flow.apply_symmetry(s, 4), 4)
-    assert np.allclose(twice.as_array(), s.as_array(), atol=0)
+    assert np.allclose(twice, s, atol=0)
 
 
 def test_symmetry_index_range():
@@ -235,8 +222,8 @@ def test_field_equivariance_all_symmetries():
         for _ in range(20):
             a = rng.uniform(0.1, 1.0, size=4)
             a /= np.linalg.norm(a)
-            lhs = flow._w(mat @ a)
-            rhs = sign * (mat @ flow._w(a))
+            lhs = _w(mat @ a)
+            rhs = sign * (mat @ _w(a))
             assert np.max(np.abs(lhs - rhs)) <= 1e-13
 
 
@@ -250,13 +237,12 @@ def test_trajectory_equivariance():
     # a point on the mu = 0.4 family path: the flow is well conditioned
     # along it and along all its symmetry images
     base = shoot.launch_sphere(0.4, u_max=2.0)
-    start = flow.SphereState.from_array(base.spheres[-1])
+    start = base.spheres[-1]
     span = 1.5
 
-    def run(s0, backward=False):
-        a0 = s0.as_array()
+    def run(a0, backward=False):
         if not backward:
-            return shoot.integrate_sphere(s0, 0.0, span, tol=1e-12, max_step=0.02)
+            return shoot.integrate_sphere(a0, 0.0, span, tol=1e-12, max_step=0.02)
         # integrate the reversed field and flip the parameter afterwards
         import g2cone.shoot as sh
 
@@ -277,10 +263,10 @@ def test_trajectory_equivariance():
         return us, ys[:, :4]
 
     fwd = run(start)
-    fwd_w = np.array([flow._w(a) for a in fwd.spheres])
+    fwd_w = np.array([_w(a) for a in fwd.spheres])
     for k in range(1, 6):
         mat, rev = flow.symmetry(k)
-        image = flow.SphereState.from_array(mat @ start.as_array())
+        image = mat @ start
         if not rev:
             other = shoot.integrate_sphere(image, 0.0, span, tol=1e-12, max_step=0.02)
         else:
@@ -291,8 +277,8 @@ def test_trajectory_equivariance():
                 spheres = ys
 
             other = Back()
-            other_w = np.array([-flow._w(a) for a in ys])
-        ref_w = np.array([flow._w(a) for a in np.atleast_2d(other.spheres)])
+            other_w = np.array([-_w(a) for a in ys])
+        ref_w = np.array([_w(a) for a in np.atleast_2d(other.spheres)])
         if rev:
             ref_w = other_w
         for u in np.linspace(0.1, span - 0.1, 7):
@@ -305,38 +291,43 @@ def test_trajectory_equivariance():
 # -- monitors ----------------------------------------------------------------------
 
 
+def _monitor_row(s, f):
+    """The monitors at one direction and scale, by name."""
+    return dict(zip(flow.MONITOR_NAMES, flow.monitor_table(s[None, :], [f])[0]))
+
+
 def test_monitors_at_singular_orbit():
     mu = 0.4
     lam = math.sqrt((1 - mu**2) / 2)
-    m = flow.monitors(flow.S0(mu), 1.0)
-    assert m.G1 == pytest.approx(lam**2, abs=1e-16)
-    assert m.G2 == pytest.approx(mu * lam, abs=1e-16)
-    assert m.F5 == pytest.approx(lam**2, abs=1e-16)
-    assert m.F == pytest.approx(2 * mu * lam**2, abs=1e-16)
-    assert m.F4 == 0.0
-    assert math.isnan(m.F2)  # alpha4 - alpha2 = 0: singular locus
-    assert math.isnan(m.beta)  # alpha3 = 0
+    m = _monitor_row(flow.S0(mu), 1.0)
+    assert m["G1"] == pytest.approx(lam**2, abs=1e-16)
+    assert m["G2"] == pytest.approx(mu * lam, abs=1e-16)
+    assert m["F5"] == pytest.approx(lam**2, abs=1e-16)
+    assert m["F"] == pytest.approx(2 * mu * lam**2, abs=1e-16)
+    assert m["F4"] == 0.0
+    assert math.isnan(m["F2"])  # alpha4 - alpha2 = 0: singular locus
+    assert math.isnan(m["beta"])  # alpha3 = 0
 
 
 def test_monitors_at_conic_point():
-    m = flow.monitors(flow.S1, 1.0)
-    assert m.G1 == 0.0
-    assert m.G2 == 0.0
-    assert m.F5 == 0.0
+    m = _monitor_row(flow.S1, 1.0)
+    assert m["G1"] == 0.0
+    assert m["G2"] == 0.0
+    assert m["F5"] == 0.0
 
 
 def test_monitors_at_limit_direction():
-    m = flow.monitors(flow.SINF, 1.0)
-    assert m.F4 == pytest.approx(2.0 / SQ3, abs=1e-15)
-    assert m.F5 == pytest.approx(-0.1, abs=1e-15)
-    assert math.isnan(m.F1)  # the cubic denominator vanishes here
-    assert math.isnan(m.F2)
+    m = _monitor_row(flow.SINF, 1.0)
+    assert m["F4"] == pytest.approx(2.0 / SQ3, abs=1e-15)
+    assert m["F5"] == pytest.approx(-0.1, abs=1e-15)
+    assert math.isnan(m["F1"])  # the cubic denominator vanishes here
+    assert math.isnan(m["F2"])
 
 
 def test_monitor_table_nan_guards():
     """Each row sits on a singular locus; exactly the guarded entries are NaN."""
     rows = np.array([
-        flow.S1.as_array(),      # cubic F = 0 on the sphere: F1
+        flow.S1,                 # cubic F = 0 on the sphere: F1
         [0.0, 0.5, 0.6, 0.7],    # alpha1 = 0: F2
         [0.3, 0.5, 0.6, 0.5],    # alpha4 = alpha2: F2
         [0.3, 0.6, 0.5, 0.4],    # alpha4 < alpha2, F2's log argument < 0: F2
@@ -364,8 +355,6 @@ def test_monitor_table_generic_row():
     expected = [-0.512, -1.0, math.log(3.0), -math.log(2.0), 0.5, 0.48, 0.24, 0.0, 0.41875]
     table = flow.monitor_table(s, [2.0])
     assert np.max(np.abs(table[0] - expected)) <= 1e-15
-    assert flow.monitors(flow.SphereState.from_array(s[0]), 2.0).as_array().tolist() \
-        == table[0].tolist()
 
 
 def _monitors_reference(a, f):
@@ -408,7 +397,7 @@ def test_wall_derivative_identities():
         a1, a3, a4 = rng.uniform(0.2, 1.0, size=3)
         a = np.array([a1, a1 * a3 / a4, a3, a4])
         a /= np.linalg.norm(a)
-        w = flow._w(a)
+        w = _w(a)
         dg1 = w[1] * a[3] + a[1] * w[3] - w[0] * a[2] - a[0] * w[2]
         g2 = a[0] * a[3] - a[1] * a[2]
         assert abs(dg1 + 2.0 / a[1] * g2) <= 1e-8
@@ -416,7 +405,7 @@ def test_wall_derivative_identities():
         a2, a3, a4 = rng.uniform(0.2, 1.0, size=3)
         a = np.array([a2 * a3 / a4, a2, a3, a4])
         a /= np.linalg.norm(a)
-        w = flow._w(a)
+        w = _w(a)
         dg2 = w[0] * a[3] + a[0] * w[3] - w[1] * a[2] - a[1] * w[2]
         g1 = a[1] * a[3] - a[0] * a[2]
         assert abs(dg2 + 2.0 / a[1] * g1) <= 1e-8
@@ -472,7 +461,7 @@ def test_relation_f3_on_invariant_wall():
         a2, a3, a4 = rng.uniform(0.2, 1.0, size=3)
         a = np.array([0.0, a2, a3, a4])
         a /= np.linalg.norm(a)
-        w = flow._w(a)
+        w = _w(a)
         lhs = w[1] / a[1] - w[3] / a[3]
         rhs = (a[3] ** 2 - a[1] ** 2) / (a[1] * a[2] * a[3])
         assert abs(lhs - rhs) <= 1e-13
@@ -485,7 +474,7 @@ def test_relation_f4_on_arc_locus():
         a, x = rng.uniform(0.2, 1.0, size=2)
         v = np.array([0.0, a, x, a])
         v /= np.linalg.norm(v)
-        w = flow._w(v)
+        w = _w(v)
         lhs = w[2] / v[3] - v[2] * w[3] / v[3] ** 2
         rhs = 1.5 / v[3] * (2 / SQ3 + v[2] / v[3]) * (2 / SQ3 - v[2] / v[3])
         assert abs(lhs - rhs) <= 1e-13

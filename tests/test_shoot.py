@@ -196,8 +196,8 @@ def test_launch_initial_tangent():
     # the early chart samples leave the arc along the unstable direction
     mu = 0.5
     traj = shoot.launch_sphere(mu, eps=1e-5, u_max=1.0)
-    p0 = flow.sphere_to_chart(flow.SphereState.from_array(traj.spheres[0])).as_array()
-    p1 = flow.sphere_to_chart(flow.SphereState.from_array(traj.spheres[5])).as_array()
+    p0 = flow.sphere_to_chart(traj.spheres[0])
+    p1 = flow.sphere_to_chart(traj.spheres[5])
     d = p1 - p0
     d /= np.linalg.norm(d)
     e = shoot.unstable_direction(mu)
@@ -282,7 +282,7 @@ def test_detect_convergence_constant_trajectory():
 
 def test_detect_convergence_requires_staying():
     # a path that enters the ball but leaves again must not count
-    sinf = flow.SINF.as_array()
+    sinf = flow.SINF
     away = sinf + np.array([0.3, 0.0, 0.0, 0.0])
     away /= np.linalg.norm(away)
     spheres = np.array([away, sinf, away])
@@ -325,9 +325,13 @@ def test_alc_fit_exactly_conic_input():
 def test_alc_fit_validation(family_launches):
     with pytest.raises(ValueError):
         shoot.alc_fit(family_launches[0.3], 0.5)  # u-parameterized
-    short = shoot.family_shape_trajectory(0.5, t_max=10.0)
     with pytest.raises(ValueError):
-        shoot.alc_fit(short, 0.5)
+        shoot.alc_fit(constant_trajectory(flow.SINF), 0.0)  # empty window
+    # samples that cannot carry a fit give no fit: a short horizon, or a
+    # trailing window holding only the last sample
+    assert shoot.alc_fit(shoot.family_shape_trajectory(0.5, t_max=10.0), 0.5) is None
+    assert shoot.alc_fit(shoot.family_shape_trajectory(0.5, t_max=40.0, stride=10**6),
+                         0.5) is None
 
 
 # -- the family edge --------------------------------------------------------------------
@@ -357,5 +361,5 @@ def test_critical_parameter_location():
 def test_critical_trajectory_approaches_conic_point():
     # just below the edge the path passes very close to S1 before turning
     traj = shoot.family_shape_trajectory(0.5441297, t_max=60.0, tol=1e-12)
-    dmin = np.min(np.linalg.norm(traj.spheres - flow.S1.as_array(), axis=1))
+    dmin = np.min(np.linalg.norm(traj.spheres - flow.S1, axis=1))
     assert dmin <= 1e-4
