@@ -187,6 +187,12 @@ def test_modified_field_matches_direct_xw_off_arc():
         assert x_beta == pytest.approx(p[0] * beta, abs=1e-13)
 
 
+def test_chart_log_scale_rate_matches_x_beta():
+    p = np.array([0.12, 0.03, 0.4])
+    _, beta = flow.sphere_field(flow.chart_to_sphere(p))
+    assert flow.modified_field(p)[1] == pytest.approx(p[0] * beta, abs=1e-13)
+
+
 def test_modified_field_rejects_outside_chart():
     with pytest.raises(ValueError):
         flow.modified_field(np.array([0.4, 0.0, 0.5]))
