@@ -223,21 +223,6 @@ def test_sweep_flags_members_beyond_edge(tmp_path):
     assert outcomes[0.8] is False
 
 
-# -- determinism ---------------------------------------------------------------------
-
-
-def test_byte_identical_reruns(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        assert run(["shoot", "--mu", "0.35", "--out", str(out),
-                    "--format", "csv,json,svg", "--seed", "7"]) == 0
-        assert run(["verify-torsion", "--samples", "40", "--seed", "7",
-                    "--out", str(out)]) == 0
-    for name in ("shoot_mu0.35.csv", "shoot_mu0.35.json", "verify_torsion.json",
-                 "shoot_mu0.35_shapes.svg"):
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
-
-
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "g2cone.cli", "verify-torsion", "--samples", "5",
