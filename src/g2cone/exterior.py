@@ -11,13 +11,19 @@ with the Maurer-Cartan relations d eta_i = -2 eta_{i+1} ^ eta_{i+2}
 symmetric slice A2 = A3, B2 = B3, so a metric shape is the quadruple
 (A1, A2, B1, B2).
 
-Forms are stored sparsely: a degree-k form is a map from strictly
-increasing k-tuples over {1..7} to coefficients.  This module builds
-the defining 3-form of the G2 structure, its Hodge dual, evaluates
-their exterior derivatives at a (shape, shape-derivative) point, and
-re-derives the torsion-free shape derivatives directly from the
-closure conditions -- independently of the flow module's analytic
-right-hand side, which it serves as an oracle for.
+Forms are stored sparsely (`KForm`): a degree-k form is a map from
+strictly increasing k-tuples over {1..7} to coefficients.  This module
+builds the defining 3-form Psi of the G2 structure and its Hodge dual,
+and evaluates the closure conditions d Psi = 0, d star Psi = 0 at a
+(shape, shape-derivative) point.  d is linear in the structure 2-forms
+de^1..de^7, so the 56 closure coefficients are one contraction
+S[56, 7, 21] . D[7, 21]: S holds the Leibniz-rule signs, built once per
+3-form from Psi and star Psi, and D the e-basis coefficients of the
+de^i, taken from the structure equations in numpy (batched over
+states, complex input allowed).  From the closure conditions alone it
+re-derives the torsion-free shape derivatives -- independently of the
+flow module's analytic right-hand side, which it serves as an oracle
+for.
 """
 
 from __future__ import annotations
@@ -27,22 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "KForm",
-    "ShapeState",
-    "DerivVector",
-    "TorsionSolveError",
-    "basis_form",
-    "wedge",
-    "hodge_star",
-    "g2_form",
-    "coframe_differentials",
-    "exterior_derivative",
-    "torsion_residual",
-    "residual_coefficients",
-    "torsion_system",
-    "solve_torsion_free_derivs",
-]
+__all__ = ["KForm", "ShapeState", "DerivVector", "TorsionSolveError", "basis_form", "wedge",
+           "hodge_star", "g2_form", "torsion_residual", "residual_coefficients",
+           "torsion_system", "solve_torsion_free_derivs"]
 
 DIM = 7
 
@@ -134,20 +127,8 @@ class KForm:
     def __mul__(self, scalar) -> "KForm":
         return self.__rmul__(scalar)
 
-    def __neg__(self) -> "KForm":
-        return (-1) * self
-
     def coefficient(self, idx) -> float:
         return self.coeffs.get(tuple(sorted(idx)), 0.0)
-
-    def max_abs(self) -> float:
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
-
-    def allclose(self, other: "KForm", tol: float = 1e-12) -> bool:
-        if self.degree != other.degree:
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(abs(self.coeffs.get(k, 0) - other.coeffs.get(k, 0)) <= tol for k in keys)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"e{''.join(map(str, i))}: {v:g}" for i, v in sorted(self.coeffs.items()))
@@ -223,126 +204,135 @@ def g2_form() -> KForm:
     return out
 
 
-def _check_positive(state: ShapeState) -> None:
-    if not (state.A1 > 0 and state.A2 > 0 and state.B1 > 0 and state.B2 > 0):
+# -- the closure engine: S[56, 7, 21] . D[..., 7, 21] -------------------------
+
+_IDX2, _IDX4, _IDX5 = (list(itertools.combinations(range(1, DIM + 1), k)) for k in (2, 4, 5))
+_ROWS = {idx: n for n, idx in enumerate(_IDX4 + _IDX5)}  # d Psi rows, then d star Psi
+_N4 = len(_IDX4)
+# the shape coefficient R of each moving coframe direction e^1..e^6: e^i = R_i (...)
+_COORD = np.array([0, 1, 1, 2, 3, 3])
+_GATHER = np.eye(4)[_COORD]  # (6, 4): direction -> the derivative it carries
+
+
+def _slot(i: int, j: int) -> tuple:
+    """(column of D, sign) of the 2-form e^i ^ e^j."""
+    return (_IDX2.index((i, j)), 1.0) if i < j else (_IDX2.index((j, i)), -1.0)
+
+
+def _d_entries() -> tuple:
+    """The eighteen non-zero entries of D, as index arrays.
+
+    With d eta_i = -2 eta_{i+1} ^ eta_{i+2} and the inversion
+    eta_i = (e^i/A_i + e^{i+3}/B_i)/2, eta~_i = (e^i/A_i - e^{i+3}/B_i)/2,
+    de^(r+1) has the spatial entries -R_r / (R_u R_v) e^(u+1) ^ e^(v+1) and
+    the dt entry (dR_r / R_r) e^7 ^ e^(r+1), with R_r the coefficient of e^(r+1).
+    Returns (row, column, sign, u, v) and (row, column, sign).
+    """
+    spatial = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        for row, u, v in ((i, j, k), (i, j + 3, k + 3), (i + 3, j, k + 3), (i + 3, j + 3, k)):
+            col, sign = _slot(u + 1, v + 1)
+            spatial.append((row, col, -sign, u, v))
+    dt = [(row, *_slot(7, row + 1)) for row in range(6)]
+    return tuple(np.array(t) for t in zip(*spatial)), tuple(np.array(t) for t in zip(*dt))
+
+
+_SPATIAL, _DT = _d_entries()
+
+
+def _shapes(state) -> np.ndarray:
+    """(..., 4) array of a ShapeState or array input; rejects non-positive shapes."""
+    r = state.as_array() if isinstance(state, ShapeState) else np.asarray(state)
+    if r.shape[-1:] != (4,):
+        raise ValueError(f"a shape state has 4 components, got shape {r.shape}")
+    if not np.all(np.real(r) > 0):
         raise ValueError(f"shape state must be strictly positive, got {state}")
+    return r
 
 
-def coframe_differentials(state: ShapeState, derivs: DerivVector) -> list:
-    """Structure equations: the seven 2-forms de^1 .. de^7 in the e-basis.
-
-    Uses d eta_i = -2 eta_{i+1} ^ eta_{i+2} together with the inversion
-    eta_i = (e^i/A_i + e^{i+3}/B_i)/2, eta~_i = (e^i/A_i - e^{i+3}/B_i)/2
-    (indices mod 3, A3 = A2, B3 = B2); the dt parts carry the supplied
-    derivatives, e.g. de^1 contains (dA1/A1) e^7 ^ e^1.
-    """
-    _check_positive(state)
-    A = (state.A1, state.A2, state.A2)
-    B = (state.B1, state.B2, state.B2)
-    dA = (derivs.dA1, derivs.dA2, derivs.dA2)
-    dB = (derivs.dB1, derivs.dB2, derivs.dB2)
-    e7 = basis_form(7)
-    diffs = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        d = (dA[i] / A[i]) * wedge(e7, basis_form(i + 1))
-        d = d - A[i] * (
-            (1.0 / (A[j] * A[k])) * wedge(basis_form(j + 1), basis_form(k + 1))
-            + (1.0 / (B[j] * B[k])) * wedge(basis_form(j + 4), basis_form(k + 4))
-        )
-        diffs.append(d)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        d = (dB[i] / B[i]) * wedge(e7, basis_form(i + 4))
-        d = d - B[i] * (
-            (1.0 / (A[j] * B[k])) * wedge(basis_form(j + 1), basis_form(k + 4))
-            + (1.0 / (B[j] * A[k])) * wedge(basis_form(j + 4), basis_form(k + 1))
-        )
-        diffs.append(d)
-    diffs.append(zero_form(2))  # de^7 = d(dt) = 0
-    return diffs
-
-
-def exterior_derivative(form: KForm, diffs: list) -> KForm:
-    """Leibniz extension of d to a form with constant e-basis coefficients.
-
-    d(e^{i1..ik}) = sum_j (-1)^(j-1) e^{i1} ^ ... ^ de^{ij} ^ ... ^ e^{ik}.
-    Valid for forms whose coefficients do not depend on t (true for the
-    G2 3-form and its dual); coefficient derivatives are not included.
-    """
-    out = zero_form(form.degree + 1)
-    for idx, val in form.coeffs.items():
-        for pos, i in enumerate(idx):
-            term = KForm(0, {(): 1.0})
-            for left in idx[:pos]:
-                term = wedge(term, basis_form(left))
-            term = wedge(term, diffs[i - 1])
-            for right in idx[pos + 1:]:
-                term = wedge(term, basis_form(right))
-            sign = -1.0 if pos % 2 else 1.0
-            out = out + (sign * val) * term
+def _differentials(r, dr) -> np.ndarray:
+    """D[..., 7, 21]: e-basis coefficients of de^1..de^7 (de^7 = 0)."""
+    r = np.asarray(r)
+    dr = np.asarray(dr.as_array() if isinstance(dr, DerivVector) else dr)
+    coord = r[..., _COORD]
+    lead = np.broadcast_shapes(r.shape[:-1], dr.shape[:-1])
+    out = np.zeros(lead + (DIM, len(_IDX2)), dtype=np.result_type(r, dr, float))
+    row, col, sign, u, v = _SPATIAL
+    out[..., row, col] = sign * coord[..., row] / (coord[..., u] * coord[..., v])
+    row, col, sign = _DT
+    out[..., row, col] = sign * dr[..., _COORD] / coord
     return out
 
 
-_CACHED_PAIR = None
+def _structure_tensor(psi: KForm) -> np.ndarray:
+    """S[56, 7, 21] from Psi and star Psi by the Leibniz rule.
+
+    d e^I = sum_pos (-1)^pos e^{i1} ^ .. de^{i_pos} .. ^ e^{ik}, and 2-forms
+    commute with everything, so the e^p entry of de^{i_pos} contributes
+    (-1)^pos e^p ^ e^{I minus i_pos}.  Valid because the coefficients of
+    Psi and star Psi do not depend on t.
+    """
+    tensor = np.zeros((len(_ROWS), DIM, len(_IDX2)))
+    for form in (psi, hodge_star(psi)):
+        for idx, val in form.coeffs.items():
+            for pos, i in enumerate(idx):
+                for col, pair in enumerate(_IDX2):
+                    merged, sign = _merge_sign(pair, idx[:pos] + idx[pos + 1:])
+                    if merged is not None:
+                        tensor[_ROWS[merged], i - 1, col] += (-1) ** pos * sign * val
+    return tensor
 
 
-def _psi_pair(psi: KForm | None = None) -> tuple:
-    """(Psi, star Psi); the default pair is cached, operations never mutate it."""
-    global _CACHED_PAIR
-    if psi is not None:
-        return psi, hodge_star(psi)
-    if _CACHED_PAIR is None:
-        p = g2_form()
-        _CACHED_PAIR = (p, hodge_star(p))
-    return _CACHED_PAIR
+_TENSORS: dict = {}
 
 
-_IDX4 = list(itertools.combinations(range(1, DIM + 1), 4))
-_IDX5 = list(itertools.combinations(range(1, DIM + 1), 5))
+def _tensor(psi: KForm | None) -> np.ndarray:
+    """S for psi (default: the G2 form), built once per distinct 3-form."""
+    key = None if psi is None else tuple(sorted(psi.coeffs.items()))
+    if key not in _TENSORS:
+        _TENSORS[key] = _structure_tensor(g2_form() if psi is None else psi)
+    return _TENSORS[key]
 
 
-def residual_coefficients(state: ShapeState, derivs: DerivVector,
-                          psi: KForm | None = None) -> np.ndarray:
-    """All 56 closure coefficients (35 of dPsi, 21 of d star Psi) as a vector."""
-    diffs = coframe_differentials(state, derivs)
-    p, star = _psi_pair(psi)
-    dpsi = exterior_derivative(p, diffs)
-    dstar = exterior_derivative(star, diffs)
-    vec = [dpsi.coeffs.get(i, 0.0) for i in _IDX4]
-    vec += [dstar.coeffs.get(i, 0.0) for i in _IDX5]
-    return np.array(vec)
+def residual_coefficients(state, derivs, psi: KForm | None = None) -> np.ndarray:
+    """All 56 closure coefficients (35 of dPsi, 21 of d star Psi), S . D.
+
+    state and derivs are a ShapeState and a DerivVector or arrays
+    (..., 4); leading axes broadcast, giving (..., 56).
+    """
+    d = _differentials(_shapes(state), derivs)
+    return d.reshape(d.shape[:-2] + (-1,)) @ _tensor(psi).reshape(len(_ROWS), -1).T
 
 
-def torsion_residual(state: ShapeState, derivs: DerivVector, psi: KForm | None = None) -> tuple:
+def torsion_residual(state, derivs, psi: KForm | None = None) -> tuple:
     """Largest coefficients of d(Psi) and d(star Psi) at the given point.
 
     Both vanish exactly when (state, derivs) sits on the torsion-free
     locus of the G2 structure.  A non-default psi (e.g. with a flipped
-    sign, as a negative control) can be supplied.
+    sign, as a negative control) can be supplied.  A single state gives
+    a pair of floats, arrays (..., 4) a pair of arrays over the leading
+    axes.
     """
-    _check_positive(state)
     vec = np.abs(residual_coefficients(state, derivs, psi))
-    return float(np.max(vec[:len(_IDX4)])), float(np.max(vec[len(_IDX4):]))
+    dpsi, dstar = vec[..., :_N4].max(axis=-1), vec[..., _N4:].max(axis=-1)
+    return (float(dpsi), float(dstar)) if dpsi.ndim == 0 else (dpsi, dstar)
 
 
-def torsion_system(state: ShapeState, psi: KForm | None = None):
+def torsion_system(state, psi: KForm | None = None):
     """Affine system M d + c = residuals over the shape derivatives d.
 
     The closure coefficients are affine in the four derivatives because
-    only the dt parts of the structure equations involve them, linearly.
+    only the dt entries of D involve them, linearly: M is the dt slots
+    of S scaled by those entries' 1/R, summed per derivative.
     """
-    zero = DerivVector(0.0, 0.0, 0.0, 0.0)
-    c = residual_coefficients(state, zero, psi)
-    cols = []
-    for k in range(4):
-        probe = [0.0] * 4
-        probe[k] = 1.0
-        cols.append(residual_coefficients(state, DerivVector(*probe), psi) - c)
-    return np.column_stack(cols), c
+    r = _shapes(state)
+    row, col, sign = _DT
+    m = (_tensor(psi)[:, row, col] * (sign / r[..., _COORD])[..., None, :]) @ _GATHER
+    return m, residual_coefficients(r, np.zeros_like(r), psi)
 
 
-def solve_torsion_free_derivs(state: ShapeState, psi: KForm | None = None) -> DerivVector:
+def solve_torsion_free_derivs(state, psi: KForm | None = None) -> DerivVector:
     """Shape derivatives annihilating both closure conditions, by least squares.
 
     This is the exterior-calculus route to the torsion-free flow: it
@@ -350,7 +340,6 @@ def solve_torsion_free_derivs(state: ShapeState, psi: KForm | None = None) -> De
     a genuine equivalence check.  Raises TorsionSolveError when the
     affine system cannot be driven below 1e-8 (degenerate state).
     """
-    _check_positive(state)
     m, c = torsion_system(state, psi)
     sol, *_ = np.linalg.lstsq(m, -c, rcond=None)
     res = float(np.max(np.abs(m @ sol + c)))

@@ -112,7 +112,8 @@ def compare(want, got, path: str = "") -> list:
     if isinstance(want, list) and isinstance(got, list):
         if len(want) != len(got):
             return [f"{path}: length {len(got)} != {len(want)}"]
-        return [d for i, (a, b) in enumerate(zip(want, got)) for d in compare(a, b, f"{path}[{i}]")]
+        return [d for i, (a, b) in enumerate(zip(want, got))
+                for d in compare(a, b, f"{path}[{i}]")]
     # the reports write 2.0 as 2, so a float may parse as an int
     if _is_number(want) and _is_number(got) and float in (type(want), type(got)):
         return [] if _close(path, float(want), float(got)) else [f"{path}: {got!r} != {want!r}"]

@@ -3,6 +3,7 @@
 import numpy as np
 
 from g2cone import shoot
+from g2cone.exterior import KForm, basis_form, wedge, zero_form
 
 
 def central_derivative(ts, ys, i, half=3):
@@ -42,3 +43,76 @@ def constant_trajectory(s, f0=2.0, slope=1.0, n=50, t_hi=80.0):
     t = np.linspace(1.0, t_hi, n)
     return shoot.Trajectory.from_samples("t", t, spheres=np.tile(s, (n, 1)),
                                          f=f0 + slope * t)
+
+
+# -- KForm reference for the closure engine ------------------------------------
+
+
+def max_abs(form: KForm) -> float:
+    return max((abs(v) for v in form.coeffs.values()), default=0.0)
+
+
+def allclose(a: KForm, b: KForm, tol: float = 1e-12) -> bool:
+    """Same degree, and every coefficient within tol."""
+    if a.degree != b.degree:
+        return False
+    keys = set(a.coeffs) | set(b.coeffs)
+    return all(abs(a.coeffs.get(k, 0) - b.coeffs.get(k, 0)) <= tol for k in keys)
+
+
+
+def coframe_differentials(state, derivs) -> list:
+    """Structure equations: the seven 2-forms de^1 .. de^7 in the e-basis.
+
+    Uses d eta_i = -2 eta_{i+1} ^ eta_{i+2} together with the inversion
+    eta_i = (e^i/A_i + e^{i+3}/B_i)/2, eta~_i = (e^i/A_i - e^{i+3}/B_i)/2
+    (indices mod 3, A3 = A2, B3 = B2); the dt parts carry the supplied
+    derivatives, e.g. de^1 contains (dA1/A1) e^7 ^ e^1.
+    """
+    if not np.all(np.real(state.as_array()) > 0):
+        raise ValueError(f"shape state must be strictly positive, got {state}")
+    A = (state.A1, state.A2, state.A2)
+    B = (state.B1, state.B2, state.B2)
+    dA = (derivs.dA1, derivs.dA2, derivs.dA2)
+    dB = (derivs.dB1, derivs.dB2, derivs.dB2)
+    e7 = basis_form(7)
+    diffs = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        d = (dA[i] / A[i]) * wedge(e7, basis_form(i + 1))
+        d = d - A[i] * (
+            (1.0 / (A[j] * A[k])) * wedge(basis_form(j + 1), basis_form(k + 1))
+            + (1.0 / (B[j] * B[k])) * wedge(basis_form(j + 4), basis_form(k + 4))
+        )
+        diffs.append(d)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        d = (dB[i] / B[i]) * wedge(e7, basis_form(i + 4))
+        d = d - B[i] * (
+            (1.0 / (A[j] * B[k])) * wedge(basis_form(j + 1), basis_form(k + 4))
+            + (1.0 / (B[j] * A[k])) * wedge(basis_form(j + 4), basis_form(k + 1))
+        )
+        diffs.append(d)
+    diffs.append(zero_form(2))  # de^7 = d(dt) = 0
+    return diffs
+
+
+def exterior_derivative(form: KForm, diffs: list) -> KForm:
+    """Leibniz extension of d to a form with constant e-basis coefficients.
+
+    d(e^{i1..ik}) = sum_j (-1)^(j-1) e^{i1} ^ ... ^ de^{ij} ^ ... ^ e^{ik}.
+    Valid for forms whose coefficients do not depend on t (true for the
+    G2 3-form and its dual); coefficient derivatives are not included.
+    """
+    out = zero_form(form.degree + 1)
+    for idx, val in form.coeffs.items():
+        for pos, i in enumerate(idx):
+            term = KForm(0, {(): 1.0})
+            for left in idx[:pos]:
+                term = wedge(term, basis_form(left))
+            term = wedge(term, diffs[i - 1])
+            for right in idx[pos + 1:]:
+                term = wedge(term, basis_form(right))
+            sign = -1.0 if pos % 2 else 1.0
+            out = out + (sign * val) * term
+    return out

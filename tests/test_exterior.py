@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 from sympy.combinatorics import Permutation
 
-from g2cone import flow
+from g2cone import exterior, flow
 from g2cone.exterior import (
     DerivVector,
     KForm,
     ShapeState,
     TorsionSolveError,
     basis_form,
-    coframe_differentials,
-    exterior_derivative,
     g2_form,
     hodge_star,
     residual_coefficients,
@@ -23,6 +21,7 @@ from g2cone.exterior import (
     wedge,
 )
 from g2cone.analysis import closed_form, dr_dt
+from helpers import allclose, coframe_differentials, exterior_derivative, max_abs
 
 
 def random_form(rng, degree, terms=4):
@@ -58,11 +57,11 @@ def test_wedge_bilinear_associative_anticommutative():
         a, b, c = (random_form(rng, d) for d in (da, db, dc))
         left = wedge(wedge(a, b), c)
         right = wedge(a, wedge(b, c))
-        assert left.allclose(right, tol=1e-12)
+        assert allclose(left, right, tol=1e-12)
         s = rng.normal()
-        assert wedge(s * a, b).allclose(s * wedge(a, b), tol=1e-12)
+        assert allclose(wedge(s * a, b), s * wedge(a, b), tol=1e-12)
         sign = (-1.0) ** (a.degree * b.degree)
-        assert wedge(a, b).allclose(sign * wedge(b, a), tol=1e-12)
+        assert allclose(wedge(a, b), sign * wedge(b, a), tol=1e-12)
 
 
 def test_kform_validation():
@@ -94,12 +93,12 @@ def test_star_is_involution_every_degree():
     for degree in range(8):
         for _ in range(5):
             a = random_form(rng, degree)
-            assert hodge_star(hodge_star(a)).allclose(a, tol=1e-14)
+            assert allclose(hodge_star(hodge_star(a)), a, tol=1e-14)
 
 
 def test_star_psi_involution():
     psi = g2_form()
-    assert hodge_star(hodge_star(psi)).allclose(psi, tol=0.0)
+    assert allclose(hodge_star(hodge_star(psi)), psi, tol=0.0)
 
 
 def test_psi_wedge_star_psi_is_seven_volumes():
@@ -192,14 +191,14 @@ def test_coframe_differentials_match_substitution_oracle(seed):
     got = coframe_differentials(state, derivs)
     expected = _oracle_differentials(state, derivs)
     for g, e in zip(got, expected):
-        assert g.allclose(KForm(2, e), tol=1e-13)
+        assert allclose(g, KForm(2, e), tol=1e-13)
 
 
 def test_coframe_differentials_unit_state():
     # at the unit state with zero derivatives: de^1 = -(e^23 + e^56)
     state = ShapeState(1.0, 1.0, 1.0, 1.0)
     diffs = coframe_differentials(state, DerivVector(0.0, 0.0, 0.0, 0.0))
-    assert diffs[0].allclose(KForm(2, {(2, 3): -1.0, (5, 6): -1.0}), tol=0.0)
+    assert allclose(diffs[0], KForm(2, {(2, 3): -1.0, (5, 6): -1.0}), tol=0.0)
     assert diffs[6].coeffs == {}
 
 
@@ -266,7 +265,112 @@ def test_d_squared_vanishes_along_flow():
             dd = exterior_derivative(base[i], diffs)
             for idx, rate in coeff_rate.items():
                 dd = dd + rate * wedge(basis_form(7), KForm(2, {idx: 1.0}))
-            assert dd.max_abs() < 1e-12
+            assert max_abs(dd) < 1e-12
+
+
+# -- the closure engine: S . D against the KForm route ---------------------------
+
+
+_IDX4 = list(itertools.combinations(range(1, 8), 4))
+_IDX5 = list(itertools.combinations(range(1, 8), 5))
+_IDX2 = list(itertools.combinations(range(1, 8), 2))
+
+
+def _kform_coefficients(state, derivs, psi=None):
+    """The 56 closure coefficients by sparse wedges (the reference route)."""
+    psi = g2_form() if psi is None else psi
+    diffs = coframe_differentials(state, derivs)
+    dpsi = exterior_derivative(psi, diffs)
+    dstar = exterior_derivative(hodge_star(psi), diffs)
+    return np.array([dpsi.coefficient(i) for i in _IDX4] + [dstar.coefficient(i) for i in _IDX5])
+
+
+def _flipped_psi():
+    flipped = dict(g2_form().coeffs)
+    flipped[(4, 5, 6)] = -flipped[(4, 5, 6)]
+    return KForm(3, flipped)
+
+
+def test_engine_matches_kform_route_on_random_shapes():
+    rng = np.random.default_rng(29)
+    shapes = rng.uniform(0.2, 5.0, size=(200, 4))
+    derivs = rng.normal(size=(200, 4))
+    expected = np.array([_kform_coefficients(ShapeState.from_array(r), DerivVector.from_array(d))
+                         for r, d in zip(shapes, derivs)])
+    batched = residual_coefficients(shapes, derivs)
+    assert batched.shape == (200, 56)
+    assert np.max(np.abs(batched - expected)) <= 1e-13
+    for r, d, e in zip(shapes[:20], derivs[:20], expected):
+        single = residual_coefficients(ShapeState.from_array(r), DerivVector.from_array(d))
+        assert np.max(np.abs(single - e)) <= 1e-13
+    dpsi, dstar = torsion_residual(shapes, derivs)
+    assert dpsi.shape == dstar.shape == (200,)
+    assert np.allclose(dpsi, np.abs(expected[:, :35]).max(axis=1), rtol=1e-13, atol=0.0)
+    assert np.allclose(dstar, np.abs(expected[:, 35:]).max(axis=1), rtol=1e-13, atol=0.0)
+
+
+def test_structure_tensor_matches_exterior_derivative_probes():
+    """S is 378 signs; probing d with one unit entry of D at a time gives the same."""
+    tensor = exterior._structure_tensor(g2_form())
+    assert tensor.shape == (56, 7, 21)
+    assert np.count_nonzero(tensor) == 378
+    assert set(np.unique(tensor)) == {-1.0, 0.0, 1.0}
+    psi = g2_form()
+    star = hodge_star(psi)
+    for i in range(7):
+        for col, pair in enumerate(_IDX2):
+            diffs = [KForm(2, {pair: 1.0}) if j == i else KForm(2) for j in range(7)]
+            dpsi, dstar = exterior_derivative(psi, diffs), exterior_derivative(star, diffs)
+            probe = [dpsi.coefficient(k) for k in _IDX4] + [dstar.coefficient(k) for k in _IDX5]
+            assert np.array_equal(tensor[:, i, col], probe)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_engine_differentials_match_substitution_oracle(seed):
+    rng = np.random.default_rng(seed)
+    shapes = rng.uniform(0.3, 3.0, size=(5, 4))
+    derivs = rng.normal(size=(5, 4))
+    got = exterior._differentials(shapes, derivs)
+    assert got.shape == (5, 7, 21)
+    for r, d, g in zip(shapes, derivs, got):
+        oracle = _oracle_differentials(ShapeState.from_array(r), DerivVector.from_array(d))
+        expected = np.array([[form.get(pair, 0.0) for pair in _IDX2] for form in oracle])
+        assert np.max(np.abs(g - expected)) <= 1e-13
+
+
+def test_engine_complex_step_matches_central_difference():
+    rng = np.random.default_rng(31)
+    r, d, v = rng.uniform(0.5, 2.5, size=4), rng.normal(size=4), rng.normal(size=4)
+    h, eps = 1e-20, 1e-6
+    probe = residual_coefficients(r + 1j * h * v, d)
+    assert np.iscomplexobj(probe)
+    step = probe.imag / h
+    central = (residual_coefficients(r + eps * v, d) - residual_coefficients(r - eps * v, d))
+    central /= 2 * eps
+    assert np.max(np.abs(step)) > 1e-2
+    assert np.max(np.abs(step - central)) <= 1e-7 * np.max(np.abs(step))
+    assert np.allclose(probe.real, residual_coefficients(r, d), rtol=1e-15, atol=0.0)
+
+
+def test_flipped_psi_has_its_own_tensor():
+    state, derivs = ShapeState(1.0, 1.3, 0.8, 1.1), DerivVector(0.2, -0.1, 0.7, 0.4)
+    before = residual_coefficients(state, derivs)
+    bad = _flipped_psi()
+    flipped = residual_coefficients(state, derivs, bad)
+    assert not np.array_equal(exterior._tensor(bad), exterior._tensor(None))
+    assert np.max(np.abs(flipped - before)) > 0.1
+    assert np.max(np.abs(flipped - _kform_coefficients(state, derivs, bad))) <= 1e-13
+    assert np.array_equal(residual_coefficients(state, derivs), before)
+    assert np.array_equal(exterior._tensor(None), exterior._structure_tensor(g2_form()))
+
+
+def test_engine_rejects_nonpositive_and_malformed_shapes():
+    with pytest.raises(ValueError):
+        torsion_residual(np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0]]), np.zeros(4))
+    with pytest.raises(ValueError):
+        solve_torsion_free_derivs(ShapeState(1.0, 1.0, 0.0, 1.0))
+    with pytest.raises(ValueError):
+        residual_coefficients(np.ones(3), np.zeros(3))
 
 
 # -- torsion ---------------------------------------------------------------------
@@ -284,10 +388,13 @@ def test_torsion_residual_off_locus():
     state, derivs = ShapeState(1.0, 1.3, 0.8, 1.1), DerivVector(0.2, -0.1, 0.7, 0.4)
     diffs = coframe_differentials(state, derivs)
     psi = g2_form()
-    expected = (exterior_derivative(psi, diffs).max_abs(),
-                exterior_derivative(hodge_star(psi), diffs).max_abs())
+    expected = (max_abs(exterior_derivative(psi, diffs)),
+                max_abs(exterior_derivative(hodge_star(psi), diffs)))
     assert expected[0] != expected[1]
-    assert torsion_residual(state, derivs) == expected
+    # the halves differ far beyond the rounding-level match asserted below
+    assert abs(expected[0] - expected[1]) > 1e-3 * max(expected)
+    got = torsion_residual(state, derivs)
+    assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
 
 
 def test_torsion_residual_at_analytic_derivs_along_trajectory(family_shapes):
@@ -341,9 +448,7 @@ def test_flipped_sign_is_caught():
     different vector field, so the equivalence check (solve == analytic
     rhs) flags it; the analytic derivatives also leave a large residual.
     """
-    flipped = dict(g2_form().coeffs)
-    flipped[(4, 5, 6)] = -flipped[(4, 5, 6)]
-    bad_psi = KForm(3, flipped)
+    bad_psi = _flipped_psi()
     state = ShapeState(1.0, 1.3, 0.8, 1.1)
     try:
         solved = solve_torsion_free_derivs(state, bad_psi).as_array()
