@@ -291,7 +291,9 @@ def _tensor(psi: KForm | None) -> np.ndarray:
     """S for psi (default: the G2 form), built once per distinct 3-form."""
     key = None if psi is None else tuple(sorted(psi.coeffs.items()))
     if key not in _TENSORS:
-        _TENSORS[key] = _structure_tensor(g2_form() if psi is None else psi)
+        tensor = _structure_tensor(g2_form() if psi is None else psi)
+        tensor.flags.writeable = False  # shared by every later call
+        _TENSORS[key] = tensor
     return _TENSORS[key]
 
 
