@@ -33,8 +33,8 @@ print("Agreement over 200 random shapes in [0.2, 5]^4:")
 worst_rel = worst_res = 0.0
 for _ in range(200):
     s = ext.ShapeState(*rng.uniform(0.2, 5.0, size=4))
-    solved = ext.solve_torsion_free_derivs(s).as_array()
-    analytic = flow.rhs(s).as_array()
+    solved = ext.solve_torsion_free_derivs(s)
+    analytic = flow.rhs(s)
     worst_rel = max(worst_rel, float(np.max(
         np.abs(solved - analytic) / np.maximum(1.0, np.abs(analytic)))))
     worst_res = max(worst_res, *ext.torsion_residual(s, flow.rhs(s)))

@@ -43,7 +43,7 @@ print()
 
 rs = np.linspace(1.02, 12.0, 300)
 ts = analysis.r_to_t("bs", rs)
-shapes = np.array([analysis.closed_form("bs", r).as_array() for r in rs])
+shapes = analysis.closed_form("bs", rs)
 write_svg_plot(OUT / "round_solution.svg",
                [(ts, shapes[:, 0], "A"), (ts, shapes[:, 2], "B")],
                "round closed-form solution", "t", "metric functions")
@@ -53,6 +53,6 @@ print()
 print("Near the conic stationary direction both classical solutions")
 print("approach the same ray on the sphere:")
 for r in (5.0, 20.0, 100.0):
-    shape = analysis.closed_form("bs", r).as_array()
+    shape = analysis.closed_form("bs", r)
     d = np.linalg.norm(shape / np.linalg.norm(shape) - flow.S1)
     print(f"  round solution at r = {r:5.1f}: |S - S1| = {d:.3e}")

@@ -44,7 +44,7 @@ print(f"  sphere continuation: converged to the limit direction at u = {u_conv:.
 print(f"  final distance: {np.linalg.norm(cont.spheres[-1] - flow.SINF):.2e}")
 print()
 
-fit = shoot.alc_fit(traj, 0.5)
+fit = shoot.alc_fit(traj)
 print("asymptotically conic fit over the trailing half:")
 for name, slope, intercept in zip(("A1", "A2", "B1", "B2"), fit.slopes, fit.intercepts):
     print(f"  {name}: slope {slope:+.6f}  intercept {intercept:+.6f}")

@@ -18,9 +18,11 @@ The package is organized around five pieces:
 * :mod:`g2cone.cli` -- the ``g2cone`` command with the verification
   suites and artifact emission (CSV / JSON / SVG).
 
-The classes re-exported here load their module on first access, so
-importing the closure oracle ``g2cone.exterior`` never loads the flow
-it checks.
+Shapes (A1, A2, B1, B2) and their t-derivatives are (..., 4) arrays
+throughout.  ``exterior`` and the flow layers (``flow``, ``shoot``,
+``analysis``) import nothing from each other, and the classes
+re-exported here load their module on first access, so the closure
+oracle stays independent of the flow it checks.
 """
 
 import importlib
@@ -28,7 +30,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "exterior": ("KForm", "ShapeState", "DerivVector"),
+    "exterior": ("KForm", "ShapeState"),
     "shoot": ("SeriesStart", "Trajectory", "ALCFit"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

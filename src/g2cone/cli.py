@@ -164,7 +164,7 @@ def _shoot_pipeline(mu: float, args) -> tuple:
     converged, u_conv = shoot.detect_convergence(spheres, u, flow.SINF, args.conv_tol)
 
     F = traj.monitor("F")
-    return traj, shoot.alc_fit(traj, 0.5), {
+    return traj, shoot.alc_fit(traj), {
         "mu": mu,
         "termination": traj.termination,
         "positivity_ok": traj.termination != shoot.POSITIVITY_VIOLATION,
@@ -229,17 +229,16 @@ def cmd_verify_torsion(args, outdir: Path, report: dict) -> str:
     worst_rel, worst_res, failures = 0.0, 0.0, 0
     worst_case = None
     for _ in range(args.samples):
-        state = ext.ShapeState(*rng.uniform(0.2, 5.0, size=4))
-        deriv = flow.rhs(state)
-        analytic = deriv.as_array()
+        state = rng.uniform(0.2, 5.0, size=4)
+        analytic = flow.rhs(state)
         try:
-            solved = ext.solve_torsion_free_derivs(state, psi).as_array()
+            solved = ext.solve_torsion_free_derivs(state, psi)
             rel = float(np.max(np.abs(solved - analytic) / np.maximum(1.0, np.abs(analytic))))
         except ext.TorsionSolveError:
             rel = float("inf")
-        res = max(ext.torsion_residual(state, deriv, psi))
+        res = max(ext.torsion_residual(state, analytic, psi))
         if rel > worst_rel or res > worst_res:
-            worst_case = [state.A1, state.A2, state.B1, state.B2]
+            worst_case = list(state)
         worst_rel = max(worst_rel, rel)
         worst_res = max(worst_res, res)
         if rel > 1e-9 or res > 1e-10:
@@ -264,8 +263,8 @@ _ORACLE = {"bgg": (2.3, 50.0, -27.0 / 8.0),
 def _bs_trajectory(r_hi: float = 300.0, n: int = 260) -> shoot.Trajectory:
     """The round closed form as a t-parameterized trajectory (for asymptotics)."""
     rs = np.geomspace(1.5, r_hi, n)
-    shapes = np.array([analysis.closed_form("bs", r).as_array() for r in rs])
-    return shoot.Trajectory.from_samples("t", analysis.r_to_t("bs", rs), shapes=shapes)
+    return shoot.Trajectory.from_samples("t", analysis.r_to_t("bs", rs),
+                                         shapes=analysis.closed_form("bs", rs))
 
 
 def cmd_oracle(args, outdir: Path, report: dict) -> str:
@@ -279,7 +278,7 @@ def cmd_oracle(args, outdir: Path, report: dict) -> str:
                  "pass": res["max_mismatch"] <= 1e-7 and f_dev <= 1e-9}
         ok = ok and entry["pass"]
         report[kind] = entry
-    report["bs_asymptotics"] = _fit_dict(shoot.alc_fit(_bs_trajectory(), 0.5))
+    report["bs_asymptotics"] = _fit_dict(shoot.alc_fit(_bs_trajectory()))
     report["pass"] = ok
     return "oracle.json"
 
@@ -331,7 +330,10 @@ def cmd_stationary(args, outdir: Path, report: dict) -> str:
     charts = []
     for mu in mus:
         lam = math.sqrt((1.0 - mu * mu) / 2.0)
-        jac = analysis.linearize(np.array([0.0, 0.0, mu]), "modified-chart")
+        try:  # the finite-difference stencil must stay inside the chart
+            jac = analysis.linearize(np.array([0.0, 0.0, mu]), "modified-chart")
+        except ValueError as exc:
+            raise ConfigError(f"--mu {mu:g}: {exc}") from exc
         w, v = analysis.eig_small(jac)
         got = np.sort(w.real)
         expected = np.sort(analysis.CHART_EIGENVALUES)
@@ -366,8 +368,7 @@ def _witness(traj: shoot.Trajectory) -> float:
 
 def _max_torsion(traj: shoot.Trajectory) -> tuple:
     """Worst closure residuals over every sample, at the analytic derivatives."""
-    derivs = np.array([flow.velocity(r) for r in traj.shapes])
-    dpsi, dstar = ext.torsion_residual(traj.shapes, derivs)
+    dpsi, dstar = ext.torsion_residual(traj.shapes, flow.velocity(traj.shapes))
     return float(np.max(dpsi)), float(np.max(dstar))
 
 

@@ -29,52 +29,25 @@ for.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["KForm", "ShapeState", "DerivVector", "TorsionSolveError", "basis_form", "wedge",
+__all__ = ["KForm", "ShapeState", "TorsionSolveError", "basis_form", "wedge",
            "hodge_star", "g2_form", "torsion_residual", "residual_coefficients",
            "torsion_system", "solve_torsion_free_derivs"]
 
 DIM = 7
 
 
-@dataclass(frozen=True)
-class ShapeState:
-    """Metric coefficients (A1, A2, B1, B2) at one value of the cone parameter."""
+class ShapeState(NamedTuple):
+    """Metric coefficients (A1, A2, B1, B2) at one value of the cone parameter:
+    a tuple, so np.asarray(state) is the (4,) array every function here takes."""
 
     A1: float
     A2: float
     B1: float
     B2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray([self.A1, self.A2, self.B1, self.B2])
-
-    @staticmethod
-    def from_array(r) -> "ShapeState":
-        # complex entries pass through untouched (derivative probes)
-        vals = [v if isinstance(v, complex) else float(v) for v in r]
-        return ShapeState(*vals)
-
-
-@dataclass(frozen=True)
-class DerivVector:
-    """Derivatives (dA1, dA2, dB1, dB2) with respect to the cone parameter t."""
-
-    dA1: float
-    dA2: float
-    dB1: float
-    dB2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray([self.dA1, self.dA2, self.dB1, self.dB2])
-
-    @staticmethod
-    def from_array(d) -> "DerivVector":
-        vals = [v if isinstance(v, complex) else float(v) for v in d]
-        return DerivVector(*vals)
 
 
 class TorsionSolveError(RuntimeError):
@@ -242,8 +215,8 @@ _SPATIAL, _DT = _d_entries()
 
 
 def _shapes(state) -> np.ndarray:
-    """(..., 4) array of a ShapeState or array input; rejects non-positive shapes."""
-    r = state.as_array() if isinstance(state, ShapeState) else np.asarray(state)
+    """The (..., 4) array of shapes; rejects non-positive shapes."""
+    r = np.asarray(state)
     if r.shape[-1:] != (4,):
         raise ValueError(f"a shape state has 4 components, got shape {r.shape}")
     if not np.all(np.real(r) > 0):
@@ -253,8 +226,7 @@ def _shapes(state) -> np.ndarray:
 
 def _differentials(r, dr) -> np.ndarray:
     """D[..., 7, 21]: e-basis coefficients of de^1..de^7 (de^7 = 0)."""
-    r = np.asarray(r)
-    dr = np.asarray(dr.as_array() if isinstance(dr, DerivVector) else dr)
+    dr = np.asarray(dr)
     coord = r[..., _COORD]
     lead = np.broadcast_shapes(r.shape[:-1], dr.shape[:-1])
     out = np.zeros(lead + (DIM, len(_IDX2)), dtype=np.result_type(r, dr, float))
@@ -300,8 +272,8 @@ def _tensor(psi: KForm | None) -> np.ndarray:
 def residual_coefficients(state, derivs, psi: KForm | None = None) -> np.ndarray:
     """All 56 closure coefficients (35 of dPsi, 21 of d star Psi), S . D.
 
-    state and derivs are a ShapeState and a DerivVector or arrays
-    (..., 4); leading axes broadcast, giving (..., 56).
+    state and derivs are (..., 4) arrays (a ShapeState is one); leading
+    axes broadcast, giving (..., 56).
     """
     d = _differentials(_shapes(state), derivs)
     return d.reshape(d.shape[:-2] + (-1,)) @ _tensor(psi).reshape(len(_ROWS), -1).T
@@ -334,8 +306,8 @@ def torsion_system(state, psi: KForm | None = None):
     return m, residual_coefficients(r, np.zeros_like(r), psi)
 
 
-def solve_torsion_free_derivs(state, psi: KForm | None = None) -> DerivVector:
-    """Shape derivatives annihilating both closure conditions, by least squares.
+def solve_torsion_free_derivs(state, psi: KForm | None = None) -> np.ndarray:
+    """Shape derivatives (4,) annihilating both closure conditions, by least squares.
 
     This is the exterior-calculus route to the torsion-free flow: it
     never looks at the analytic right-hand side, so agreement with it is
@@ -347,4 +319,4 @@ def solve_torsion_free_derivs(state, psi: KForm | None = None) -> DerivVector:
     res = float(np.max(np.abs(m @ sol + c)))
     if res > 1e-8:
         raise TorsionSolveError(f"closure residual {res:.3e} at {state}")
-    return DerivVector.from_array(sol)
+    return sol

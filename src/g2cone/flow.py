@@ -10,10 +10,12 @@ the tangential field has a 1/alpha3 pole; the chart (x, y, z) =
 (alpha3, alpha4 - alpha2, alpha1) and the time change du = x dv make
 x W a smooth field that vanishes exactly on J.
 
-Also provided: the five discrete symmetries of the flow, the cubic
-first integral, and the scalar monitors used to certify the qualitative
+Also provided: the discrete symmetry group of the flow, the cubic first
+integral, and the scalar monitors used to certify the qualitative
 behaviour of trajectories (monotone quantities, wall functions, and the
-radial log-derivative).
+radial log-derivative).  Shapes, their t-derivatives and unit directions
+are (..., 4) arrays, chart points (3,) arrays.  Nothing here imports the
+closure oracle g2cone.exterior, which checks this flow.
 """
 
 from __future__ import annotations
@@ -22,17 +24,12 @@ import math
 
 import numpy as np
 
-from .exterior import DerivVector, ShapeState
-
 __all__ = [
-    "S0", "S1", "SINF", "CHART_RADIUS", "CHART_MIN_RADICAND",
+    "S1", "SINF", "CHART_RADIUS", "CHART_MIN_RADICAND",
     "rhs", "velocity", "first_integral", "sphere_field",
-    "chart_to_sphere", "sphere_to_chart", "modified_field",
-    "apply_symmetry", "symmetry", "symmetry_group", "monitor_table", "MONITOR_NAMES",
+    "chart_to_sphere", "modified_field",
+    "symmetry_group", "monitor_table", "MONITOR_NAMES",
 ]
-
-# Points are plain arrays: a unit direction (alpha1, alpha2, alpha3, alpha4)
-# on S^3 has shape (4,), a chart point (x, y, z) has shape (3,).
 
 # chart validity: disc of this radius in (x, y), and enough room under
 # the square root to recover alpha2, alpha4
@@ -58,27 +55,19 @@ SINF = _frozen([0.0, math.sqrt(3.0) / math.sqrt(10.0), math.sqrt(2.0) / math.sqr
                 math.sqrt(3.0) / math.sqrt(10.0)])
 
 
-def S0(mu: float) -> np.ndarray:
-    """Singular-arc point (mu, lambda, 0, lambda) with 2 lambda^2 + mu^2 = 1."""
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    lam = math.sqrt((1.0 - mu * mu) / 2.0)
-    return np.array([mu, lam, 0.0, lam])
-
-
 # -- the vector field ---------------------------------------------------
 
 
-def velocity(r: np.ndarray) -> np.ndarray:
-    """V(R): right-hand side of the shape system on a raw 4-vector.
+def velocity(r) -> np.ndarray:
+    """V(R): right-hand side of the shape system, (..., 4) -> (..., 4).
 
     Defined wherever the denominators A2, B1, B2 are nonzero; A1 never
     divides, so the wall A1 = 0 is inside the domain (and is invariant).
     """
-    a1, a2, b1, b2 = r
-    if a2 == 0.0 or b1 == 0.0 or b2 == 0.0:
-        raise ZeroDivisionError(f"vector field undefined at {tuple(r)}")
-    return np.array(_components(a1, a2, b1, b2))
+    a1, a2, b1, b2 = rt = np.asarray(r).T  # components first; the last .T undoes it
+    if np.count_nonzero(rt[1:]) < 3 * a2.size:
+        raise ZeroDivisionError(f"vector field undefined at {r}")
+    return np.array(_components(a1, a2, b1, b2)).T
 
 
 def _components(a1, a2, b1, b2) -> tuple:
@@ -90,19 +79,18 @@ def _components(a1, a2, b1, b2) -> tuple:
     return v1, v2, v3, v4
 
 
-def rhs(state: ShapeState) -> DerivVector:
-    """Torsion-free evolution of the shape (A1, A2, B1, B2)."""
-    return DerivVector.from_array(velocity(state.as_array()))
+def rhs(state) -> np.ndarray:
+    """Torsion-free evolution dR/dt of the shape (A1, A2, B1, B2): velocity."""
+    return velocity(state)
 
 
-def first_integral(state: ShapeState | np.ndarray) -> float:
+def first_integral(state):
     """F = 2 A1 A2 B2 - B1 (B2^2 - A2^2), constant along the flow.
 
-    An array of shape (4, n) gives the n values of its columns.
+    A (..., 4) array of shapes gives the (...) values.
     """
-    r = state.as_array() if isinstance(state, ShapeState) else np.asarray(state, dtype=float)
-    a1, a2, b1, b2 = r
-    return 2.0 * a1 * a2 * b2 - b1 * (b2 * b2 - a2 * a2)
+    a1, a2, b1, b2 = np.asarray(state, dtype=float).T
+    return (2.0 * a1 * a2 * b2 - b1 * (b2 * b2 - a2 * a2)).T
 
 
 # -- radial / tangential split ------------------------------------------
@@ -132,15 +120,10 @@ def chart_to_sphere(p: np.ndarray) -> np.ndarray:
     """
     rad = _radicand(p)
     if rad < 0.0:
-        raise ValueError(f"chart radicand negative at {tuple(p)}")
+        raise ValueError(f"chart radicand negative at {list(map(float, p))}")
     x, y, z = p
     root = math.sqrt(rad)
     return np.array([z, 0.5 * (root - y), x, 0.5 * (root + y)], dtype=float)
-
-
-def sphere_to_chart(s: np.ndarray) -> np.ndarray:
-    """Inverse chart map, valid near J where alpha4 >= alpha2."""
-    return np.array([s[2], s[3] - s[1], s[0]], dtype=float)
 
 
 def modified_field(p: np.ndarray) -> tuple:
@@ -155,9 +138,9 @@ def modified_field(p: np.ndarray) -> tuple:
     """
     x, y, _ = p
     if x * x + y * y > CHART_RADIUS**2:
-        raise ValueError(f"chart point {tuple(p)} outside radius {CHART_RADIUS}")
+        raise ValueError(f"chart point {list(map(float, p))} outside radius {CHART_RADIUS}")
     if _radicand(p) < CHART_MIN_RADICAND:
-        raise ValueError(f"chart radicand too small at {tuple(p)}")
+        raise ValueError(f"chart radicand too small at {list(map(float, p))}")
     s = chart_to_sphere(p)
     a1, a2, a3, a4 = s
     diff24 = y * (a2 + a4)  # alpha4^2 - alpha2^2 without cancellation
@@ -186,36 +169,6 @@ _SYMMETRIES = {
     4: (np.diag([1.0, 1.0, -1.0, -1.0]), False),
     5: (np.diag([1.0, -1.0, -1.0, 1.0]), False),
 }
-
-
-def symmetry(k: int) -> tuple:
-    """The k-th discrete symmetry (matrix, reverses_parameter), k = 1..5."""
-    if k not in _SYMMETRIES:
-        raise IndexError(f"symmetry index must be 1..5, got {k}")
-    return _SYMMETRIES[k]
-
-
-def apply_symmetry(obj, k: int):
-    """Apply symmetry k to a unit direction (an array) or to a sphere trajectory.
-
-    For trajectories the parameter axis is negated and the sample order
-    reversed when the symmetry includes u -> -u, and so is a t-trajectory's
-    u column in its stats; the scale f is carried along unchanged (signed
-    permutations preserve |R|) and the monitors are recomputed on the
-    transformed samples.
-    """
-    mat, reverse = symmetry(k)
-    if isinstance(obj, np.ndarray):
-        return mat @ obj
-    # duck-typed trajectory: rebuilt by its own class from params, spheres, f
-    spheres = obj.spheres @ mat.T
-    params, f, stats = obj.params, obj.f, dict(obj.stats)
-    if reverse:
-        spheres, f, params = spheres[::-1], f[::-1], -params[::-1]
-        if "u" in stats:  # the u column of a t-trajectory moves with its samples
-            stats["u"] = -stats["u"][::-1]
-    return type(obj).from_samples(obj.kind, params, spheres=spheres, f=f,
-                                  termination=obj.termination, stats=stats)
 
 
 def symmetry_group() -> list:
@@ -254,7 +207,7 @@ def monitor_table(spheres, f) -> np.ndarray:
     a = np.asarray(spheres, dtype=float)
     f = np.asarray(f, dtype=float)
     a1, a2, a3, a4 = a.T
-    fs = first_integral(a.T)
+    fs = first_integral(a)
     d24 = (a4 - a2) * (a4 + a2)  # alpha4^2 - alpha2^2, factored
     eps = _MONITOR_EPS
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import flow
-from .exterior import ShapeState
 
 __all__ = [
     "SeriesStart",
@@ -55,6 +54,8 @@ STEP_FAILURE = "step-failure"
 POSITIVITY_FLOOR = 1e-9
 SERIES_MAX_OFFSET = 1e-2  # the series launch offset never exceeds this t
 CHART_SWITCH_X = 0.01  # leave the desingularized chart once alpha3 reaches this
+ATOL = 1e-12  # absolute tolerance of every integration
+LAUNCH_TOL = 1e-10  # relative tolerance of both phases of a sphere launch
 
 # The limit direction has alpha1 = 0 and alpha3 > 0: the bounded metric
 # function is A1, while B1 grows with slope 2/3.  Emitted with every
@@ -211,13 +212,13 @@ def series_start(mu: float, order: int = 4) -> SeriesStart:
     return SeriesStart(mu, lam, order, c)
 
 
-def eval_series(s: SeriesStart, t: float) -> ShapeState:
-    """Evaluate the truncated series; rejects offsets beyond its trust radius."""
+def eval_series(s: SeriesStart, t: float) -> np.ndarray:
+    """The shape (4,) of the truncated series at t; rejects offsets beyond its trust radius."""
     dmax = s.truncation_offset()
     if not 0.0 <= t <= dmax:
         raise ValueError(f"t={t} outside the series trust interval [0, {dmax:.3e}]")
     powers = t ** np.arange(s.order + 1)
-    return ShapeState.from_array(powers @ s.coefficients)
+    return powers @ s.coefficients
 
 
 # -- quadrature --------------------------------------------------------------
@@ -259,7 +260,7 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
-def _integrate(field, x0, y0, x1, rtol, atol, max_step=np.inf, project=None, stop=None,
+def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None,
                record_every=1):
     """Adaptive DP54 driver; returns (xs, ys, termination, stats).
 
@@ -273,7 +274,7 @@ def _integrate(field, x0, y0, x1, rtol, atol, max_step=np.inf, project=None, sto
     xs, ys = [x], [y.copy()]
     stats = {"steps": 0, "rejected": 0, "max_drift": 0.0, "error_sum": 0.0}
     f0 = field(x, y)
-    scale = atol + rtol * np.abs(y)
+    scale = ATOL + rtol * np.abs(y)
     d0 = np.linalg.norm(y / scale) / math.sqrt(y.size)
     d1 = np.linalg.norm(f0 / scale) / math.sqrt(y.size)
     h = min(max_step, x1 - x, 1e-2 * d0 / d1 if d1 > 0 else 1e-6)
@@ -297,7 +298,7 @@ def _integrate(field, x0, y0, x1, rtol, atol, max_step=np.inf, project=None, sto
         if not failed:
             y1 = y + h * (_DP_B5 @ k)
             err_vec = h * (_DP_E @ k)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
+            scale = ATOL + rtol * np.maximum(np.abs(y), np.abs(y1))
             err = np.linalg.norm(err_vec / scale) / math.sqrt(y.size)
         if failed or not np.all(np.isfinite(y1)) or not np.isfinite(err):
             stats["rejected"] += 1
@@ -337,17 +338,16 @@ def _integrate(field, x0, y0, x1, rtol, atol, max_step=np.inf, project=None, sto
 # -- trajectory assembly ----------------------------------------------------
 
 
-def integrate_shape(start: ShapeState, t0: float, t1: float, tol: float = 1e-10,
-                    atol: float = 1e-12, stride: int = 1, max_step: float = np.inf,
-                    u0: float = 0.0) -> Trajectory:
-    """Integrate the shape flow from a strictly positive state.
+def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, stride: int = 1,
+                    max_step: float = np.inf, u0: float = 0.0) -> Trajectory:
+    """Integrate the shape flow from a strictly positive shape (4,).
 
     The sphere parameter u (du = dt / f) rides along as a quadrature
     variable and is exposed in stats["u"].  Terminates early when any
     shape component drops below 1e-9 or the step size collapses; the
     reason is recorded on the trajectory, never silently.
     """
-    r = start.as_array()
+    r = np.asarray(start, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError(f"start must be strictly positive, got {start}")
     if t1 <= t0:
@@ -359,15 +359,14 @@ def integrate_shape(start: ShapeState, t0: float, t1: float, tol: float = 1e-10,
     def stop(_, y):
         return POSITIVITY_VIOLATION if np.min(y[:4]) < POSITIVITY_FLOOR else None
 
-    ts, ys, term, stats = _integrate(field, t0, np.append(r, u0), t1, tol, atol,
+    ts, ys, term, stats = _integrate(field, t0, np.append(r, u0), t1, tol,
                                      max_step=max_step, stop=stop, record_every=stride)
     return Trajectory.from_samples("t", ts, shapes=ys[:, :4], termination=term,
                                    stats={**stats, "u": ys[:, 4].copy()})
 
 
 def integrate_sphere(start: np.ndarray, u0: float, u1: float, f0: float = 1.0,
-                     tol: float = 1e-10, atol: float = 1e-12, max_step: float = 0.25,
-                     stride: int = 1) -> Trajectory:
+                     tol: float = 1e-10, max_step: float = 0.25) -> Trajectory:
     """Integrate the tangential system in u from the unit direction start,
     with the scale riding along.
 
@@ -391,8 +390,7 @@ def integrate_sphere(start: np.ndarray, u0: float, u1: float, f0: float = 1.0,
         return out
 
     us, ys, term, stats = _integrate(field, u0, np.append(a0, math.log(f0)), u1, tol,
-                                     atol, max_step=max_step, project=project,
-                                     record_every=stride)
+                                     max_step=max_step, project=project)
     return Trajectory.from_samples("u", us, spheres=ys[:, :4], f=np.exp(ys[:, 4]),
                                    termination=term, stats=stats)
 
@@ -409,9 +407,8 @@ def unstable_direction(mu: float) -> np.ndarray:
     return e / np.linalg.norm(e)
 
 
-def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0, tol: float = 1e-10,
-                  atol: float = 1e-12, max_step: float = 0.25, target=None,
-                  conv_tol: float = 1e-6, stride: int = 1) -> Trajectory:
+def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
+                  max_step: float = 0.25) -> Trajectory:
     """Unique sphere trajectory leaving the singular arc at parameter mu.
 
     Starts at (0, 0, mu) + eps * e_unstable in the chart, integrates the
@@ -419,8 +416,7 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0, tol: float 
     to the tangential system in u (du = x dv accumulated through the
     first phase).  The scale f rides along via d(ln f) = beta du with
     f = 1 at launch.  The trajectory is run to the u horizon and marked
-    converged when it enters and stays within conv_tol of the target
-    (default: the limit direction).
+    converged when it enters and stays within 1e-6 of the limit direction.
     """
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
@@ -437,7 +433,7 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0, tol: float 
         return "switch" if y[0] >= CHART_SWITCH_X else None
 
     vs, cys, term, cstats = _integrate(chart_field, 0.0, np.append(p0, [0.0, 0.0]),
-                                       2000.0, tol, atol, stop=chart_stop)
+                                       2000.0, LAUNCH_TOL, stop=chart_stop)
     if term != "switch":
         raise RuntimeError(f"chart phase did not reach the switch threshold ({term})")
     chart_spheres = np.array([flow.chart_to_sphere(y[:3]) for y in cys])
@@ -447,8 +443,8 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0, tol: float 
     # phase 2: tangential system in u
     u_switch = float(chart_u[-1])
     tail = integrate_sphere(chart_spheres[-1], u_switch, u_max,
-                            f0=float(math.exp(chart_lnf[-1])), tol=tol, atol=atol,
-                            max_step=max_step, stride=stride)
+                            f0=float(math.exp(chart_lnf[-1])), tol=LAUNCH_TOL,
+                            max_step=max_step)
 
     stats = dict(tail.stats)
     stats["chart"] = {"v_span": float(vs[-1]), "steps": cstats["steps"],
@@ -459,7 +455,7 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0, tol: float 
         f=np.concatenate([np.exp(chart_lnf[:-1]), tail.f]),
         termination=tail.termination, stats=stats)
     if traj.termination == REACHED_HORIZON:
-        converged, _ = detect_convergence(traj.spheres, traj.params, target, conv_tol)
+        converged, _ = detect_convergence(traj.spheres, traj.params)
         if converged:
             traj = replace(traj, termination=CONVERGED)
     return traj
@@ -499,8 +495,8 @@ def sample_at_level(traj: Trajectory, level: float):
     return s / np.linalg.norm(s)
 
 
-def alc_fit(traj: Trajectory, window_fraction: float = 0.5) -> ALCFit | None:
-    """Affine fit of the shape functions over the trailing t-window.
+def alc_fit(traj: Trajectory) -> ALCFit | None:
+    """Affine fit of the shape functions over the trailing half of the t span.
 
     Certifies the asymptotically conic behaviour: each metric function
     approaches an affine function of t, one of them a constant.  None
@@ -509,10 +505,8 @@ def alc_fit(traj: Trajectory, window_fraction: float = 0.5) -> ALCFit | None:
     """
     if traj.kind != "t":
         raise ValueError("asymptotic fit needs a t-parameterized trajectory")
-    if not 0.0 < window_fraction <= 1.0:
-        raise ValueError("window_fraction must lie in (0, 1]")
     span = traj.params[-1] - traj.params[0]
-    sel = traj.params >= traj.params[-1] - window_fraction * span
+    sel = traj.params >= traj.params[-1] - 0.5 * span
     if span < 30.0 or traj.params[-1] - traj.params[sel][0] < 10.0:
         return None
     ts = traj.params[sel]
@@ -544,21 +538,20 @@ def escapes_invariant_region(traj: Trajectory) -> bool:
     return bool(np.any(traj.monitor("G1") < 0.0))
 
 
-def critical_parameter(lo: float = 0.5, hi: float = 0.6, tol: float = 1e-9,
-                       t_max: float = 60.0) -> float:
+def critical_parameter(lo: float = 0.5, hi: float = 0.6, tol: float = 1e-9) -> float:
     """Family edge: largest mu whose trajectory stays in the invariant region.
 
     Below the returned value trajectories converge to the limit
     direction (asymptotically conic with a circle fiber); above it they
     cross the G1 wall and the metric closes up singularly at finite t.
     The critical trajectory itself approaches the conic stationary
-    direction S1.  Located by bisection on the wall crossing; the
-    bracket must straddle the transition.
+    direction S1.  Located by bisection on the wall crossing of family
+    runs to t = 60; the bracket must straddle the transition.
     """
 
     def escapes(mu):
         return escapes_invariant_region(
-            family_shape_trajectory(mu, t_max=t_max, tol=1e-12))
+            family_shape_trajectory(mu, t_max=60.0, tol=1e-12))
 
     if escapes(lo) or not escapes(hi):
         raise ValueError(f"bracket ({lo}, {hi}) does not straddle the transition")
@@ -572,7 +565,7 @@ def critical_parameter(lo: float = 0.5, hi: float = 0.6, tol: float = 1e-9,
 
 
 def family_shape_trajectory(mu: float, t_max: float = 200.0, tol: float = 1e-10,
-                            atol: float = 1e-12, order: int = 4, stride: int = 1,
+                            order: int = 4, stride: int = 1,
                             max_step: float = np.inf) -> Trajectory:
     """Series launch followed by shape integration: the standard family run.
 
@@ -589,5 +582,5 @@ def family_shape_trajectory(mu: float, t_max: float = 200.0, tol: float = 1e-10,
                                     axis=-1)
 
     u0 = float(gauss_legendre(inv_f, 0.0, delta))
-    return integrate_shape(start, delta, t_max, tol=tol, atol=atol, stride=stride,
+    return integrate_shape(start, delta, t_max, tol=tol, stride=stride,
                            max_step=max_step, u0=u0)

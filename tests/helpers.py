@@ -1,8 +1,10 @@
 """Shared numerical helpers for the test suite."""
 
+import math
+
 import numpy as np
 
-from g2cone import shoot
+from g2cone import flow, shoot
 from g2cone.exterior import KForm, basis_form, wedge, zero_form
 
 
@@ -45,6 +47,52 @@ def constant_trajectory(s, f0=2.0, slope=1.0, n=50, t_hi=80.0):
                                          f=f0 + slope * t)
 
 
+# -- sphere points, the chart inverse and the discrete symmetries ---------------
+
+
+def S0(mu: float) -> np.ndarray:
+    """Singular-arc point (mu, lambda, 0, lambda) with 2 lambda^2 + mu^2 = 1."""
+    if not 0.0 < mu < 1.0:
+        raise ValueError(f"mu must lie in (0, 1), got {mu}")
+    lam = math.sqrt((1.0 - mu * mu) / 2.0)
+    return np.array([mu, lam, 0.0, lam])
+
+
+def sphere_to_chart(s: np.ndarray) -> np.ndarray:
+    """Inverse chart map, valid near J where alpha4 >= alpha2."""
+    return np.array([s[2], s[3] - s[1], s[0]], dtype=float)
+
+
+def symmetry(k: int) -> tuple:
+    """The k-th discrete symmetry (matrix, reverses_parameter), k = 1..5."""
+    if k not in flow._SYMMETRIES:
+        raise IndexError(f"symmetry index must be 1..5, got {k}")
+    return flow._SYMMETRIES[k]
+
+
+def apply_symmetry(obj, k: int):
+    """Apply symmetry k to a unit direction (an array) or to a sphere trajectory.
+
+    For trajectories the parameter axis is negated and the sample order
+    reversed when the symmetry includes u -> -u, and so is a t-trajectory's
+    u column in its stats; the scale f is carried along unchanged (signed
+    permutations preserve |R|) and the monitors are recomputed on the
+    transformed samples.
+    """
+    mat, reverse = symmetry(k)
+    if isinstance(obj, np.ndarray):
+        return mat @ obj
+    # duck-typed trajectory: rebuilt by its own class from params, spheres, f
+    spheres = obj.spheres @ mat.T
+    params, f, stats = obj.params, obj.f, dict(obj.stats)
+    if reverse:
+        spheres, f, params = spheres[::-1], f[::-1], -params[::-1]
+        if "u" in stats:  # the u column of a t-trajectory moves with its samples
+            stats["u"] = -stats["u"][::-1]
+    return type(obj).from_samples(obj.kind, params, spheres=spheres, f=f,
+                                  termination=obj.termination, stats=stats)
+
+
 # -- KForm reference for the closure engine ------------------------------------
 
 
@@ -69,12 +117,11 @@ def coframe_differentials(state, derivs) -> list:
     (indices mod 3, A3 = A2, B3 = B2); the dt parts carry the supplied
     derivatives, e.g. de^1 contains (dA1/A1) e^7 ^ e^1.
     """
-    if not np.all(np.real(state.as_array()) > 0):
+    if not np.all(np.real(state) > 0):
         raise ValueError(f"shape state must be strictly positive, got {state}")
-    A = (state.A1, state.A2, state.A2)
-    B = (state.B1, state.B2, state.B2)
-    dA = (derivs.dA1, derivs.dA2, derivs.dA2)
-    dB = (derivs.dB1, derivs.dB2, derivs.dB2)
+    a1, a2, b1, b2 = state
+    da1, da2, db1, db2 = derivs
+    A, B, dA, dB = (a1, a2, a2), (b1, b2, b2), (da1, da2, da2), (db1, db2, db2)
     e7 = basis_form(7)
     diffs = []
     for i in range(3):

@@ -56,8 +56,8 @@ def test_criterion_1_torsion_free_equivalence():
     worst_rel = worst_res = 0.0
     for _ in range(200):
         state = ext.ShapeState(*rng.uniform(0.2, 5.0, size=4))
-        solved = ext.solve_torsion_free_derivs(state).as_array()
-        analytic = flow.rhs(state).as_array()
+        solved = ext.solve_torsion_free_derivs(state)
+        analytic = flow.rhs(state)
         worst_rel = max(worst_rel, float(np.max(
             np.abs(solved - analytic) / np.maximum(1.0, np.abs(analytic)))))
         worst_res = max(worst_res, *ext.torsion_residual(state, flow.rhs(state)))
@@ -241,8 +241,7 @@ def test_criterion_6_torsion_free_along_constructed_metrics(family_shapes):
         worst = 0.0
         for i in range(3, len(traj) - 3):
             d = central_derivative(traj.params, traj.shapes, i)
-            res = ext.torsion_residual(ext.ShapeState.from_array(traj.shapes[i]),
-                                       ext.DerivVector.from_array(d))
+            res = ext.torsion_residual(traj.shapes[i], d)
             worst = max(worst, *res)
         worst_all = max(worst_all, worst)
         if worst > 1e-6:
@@ -253,13 +252,13 @@ def test_criterion_6_torsion_free_along_constructed_metrics(family_shapes):
 def test_criterion_7_alc_limit(family_shapes):
     """Trailing-window slopes (0, 1/sqrt3, 2/3, 1/sqrt3); A1 intercept stable."""
     failures = []
-    fit200 = shoot.alc_fit(family_shapes[0.5], 0.5)
+    fit200 = shoot.alc_fit(family_shapes[0.5])
     expected = np.array([0.0, 1 / SQ3, 2.0 / 3.0, 1 / SQ3])
     err = float(np.max(np.abs(fit200.slopes - expected)))
     if err > 2e-2:
         failures.append(f"slopes off by {err:.3e} > 2e-2")
     traj400 = shoot.family_shape_trajectory(0.5, t_max=400.0, tol=1e-12)
-    fit400 = shoot.alc_fit(traj400, 0.5)
+    fit400 = shoot.alc_fit(traj400)
     a1_change = abs(fit400.intercepts[0] - fit200.intercepts[0]) / abs(fit200.intercepts[0])
     if not fit200.intercepts[0] > 0.0:
         failures.append("A1 intercept not positive")

@@ -194,23 +194,29 @@ def test_eig_small_residuals_certified():
 
 def test_closed_form_bgg_tip():
     s = closed_form("bgg", 2.25)
-    assert np.allclose(s.as_array(), [0.0, 0.0, 1.5, 1.5], atol=1e-16)
+    assert np.allclose(s, [0.0, 0.0, 1.5, 1.5], atol=1e-16)
 
 
 def test_closed_form_bgg_values():
-    s = closed_form("bgg", 3.0)
-    assert s.A1 == pytest.approx(math.sqrt(7.0 / 15.0), abs=1e-15)
-    assert s.A2 == pytest.approx(math.sqrt(15.0) / 4.0, abs=1e-15)
-    assert s.B1 == pytest.approx(2.0, abs=1e-15)
-    assert s.B2 == pytest.approx(0.75 * math.sqrt(7.0), abs=1e-15)
+    a1, a2, b1, b2 = closed_form("bgg", 3.0)
+    assert a1 == pytest.approx(math.sqrt(7.0 / 15.0), abs=1e-15)
+    assert a2 == pytest.approx(math.sqrt(15.0) / 4.0, abs=1e-15)
+    assert b1 == pytest.approx(2.0, abs=1e-15)
+    assert b2 == pytest.approx(0.75 * math.sqrt(7.0), abs=1e-15)
 
 
 def test_closed_form_bs_values():
-    s = closed_form("bs", 2.0)
-    assert s.A1 == pytest.approx((2.0 / 3.0) * math.sqrt(7.0 / 8.0), abs=1e-15)
-    assert s.A1 == s.A2
-    assert s.B1 == pytest.approx(2.0 / SQ3, abs=1e-15)
-    assert s.B1 == s.B2
+    a1, a2, b1, b2 = closed_form("bs", 2.0)
+    assert a1 == pytest.approx((2.0 / 3.0) * math.sqrt(7.0 / 8.0), abs=1e-15)
+    assert a1 == a2
+    assert b1 == pytest.approx(2.0 / SQ3, abs=1e-15)
+    assert b1 == b2
+    # an array of r gives the scalar calls' shapes row by row, bit for bit
+    for kind in analysis.CLOSED_FORM_KINDS:
+        rs = np.linspace(2.3, 50.0, 97)
+        rows = closed_form(kind, rs)
+        assert rows.shape == (97, 4)
+        assert np.array_equal(rows, [closed_form(kind, float(r)) for r in rs])
 
 
 def test_closed_form_domains():
@@ -239,11 +245,11 @@ def test_round_and_singular_forms_are_formal_mirrors():
         if r > 1.0:
             bs = closed_form("bs", r)
             sing = closed_form("singular", r)
-            assert sing.A1**2 - bs.A1**2 == pytest.approx(2.0 / (9.0 * r), rel=1e-12)
-            assert sing.B1 == bs.B1
+            assert sing[0]**2 - bs[0]**2 == pytest.approx(2.0 / (9.0 * r), rel=1e-12)  # A1
+            assert sing[2] == bs[2]  # B1
         else:
             sing = closed_form("singular", r)
-            assert sing.A1 == pytest.approx((r / 3) * math.sqrt(1 + r**-3), abs=1e-15)
+            assert sing[0] == pytest.approx((r / 3) * math.sqrt(1 + r**-3), abs=1e-15)
 
 
 # -- reparameterization ------------------------------------------------------------

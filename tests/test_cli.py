@@ -57,6 +57,7 @@ def test_invalid_common_options(tmp_path):
                               ["shoot", "--mu", "0.3", "--u-max", "nan"],
                               ["shoot", "--mu", "0.3", "--tol", "nan"],
                               ["shoot", "--mu", "0.3", "--conv-tol", "nan"],
+                              ["stationary", "--mu", "0.99"],  # stencil leaves the chart
                               ["sweep", "--mu-range", "nonsense"])):
         out = tmp_path / str(i)
         assert run(argv + ["--out", str(out)]) == 2, argv
@@ -193,6 +194,8 @@ def test_stationary_report(tmp_path):
         assert "discrepancy_note" in c
     sinf = rep["stationary"]["Sinf"]
     assert all(v < 0 for v in sinf["eigenvalues_real"])
+    # the chart linearization still fits just below where its stencil leaves the chart
+    assert run(["stationary", "--mu", "0.9874", "--out", str(tmp_path / "edge")]) == 0
 
 
 # -- sweep -------------------------------------------------------------------------
@@ -233,18 +236,24 @@ def test_console_entry_point(tmp_path):
 
 
 def test_runtime_imports():
-    """The command runs on numpy alone, and the closure oracle loads none of
-    the flow modules it is checked against (fresh interpreter)."""
-    code = ("import json, sys\n"
-            "import g2cone.exterior\n"
-            "oracle = sorted(m for m in sys.modules if m.startswith('g2cone'))\n"
-            "import g2cone.cli\n"
-            "print(json.dumps([oracle, sorted(m for m in sys.modules"
-            " if m.split('.')[0] == 'scipy')]))\n")
-    src = str(Path(g2cone.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    oracle, scipy_modules = json.loads(proc.stdout)
-    assert not {"g2cone.flow", "g2cone.shoot", "g2cone.analysis"} & set(oracle), oracle
-    assert scipy_modules == []
+    """The command runs on numpy alone, the closure oracle loads none of the
+    flow modules it is checked against, and none of them loads the oracle
+    (fresh interpreters)."""
+    def loaded(module):
+        code = ("import json, sys\n"
+                f"import {module}\n"
+                "print(json.dumps(sorted(m for m in sys.modules"
+                " if m.split('.')[0] in ('g2cone', 'scipy'))))\n")
+        src = str(Path(g2cone.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        return set(json.loads(proc.stdout))
+
+    flow_layers = {"g2cone.flow", "g2cone.shoot", "g2cone.analysis"}
+    oracle = loaded("g2cone.exterior")
+    assert not flow_layers & oracle, oracle
+    for module in sorted(flow_layers):
+        assert "g2cone.exterior" not in loaded(module), module
+    assert not {m for m in loaded("g2cone.cli") if m.startswith("scipy")}

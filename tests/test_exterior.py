@@ -7,7 +7,6 @@ from sympy.combinatorics import Permutation
 
 from g2cone import exterior, flow
 from g2cone.exterior import (
-    DerivVector,
     KForm,
     ShapeState,
     TorsionSolveError,
@@ -135,10 +134,9 @@ def _oracle_differentials(state, derivs):
     Every 1-form is a coefficient vector over (e^1..e^7); the wedge of
     two of them is assembled directly from antisymmetrized products.
     """
-    A = [state.A1, state.A2, state.A2]
-    B = [state.B1, state.B2, state.B2]
-    dA = [derivs.dA1, derivs.dA2, derivs.dA2]
-    dB = [derivs.dB1, derivs.dB2, derivs.dB2]
+    a1, a2, b1, b2 = state
+    da1, da2, db1, db2 = derivs
+    A, B, dA, dB = [a1, a2, a2], [b1, b2, b2], [da1, da2, da2], [db1, db2, db2]
 
     def one_form(**comp):
         v = np.zeros(8)
@@ -187,7 +185,7 @@ def _oracle_differentials(state, derivs):
 def test_coframe_differentials_match_substitution_oracle(seed):
     rng = np.random.default_rng(seed)
     state = ShapeState(*rng.uniform(0.3, 3.0, size=4))
-    derivs = DerivVector(*rng.normal(size=4))
+    derivs = rng.normal(size=4)
     got = coframe_differentials(state, derivs)
     expected = _oracle_differentials(state, derivs)
     for g, e in zip(got, expected):
@@ -197,15 +195,15 @@ def test_coframe_differentials_match_substitution_oracle(seed):
 def test_coframe_differentials_unit_state():
     # at the unit state with zero derivatives: de^1 = -(e^23 + e^56)
     state = ShapeState(1.0, 1.0, 1.0, 1.0)
-    diffs = coframe_differentials(state, DerivVector(0.0, 0.0, 0.0, 0.0))
+    diffs = coframe_differentials(state, np.zeros(4))
     assert allclose(diffs[0], KForm(2, {(2, 3): -1.0, (5, 6): -1.0}), tol=0.0)
     assert diffs[6].coeffs == {}
 
 
 def test_coframe_differentials_dt_part_linear_in_derivs():
     state = ShapeState(1.3, 0.8, 2.0, 0.7)
-    d = DerivVector(0.4, -0.2, 1.1, 0.3)
-    d2 = DerivVector(0.8, -0.4, 2.2, 0.6)
+    d = np.array([0.4, -0.2, 1.1, 0.3])
+    d2 = np.array([0.8, -0.4, 2.2, 0.6])
     one = coframe_differentials(state, d)
     two = coframe_differentials(state, d2)
     for f1, f2 in zip(one, two):
@@ -219,15 +217,14 @@ def test_coframe_differentials_dt_part_linear_in_derivs():
 
 def test_coframe_differentials_reject_nonpositive():
     with pytest.raises(ValueError):
-        coframe_differentials(ShapeState(1.0, 1.0, 0.0, 1.0), DerivVector(0, 0, 0, 0))
+        coframe_differentials(ShapeState(1.0, 1.0, 0.0, 1.0), np.zeros(4))
 
 
 # -- exterior derivative -------------------------------------------------------
 
 
 def _diffs_at(r):
-    state = ShapeState.from_array(r)
-    return coframe_differentials(state, DerivVector.from_array(flow.velocity(r)))
+    return coframe_differentials(r, flow.velocity(r))
 
 
 def test_exterior_derivative_of_constant_is_zero():
@@ -254,11 +251,8 @@ def test_d_squared_vanishes_along_flow():
         v = flow.velocity(r)
         jv = np.array([flow.velocity(r + 1j * h * ej).imag / h for ej in np.eye(4)]).T
         accel = jv @ v
-        base = coframe_differentials(ShapeState.from_array(r), DerivVector.from_array(v))
-        bumped = coframe_differentials(
-            ShapeState.from_array(r + 1j * h * v),
-            DerivVector.from_array(v + 1j * h * accel),
-        )
+        base = coframe_differentials(r, v)
+        bumped = coframe_differentials(r + 1j * h * v, v + 1j * h * accel)
         diffs = _diffs_at(r)
         for i in range(7):
             coeff_rate = {idx: val.imag / h for idx, val in bumped[i].coeffs.items()}
@@ -295,13 +289,12 @@ def test_engine_matches_kform_route_on_random_shapes():
     rng = np.random.default_rng(29)
     shapes = rng.uniform(0.2, 5.0, size=(200, 4))
     derivs = rng.normal(size=(200, 4))
-    expected = np.array([_kform_coefficients(ShapeState.from_array(r), DerivVector.from_array(d))
-                         for r, d in zip(shapes, derivs)])
+    expected = np.array([_kform_coefficients(r, d) for r, d in zip(shapes, derivs)])
     batched = residual_coefficients(shapes, derivs)
     assert batched.shape == (200, 56)
     assert np.max(np.abs(batched - expected)) <= 1e-13
     for r, d, e in zip(shapes[:20], derivs[:20], expected):
-        single = residual_coefficients(ShapeState.from_array(r), DerivVector.from_array(d))
+        single = residual_coefficients(r, d)
         assert np.max(np.abs(single - e)) <= 1e-13
     dpsi, dstar = torsion_residual(shapes, derivs)
     assert dpsi.shape == dstar.shape == (200,)
@@ -333,7 +326,7 @@ def test_engine_differentials_match_substitution_oracle(seed):
     got = exterior._differentials(shapes, derivs)
     assert got.shape == (5, 7, 21)
     for r, d, g in zip(shapes, derivs, got):
-        oracle = _oracle_differentials(ShapeState.from_array(r), DerivVector.from_array(d))
+        oracle = _oracle_differentials(r, d)
         expected = np.array([[form.get(pair, 0.0) for pair in _IDX2] for form in oracle])
         assert np.max(np.abs(g - expected)) <= 1e-13
 
@@ -353,7 +346,7 @@ def test_engine_complex_step_matches_central_difference():
 
 
 def test_flipped_psi_has_its_own_tensor():
-    state, derivs = ShapeState(1.0, 1.3, 0.8, 1.1), DerivVector(0.2, -0.1, 0.7, 0.4)
+    state, derivs = ShapeState(1.0, 1.3, 0.8, 1.1), np.array([0.2, -0.1, 0.7, 0.4])
     before = residual_coefficients(state, derivs)
     bad = _flipped_psi()
     flipped = residual_coefficients(state, derivs, bad)
@@ -377,15 +370,15 @@ def test_engine_rejects_nonpositive_and_malformed_shapes():
 
 
 def test_torsion_residual_unit_state_flow_derivs():
-    res = torsion_residual(ShapeState(1, 1, 1, 1), DerivVector(0, 0, 1, 1))
+    res = torsion_residual(ShapeState(1, 1, 1, 1), np.array([0.0, 0.0, 1.0, 1.0]))
     assert max(res) <= 1e-12
 
 
 def test_torsion_residual_off_locus():
-    res = torsion_residual(ShapeState(1, 1, 1, 1), DerivVector(0, 0, 0, 0))
+    res = torsion_residual(ShapeState(1, 1, 1, 1), np.zeros(4))
     assert max(res) > 0.1
     # the two halves of the coefficient vector are exactly d(Psi) and d(star Psi)
-    state, derivs = ShapeState(1.0, 1.3, 0.8, 1.1), DerivVector(0.2, -0.1, 0.7, 0.4)
+    state, derivs = ShapeState(1.0, 1.3, 0.8, 1.1), np.array([0.2, -0.1, 0.7, 0.4])
     diffs = coframe_differentials(state, derivs)
     psi = g2_form()
     expected = (max_abs(exterior_derivative(psi, diffs)),
@@ -400,12 +393,12 @@ def test_torsion_residual_off_locus():
 def test_torsion_residual_at_analytic_derivs_along_trajectory(family_shapes):
     traj = family_shapes[0.5]
     for i in range(0, len(traj), max(1, len(traj) // 40)):
-        state = ShapeState.from_array(traj.shapes[i])
+        state = traj.shapes[i]
         assert max(torsion_residual(state, flow.rhs(state))) <= 1e-10
 
 
 def test_solve_unit_state():
-    d = solve_torsion_free_derivs(ShapeState(1, 1, 1, 1)).as_array()
+    d = solve_torsion_free_derivs(ShapeState(1, 1, 1, 1))
     assert np.max(np.abs(d - np.array([0.0, 0.0, 1.0, 1.0]))) <= 1e-10
 
 
@@ -413,18 +406,22 @@ def test_solve_matches_analytic_rhs_on_random_states():
     rng = np.random.default_rng(17)
     for _ in range(100):
         state = ShapeState(*rng.uniform(0.2, 5.0, size=4))
-        solved = solve_torsion_free_derivs(state).as_array()
-        analytic = flow.rhs(state).as_array()
+        solved = solve_torsion_free_derivs(state)
+        analytic = flow.rhs(state)
         rel = np.max(np.abs(solved - analytic) / np.maximum(1.0, np.abs(analytic)))
         assert rel <= 1e-9
+        # a ShapeState is its (4,) array: bit-identical results either way
+        r = np.asarray(state)
+        assert np.array_equal(solve_torsion_free_derivs(r), solved)
+        assert torsion_residual(r, analytic) == torsion_residual(state, analytic)
 
 
 def test_solve_matches_bs_chain_rule():
     r = 2.0
     h = 1e-7
-    drdr = (closed_form("bs", r + h).as_array() - closed_form("bs", r - h).as_array()) / (2 * h)
+    drdr = (closed_form("bs", r + h) - closed_form("bs", r - h)) / (2 * h)
     expected = drdr * dr_dt("bs", r)
-    got = solve_torsion_free_derivs(closed_form("bs", r)).as_array()
+    got = solve_torsion_free_derivs(closed_form("bs", r))
     assert np.max(np.abs(got - expected)) <= 1e-8
 
 
@@ -435,7 +432,7 @@ def test_residuals_affine_and_rank_four():
         m, c = torsion_system(state)
         # affinity: a random deriv reproduces M d + c
         d = rng.normal(size=4)
-        vec = residual_coefficients(state, DerivVector.from_array(d))
+        vec = residual_coefficients(state, d)
         assert np.max(np.abs(m @ d + c - vec)) < 1e-10
         sv = np.linalg.svd(m, compute_uv=False)
         assert np.sum(sv > 1e-10 * sv[0]) == 4
@@ -451,8 +448,8 @@ def test_flipped_sign_is_caught():
     bad_psi = _flipped_psi()
     state = ShapeState(1.0, 1.3, 0.8, 1.1)
     try:
-        solved = solve_torsion_free_derivs(state, bad_psi).as_array()
-        mismatch = np.max(np.abs(solved - flow.rhs(state).as_array()))
+        solved = solve_torsion_free_derivs(state, bad_psi)
+        mismatch = np.max(np.abs(solved - flow.rhs(state)))
         assert mismatch > 0.1
     except TorsionSolveError:
         pass

@@ -6,7 +6,8 @@ import pytest
 from g2cone import flow, shoot
 from g2cone.analysis import closed_form, dr_dt
 from g2cone.exterior import ShapeState
-from helpers import central_derivative, hermite_sample
+from helpers import (S0, apply_symmetry, central_derivative, hermite_sample, sphere_to_chart,
+                     symmetry)
 
 SQ3 = math.sqrt(3.0)
 
@@ -24,17 +25,16 @@ def _radicand(p):
 
 
 def test_rhs_unit_state():
-    assert np.allclose(flow.rhs(ShapeState(1, 1, 1, 1)).as_array(), [0, 0, 1, 1], atol=0)
+    assert np.allclose(flow.rhs(ShapeState(1, 1, 1, 1)), [0, 0, 1, 1], atol=0)
 
 
 def test_rhs_matches_bgg_chain_rule():
     # d/dt of the asymmetric closed form at r = 3 via dt = dr / A1
     # (h balances truncation against rounding in the central difference)
     r, h = 3.0, 1e-5
-    drdr = (closed_form("bgg", r + h).as_array()
-            - closed_form("bgg", r - h).as_array()) / (2 * h)
+    drdr = (closed_form("bgg", r + h) - closed_form("bgg", r - h)) / (2 * h)
     expected = drdr * dr_dt("bgg", r)
-    got = flow.rhs(closed_form("bgg", r)).as_array()
+    got = flow.rhs(closed_form("bgg", r))
     assert np.max(np.abs(got - expected)) <= 1e-10
 
 
@@ -76,6 +76,10 @@ def test_first_integral_on_closed_forms():
     for r in (0.5, 1.0, 5.0):
         assert flow.first_integral(closed_form("singular", r)) == pytest.approx(
             1.0 / (3.0 * SQ3), abs=1e-9)
+    # a batch (n, 4) gives the n per-row values
+    shapes = closed_form("bgg", np.array([2.4, 3.0, 10.0, 40.0]))
+    assert np.array_equal(flow.first_integral(shapes),
+                          [flow.first_integral(row) for row in shapes])
 
 
 def test_first_integral_conserved_along_trajectory(family_shapes):
@@ -88,7 +92,7 @@ def test_first_integral_conserved_along_trajectory(family_shapes):
 
 
 def test_singular_orbit_is_unit():
-    s = flow.S0(0.3)
+    s = S0(0.3)
     assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-15)
     assert s[2] == 0.0
 
@@ -156,7 +160,7 @@ def test_chart_round_trip():
             continue
         count += 1
         s = flow.chart_to_sphere(p)
-        q = flow.sphere_to_chart(s)
+        q = sphere_to_chart(s)
         assert np.max(np.abs(q - p)) <= 1e-14
         back = flow.chart_to_sphere(q)
         assert np.max(np.abs(back - s)) <= 1e-14
@@ -203,27 +207,27 @@ def test_modified_field_rejects_outside_chart():
 
 def test_symmetry_examples():
     s = np.array([0.1, 0.2, 0.3, 0.4])
-    assert np.allclose(flow.apply_symmetry(s, 1), [-0.1, 0.4, 0.3, 0.2])
-    assert np.allclose(flow.apply_symmetry(s, 4), [0.1, 0.2, -0.3, -0.4])
+    assert np.allclose(apply_symmetry(s, 1), [-0.1, 0.4, 0.3, 0.2])
+    assert np.allclose(apply_symmetry(s, 4), [0.1, 0.2, -0.3, -0.4])
 
 
 def test_symmetry_four_is_involution():
     s = np.array([0.3, -0.1, 0.7, 0.2])
-    twice = flow.apply_symmetry(flow.apply_symmetry(s, 4), 4)
+    twice = apply_symmetry(apply_symmetry(s, 4), 4)
     assert np.allclose(twice, s, atol=0)
 
 
 def test_symmetry_index_range():
     with pytest.raises(IndexError):
-        flow.symmetry(0)
+        symmetry(0)
     with pytest.raises(IndexError):
-        flow.apply_symmetry(flow.SINF, 6)
+        apply_symmetry(flow.SINF, 6)
 
 
 def test_field_equivariance_all_symmetries():
     rng = np.random.default_rng(6)
     for k in range(1, 6):
-        mat, rev = flow.symmetry(k)
+        mat, rev = symmetry(k)
         sign = -1.0 if rev else 1.0
         for _ in range(20):
             a = rng.uniform(0.1, 1.0, size=4)
@@ -264,14 +268,14 @@ def test_trajectory_equivariance():
             return out
 
         us, ys, term, stats = sh._integrate(field, 0.0, np.append(a0, 0.0), span,
-                                            1e-12, 1e-12, max_step=0.02,
+                                            1e-12, max_step=0.02,
                                             project=project)
         return us, ys[:, :4]
 
     fwd = run(start)
     fwd_w = np.array([_w(a) for a in fwd.spheres])
     for k in range(1, 6):
-        mat, rev = flow.symmetry(k)
+        mat, rev = symmetry(k)
         image = mat @ start
         if not rev:
             other = shoot.integrate_sphere(image, 0.0, span, tol=1e-12, max_step=0.02)
@@ -305,7 +309,7 @@ def _monitor_row(s, f):
 def test_monitors_at_singular_orbit():
     mu = 0.4
     lam = math.sqrt((1 - mu**2) / 2)
-    m = _monitor_row(flow.S0(mu), 1.0)
+    m = _monitor_row(S0(mu), 1.0)
     assert m["G1"] == pytest.approx(lam**2, abs=1e-16)
     assert m["G2"] == pytest.approx(mu * lam, abs=1e-16)
     assert m["F5"] == pytest.approx(lam**2, abs=1e-16)
@@ -431,7 +435,7 @@ def test_monotone_relations_along_trajectory():
     f1 = traj.monitor("F1")
     f2 = traj.monitor("F2")
     S = traj.spheres
-    fs = flow.first_integral(S.T)
+    fs = flow.first_integral(S)
     sel = np.nonzero((u > 0.3) & (u < u[-1] - 0.05))[0]
     worst2 = worst3 = 0.0
     for i in sel[::5]:
@@ -489,8 +493,8 @@ def test_relation_f4_on_arc_locus():
 def test_apply_symmetry_to_trajectory():
     base = shoot.launch_sphere(0.3, u_max=5.0)
     for k, reverse in ((4, False), (2, True)):
-        image = flow.apply_symmetry(base, k)
-        mat, _ = flow.symmetry(k)
+        image = apply_symmetry(base, k)
+        mat, _ = symmetry(k)
         if reverse:
             assert np.all(np.diff(image.params) > 0)
             assert image.params[0] == -base.params[-1]
@@ -507,10 +511,10 @@ def test_apply_symmetry_to_trajectory():
     # a t-trajectory's u column is reversed and negated with its samples
     base = shoot.family_shape_trajectory(0.3, t_max=5.0)
     for k in (2, 3):
-        image = flow.apply_symmetry(base, k)
+        image = apply_symmetry(base, k)
         assert np.array_equal(image.params, -base.params[::-1])
         assert np.array_equal(image.stats["u"], -base.stats["u"][::-1])
-    assert np.array_equal(flow.apply_symmetry(base, 4).stats["u"], base.stats["u"])
+    assert np.array_equal(apply_symmetry(base, 4).stats["u"], base.stats["u"])
 
 
 def test_symmetry_group_closure():

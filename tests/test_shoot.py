@@ -9,7 +9,7 @@ from g2cone import flow, shoot
 from g2cone.analysis import closed_form, dr_dt, r_to_t
 from g2cone.exterior import ShapeState
 from conftest import MU_CONVERGING, MU_GRID
-from helpers import constant_trajectory
+from helpers import constant_trajectory, sphere_to_chart
 
 SQ3 = math.sqrt(3.0)
 
@@ -66,9 +66,9 @@ def test_eval_series_seed_and_leading_term():
     s = shoot.series_start(0.3, order=4)
     lam = s.lam
     start = shoot.eval_series(s, 0.0)
-    assert np.allclose(start.as_array(), [0.3, lam, 0.0, lam], atol=0)
+    assert np.allclose(start, [0.3, lam, 0.0, lam], atol=0)
     tiny = shoot.eval_series(s, 1e-6)
-    assert tiny.B1 == pytest.approx(2e-6, abs=1e-14)
+    assert tiny[2] == pytest.approx(2e-6, abs=1e-14)  # B1
 
 
 def test_eval_series_rejects_beyond_trust_radius():
@@ -103,7 +103,7 @@ def test_integrate_shape_against_round_closed_form():
     for i in range(0, len(traj), max(1, len(traj) // 20)):
         t = traj.params[i]
         r = brentq(lambda rr: r_to_t("bs", rr) - t, r0 - 0.2, 60.0, xtol=1e-13)
-        assert np.max(np.abs(traj.shapes[i] - closed_form("bs", r).as_array())) <= 1e-8
+        assert np.max(np.abs(traj.shapes[i] - closed_form("bs", r))) <= 1e-8
 
 
 def test_integrate_shape_rejects_boundary_start():
@@ -196,8 +196,8 @@ def test_launch_initial_tangent():
     # the early chart samples leave the arc along the unstable direction
     mu = 0.5
     traj = shoot.launch_sphere(mu, eps=1e-5, u_max=1.0)
-    p0 = flow.sphere_to_chart(traj.spheres[0])
-    p1 = flow.sphere_to_chart(traj.spheres[5])
+    p0 = sphere_to_chart(traj.spheres[0])
+    p1 = sphere_to_chart(traj.spheres[5])
     d = p1 - p0
     d /= np.linalg.norm(d)
     e = shoot.unstable_direction(mu)
@@ -297,7 +297,7 @@ def test_detect_convergence_requires_staying():
 def test_alc_fit_family_slopes(family_shapes):
     expected = np.array([0.0, 1.0 / SQ3, 2.0 / 3.0, 1.0 / SQ3])
     for mu in (0.2, 0.5):
-        fit = shoot.alc_fit(family_shapes[mu], 0.5)
+        fit = shoot.alc_fit(family_shapes[mu])
         assert np.max(np.abs(fit.slopes - expected)) <= 2e-2
         assert fit.note == shoot.ALC_NOTE
 
@@ -310,28 +310,24 @@ def test_alc_fit_round_closed_form_slopes():
         inc, _ = quad(lambda r: 1.0 / dr_dt("bs", r), rs[i - 1], rs[i],
                       epsabs=1e-14, epsrel=1e-12)
         ts.append(ts[-1] + inc)
-    shapes = np.array([closed_form("bs", r).as_array() for r in rs])
-    traj = shoot.Trajectory.from_samples("t", ts, shapes=shapes)
-    fit = shoot.alc_fit(traj, 0.5)
+    traj = shoot.Trajectory.from_samples("t", ts, shapes=closed_form("bs", rs))
+    fit = shoot.alc_fit(traj)
     expected = np.array([1 / 3, 1 / 3, 1 / SQ3, 1 / SQ3])
     assert np.max(np.abs(fit.slopes - expected)) <= 1e-3
 
 
 def test_alc_fit_exactly_conic_input():
-    fit = shoot.alc_fit(constant_trajectory(flow.SINF), 0.5)
+    fit = shoot.alc_fit(constant_trajectory(flow.SINF))
     assert fit.max_relative_deviation <= 1e-12
 
 
 def test_alc_fit_validation(family_launches):
     with pytest.raises(ValueError):
-        shoot.alc_fit(family_launches[0.3], 0.5)  # u-parameterized
-    with pytest.raises(ValueError):
-        shoot.alc_fit(constant_trajectory(flow.SINF), 0.0)  # empty window
+        shoot.alc_fit(family_launches[0.3])  # u-parameterized
     # samples that cannot carry a fit give no fit: a short horizon, or a
     # trailing window holding only the last sample
-    assert shoot.alc_fit(shoot.family_shape_trajectory(0.5, t_max=10.0), 0.5) is None
-    assert shoot.alc_fit(shoot.family_shape_trajectory(0.5, t_max=40.0, stride=10**6),
-                         0.5) is None
+    assert shoot.alc_fit(shoot.family_shape_trajectory(0.5, t_max=10.0)) is None
+    assert shoot.alc_fit(shoot.family_shape_trajectory(0.5, t_max=40.0, stride=10**6)) is None
 
 
 # -- the family edge --------------------------------------------------------------------
