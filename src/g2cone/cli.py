@@ -82,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 ECHOED = ("t_max", "u_max", "tol", "conv_tol", "order", "stride", "seed", "format")
 MAX_SAMPLES = 100_000
 MAX_MU_POINTS = 1_000
+MAX_CONV_TOL = 0.1  # convergence ball around SINF, far from S1 (0.41 away), where paths linger
 
 
 def validate(args) -> None:
@@ -102,8 +103,8 @@ def validate(args) -> None:
         raise ConfigError("stride must be >= 1")
     if not 3 <= args.order <= 8:
         raise ConfigError("order must lie in 3..8")
-    if args.tol <= 0 or args.conv_tol <= 0:
-        raise ConfigError("tolerances must be positive")
+    if args.tol <= 0 or not 0 < args.conv_tol <= MAX_CONV_TOL:
+        raise ConfigError(f"--tol must be positive and --conv-tol in (0, {MAX_CONV_TOL:g}]")
     if args.seed < 0:
         raise ConfigError("--seed must be >= 0")
     if not 1 <= getattr(args, "samples", 1) <= MAX_SAMPLES:
@@ -291,7 +292,7 @@ def cmd_shoot(args, outdir: Path, report: dict) -> str:
     report.update(summary, alc=_fit_dict(fit), monitors=_monitor_extrema(traj),
                   notes=[shoot.ALC_NOTE],
                   files=_write_shoot_artifacts(mus[0], traj, outdir, args.format))
-    report["pass"] = summary["positivity_ok"] and summary["converged"]
+    report["pass"] = summary["converged"] and summary["termination"] == shoot.REACHED_HORIZON
     return f"shoot_mu{mus[0]:.6g}.json"
 
 
@@ -384,7 +385,7 @@ def cmd_sweep(args, outdir: Path, report: dict) -> str:
         witness = _witness(traj)
         slopes = fit.slopes if fit is not None else [float("nan")] * 4
         f_target = mu * (1.0 - mu * mu)  # 2 lambda^2 mu at the singular orbit
-        member_ok = (res["converged"] and res["positivity_ok"]
+        member_ok = (res["converged"] and res["termination"] == shoot.REACHED_HORIZON
                      and abs(res["F_initial"] - f_target) <= 1e-10
                      and max(dpsi, dstar) <= 1e-10
                      and fit is not None

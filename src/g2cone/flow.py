@@ -64,6 +64,8 @@ def velocity(r) -> np.ndarray:
     Defined wherever the denominators A2, B1, B2 are nonzero; A1 never
     divides, so the wall A1 = 0 is inside the domain (and is invariant).
     """
+    if np.ndim(r) == 1:  # one state on Python floats, where a zero denominator raises
+        return np.array(_components(*np.asarray(r).tolist()))
     a1, a2, b1, b2 = rt = np.asarray(r).T  # components first; the last .T undoes it
     if np.count_nonzero(rt[1:]) < 3 * a2.size:
         raise ZeroDivisionError(f"vector field undefined at {r}")

@@ -29,6 +29,7 @@ __all__ = [
     "CONVERGED",
     "POSITIVITY_VIOLATION",
     "STEP_FAILURE",
+    "WALL_CROSSING",
     "SERIES_MAX_OFFSET",
     "series_start",
     "eval_series",
@@ -50,6 +51,7 @@ REACHED_HORIZON = "reached-horizon"
 CONVERGED = "converged-to-target"
 POSITIVITY_VIOLATION = "positivity-violation"
 STEP_FAILURE = "step-failure"
+WALL_CROSSING = "wall-crossing"  # only runs asked to stop at the G1 wall end here
 
 POSITIVITY_FLOOR = 1e-9
 SERIES_MAX_OFFSET = 1e-2  # the series launch offset never exceeds this t
@@ -267,12 +269,14 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
     field(x, y) -> dy/dx.  project(y) -> y runs after every accepted
     step (its displacement is logged as drift).  stop(x, y) -> str | None
     is checked after every accepted step; a non-None reason terminates
-    with that reason recorded.
+    with that reason recorded.  stats counts accepted and rejected steps and
+    field evaluations (evals); h_min, h_max bound the accepted steps (inf, 0 if none).
     """
     y = np.asarray(y0, dtype=float).copy()
     x = float(x0)
     xs, ys = [x], [y.copy()]
-    stats = {"steps": 0, "rejected": 0, "max_drift": 0.0, "error_sum": 0.0}
+    stats = {"steps": 0, "rejected": 0, "evals": 1, "h_min": math.inf, "h_max": 0.0,
+             "max_drift": 0.0, "error_sum": 0.0}
     f0 = field(x, y)
     scale = ATOL + rtol * np.abs(y)
     d0 = np.linalg.norm(y / scale) / math.sqrt(y.size)
@@ -287,7 +291,7 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
         if h < 1e-13 * max(1.0, abs(x)):
             termination = STEP_FAILURE
             break
-        failed = False
+        failed, i = False, 0
         try:
             k[0] = field(x, y)
             for i in range(1, 7):
@@ -295,6 +299,7 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
                 k[i] = field(x + _DP_C[i] * h, yi)
         except (ValueError, ZeroDivisionError, FloatingPointError):
             failed = True
+        stats["evals"] += i + 1  # stage i was evaluated, also when it raised
         if not failed:
             y1 = y + h * (_DP_B5 @ k)
             err_vec = h * (_DP_E @ k)
@@ -310,6 +315,7 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
             continue
         x += h
         stats["steps"] += 1
+        stats["h_min"], stats["h_max"] = min(stats["h_min"], h), max(stats["h_max"], h)
         stats["error_sum"] += float(np.max(np.abs(err_vec)))
         if project is not None:
             yp = project(y1)
@@ -322,10 +328,7 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
             ys.append(y.copy())
             since_record = 0
         reason = stop(x, y) if stop is not None else None
-        if reason is not None:
-            if xs[-1] != x:
-                xs.append(x)
-                ys.append(y.copy())
+        if reason is not None:  # the last state is recorded after the loop
             termination = reason
             break
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
@@ -338,14 +341,30 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
 # -- trajectory assembly ----------------------------------------------------
 
 
+# DP54 fields on (R, u) and (S, ln f), filled in place: np.append costs more than the arithmetic
+def _shape_field(_, y):
+    out = np.empty(5)
+    out[:4], out[4] = flow.velocity(y[:4]), 1.0 / math.sqrt(y[:4] @ y[:4])  # = np.linalg.norm
+    return out
+
+
+def _sphere_field(_, y):
+    out = np.empty(5)
+    out[:4], out[4] = flow.sphere_field(y[:4])
+    return out
+
+
 def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, stride: int = 1,
-                    max_step: float = np.inf, u0: float = 0.0) -> Trajectory:
+                    max_step: float = np.inf, u0: float = 0.0,
+                    until_wall: bool = False) -> Trajectory:
     """Integrate the shape flow from a strictly positive shape (4,).
 
     The sphere parameter u (du = dt / f) rides along as a quadrature
     variable and is exposed in stats["u"].  Terminates early when any
     shape component drops below 1e-9 or the step size collapses; the
-    reason is recorded on the trajectory, never silently.
+    reason is recorded on the trajectory, never silently.  until_wall also stops
+    at the first step whose direction has G1 < -1e-12 (WALL_CROSSING; the
+    margin over rounding keeps the G1 monitor of that sample negative).
     """
     r = np.asarray(start, dtype=float)
     if np.any(r <= 0.0):
@@ -353,13 +372,15 @@ def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, stride: int
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
 
-    def field(_, y):
-        return np.append(flow.velocity(y[:4]), 1.0 / np.linalg.norm(y[:4]))
-
     def stop(_, y):
-        return POSITIVITY_VIOLATION if np.min(y[:4]) < POSITIVITY_FLOOR else None
+        a1, a2, b1, b2 = y[:4].tolist()
+        if min(a1, a2, b1, b2) < POSITIVITY_FLOOR:
+            return POSITIVITY_VIOLATION
+        if until_wall and a2 * b2 - a1 * b1 < -1e-12 * (a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2):
+            return WALL_CROSSING
+        return None
 
-    ts, ys, term, stats = _integrate(field, t0, np.append(r, u0), t1, tol,
+    ts, ys, term, stats = _integrate(_shape_field, t0, np.append(r, u0), t1, tol,
                                      max_step=max_step, stop=stop, record_every=stride)
     return Trajectory.from_samples("t", ts, shapes=ys[:, :4], termination=term,
                                    stats={**stats, "u": ys[:, 4].copy()})
@@ -380,16 +401,12 @@ def integrate_sphere(start: np.ndarray, u0: float, u1: float, f0: float = 1.0,
     if abs(np.linalg.norm(a0) - 1.0) > 1e-9:
         raise ValueError(f"start must be a unit vector, got |S| = {np.linalg.norm(a0)}")
 
-    def field(_, y):
-        w, beta = flow.sphere_field(y[:4])
-        return np.append(w, beta)
-
     def project(y):
         out = y.copy()
         out[:4] /= np.linalg.norm(out[:4])
         return out
 
-    us, ys, term, stats = _integrate(field, u0, np.append(a0, math.log(f0)), u1, tol,
+    us, ys, term, stats = _integrate(_sphere_field, u0, np.append(a0, math.log(f0)), u1, tol,
                                      max_step=max_step, project=project)
     return Trajectory.from_samples("u", us, spheres=ys[:, :4], f=np.exp(ys[:, 4]),
                                    termination=term, stats=stats)
@@ -545,13 +562,13 @@ def critical_parameter(lo: float = 0.5, hi: float = 0.6, tol: float = 1e-9) -> f
     direction (asymptotically conic with a circle fiber); above it they
     cross the G1 wall and the metric closes up singularly at finite t.
     The critical trajectory itself approaches the conic stationary
-    direction S1.  Located by bisection on the wall crossing of family
-    runs to t = 60; the bracket must straddle the transition.
+    direction S1.  Located by bisection on family runs until the (one-way)
+    wall crossing or t = 60; the bracket must straddle the transition.
     """
 
     def escapes(mu):
         return escapes_invariant_region(
-            family_shape_trajectory(mu, t_max=60.0, tol=1e-12))
+            family_shape_trajectory(mu, t_max=60.0, tol=1e-12, until_wall=True))
 
     if escapes(lo) or not escapes(hi):
         raise ValueError(f"bracket ({lo}, {hi}) does not straddle the transition")
@@ -565,8 +582,8 @@ def critical_parameter(lo: float = 0.5, hi: float = 0.6, tol: float = 1e-9) -> f
 
 
 def family_shape_trajectory(mu: float, t_max: float = 200.0, tol: float = 1e-10,
-                            order: int = 4, stride: int = 1,
-                            max_step: float = np.inf) -> Trajectory:
+                            order: int = 4, stride: int = 1, max_step: float = np.inf,
+                            until_wall: bool = False) -> Trajectory:
     """Series launch followed by shape integration: the standard family run.
 
     The launch offset keeps the series truncation below 1e-12 (safely
@@ -583,4 +600,4 @@ def family_shape_trajectory(mu: float, t_max: float = 200.0, tol: float = 1e-10,
 
     u0 = float(gauss_legendre(inv_f, 0.0, delta))
     return integrate_shape(start, delta, t_max, tol=tol, stride=stride,
-                           max_step=max_step, u0=u0)
+                           max_step=max_step, u0=u0, until_wall=until_wall)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import g2cone
 from g2cone.shoot import SERIES_MAX_OFFSET
-from g2cone.cli import (CSV_HEADER, MAX_MU_POINTS, MAX_SAMPLES, SWEEP_HEADER,
+from g2cone.cli import (CSV_HEADER, MAX_CONV_TOL, MAX_MU_POINTS, MAX_SAMPLES, SWEEP_HEADER,
                         ConfigError, build_parser, main, mu_values, validate)
 
 
@@ -57,6 +58,8 @@ def test_invalid_common_options(tmp_path):
                               ["shoot", "--mu", "0.3", "--u-max", "nan"],
                               ["shoot", "--mu", "0.3", "--tol", "nan"],
                               ["shoot", "--mu", "0.3", "--conv-tol", "nan"],
+                              ["shoot", "--mu", "0.9", "--conv-tol", "10"],  # vacuous
+                              ["sweep", "--conv-tol", "2"],
                               ["stationary", "--mu", "0.99"],  # stencil leaves the chart
                               ["sweep", "--mu-range", "nonsense"])):
         out = tmp_path / str(i)
@@ -76,6 +79,9 @@ def test_input_bounds():
     validate(parse(["shoot", "--t-max", str(float(np.nextafter(SERIES_MAX_OFFSET, 1.0)))]))
     with pytest.raises(ConfigError):
         validate(parse(["shoot", "--t-max", str(SERIES_MAX_OFFSET)]))
+    validate(parse(["shoot", "--conv-tol", str(MAX_CONV_TOL)]))
+    with pytest.raises(ConfigError):
+        validate(parse(["shoot", "--conv-tol", str(float(np.nextafter(MAX_CONV_TOL, 1.0)))]))
     grid = mu_values(parse(["sweep", "--mu-range", f"0.1:0.9:{MAX_MU_POINTS}"]), [])
     assert len(grid) == MAX_MU_POINTS
     for n in (0, MAX_MU_POINTS + 1):
@@ -158,6 +164,22 @@ def test_shoot_beyond_family_edge_reports_and_fails(tmp_path):
     assert rep["pass"] is False
     assert rep["converged"] is False
     assert rep["termination"] in ("step-failure", "positivity-violation")
+
+
+def test_step_failure_never_passes(tmp_path, monkeypatch):
+    # a run ending in step failure fails even when its path counts as converged
+    # (as a vacuous --conv-tol once made it)
+    monkeypatch.setattr(g2cone.shoot, "detect_convergence", lambda *a: (True, 0.0))
+    assert run(["shoot", "--mu", "0.9", "--out", str(tmp_path), "--format", "json"]) == 1
+    rep = load(tmp_path / "shoot_mu0.9.json")
+    assert (rep["termination"], rep["converged"], rep["pass"]) == ("step-failure", True, False)
+    # a sweep member that passes every other gate
+    assert run(["sweep", "--mu", "0.3", "--out", str(tmp_path / "ok"), "--format", "json"]) == 0
+    family = g2cone.shoot.family_shape_trajectory
+    monkeypatch.setattr(g2cone.shoot, "family_shape_trajectory", lambda mu, **kw: replace(
+        family(mu, **kw), termination=g2cone.shoot.STEP_FAILURE))
+    assert run(["sweep", "--mu", "0.3", "--out", str(tmp_path), "--format", "json"]) == 1
+    assert load(tmp_path / "sweep.json")["members"][0]["pass"] is False
 
 
 def test_empty_cells_for_missing_monitors(tmp_path):

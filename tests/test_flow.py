@@ -46,13 +46,37 @@ def test_rhs_degree_zero_homogeneity():
 
 
 def test_rhs_rejects_zero_denominators():
-    with pytest.raises(ZeroDivisionError):
-        flow.velocity(np.array([1.0, 0.0, 1.0, 1.0]))
-    with pytest.raises(ZeroDivisionError):
-        flow.velocity(np.array([1.0, 1.0, 0.0, 1.0]))
+    for j in (1, 2, 3):  # A2, B1, B2: one state, a batch, and the integrator fields
+        r = np.ones(4)
+        r[j] = 0.0
+        with pytest.raises(ZeroDivisionError):
+            flow.velocity(r)
+        with pytest.raises(ZeroDivisionError):
+            flow.velocity(np.stack([np.ones(4), r]))
+        with pytest.raises(ZeroDivisionError):
+            shoot._shape_field(0.0, np.append(r, 0.0))
+        with pytest.raises(ZeroDivisionError):
+            shoot._sphere_field(0.0, np.append(r / np.linalg.norm(r), 0.0))
     # A1 = 0 is inside the domain (the wall is invariant: V1 = 0 there)
     v = flow.velocity(np.array([0.0, 1.0, 1.0, 1.0]))
     assert v[0] == 0.0
+
+
+def test_one_state_fields_match_array_path():
+    """One state runs on Python floats: bit for bit the numpy (array) results."""
+    rng = np.random.default_rng(11)
+    states = np.exp(rng.uniform(-4.0, 2.0, size=(1000, 5)))
+    batch = flow.velocity(states[:, :4])
+    for y, v in zip(states, batch):
+        a = y[:4]
+        assert np.array_equal(flow.velocity(a), v)
+        assert np.array_equal(flow.velocity(list(a)), v)
+        assert np.array_equal(shoot._shape_field(0.0, y), np.append(v, 1.0 / np.linalg.norm(a)))
+        s = a / np.linalg.norm(a)
+        w = flow.velocity(s[None])[0]
+        beta = float(np.dot(w, s))
+        assert np.array_equal(shoot._sphere_field(0.0, np.append(s, y[4])),
+                              np.append(w - beta * s, beta))
 
 
 # -- first integral -------------------------------------------------------------

@@ -114,6 +114,33 @@ def test_integrate_shape_rejects_boundary_start():
         shoot.integrate_shape(ShapeState(1, 1, 1, 1), 1.0, 0.5)
 
 
+def test_integrator_counters(monkeypatch):
+    """stats count every field evaluation and bound the accepted steps."""
+    calls = []
+    velocity = flow.velocity
+    monkeypatch.setattr(flow, "velocity", lambda r: calls.append(1) or velocity(r))
+    traj = shoot.family_shape_trajectory(0.5, t_max=60.0, tol=1e-12)
+    st = traj.stats
+    assert st["evals"] == len(calls) == 1 + 7 * (st["steps"] + st["rejected"])
+    h = np.diff(traj.params)
+    assert st["h_min"] == pytest.approx(np.min(h), rel=1e-9)
+    assert st["h_max"] == pytest.approx(np.max(h), rel=1e-9)
+
+    # a stage that raises ends its attempt early and is counted
+    def field(x, y):
+        calls.append(1)
+        if x > 1.0:
+            raise ValueError("outside the domain")
+        return -y
+
+    calls.clear()
+    _, _, term, st = shoot._integrate(field, 0.0, np.ones(2), 2.0, 1e-10)
+    attempts = st["steps"] + st["rejected"]
+    assert term == shoot.STEP_FAILURE
+    assert attempts < st["evals"] == len(calls) < 1 + 7 * attempts
+    assert 0.0 < st["h_min"] <= st["h_max"] <= 1.0
+
+
 def test_first_integral_drift_small():
     traj = shoot.family_shape_trajectory(0.5, t_max=50.0, tol=1e-12)
     F = traj.monitor("F")
@@ -352,6 +379,36 @@ def test_critical_parameter_location():
     # escaping mu = 0.545 members
     mu_star = shoot.critical_parameter(lo=0.53, hi=0.56, tol=1e-6)
     assert mu_star == pytest.approx(0.5441298, abs=1e-5)
+
+
+MU_EDGE = 0.5441298123449086  # critical_parameter(0.5, 0.6, tol=1e-9)
+
+
+def test_critical_parameter_pinned():
+    assert shoot.critical_parameter(0.5, 0.6, tol=1e-9) == MU_EDGE
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.6] + [MU_EDGE + s * d for d in (1e-3, 1e-6, 1e-9)
+                                             for s in (-1.0, 1.0)])
+def test_wall_stop_keeps_the_escape_decision(mu):
+    """A run stopped at the wall is a prefix of the full run and decides alike."""
+    full = shoot.family_shape_trajectory(mu, t_max=60.0, tol=1e-12)
+    stopped = shoot.family_shape_trajectory(mu, t_max=60.0, tol=1e-12, until_wall=True)
+    escapes = shoot.escapes_invariant_region(full)
+    assert escapes == (mu > MU_EDGE)
+    assert shoot.escapes_invariant_region(stopped) == escapes
+    n = len(stopped)
+    assert np.array_equal(stopped.params, full.params[:n])
+    assert np.array_equal(stopped.shapes, full.shapes[:n])
+    if escapes:
+        assert stopped.termination == shoot.WALL_CROSSING
+        assert stopped.stats["steps"] < full.stats["steps"]
+        g1 = stopped.monitor("G1")
+        assert g1[-1] < 0.0 and np.all(g1[:-1] >= 0.0)  # stopped at the first crossing
+    else:
+        assert stopped.termination == full.termination == shoot.REACHED_HORIZON
+        assert n == len(full)
+        assert all(stopped.stats[k] == full.stats[k] for k in ("steps", "rejected", "evals"))
 
 
 def test_critical_trajectory_approaches_conic_point():
