@@ -15,7 +15,7 @@ import numpy as np
 
 from g2cone import analysis
 
-for rep in analysis.stationary_points(with_eigendata=True):
+for rep in analysis.stationary_points():
     print(f"{rep.name}: {np.round(rep.point, 10)}")
     print(f"  |W| = {rep.field_residual:.2e}, symmetry orbit size {rep.orbit_size}")
     print(f"  tangential eigenvalues: {np.round(rep.eigenvalues.real, 8)}")

@@ -13,7 +13,7 @@ integrator and the flow field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "linearize",
     "eig_small",
     "closed_form",
-    "closed_form_domain",
     "dr_dt",
     "r_to_t",
     "R_TO_T_MAX",
@@ -56,15 +55,15 @@ class EigenResidualError(RuntimeError):
 
 @dataclass
 class StationaryReport:
-    """A stationary direction of the sphere flow with optional eigendata."""
+    """A stationary direction of the sphere flow with its tangential eigendata."""
 
     point: np.ndarray  # unit direction on S^3
     name: str
     orbit_size: int
-    eigenvalues: np.ndarray | None = None
-    eigenvectors: np.ndarray | None = None  # rows are tangent 4-vectors
-    classification: tuple | None = None  # counts (negative, zero, positive)
-    field_residual: float = field(default=0.0)
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray  # rows are tangent 4-vectors
+    classification: tuple  # counts (negative, zero, positive)
+    field_residual: float
 
 
 CLOSED_FORM_KINDS = ("bgg", "bs", "singular")
@@ -80,28 +79,24 @@ def _orbit_size(point: np.ndarray) -> int:
     return len(images)
 
 
-def stationary_points(with_eigendata: bool = False) -> list:
+def stationary_points() -> list:
     """The stationary directions S1 and S_inf of the tangential flow.
 
     Each satisfies V(S) parallel to S; the report records the residual
-    |W(S)| and the size of the orbit under the discrete symmetry group.
-    With eigendata requested, the tangential linearization is attached.
+    |W(S)|, the size of the orbit under the discrete symmetry group and
+    the eigendata of the tangential linearization.
     """
     reports = []
     for name, s in (("S1", flow.S1), ("Sinf", flow.SINF)):
-        res = float(np.linalg.norm(flow.sphere_field(s)[0]))
-        rep = StationaryReport(point=s, name=name, orbit_size=_orbit_size(s),
-                               field_residual=res)
-        if with_eigendata:
-            jac = linearize(s, "tangential")
-            w, v = eig_small(jac)
-            basis = tangent_basis(s)
-            rep.eigenvalues = w
-            rep.eigenvectors = np.array([basis.T @ v[:, i] for i in range(len(w))])
-            re = w.real
-            rep.classification = (int(np.sum(re < -1e-8)), int(np.sum(np.abs(re) <= 1e-8)),
-                                  int(np.sum(re > 1e-8)))
-        reports.append(rep)
+        w, v = eig_small(linearize(s, "tangential"))
+        basis = tangent_basis(s)
+        re = w.real
+        reports.append(StationaryReport(
+            point=s, name=name, orbit_size=_orbit_size(s), eigenvalues=w,
+            eigenvectors=np.array([basis.T @ v[:, i] for i in range(len(w))]),
+            classification=(int(np.sum(re < -1e-8)), int(np.sum(np.abs(re) <= 1e-8)),
+                            int(np.sum(re > 1e-8))),
+            field_residual=float(np.linalg.norm(flow.sphere_field(s)[0]))))
     return reports
 
 
@@ -181,19 +176,24 @@ def eig_small(m: np.ndarray):
 # -- classical closed-form solutions ----------------------------------------
 
 
-def closed_form_domain(kind: str) -> tuple:
-    """(r_min, open) for the parameter domain of each closed form."""
-    if kind == "bgg":
-        return 9.0 / 4.0, False
-    if kind == "bs":
-        return 1.0, True
-    if kind == "singular":
-        return 0.0, True
-    raise ValueError(f"unknown closed form kind {kind!r}")
+# Per kind: (r0, s0, h, open).  The domain is r >= r0, or r > r0 when open.
+# dt = dr / g(r) with r = r0 + s^2 becomes dt = h(r) ds, h = 2 s / g(r).
+# At the bgg and bs origins g ~ c s and the factor s cancels by hand, so h
+# is smooth there; the singular form takes r0 = 0, which keeps its branch
+# point at r = 0 off the path.  Each h is analytic 0.5 off the real s axis.
+# The t-origins are the bgg cone tip r = 9/4 and the bs bolt r = 1 (s = 0);
+# the singular solution has no smooth closure, so t(1) = 0 (s = 1).
+_SUBSTITUTION = {
+    "bgg": (2.25, 0.0, lambda r: 2.0 * np.sqrt((r - 0.75) * (r + 0.75) / (r + 2.25)), False),
+    "bs": (1.0, 0.0, lambda r: 2.0 * r**1.5 / np.sqrt(r * r + r + 1.0), True),
+    "singular": (0.0, 1.0, lambda r: 2.0 * r * r / np.sqrt(1.0 + r**3), True),
+}
 
 
 def _check_domain(kind: str, r) -> None:
-    r_min, open_end = closed_form_domain(kind)
+    if kind not in _SUBSTITUTION:
+        raise ValueError(f"unknown closed form kind {kind!r}")
+    r_min, _, _, open_end = _SUBSTITUTION[kind]
     if not np.all(np.isfinite(r)):
         raise ValueError(f"{kind} closed form needs finite r")
     r_lo = np.min(r)
@@ -236,17 +236,6 @@ def dr_dt(kind: str, r):
     return float(g) if g.ndim == 0 else g
 
 
-# dt = dr / g(r) with r = r0 + s^2 becomes dt = h(r) ds, h = 2 s / g(r).
-# At the bgg and bs origins g ~ c s and the factor s cancels by hand, so h
-# is smooth there; the singular form takes r0 = 0, which keeps its branch
-# point at r = 0 off the path.  Each h is analytic 0.5 off the real s axis.
-# The t-origins are the bgg cone tip r = 9/4 and the bs bolt r = 1 (s = 0);
-# the singular solution has no smooth closure, so t(1) = 0 (s = 1).
-_SUBSTITUTION = {
-    "bgg": (2.25, 0.0, lambda r: 2.0 * np.sqrt((r - 0.75) * (r + 0.75) / (r + 2.25))),
-    "bs": (1.0, 0.0, lambda r: 2.0 * r**1.5 / np.sqrt(r * r + r + 1.0)),
-    "singular": (0.0, 1.0, lambda r: 2.0 * r * r / np.sqrt(1.0 + r**3)),
-}
 R_TO_T_MAX = 1e6  # the rule's cost grows as sqrt(r)
 
 
@@ -261,7 +250,7 @@ def r_to_t(kind: str, r):
     _check_domain(kind, r)
     if np.max(r) > R_TO_T_MAX:
         raise ValueError(f"r_to_t needs r <= {R_TO_T_MAX:g}")
-    r0, s0, h = _SUBSTITUTION[kind]
+    r0, s0, h, _ = _SUBSTITUTION[kind]
     t = gauss_legendre(lambda s: h(r0 + s * s), s0, np.sqrt(np.asarray(r, dtype=float) - r0))
     return float(t) if np.ndim(r) == 0 else t
 

@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--conv-tol", type=float, default=1e-6,
                         help="convergence tolerance on the sphere")
     common.add_argument("--order", type=int, default=4, help="series order, 3..8")
-    common.add_argument("--stride", type=int, default=1, help="record every N-th step")
+    common.add_argument("--stride", type=int, default=1,
+                        help="write every N-th step (and the last) to CSV/SVG")
     common.add_argument("--out", type=str, default="g2cone_out", help="output directory")
     common.add_argument("--format", type=str, default="csv,json",
                         help="comma subset of csv,json,svg")
@@ -151,9 +152,11 @@ def _monitor_extrema(traj: shoot.Trajectory) -> dict:
 
 
 def _shoot_pipeline(mu: float, args) -> tuple:
-    """Family run shared by the shoot and sweep commands: (traj, fit, summary)."""
-    traj = shoot.family_shape_trajectory(mu, t_max=args.t_max, tol=args.tol,
-                                         order=args.order, stride=args.stride)
+    """Family run shared by the shoot and sweep commands: (traj, fit, summary, ok).
+
+    ok is the run's pass rule: converged, and integrated to the t horizon.
+    """
+    traj = shoot.family_shape_trajectory(mu, t_max=args.t_max, tol=args.tol, order=args.order)
     # convergence is certified on the whole path in u: the shape run,
     # continued on the sphere up to the u horizon when it ends early
     u, spheres = traj.stats["u"], traj.spheres
@@ -165,6 +168,7 @@ def _shoot_pipeline(mu: float, args) -> tuple:
     converged, u_conv = shoot.detect_convergence(spheres, u, flow.SINF, args.conv_tol)
 
     F = traj.monitor("F")
+    ok = converged and traj.termination == shoot.REACHED_HORIZON
     return traj, shoot.alc_fit(traj), {
         "mu": mu,
         "termination": traj.termination,
@@ -174,7 +178,7 @@ def _shoot_pipeline(mu: float, args) -> tuple:
         "dist_to_target_end": float(np.linalg.norm(spheres[-1] - flow.SINF)),
         "F_initial": float(F[0]),
         "F_drift": float(np.max(np.abs(F - F[0]))),
-    }
+    }, ok
 
 
 def _fit_dict(fit) -> dict | None:
@@ -185,28 +189,29 @@ def _fit_dict(fit) -> dict | None:
             "max_relative_deviation": fit.max_relative_deviation, "note": fit.note}
 
 
-def _write_shoot_artifacts(mu: float, traj: shoot.Trajectory, outdir: Path,
-                           formats: list) -> list:
+def _write_shoot_artifacts(mu: float, traj: shoot.Trajectory, outdir: Path, args) -> list:
+    """--format's CSV/SVG artifacts of rows 0, N, 2N, ..., last of the run (N = --stride)."""
     tag = f"shoot_mu{mu:.6g}"
     files = []
-    if "csv" in formats:
+    rows = np.r_[0:len(traj) - 1:args.stride, len(traj) - 1]
+    t, shapes, spheres = traj.params[rows], traj.shapes[rows], traj.spheres[rows]
+    if "csv" in args.format:
         path = outdir / f"{tag}.csv"
-        write_csv(path, CSV_HEADER, np.column_stack([traj.params, traj.stats["u"], traj.shapes,
-                                                     traj.spheres, traj.f, traj.monitors]))
+        write_csv(path, CSV_HEADER, np.column_stack([t, traj.stats["u"][rows], shapes, spheres,
+                                                     traj.f[rows], traj.monitors[rows]]))
         files.append(path.name)
-    if "svg" in formats:
+    if "svg" in args.format:
         path = outdir / f"{tag}_shapes.svg"
-        write_svg_plot(path, [(traj.params, traj.shapes[:, j], n) for j, n in
+        write_svg_plot(path, [(t, shapes[:, j], n) for j, n in
                               enumerate(("A1", "A2", "B1", "B2"))],
                        f"shape functions, mu={mu:.6g}", "t", "value")
         files.append(path.name)
         path = outdir / f"{tag}_sphere_a1a3.svg"
-        write_svg_plot(path, [(traj.spheres[:, 0], traj.spheres[:, 2], "trajectory")],
+        write_svg_plot(path, [(spheres[:, 0], spheres[:, 2], "trajectory")],
                        f"sphere projection, mu={mu:.6g}", "alpha1", "alpha3")
         files.append(path.name)
         path = outdir / f"{tag}_sphere_ya3.svg"
-        write_svg_plot(path, [(traj.spheres[:, 3] - traj.spheres[:, 1],
-                               traj.spheres[:, 2], "trajectory")],
+        write_svg_plot(path, [(spheres[:, 3] - spheres[:, 1], spheres[:, 2], "trajectory")],
                        f"sphere projection, mu={mu:.6g}", "alpha4 - alpha2", "alpha3")
         files.append(path.name)
     return files
@@ -227,7 +232,7 @@ def cmd_verify_torsion(args, outdir: Path, report: dict) -> str:
         psi = ext.KForm(3, flipped)
         report["debug_flip_psi"] = True
     rng = np.random.default_rng(args.seed)
-    worst_rel, worst_res, failures = 0.0, 0.0, 0
+    worst_rel, worst_res, failures, solve_failures = 0.0, 0.0, 0, 0
     worst_case = None
     for _ in range(args.samples):
         state = rng.uniform(0.2, 5.0, size=4)
@@ -237,6 +242,7 @@ def cmd_verify_torsion(args, outdir: Path, report: dict) -> str:
             rel = float(np.max(np.abs(solved - analytic) / np.maximum(1.0, np.abs(analytic))))
         except ext.TorsionSolveError:
             rel = float("inf")
+            solve_failures += 1
         res = max(ext.torsion_residual(state, analytic, psi))
         if rel > worst_rel or res > worst_res:
             worst_case = list(state)
@@ -246,7 +252,7 @@ def cmd_verify_torsion(args, outdir: Path, report: dict) -> str:
             failures += 1
     report.update({
         "max_relative_mismatch": None if math.isinf(worst_rel) else worst_rel,
-        "solve_failures": int(np.isinf(worst_rel)),
+        "solve_failures": solve_failures,
         "max_residual_at_analytic_derivs": worst_res,
         "failing_samples": failures,
         "worst_state": worst_case,
@@ -288,11 +294,11 @@ def cmd_shoot(args, outdir: Path, report: dict) -> str:
     mus = mu_values(args, default=[])
     if len(mus) != 1:
         raise ConfigError("shoot needs exactly one --mu")
-    traj, fit, summary = _shoot_pipeline(mus[0], args)
+    traj, fit, summary, ok = _shoot_pipeline(mus[0], args)
     report.update(summary, alc=_fit_dict(fit), monitors=_monitor_extrema(traj),
                   notes=[shoot.ALC_NOTE],
-                  files=_write_shoot_artifacts(mus[0], traj, outdir, args.format))
-    report["pass"] = summary["converged"] and summary["termination"] == shoot.REACHED_HORIZON
+                  files=_write_shoot_artifacts(mus[0], traj, outdir, args))
+    report["pass"] = ok
     return f"shoot_mu{mus[0]:.6g}.json"
 
 
@@ -300,7 +306,7 @@ def cmd_stationary(args, outdir: Path, report: dict) -> str:
     mus = mu_values(args, default=[0.25, 0.5, 0.75])
     ok = True
     points = {}
-    for rep in analysis.stationary_points(with_eigendata=True):
+    for rep in analysis.stationary_points():
         entry = {
             "point": list(rep.point),
             "field_residual": rep.field_residual,
@@ -379,14 +385,13 @@ def cmd_sweep(args, outdir: Path, report: dict) -> str:
     members = []
     ok = True
     for mu in mus:
-        traj, fit, res = _shoot_pipeline(mu, args)
-        _write_shoot_artifacts(mu, traj, outdir, args.format)
+        traj, fit, res, run_ok = _shoot_pipeline(mu, args)
+        _write_shoot_artifacts(mu, traj, outdir, args)
         dpsi, dstar = _max_torsion(traj)
         witness = _witness(traj)
         slopes = fit.slopes if fit is not None else [float("nan")] * 4
         f_target = mu * (1.0 - mu * mu)  # 2 lambda^2 mu at the singular orbit
-        member_ok = (res["converged"] and res["termination"] == shoot.REACHED_HORIZON
-                     and abs(res["F_initial"] - f_target) <= 1e-10
+        member_ok = (run_ok and abs(res["F_initial"] - f_target) <= 1e-10
                      and max(dpsi, dstar) <= 1e-10
                      and fit is not None
                      and bool(np.all(np.abs(np.asarray(slopes) - _SLOPES_LIMIT) <= 2e-2)))

@@ -247,7 +247,6 @@ def gauss_legendre(fn, a, b):
 
 # -- Dormand-Prince 5(4) ---------------------------------------------------
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -257,34 +256,34 @@ _DP_A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # difference between 5th and embedded 4th order weights
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
-def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None,
-               record_every=1):
-    """Adaptive DP54 driver; returns (xs, ys, termination, stats).
+def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None):
+    """Adaptive DP54 driver for an autonomous field; returns (xs, ys, termination, stats).
 
-    field(x, y) -> dy/dx.  project(y) -> y runs after every accepted
-    step (its displacement is logged as drift).  stop(x, y) -> str | None
-    is checked after every accepted step; a non-None reason terminates
-    with that reason recorded.  stats counts accepted and rejected steps and
-    field evaluations (evals); h_min, h_max bound the accepted steps (inf, 0 if none).
+    Every accepted step is recorded.  field(y) -> dy/dx.  The fifth-order
+    weights are the last stage's row of _DP_A (first-same-as-last), so an
+    accepted step ends at its stage-6 state.  project(y) -> y runs after
+    every accepted step (its displacement is logged as drift).  stop(y) ->
+    str | None is checked after every accepted step; a non-None reason
+    terminates with that reason recorded.  stats counts accepted and
+    rejected steps and field evaluations (evals); h_min, h_max bound the
+    accepted steps (inf, 0 if none).
     """
     y = np.asarray(y0, dtype=float).copy()
     x = float(x0)
-    xs, ys = [x], [y.copy()]
+    xs, ys = [x], [y]
     stats = {"steps": 0, "rejected": 0, "evals": 1, "h_min": math.inf, "h_max": 0.0,
              "max_drift": 0.0, "error_sum": 0.0}
-    f0 = field(x, y)
+    f0 = field(y)
     scale = ATOL + rtol * np.abs(y)
     d0 = np.linalg.norm(y / scale) / math.sqrt(y.size)
     d1 = np.linalg.norm(f0 / scale) / math.sqrt(y.size)
     h = min(max_step, x1 - x, 1e-2 * d0 / d1 if d1 > 0 else 1e-6)
     h = max(h, 1e-12)
     termination = REACHED_HORIZON
-    since_record = 0
     k = np.zeros((7, y.size))
     while x < x1:
         h = min(h, x1 - x, max_step)
@@ -293,19 +292,18 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
             break
         failed, i = False, 0
         try:
-            k[0] = field(x, y)
+            k[0] = field(y)
             for i in range(1, 7):
                 yi = y + h * (_DP_A[i] @ k[:i])
-                k[i] = field(x + _DP_C[i] * h, yi)
+                k[i] = field(yi)
         except (ValueError, ZeroDivisionError, FloatingPointError):
             failed = True
         stats["evals"] += i + 1  # stage i was evaluated, also when it raised
         if not failed:
-            y1 = y + h * (_DP_B5 @ k)
             err_vec = h * (_DP_E @ k)
-            scale = ATOL + rtol * np.maximum(np.abs(y), np.abs(y1))
+            scale = ATOL + rtol * np.maximum(np.abs(y), np.abs(yi))
             err = np.linalg.norm(err_vec / scale) / math.sqrt(y.size)
-        if failed or not np.all(np.isfinite(y1)) or not np.isfinite(err):
+        if failed or not np.all(np.isfinite(yi)) or not np.isfinite(err):
             stats["rejected"] += 1
             h *= 0.2
             continue
@@ -318,23 +316,17 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
         stats["h_min"], stats["h_max"] = min(stats["h_min"], h), max(stats["h_max"], h)
         stats["error_sum"] += float(np.max(np.abs(err_vec)))
         if project is not None:
-            yp = project(y1)
-            stats["max_drift"] = max(stats["max_drift"], float(np.max(np.abs(yp - y1))))
-            y1 = yp
-        y = y1
-        since_record += 1
-        if since_record >= record_every or x >= x1:
-            xs.append(x)
-            ys.append(y.copy())
-            since_record = 0
-        reason = stop(x, y) if stop is not None else None
-        if reason is not None:  # the last state is recorded after the loop
+            yp = project(yi)
+            stats["max_drift"] = max(stats["max_drift"], float(np.max(np.abs(yp - yi))))
+            yi = yp
+        y = yi
+        xs.append(x)
+        ys.append(y)
+        reason = stop(y) if stop is not None else None
+        if reason is not None:
             termination = reason
             break
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
-    if xs[-1] != x:
-        xs.append(x)
-        ys.append(y.copy())
     return np.array(xs), np.array(ys), termination, stats
 
 
@@ -342,21 +334,20 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
 
 
 # DP54 fields on (R, u) and (S, ln f), filled in place: np.append costs more than the arithmetic
-def _shape_field(_, y):
+def _shape_field(y):
     out = np.empty(5)
     out[:4], out[4] = flow.velocity(y[:4]), 1.0 / math.sqrt(y[:4] @ y[:4])  # = np.linalg.norm
     return out
 
 
-def _sphere_field(_, y):
+def _sphere_field(y):
     out = np.empty(5)
     out[:4], out[4] = flow.sphere_field(y[:4])
     return out
 
 
-def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, stride: int = 1,
-                    max_step: float = np.inf, u0: float = 0.0,
-                    until_wall: bool = False) -> Trajectory:
+def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, max_step: float = np.inf,
+                    u0: float = 0.0, until_wall: bool = False) -> Trajectory:
     """Integrate the shape flow from a strictly positive shape (4,).
 
     The sphere parameter u (du = dt / f) rides along as a quadrature
@@ -372,7 +363,7 @@ def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, stride: int
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
 
-    def stop(_, y):
+    def stop(y):
         a1, a2, b1, b2 = y[:4].tolist()
         if min(a1, a2, b1, b2) < POSITIVITY_FLOOR:
             return POSITIVITY_VIOLATION
@@ -381,7 +372,7 @@ def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, stride: int
         return None
 
     ts, ys, term, stats = _integrate(_shape_field, t0, np.append(r, u0), t1, tol,
-                                     max_step=max_step, stop=stop, record_every=stride)
+                                     max_step=max_step, stop=stop)
     return Trajectory.from_samples("t", ts, shapes=ys[:, :4], termination=term,
                                    stats={**stats, "u": ys[:, 4].copy()})
 
@@ -442,11 +433,11 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
     # phase 1: chart state (x, y, z, u, ln f) in the chart time v
     p0 = np.array([0.0, 0.0, mu]) + eps * unstable_direction(mu)
 
-    def chart_field(_, y):
+    def chart_field(y):
         g, xbeta = flow.modified_field(y[:3])
         return np.array([g[0], g[1], g[2], y[0], xbeta])
 
-    def chart_stop(_, y):
+    def chart_stop(y):
         return "switch" if y[0] >= CHART_SWITCH_X else None
 
     vs, cys, term, cstats = _integrate(chart_field, 0.0, np.append(p0, [0.0, 0.0]),
@@ -582,7 +573,7 @@ def critical_parameter(lo: float = 0.5, hi: float = 0.6, tol: float = 1e-9) -> f
 
 
 def family_shape_trajectory(mu: float, t_max: float = 200.0, tol: float = 1e-10,
-                            order: int = 4, stride: int = 1, max_step: float = np.inf,
+                            order: int = 4, max_step: float = np.inf,
                             until_wall: bool = False) -> Trajectory:
     """Series launch followed by shape integration: the standard family run.
 
@@ -599,5 +590,5 @@ def family_shape_trajectory(mu: float, t_max: float = 200.0, tol: float = 1e-10,
                                     axis=-1)
 
     u0 = float(gauss_legendre(inv_f, 0.0, delta))
-    return integrate_shape(start, delta, t_max, tol=tol, stride=stride,
-                           max_step=max_step, u0=u0, until_wall=until_wall)
+    return integrate_shape(start, delta, t_max, tol=tol, max_step=max_step, u0=u0,
+                           until_wall=until_wall)

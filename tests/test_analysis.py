@@ -130,7 +130,7 @@ def test_linearize_rejects_non_stationary():
 
 
 def test_stationary_reports_with_eigendata():
-    reports = {r.name: r for r in stationary_points(with_eigendata=True)}
+    reports = {r.name: r for r in stationary_points()}
     s1 = reports["S1"]
     assert s1.classification == (2, 0, 1)  # saddle: 2 stable, 1 unstable
     sinf = reports["Sinf"]

@@ -43,6 +43,23 @@ def test_verify_torsion_negative_control(tmp_path):
     assert rep["debug_flip_psi"] is True
 
 
+def test_verify_torsion_counts_solve_failures(tmp_path, monkeypatch):
+    ext = g2cone.exterior
+    solve, calls = ext.solve_torsion_free_derivs, []
+
+    def every_fourth_fails(state, psi=None):
+        calls.append(1)
+        if len(calls) % 4 == 0:
+            raise ext.TorsionSolveError("forced")
+        return solve(state, psi)
+
+    monkeypatch.setattr(ext, "solve_torsion_free_derivs", every_fourth_fails)
+    assert run(["verify-torsion", "--samples", "12", "--out", str(tmp_path)]) == 1
+    rep = load(tmp_path / "verify_torsion.json")
+    assert (rep["failing_samples"], rep["solve_failures"]) == (3, 3)
+    assert rep["max_relative_mismatch"] is None
+
+
 def test_invalid_common_options(tmp_path):
     # a rejected configuration exits 2 and still writes <command>.json
     for i, argv in enumerate((["verify-torsion", "--samples", "0"],
@@ -149,11 +166,22 @@ def test_shoot_alc_block(tmp_path):
     assert rep["alc"]["note"]
 
 
-def test_shoot_stride_too_sparse_for_fit(tmp_path, capsys):
-    # two recorded samples cannot carry an asymptotic fit: reported, not raised
-    assert run(["shoot", "--mu", "0.3", "--stride", "100000", "--out", str(tmp_path)]) in (0, 1)
-    assert load(tmp_path / "shoot_mu0.3.json")["alc"] is None
-    assert "Traceback" not in capsys.readouterr().err
+def test_stride_only_thins_written_rows(tmp_path):
+    # the report (convergence, fit, monitors) reads the whole run whatever
+    # --stride is; the CSV keeps rows 0, N, 2N, ..., last of the stride-1 CSV
+    def shoot(stride):
+        out = tmp_path / str(stride)
+        assert run(["shoot", "--mu", "0.3", "--stride", str(stride), "--out", str(out)]) == 0
+        rep = load(out / "shoot_mu0.3.json")
+        del rep["config"]["stride"]
+        return rep, (out / "shoot_mu0.3.csv").read_text().splitlines()
+
+    rep, (header, *rows) = shoot(1)
+    for n in (4, 16, 100000):
+        thin_rep, (thin_header, *thin_rows) = shoot(n)
+        assert thin_rep == rep, n
+        assert thin_header == header
+        assert thin_rows == rows[:-1:n] + rows[-1:], n
 
 
 def test_shoot_beyond_family_edge_reports_and_fails(tmp_path):

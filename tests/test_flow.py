@@ -54,9 +54,9 @@ def test_rhs_rejects_zero_denominators():
         with pytest.raises(ZeroDivisionError):
             flow.velocity(np.stack([np.ones(4), r]))
         with pytest.raises(ZeroDivisionError):
-            shoot._shape_field(0.0, np.append(r, 0.0))
+            shoot._shape_field(np.append(r, 0.0))
         with pytest.raises(ZeroDivisionError):
-            shoot._sphere_field(0.0, np.append(r / np.linalg.norm(r), 0.0))
+            shoot._sphere_field(np.append(r / np.linalg.norm(r), 0.0))
     # A1 = 0 is inside the domain (the wall is invariant: V1 = 0 there)
     v = flow.velocity(np.array([0.0, 1.0, 1.0, 1.0]))
     assert v[0] == 0.0
@@ -71,11 +71,11 @@ def test_one_state_fields_match_array_path():
         a = y[:4]
         assert np.array_equal(flow.velocity(a), v)
         assert np.array_equal(flow.velocity(list(a)), v)
-        assert np.array_equal(shoot._shape_field(0.0, y), np.append(v, 1.0 / np.linalg.norm(a)))
+        assert np.array_equal(shoot._shape_field(y), np.append(v, 1.0 / np.linalg.norm(a)))
         s = a / np.linalg.norm(a)
         w = flow.velocity(s[None])[0]
         beta = float(np.dot(w, s))
-        assert np.array_equal(shoot._sphere_field(0.0, np.append(s, y[4])),
+        assert np.array_equal(shoot._sphere_field(np.append(s, y[4])),
                               np.append(w - beta * s, beta))
 
 
@@ -280,7 +280,7 @@ def test_trajectory_equivariance():
         # integrate the reversed field and flip the parameter afterwards
         import g2cone.shoot as sh
 
-        def field(_, y):
+        def field(y):
             a = y[:4]
             v = -flow.velocity(a)
             beta = float(np.dot(v, a))

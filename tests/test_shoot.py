@@ -126,15 +126,16 @@ def test_integrator_counters(monkeypatch):
     assert st["h_min"] == pytest.approx(np.min(h), rel=1e-9)
     assert st["h_max"] == pytest.approx(np.max(h), rel=1e-9)
 
-    # a stage that raises ends its attempt early and is counted
-    def field(x, y):
+    # a stage that raises ends its attempt early and is counted: y' = 1
+    # from 0, so the state tracks the parameter, and the field fails past 1
+    def field(y):
         calls.append(1)
-        if x > 1.0:
+        if y[0] > 1.0:
             raise ValueError("outside the domain")
-        return -y
+        return np.ones_like(y)
 
     calls.clear()
-    _, _, term, st = shoot._integrate(field, 0.0, np.ones(2), 2.0, 1e-10)
+    _, _, term, st = shoot._integrate(field, 0.0, np.zeros(2), 2.0, 1e-10)
     attempts = st["steps"] + st["rejected"]
     assert term == shoot.STEP_FAILURE
     assert attempts < st["evals"] == len(calls) < 1 + 7 * attempts
@@ -354,7 +355,9 @@ def test_alc_fit_validation(family_launches):
     # samples that cannot carry a fit give no fit: a short horizon, or a
     # trailing window holding only the last sample
     assert shoot.alc_fit(shoot.family_shape_trajectory(0.5, t_max=10.0)) is None
-    assert shoot.alc_fit(shoot.family_shape_trajectory(0.5, t_max=40.0, stride=10**6)) is None
+    full = shoot.family_shape_trajectory(0.5, t_max=40.0)
+    ends = shoot.Trajectory.from_samples("t", full.params[[0, -1]], shapes=full.shapes[[0, -1]])
+    assert shoot.alc_fit(ends) is None
 
 
 # -- the family edge --------------------------------------------------------------------
