@@ -194,21 +194,21 @@ def series_start(mu: float, order: int = 4) -> SeriesStart:
         # E1, E3 matched at t^(k-1) pin a_k and b_k individually; with
         # those fixed, E2, E4 at t^k are affine in (p_k, q_k).  The
         # sequential order matters at k = 1 where p_1 b_1 is bilinear.
-        def res(i, m):
-            return _series_residuals(c[: k + 1], k + 1)[i][m]
+        def res(m):  # the four residuals at t^m, from one evaluation
+            return np.array([e[m] for e in _series_residuals(c[: k + 1], k + 1)])
 
         for slot, eq in ((0, 0), (2, 2)):
             c[k][slot] = 0.0
-            r0 = res(eq, k - 1)
+            r0 = res(k - 1)[eq]
             c[k][slot] = 1.0
-            r1 = res(eq, k - 1)
+            r1 = res(k - 1)[eq]
             c[k][slot] = -r0 / (r1 - r0)
         c[k][1] = c[k][3] = 0.0
-        base = np.array([res(1, k), res(3, k)])
+        base = res(k)[[1, 3]]
         cols = []
         for slot in (1, 3):
             c[k][slot] = 1.0
-            cols.append(np.array([res(1, k), res(3, k)]) - base)
+            cols.append(res(k)[[1, 3]] - base)
             c[k][slot] = 0.0
         c[k][[1, 3]] = np.linalg.solve(np.column_stack(cols), -base)
     return SeriesStart(mu, lam, order, c)
@@ -247,63 +247,85 @@ def gauss_legendre(fn, a, b):
 
 # -- Dormand-Prince 5(4) ---------------------------------------------------
 
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
 # difference between 5th and embedded 4th order weights
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
 def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None):
     """Adaptive DP54 driver for an autonomous field; returns (xs, ys, termination, stats).
 
-    Every accepted step is recorded.  field(y) -> dy/dx.  The fifth-order
-    weights are the last stage's row of _DP_A (first-same-as-last), so an
-    accepted step ends at its stage-6 state.  project(y) -> y runs after
-    every accepted step (its displacement is logged as drift).  stop(y) ->
-    str | None is checked after every accepted step; a non-None reason
-    terminates with that reason recorded.  stats counts accepted and
-    rejected steps and field evaluations (evals); h_min, h_max bound the
-    accepted steps (inf, 0 if none).
+    Every accepted step is recorded.  Steps run on Python floats: the state
+    is a list, field(y) -> dy/dx returns one, and every stage sum is a
+    left-to-right chain of +, so rounding does not depend on the
+    interpreter; only xs and ys come back as arrays.  An accepted step
+    ends at its stage-6 state (the fifth-order weights are _DP_A's last
+    row), whose field value is the next stage 0 (first-same-as-last).
+    project(y) -> y runs after every accepted step (its displacement is
+    logged as drift); the next step then evaluates the field at the
+    projected state.  stop(y) -> str | None is checked after every
+    accepted step; a non-None reason terminates with that reason recorded.
+    stats counts accepted and rejected steps and field evaluations (evals:
+    1 + 6 per attempt, one more per step after a projection, and a raising
+    stage counts and ends its attempt); h_min, h_max bound the accepted
+    steps (inf, 0 if none).
     """
-    y = np.asarray(y0, dtype=float).copy()
-    x = float(x0)
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
+        (a50, a51, a52, a53, a54), (b0, _, b2, b3, b4, b5) = _DP_A[1:]
+    e0, _, e2, e3, e4, e5, e6 = _DP_E
+
+    def f(y):
+        stats["evals"] += 1
+        return field(y)
+
+    y = [float(v) for v in y0]
+    x, x1, rtol, max_step = float(x0), float(x1), float(rtol), float(max_step)
     xs, ys = [x], [y]
-    stats = {"steps": 0, "rejected": 0, "evals": 1, "h_min": math.inf, "h_max": 0.0,
+    stats = {"steps": 0, "rejected": 0, "evals": 0, "h_min": math.inf, "h_max": 0.0,
              "max_drift": 0.0, "error_sum": 0.0}
-    f0 = field(y)
+    k0 = f(y)
     scale = ATOL + rtol * np.abs(y)
-    d0 = np.linalg.norm(y / scale) / math.sqrt(y.size)
-    d1 = np.linalg.norm(f0 / scale) / math.sqrt(y.size)
-    h = min(max_step, x1 - x, 1e-2 * d0 / d1 if d1 > 0 else 1e-6)
-    h = max(h, 1e-12)
+    d0 = np.linalg.norm(y / scale) / math.sqrt(len(y))
+    d1 = np.linalg.norm(k0 / scale) / math.sqrt(len(y))
+    h = max(float(min(max_step, x1 - x, 1e-2 * d0 / d1 if d1 > 0 else 1e-6)), 1e-12)
     termination = REACHED_HORIZON
-    k = np.zeros((7, y.size))
     while x < x1:
         h = min(h, x1 - x, max_step)
         if h < 1e-13 * max(1.0, abs(x)):
             termination = STEP_FAILURE
             break
-        failed, i = False, 0
         try:
-            k[0] = field(y)
-            for i in range(1, 7):
-                yi = y + h * (_DP_A[i] @ k[:i])
-                k[i] = field(yi)
+            if k0 is None:  # after a projection
+                k0 = f(y)
+            k1 = f([p + h * (a10 * q0) for p, q0 in zip(y, k0)])
+            k2 = f([p + h * (a20 * q0 + a21 * q1) for p, q0, q1 in zip(y, k0, k1)])
+            k3 = f([p + h * (a30 * q0 + a31 * q1 + a32 * q2)
+                    for p, q0, q1, q2 in zip(y, k0, k1, k2)])
+            k4 = f([p + h * (a40 * q0 + a41 * q1 + a42 * q2 + a43 * q3)
+                    for p, q0, q1, q2, q3 in zip(y, k0, k1, k2, k3)])
+            k5 = f([p + h * (a50 * q0 + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)
+                    for p, q0, q1, q2, q3, q4 in zip(y, k0, k1, k2, k3, k4)])
+            y6 = [p + h * (b0 * q0 + b2 * q2 + b3 * q3 + b4 * q4 + b5 * q5)
+                  for p, q0, q2, q3, q4, q5 in zip(y, k0, k2, k3, k4, k5)]
+            k6 = f(y6)
+            err = emax = 0.0
+            for p, z, q0, q2, q3, q4, q5, q6 in zip(y, y6, k0, k2, k3, k4, k5, k6):
+                e = h * (e0 * q0 + e2 * q2 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6)
+                r = e / (ATOL + rtol * max(abs(p), abs(z)))
+                err += r * r
+                emax = max(emax, abs(e))
+            err = math.sqrt(err) / math.sqrt(len(y))
         except (ValueError, ZeroDivisionError, FloatingPointError):
-            failed = True
-        stats["evals"] += i + 1  # stage i was evaluated, also when it raised
-        if not failed:
-            err_vec = h * (_DP_E @ k)
-            scale = ATOL + rtol * np.maximum(np.abs(y), np.abs(yi))
-            err = np.linalg.norm(err_vec / scale) / math.sqrt(y.size)
-        if failed or not np.all(np.isfinite(yi)) or not np.isfinite(err):
+            err = math.nan
+        if not (math.isfinite(err) and all(map(math.isfinite, y6))):
             stats["rejected"] += 1
             h *= 0.2
             continue
@@ -314,12 +336,12 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
         x += h
         stats["steps"] += 1
         stats["h_min"], stats["h_max"] = min(stats["h_min"], h), max(stats["h_max"], h)
-        stats["error_sum"] += float(np.max(np.abs(err_vec)))
+        stats["error_sum"] += emax
         if project is not None:
-            yp = project(yi)
-            stats["max_drift"] = max(stats["max_drift"], float(np.max(np.abs(yp - yi))))
-            yi = yp
-        y = yi
+            yp = project(y6)
+            stats["max_drift"] = max(stats["max_drift"], *(abs(p - z) for p, z in zip(yp, y6)))
+            y6, k6 = yp, None
+        y, k0 = y6, k6
         xs.append(x)
         ys.append(y)
         reason = stop(y) if stop is not None else None
@@ -333,17 +355,25 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
 # -- trajectory assembly ----------------------------------------------------
 
 
-# DP54 fields on (R, u) and (S, ln f), filled in place: np.append costs more than the arithmetic
+# DP54 fields on (R, u) and (S, ln f): lists of Python floats in and out
 def _shape_field(y):
-    out = np.empty(5)
-    out[:4], out[4] = flow.velocity(y[:4]), 1.0 / math.sqrt(y[:4] @ y[:4])  # = np.linalg.norm
-    return out
+    a1, a2, b1, b2, _ = y
+    # 1/f, with f summed as np.linalg.norm sums a row of shapes
+    return [*flow._components(a1, a2, b1, b2),
+            1.0 / math.sqrt(a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2)]
 
 
 def _sphere_field(y):
-    out = np.empty(5)
-    out[:4], out[4] = flow.sphere_field(y[:4])
-    return out
+    a1, a2, a3, a4, _ = y
+    v1, v2, v3, v4 = flow._components(a1, a2, a3, a4)
+    beta = v1 * a1 + v2 * a2 + v3 * a3 + v4 * a4  # summed as flow.monitor_table's beta
+    return [v1 - beta * a1, v2 - beta * a2, v3 - beta * a3, v4 - beta * a4, beta]
+
+
+def _project_sphere(y):
+    a1, a2, a3, a4, lnf = y
+    f = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4)
+    return [a1 / f, a2 / f, a3 / f, a4 / f, lnf]
 
 
 def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, max_step: float = np.inf,
@@ -364,7 +394,7 @@ def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, max_step: f
         raise ValueError("t1 must exceed t0")
 
     def stop(y):
-        a1, a2, b1, b2 = y[:4].tolist()
+        a1, a2, b1, b2, _ = y
         if min(a1, a2, b1, b2) < POSITIVITY_FLOOR:
             return POSITIVITY_VIOLATION
         if until_wall and a2 * b2 - a1 * b1 < -1e-12 * (a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2):
@@ -392,13 +422,8 @@ def integrate_sphere(start: np.ndarray, u0: float, u1: float, f0: float = 1.0,
     if abs(np.linalg.norm(a0) - 1.0) > 1e-9:
         raise ValueError(f"start must be a unit vector, got |S| = {np.linalg.norm(a0)}")
 
-    def project(y):
-        out = y.copy()
-        out[:4] /= np.linalg.norm(out[:4])
-        return out
-
     us, ys, term, stats = _integrate(_sphere_field, u0, np.append(a0, math.log(f0)), u1, tol,
-                                     max_step=max_step, project=project)
+                                     max_step=max_step, project=_project_sphere)
     return Trajectory.from_samples("u", us, spheres=ys[:, :4], f=np.exp(ys[:, 4]),
                                    termination=term, stats=stats)
 
@@ -434,8 +459,8 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
     p0 = np.array([0.0, 0.0, mu]) + eps * unstable_direction(mu)
 
     def chart_field(y):
-        g, xbeta = flow.modified_field(y[:3])
-        return np.array([g[0], g[1], g[2], y[0], xbeta])
+        g, xbeta = flow.modified_field(np.array(y[:3]))
+        return [*g.tolist(), y[0], xbeta]
 
     def chart_stop(y):
         return "switch" if y[0] >= CHART_SWITCH_X else None
@@ -445,8 +470,7 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
     if term != "switch":
         raise RuntimeError(f"chart phase did not reach the switch threshold ({term})")
     chart_spheres = np.array([flow.chart_to_sphere(y[:3]) for y in cys])
-    chart_u = cys[:, 3]
-    chart_lnf = cys[:, 4]
+    chart_u, chart_lnf = cys[:, 3], cys[:, 4]
 
     # phase 2: tangential system in u
     u_switch = float(chart_u[-1])
@@ -518,15 +542,11 @@ def alc_fit(traj: Trajectory) -> ALCFit | None:
     if span < 30.0 or traj.params[-1] - traj.params[sel][0] < 10.0:
         return None
     ts = traj.params[sel]
-    slopes = np.empty(4)
-    intercepts = np.empty(4)
-    dev = 0.0
+    dev, slopes, intercepts = 0.0, np.empty(4), np.empty(4)
     for j in range(4):
         vals = traj.shapes[sel, j]
-        slope, intercept = np.polyfit(ts, vals, 1)
-        slopes[j] = slope
-        intercepts[j] = intercept
-        fit = slope * ts + intercept
+        slopes[j], intercepts[j] = np.polyfit(ts, vals, 1)
+        fit = slopes[j] * ts + intercepts[j]
         # |1 - y/fit| with fit values indistinguishable from zero skipped
         # (an identically zero function deviates by zero from its fit)
         denom = np.where(np.abs(fit) > 1e-12 * max(float(np.max(np.abs(vals))), 1e-300),

@@ -54,9 +54,9 @@ def test_rhs_rejects_zero_denominators():
         with pytest.raises(ZeroDivisionError):
             flow.velocity(np.stack([np.ones(4), r]))
         with pytest.raises(ZeroDivisionError):
-            shoot._shape_field(np.append(r, 0.0))
+            shoot._shape_field([*r.tolist(), 0.0])
         with pytest.raises(ZeroDivisionError):
-            shoot._sphere_field(np.append(r / np.linalg.norm(r), 0.0))
+            shoot._sphere_field([*(r / np.linalg.norm(r)).tolist(), 0.0])
     # A1 = 0 is inside the domain (the wall is invariant: V1 = 0 there)
     v = flow.velocity(np.array([0.0, 1.0, 1.0, 1.0]))
     assert v[0] == 0.0
@@ -67,16 +67,16 @@ def test_one_state_fields_match_array_path():
     rng = np.random.default_rng(11)
     states = np.exp(rng.uniform(-4.0, 2.0, size=(1000, 5)))
     batch = flow.velocity(states[:, :4])
-    for y, v in zip(states, batch):
+    f = np.linalg.norm(states[:, :4], axis=1)  # as Trajectory.from_samples
+    spheres = states[:, :4] / f[:, None]
+    sphere_batch = flow.velocity(spheres)
+    betas = flow.monitor_table(spheres, f)[:, flow.MONITOR_NAMES.index("beta")]
+    for y, v, fy, s, w, beta in zip(states, batch, f, spheres, sphere_batch, betas):
         a = y[:4]
         assert np.array_equal(flow.velocity(a), v)
         assert np.array_equal(flow.velocity(list(a)), v)
-        assert np.array_equal(shoot._shape_field(y), np.append(v, 1.0 / np.linalg.norm(a)))
-        s = a / np.linalg.norm(a)
-        w = flow.velocity(s[None])[0]
-        beta = float(np.dot(w, s))
-        assert np.array_equal(shoot._sphere_field(np.append(s, y[4])),
-                              np.append(w - beta * s, beta))
+        assert shoot._shape_field(y.tolist()) == [*v.tolist(), 1.0 / fy]
+        assert shoot._sphere_field([*s.tolist(), y[4]]) == [*(w - beta * s).tolist(), beta]
 
 
 # -- first integral -------------------------------------------------------------
@@ -281,17 +281,16 @@ def test_trajectory_equivariance():
         import g2cone.shoot as sh
 
         def field(y):
-            a = y[:4]
+            a = np.array(y[:4])
             v = -flow.velocity(a)
             beta = float(np.dot(v, a))
-            return np.append(v - beta * a, beta)
+            return [*(v - beta * a).tolist(), beta]
 
         def project(y):
-            out = y.copy()
-            out[:4] /= np.linalg.norm(out[:4])
-            return out
+            a = np.array(y[:4])
+            return [*(a / np.linalg.norm(a)).tolist(), y[4]]
 
-        us, ys, term, stats = sh._integrate(field, 0.0, np.append(a0, 0.0), span,
+        us, ys, term, stats = sh._integrate(field, 0.0, [*a0.tolist(), 0.0], span,
                                             1e-12, max_step=0.02,
                                             project=project)
         return us, ys[:, :4]

@@ -114,14 +114,20 @@ def test_integrate_shape_rejects_boundary_start():
         shoot.integrate_shape(ShapeState(1, 1, 1, 1), 1.0, 0.5)
 
 
+def _recording(monkeypatch, name):
+    """Replace the DP54 field shoot.<name> by one that records every state it is given."""
+    calls = []
+    field = getattr(shoot, name)
+    monkeypatch.setattr(shoot, name, lambda y: calls.append(list(y)) or field(y))
+    return calls
+
+
 def test_integrator_counters(monkeypatch):
     """stats count every field evaluation and bound the accepted steps."""
-    calls = []
-    velocity = flow.velocity
-    monkeypatch.setattr(flow, "velocity", lambda r: calls.append(1) or velocity(r))
+    calls = _recording(monkeypatch, "_shape_field")
     traj = shoot.family_shape_trajectory(0.5, t_max=60.0, tol=1e-12)
     st = traj.stats
-    assert st["evals"] == len(calls) == 1 + 7 * (st["steps"] + st["rejected"])
+    assert st["evals"] == len(calls) == 1 + 6 * (st["steps"] + st["rejected"])
     h = np.diff(traj.params)
     assert st["h_min"] == pytest.approx(np.min(h), rel=1e-9)
     assert st["h_max"] == pytest.approx(np.max(h), rel=1e-9)
@@ -129,17 +135,61 @@ def test_integrator_counters(monkeypatch):
     # a stage that raises ends its attempt early and is counted: y' = 1
     # from 0, so the state tracks the parameter, and the field fails past 1
     def field(y):
-        calls.append(1)
+        calls.append(y)
         if y[0] > 1.0:
             raise ValueError("outside the domain")
-        return np.ones_like(y)
+        return [1.0, 1.0]
 
     calls.clear()
     _, _, term, st = shoot._integrate(field, 0.0, np.zeros(2), 2.0, 1e-10)
     attempts = st["steps"] + st["rejected"]
     assert term == shoot.STEP_FAILURE
-    assert attempts < st["evals"] == len(calls) < 1 + 7 * attempts
+    assert attempts < st["evals"] == len(calls) < 1 + 6 * attempts
     assert 0.0 < st["h_min"] <= st["h_max"] <= 1.0
+
+
+def test_stage_zero_is_the_last_stage(monkeypatch):
+    """First-same-as-last: an accepted step's stage-6 value starts the next step.
+
+    On a family run no field call repeats the state of the call before
+    it.  A projected run evaluates the field again at each projected
+    sample that another step follows, and a rejected attempt keeps its
+    stage 0.
+    """
+    calls = _recording(monkeypatch, "_shape_field")
+    traj = shoot.family_shape_trajectory(0.5, t_max=60.0, tol=1e-12)
+    assert len(calls) == traj.stats["evals"]
+    assert all(a != b for a, b in zip(calls, calls[1:]))
+
+    calls = _recording(monkeypatch, "_sphere_field")
+    start = np.array([2.0, 3.0, 4.0, 5.0]) / math.sqrt(54.0)
+    run = shoot.integrate_sphere(start, 0.0, 10.0)
+    st = run.stats
+    assert st["rejected"] > 0 and run.termination == shoot.REACHED_HORIZON
+    # the start, 6 stages per attempt, the projected state of each step but the last
+    assert st["evals"] == len(calls) == 1 + 6 * (st["steps"] + st["rejected"]) + st["steps"] - 1
+    called = {tuple(c[:4]) for c in calls}
+    assert all(tuple(a) in called for a in run.spheres[:-1].tolist())
+
+
+def test_float_kernel_on_closed_forms():
+    """The DP54 kernel on Python floats: decay and rotation to 1e-8, reruns bit for bit."""
+    def decay(y):
+        return [-y[0]]
+
+    def rotation(y):
+        return [-y[1], y[0]]
+
+    for field, y0, exact in ((decay, [1.0], lambda x: np.exp(-x)[:, None]),
+                             (rotation, [1.0, 0.0],
+                              lambda x: np.column_stack([np.cos(x), np.sin(x)]))):
+        xs, ys, term, st = shoot._integrate(field, 0.0, y0, 5.0, 1e-10)
+        assert term == shoot.REACHED_HORIZON and xs[-1] == 5.0
+        assert ys.dtype == float and ys.shape == (len(xs), len(y0))
+        assert np.max(np.abs(ys - exact(xs))) <= 1e-8
+        again = shoot._integrate(field, 0.0, y0, 5.0, 1e-10)
+        assert np.array_equal(again[0], xs) and np.array_equal(again[1], ys)
+        assert again[3] == st
 
 
 def test_first_integral_drift_small():
