@@ -191,7 +191,7 @@ def _fit_dict(fit) -> dict | None:
 
 def _write_shoot_artifacts(mu: float, traj: shoot.Trajectory, outdir: Path, args) -> list:
     """--format's CSV/SVG artifacts of rows 0, N, 2N, ..., last of the run (N = --stride)."""
-    tag = f"shoot_mu{mu:.6g}"
+    tag = f"shoot_mu{mu!r}"  # mu's shortest round-trip repr: one name per value
     files = []
     rows = np.r_[0:len(traj) - 1:args.stride, len(traj) - 1]
     t, shapes, spheres = traj.params[rows], traj.shapes[rows], traj.spheres[rows]
@@ -299,7 +299,7 @@ def cmd_shoot(args, outdir: Path, report: dict) -> str:
                   notes=[shoot.ALC_NOTE],
                   files=_write_shoot_artifacts(mus[0], traj, outdir, args))
     report["pass"] = ok
-    return f"shoot_mu{mus[0]:.6g}.json"
+    return f"shoot_mu{mus[0]!r}.json"
 
 
 def cmd_stationary(args, outdir: Path, report: dict) -> str:

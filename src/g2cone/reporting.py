@@ -60,22 +60,28 @@ def write_json(path, obj: dict) -> None:
     Path(path).write_text(dump_json(obj), encoding="utf-8", newline="\n")
 
 
+def _cell(v) -> str:
+    """Text of a cell in a column that does not hold only floats."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    return "" if v is None else fmt_float(v) if isinstance(v, (float, np.floating)) else str(v)
+
+
 def write_csv(path, header: list, rows) -> None:
-    """CSV with LF endings, '.' decimals, empty cells for NaN."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if v is None or (isinstance(v, (float, np.floating)) and math.isnan(float(v))):
-                cells.append("")
-            elif isinstance(v, (float, np.floating)):
-                cells.append(fmt_float(v))
-            elif isinstance(v, (bool, np.bool_)):
-                cells.append("true" if v else "false")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """CSV with LF endings, '.' decimals, empty cells for NaN and None.
+
+    One template formats each row: '%.17g' (as fmt_float) in the columns
+    of floats, _cell's text in the others; then 'nan' cells are blanked.
+    """
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        rows, mixed = map(np.ndarray.tolist, rows), set()
+    else:
+        mixed = {j for row in rows for j, v in enumerate(row) if not isinstance(v, float)}
+        rows = [[_cell(v) if j in mixed else v for j, v in enumerate(row)] for row in rows]
+    template = ",".join("%s" if j in mixed else "%.17g" for j in range(len(header))) + "\n"
+    body = "".join([template % tuple(row) for row in rows])
+    Path(path).write_text(",".join(header) + "\n" + body.replace("nan", ""),
+                          encoding="utf-8", newline="\n")
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

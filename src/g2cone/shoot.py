@@ -180,37 +180,27 @@ def series_start(mu: float, order: int = 4) -> SeriesStart:
     """Unique power-series solution leaving the singular orbit at parameter mu.
 
     Matches the flow identities order by order from the seed
-    (mu, lambda, 0, lambda); each order is a well-conditioned 4x4 linear
-    solve obtained by probing the cleared-denominator residuals.
+    (mu, lambda, 0, lambda), two residual evaluations at c[k] = 0 per
+    order k: E1, E3 at t^(k-1) have slopes 2k lambda^4, k lambda^2 in a_k,
+    b_k; with those set (at k = 1, E2 holds p_1 b_1), E2, E4 at t^k have
+    the Jacobian lambda^2 [[4k+2, -2], [-2, 4k+2]] in (p_k, q_k).
     """
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
     if not 3 <= order <= 8:
         raise ValueError(f"order must lie in 3..8, got {order}")
     lam = math.sqrt((1.0 - mu * mu) / 2.0)
+    lam2 = lam * lam
     c = np.zeros((order + 1, 4))
     c[0] = (mu, lam, 0.0, lam)
     for k in range(1, order + 1):
-        # E1, E3 matched at t^(k-1) pin a_k and b_k individually; with
-        # those fixed, E2, E4 at t^k are affine in (p_k, q_k).  The
-        # sequential order matters at k = 1 where p_1 b_1 is bilinear.
-        def res(m):  # the four residuals at t^m, from one evaluation
-            return np.array([e[m] for e in _series_residuals(c[: k + 1], k + 1)])
-
-        for slot, eq in ((0, 0), (2, 2)):
-            c[k][slot] = 0.0
-            r0 = res(k - 1)[eq]
-            c[k][slot] = 1.0
-            r1 = res(k - 1)[eq]
-            c[k][slot] = -r0 / (r1 - r0)
-        c[k][1] = c[k][3] = 0.0
-        base = res(k)[[1, 3]]
-        cols = []
-        for slot in (1, 3):
-            c[k][slot] = 1.0
-            cols.append(res(k)[[1, 3]] - base)
-            c[k][slot] = 0.0
-        c[k][[1, 3]] = np.linalg.solve(np.column_stack(cols), -base)
+        e1, _, e3, _ = _series_residuals(c[: k + 1], k + 1)
+        c[k, 0] = -e1[k - 1] / (2 * k * lam2 * lam2)
+        c[k, 2] = -e3[k - 1] / (k * lam2)
+        _, e2, _, e4 = _series_residuals(c[: k + 1], k + 1)
+        det = 16 * k * (k + 1) * lam2
+        c[k, 1] = -((4 * k + 2) * e2[k] + 2.0 * e4[k]) / det
+        c[k, 3] = -(2.0 * e2[k] + (4 * k + 2) * e4[k]) / det
     return SeriesStart(mu, lam, order, c)
 
 
@@ -270,13 +260,14 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
     ends at its stage-6 state (the fifth-order weights are _DP_A's last
     row), whose field value is the next stage 0 (first-same-as-last).
     project(y) -> y runs after every accepted step (its displacement is
-    logged as drift); the next step then evaluates the field at the
-    projected state.  stop(y) -> str | None is checked after every
-    accepted step; a non-None reason terminates with that reason recorded.
+    logged as drift); when it moved the state, the next step evaluates
+    the field at the projected state.  stop(y) -> str | None is checked
+    after every accepted step; a non-None reason terminates with that
+    reason recorded.
     stats counts accepted and rejected steps and field evaluations (evals:
-    1 + 6 per attempt, one more per step after a projection, and a raising
-    stage counts and ends its attempt); h_min, h_max bound the accepted
-    steps (inf, 0 if none).
+    1 + 6 per attempt, one more per step after a projection that moved the
+    state, and a raising stage counts and ends its attempt); h_min, h_max
+    bound the accepted steps (inf, 0 if none).
     """
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
         (a50, a51, a52, a53, a54), (b0, _, b2, b3, b4, b5) = _DP_A[1:]
@@ -339,8 +330,10 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
         stats["error_sum"] += emax
         if project is not None:
             yp = project(y6)
-            stats["max_drift"] = max(stats["max_drift"], *(abs(p - z) for p, z in zip(yp, y6)))
-            y6, k6 = yp, None
+            if yp != y6:  # a moved state needs its own stage 0; a bit-exact one keeps k6
+                stats["max_drift"] = max(stats["max_drift"],
+                                         *(abs(p - z) for p, z in zip(yp, y6)))
+                y6, k6 = yp, None
         y, k0 = y6, k6
         xs.append(x)
         ys.append(y)

@@ -276,6 +276,31 @@ def test_sweep_flags_members_beyond_edge(tmp_path):
     assert outcomes[0.8] is False
 
 
+def test_sweep_members_keep_their_own_artifacts(tmp_path):
+    # the file names carry mu in full: these two agree to 6 significant digits
+    assert run(["sweep", "--mu-range", "0.3:0.3000001:2", "--out", str(tmp_path),
+                "--format", "csv,json"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "shoot_mu0.3.csv", "shoot_mu0.3000001.csv", "sweep.csv", "sweep.json"]
+    assert run(["shoot", "--mu", "0.3000001", "--out", str(tmp_path), "--format", "json"]) == 0
+    assert (tmp_path / "shoot_mu0.3000001.json").exists()
+
+
+@pytest.mark.parametrize("args, report", [
+    (["shoot", "--mu", "0.9999999"], "shoot_mu0.9999999.json"),
+    (["sweep", "--mu-range", "0.99999:0.99999:1"], "sweep.json"),
+])
+def test_exit_code_contract_near_mu_one(tmp_path, args, report):
+    """lambda -> 0 as mu -> 1: the run fails cleanly, with its report and no warning."""
+    proc = subprocess.run([sys.executable, "-m", "g2cone.cli", *args, "--out", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode in (0, 1, 2)
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr, proc.stderr
+    rep = load(tmp_path / report)
+    assert (proc.returncode == 0) == rep["pass"]
+    assert (proc.returncode == 2) == ("error" in rep)
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "g2cone.cli", "verify-torsion", "--samples", "5",

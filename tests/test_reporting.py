@@ -1,0 +1,30 @@
+import math
+
+import numpy as np
+
+from g2cone.reporting import fmt_float, write_csv
+
+
+def test_csv_mixed_cells_bytes(tmp_path):
+    rows = [[0.1, True, None, 3, float("nan"), np.float64(2.5), np.bool_(False)],
+            [np.nan, False, 1e-300, -7, 1.0, np.float64("nan"), np.bool_(True)],
+            [1.0 / 3.0, True, 2.0, 10**20, None, -0.0, np.bool_(True)]]
+    write_csv(tmp_path / "t.csv", list("abcdefg"), rows)
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"a,b,c,d,e,f,g\n"
+        b"0.10000000000000001,true,,3,,2.5,false\n"
+        b",false,1e-300,-7,1,,true\n"
+        b"0.33333333333333331,true,2,100000000000000000000,,-0,true\n")
+
+
+def test_csv_float_table_matches_cellwise_format(tmp_path):
+    rng = np.random.default_rng(7)
+    table = rng.standard_normal((50, 6)) * 10.0 ** rng.integers(-300, 300, (50, 6))
+    table[rng.random((50, 6)) < 0.1] = np.nan
+    table[0, :4] = (-0.0, np.inf, 5e-324, 1e16)
+    write_csv(tmp_path / "t.csv", list("uvwxyz"), table)
+    want = "".join(",".join("" if math.isnan(v) else fmt_float(v) for v in row) + "\n"
+                   for row in table)
+    assert (tmp_path / "t.csv").read_text() == "u,v,w,x,y,z\n" + want
+    write_csv(tmp_path / "empty.csv", ["a", "b"], np.empty((0, 2)))
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"

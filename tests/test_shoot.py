@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -49,6 +50,59 @@ def test_series_cleared_identities_vanish_to_matched_order():
         assert np.max(np.abs(res[eq][: s.order])) <= 1e-11
     for eq in (1, 3):  # matched at t^1 .. t^order
         assert np.max(np.abs(res[eq][: s.order + 1])) <= 1e-11
+
+
+def _exact_series(mu, lam, order):
+    """The series coefficients solved order by order in exact arithmetic (sympy).
+
+    Built from the flow dR/dt = V(R) itself: each component over its
+    common denominator, the trial series substituted, and the lowest
+    power of t that holds the new coefficients set to zero.
+    """
+    t = sympy.Symbol("t")
+    syms = sympy.symbols("A1 A2 B1 B2 dA1 dA2 dB1 dB2")
+    a1, a2, b1, b2 = syms[:4]
+    half = sympy.Rational(1, 2)
+    rhs = (half * (a1**2 / a2**2 - a1**2 / b2**2),
+           half * ((b2**2 - a2**2 + b1**2) / (b1 * b2) - a1 / a2),
+           (a2**2 + b2**2 - b1**2) / (a2 * b2),
+           half * ((a2**2 - b2**2 + b1**2) / (a2 * b1) + a1 / b2))
+    nums = [sympy.numer(sympy.together(d - v)) for d, v in zip(syms[4:], rhs)]
+    series, rows = [mu, lam, sympy.Integer(0), lam], [[mu, lam, 0, lam]]
+    unknowns = sympy.symbols("a p b q")
+    for k in range(1, order + 1):
+        trial = [s + x * t**k for s, x in zip(series, unknowns)]
+        sub = dict(zip(syms, trial + [sympy.diff(r, t) for r in trial]))
+        eqs = []
+        for num in nums:
+            e = sympy.expand(num.xreplace(sub))
+            eqs.append(next(c for c in (e.coeff(t, m) for m in range(k + 2)) if c.free_symbols))
+        (sol,) = sympy.solve(eqs, unknowns, dict=True)
+        rows.append([sol[x] for x in unknowns])
+        series = [s + v * t**k for s, v in zip(series, rows[-1])]
+    return np.array([[float(v) for v in row] for row in rows])
+
+
+def test_series_matches_exact_arithmetic():
+    """At mu = 3/5 (lambda^2 = 8/25) the pivots give the exact series to 1e-13,
+    relative to the largest coefficient of each order (some are exactly 0)."""
+    mu = sympy.Rational(3, 5)
+    exact = _exact_series(mu, sympy.sqrt((1 - mu**2) / 2), 4)
+    got = shoot.series_start(0.6).coefficients
+    assert exact[1, 2] == 2.0 and exact[1, 0] == exact[2, 2] == 0.0
+    scale = np.max(np.abs(exact), axis=1, keepdims=True)
+    assert np.all(np.abs(got - exact) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("order", [3, 4, 8])
+def test_series_two_residual_evaluations_per_order(monkeypatch, order):
+    """Two _series_residuals evaluations per order: 8 at the default order 4."""
+    calls = []
+    residuals = shoot._series_residuals
+    monkeypatch.setattr(shoot, "_series_residuals",
+                        lambda c, n: calls.append(n) or residuals(c, n))
+    shoot.series_start(0.37, order)
+    assert calls == [k + 1 for k in range(1, order + 1) for _ in (0, 1)]
 
 
 def test_series_validation():
@@ -153,8 +207,8 @@ def test_stage_zero_is_the_last_stage(monkeypatch):
 
     On a family run no field call repeats the state of the call before
     it.  A projected run evaluates the field again at each projected
-    sample that another step follows, and a rejected attempt keeps its
-    stage 0.
+    sample that another step follows, unless the projection left the
+    state bit for bit unchanged, and a rejected attempt keeps its stage 0.
     """
     calls = _recording(monkeypatch, "_shape_field")
     traj = shoot.family_shape_trajectory(0.5, t_max=60.0, tol=1e-12)
@@ -162,12 +216,17 @@ def test_stage_zero_is_the_last_stage(monkeypatch):
     assert all(a != b for a, b in zip(calls, calls[1:]))
 
     calls = _recording(monkeypatch, "_sphere_field")
+    moved = []
+    project = shoot._project_sphere
+    monkeypatch.setattr(shoot, "_project_sphere",
+                        lambda y: moved.append(project(y) != y) or project(y))
     start = np.array([2.0, 3.0, 4.0, 5.0]) / math.sqrt(54.0)
     run = shoot.integrate_sphere(start, 0.0, 10.0)
     st = run.stats
     assert st["rejected"] > 0 and run.termination == shoot.REACHED_HORIZON
-    # the start, 6 stages per attempt, the projected state of each step but the last
-    assert st["evals"] == len(calls) == 1 + 6 * (st["steps"] + st["rejected"]) + st["steps"] - 1
+    assert len(moved) == st["steps"] and 0 < sum(moved[:-1]) < st["steps"] - 1
+    # the start, 6 stages per attempt, the moved projected state of each step but the last
+    assert st["evals"] == len(calls) == 1 + 6 * (st["steps"] + st["rejected"]) + sum(moved[:-1])
     called = {tuple(c[:4]) for c in calls}
     assert all(tuple(a) in called for a in run.spheres[:-1].tolist())
 
