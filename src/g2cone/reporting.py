@@ -70,11 +70,11 @@ def _cell(v) -> str:
 def write_csv(path, header: list, rows) -> None:
     """CSV with LF endings, '.' decimals, empty cells for NaN and None.
 
-    One template formats each row: '%.17g' (as fmt_float) in the columns
-    of floats, _cell's text in the others; then 'nan' cells are blanked.
+    Cells are numbers, bools or None.  A row is one '%.17g' template (as
+    fmt_float) with _cell's text in the non-float columns; 'nan' is blanked.
     """
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-        rows, mixed = map(np.ndarray.tolist, rows), set()
+        rows, mixed = rows.tolist(), set()
     else:
         mixed = {j for row in rows for j, v in enumerate(row) if not isinstance(v, float)}
         rows = [[_cell(v) if j in mixed else v for j, v in enumerate(row)] for row in rows]
