@@ -74,7 +74,7 @@ def write_csv(path, header: list, rows) -> None:
     fmt_float) with _cell's text in the non-float columns; 'nan' is blanked.
     """
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-        rows, mixed = rows.tolist(), set()
+        rows, mixed = map(np.ndarray.tolist, rows), set()  # lazily: one row of floats at a time
     else:
         mixed = {j for row in rows for j, v in enumerate(row) if not isinstance(v, float)}
         rows = [[_cell(v) if j in mixed else v for j, v in enumerate(row)] for row in rows]
