@@ -84,6 +84,8 @@ ECHOED = ("t_max", "u_max", "tol", "conv_tol", "order", "stride", "seed", "forma
 MAX_SAMPLES = 100_000
 MAX_MU_POINTS = 1_000
 MAX_CONV_TOL = 0.1  # convergence ball around SINF, far from S1 (0.41 away), where paths linger
+MAX_T_MAX = 1e100  # f grows like t, and f^3 in the F monitor overflows past t ~ 1e102
+MAX_U_MAX = 200.0  # and like exp(sqrt(10) u / 3) near S_inf, so f^3 overflows past u ~ 225
 
 
 def validate(args) -> None:
@@ -95,8 +97,8 @@ def validate(args) -> None:
     for name in ("t_max", "u_max", "tol", "conv_tol"):
         if not math.isfinite(getattr(args, name)):
             raise ConfigError(f"--{name.replace('_', '-')} must be finite")
-    if args.t_max <= 0 or args.u_max <= 0:
-        raise ConfigError("horizons must be positive")
+    if not (0 < args.t_max <= MAX_T_MAX and 0 < args.u_max <= MAX_U_MAX):
+        raise ConfigError(f"--t-max must lie in (0, {MAX_T_MAX:g}], --u-max in (0, {MAX_U_MAX:g}]")
     if args.t_max <= shoot.SERIES_MAX_OFFSET:
         raise ConfigError(f"--t-max must exceed the series launch offset "
                           f"{shoot.SERIES_MAX_OFFSET:g}")
@@ -115,7 +117,7 @@ def validate(args) -> None:
 
 
 def mu_values(args, default) -> list:
-    """The requested mu grid (--mu, --mu-range or the default), each in (0, 1)."""
+    """The requested mu grid (--mu, --mu-range or the default), each a normal float in (0, 1)."""
     if args.mu is not None:
         values = [args.mu]
     elif args.mu_range is not None:
@@ -129,9 +131,9 @@ def mu_values(args, default) -> list:
         values = [lo] if n == 1 else list(np.linspace(lo, hi, n))
     else:
         values = list(default)
-    for mu in values:
-        if not 0.0 < mu < 1.0:
-            raise ConfigError(f"mu must lie in (0, 1), got {mu}")
+    for mu in values:  # a subnormal A1 ~ mu overflows the closure coefficients 1/(A1 B1)
+        if not sys.float_info.min <= mu < 1.0:
+            raise ConfigError(f"mu must lie in (0, 1) and be a normal float, got {mu}")
     return [float(mu) for mu in values]
 
 
@@ -374,8 +376,9 @@ def _witness(traj: shoot.Trajectory) -> float:
 
 
 def _max_torsion(traj: shoot.Trajectory) -> tuple:
-    """Worst closure residuals over every sample, at the analytic derivatives."""
-    dpsi, dstar = ext.torsion_residual(traj.shapes, flow.velocity(traj.shapes))
+    """Worst closure residuals at the analytic derivatives, over the samples with R > 0."""
+    shapes = traj.shapes[np.all(traj.shapes > 0.0, axis=1)]  # a positivity stop's last may not be
+    dpsi, dstar = ext.torsion_residual(shapes, flow.velocity(shapes))
     return float(np.max(dpsi)), float(np.max(dstar))
 
 

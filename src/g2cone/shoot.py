@@ -30,6 +30,7 @@ __all__ = [
     "POSITIVITY_VIOLATION",
     "STEP_FAILURE",
     "WALL_CROSSING",
+    "STAYS_INSIDE",
     "SERIES_MAX_OFFSET",
     "series_start",
     "eval_series",
@@ -51,7 +52,8 @@ REACHED_HORIZON = "reached-horizon"
 CONVERGED = "converged-to-target"
 POSITIVITY_VIOLATION = "positivity-violation"
 STEP_FAILURE = "step-failure"
-WALL_CROSSING = "wall-crossing"  # only runs asked to stop at the G1 wall end here
+WALL_CROSSING = "wall-crossing"  # runs asked to stop once decided end at the G1 wall
+STAYS_INSIDE = "stays-inside"  # or on entering the quadrant Q (see integrate_shape)
 
 POSITIVITY_FLOOR = 1e-9
 SERIES_MAX_OFFSET = 1e-2  # the series launch offset never exceeds this t
@@ -370,15 +372,18 @@ def _project_sphere(y):
 
 
 def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, max_step: float = np.inf,
-                    u0: float = 0.0, until_wall: bool = False) -> Trajectory:
+                    u0: float = 0.0, until_decided: bool = False) -> Trajectory:
     """Integrate the shape flow from a strictly positive shape (4,).
 
     The sphere parameter u (du = dt / f) rides along as a quadrature
     variable and is exposed in stats["u"].  Terminates early when any
     shape component drops below 1e-9 or the step size collapses; the
-    reason is recorded on the trajectory, never silently.  until_wall also stops
-    at the first step whose direction has G1 < -1e-12 (WALL_CROSSING; the
-    margin over rounding keeps the G1 monitor of that sample negative).
+    reason is recorded on the trajectory, never silently.  until_decided also
+    stops at the first step with G1 < -m (WALL_CROSSING: the escape is decided)
+    or G1 > m and G2 < -m (STAYS_INSIDE), m = 1e-12 |R|^2 keeping the signs of
+    that sample's monitors.  Q = {G1 > 0, G2 < 0} is forward-invariant, so G1 stays
+    positive: dG1/du = -(2/alpha2) G2 on {G1 = 0}, dG2/du = -(2/alpha2) G1 on {G2 = 0},
+    and the corner {G1 = G2 = 0} = {A1 = A2, B1 = B2} is invariant (v1 = v2, v3 = v4).
     """
     r = np.asarray(start, dtype=float)
     if np.any(r <= 0.0):
@@ -390,8 +395,12 @@ def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, max_step: f
         a1, a2, b1, b2, _ = y
         if min(a1, a2, b1, b2) < POSITIVITY_FLOOR:
             return POSITIVITY_VIOLATION
-        if until_wall and a2 * b2 - a1 * b1 < -1e-12 * (a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2):
-            return WALL_CROSSING
+        if until_decided:
+            m, g1 = 1e-12 * (a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2), a2 * b2 - a1 * b1
+            if g1 < -m:
+                return WALL_CROSSING
+            if g1 > m and a1 * b2 - a2 * b1 < -m:
+                return STAYS_INSIDE
         return None
 
     ts, ys, term, stats = _integrate(_shape_field, t0, np.append(r, u0), t1, tol,
@@ -554,7 +563,7 @@ def escapes_invariant_region(traj: Trajectory) -> bool:
     Once a trajectory crosses G1 = 0 while G2 > 0 it cannot return
     (d G1 / du = -(2/alpha2) G2 on the wall); such trajectories run to
     the corner alpha2 = alpha3 = alpha4 = 0 and the shape degenerates at
-    finite t, so no complete metric arises.
+    finite t, so no complete metric arises.  A path in Q = {G1 > 0, G2 < 0} never escapes.
     """
     return bool(np.any(traj.monitor("G1") < 0.0))
 
@@ -566,13 +575,13 @@ def critical_parameter(lo: float = 0.5, hi: float = 0.6, tol: float = 1e-9) -> f
     direction (asymptotically conic with a circle fiber); above it they
     cross the G1 wall and the metric closes up singularly at finite t.
     The critical trajectory itself approaches the conic stationary
-    direction S1.  Located by bisection on family runs until the (one-way)
-    wall crossing or t = 60; the bracket must straddle the transition.
+    direction S1.  Located by bisection on family runs stopped once decided (at
+    the wall or in Q, see integrate_shape); the bracket must straddle the transition.
     """
 
     def escapes(mu):
         return escapes_invariant_region(
-            family_shape_trajectory(mu, t_max=60.0, tol=1e-12, until_wall=True))
+            family_shape_trajectory(mu, t_max=60.0, tol=1e-12, until_decided=True))
 
     if escapes(lo) or not escapes(hi):
         raise ValueError(f"bracket ({lo}, {hi}) does not straddle the transition")
@@ -587,7 +596,7 @@ def critical_parameter(lo: float = 0.5, hi: float = 0.6, tol: float = 1e-9) -> f
 
 def family_shape_trajectory(mu: float, t_max: float = 200.0, tol: float = 1e-10,
                             order: int = 4, max_step: float = np.inf,
-                            until_wall: bool = False) -> Trajectory:
+                            until_decided: bool = False) -> Trajectory:
     """Series launch followed by shape integration: the standard family run.
 
     The launch offset keeps the series truncation below 1e-12 (safely
@@ -604,4 +613,4 @@ def family_shape_trajectory(mu: float, t_max: float = 200.0, tol: float = 1e-10,
 
     u0 = float(gauss_legendre(inv_f, 0.0, delta))
     return integrate_shape(start, delta, t_max, tol=tol, max_step=max_step, u0=u0,
-                           until_wall=until_wall)
+                           until_decided=until_decided)

@@ -3,16 +3,19 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import g2cone
 from g2cone.shoot import SERIES_MAX_OFFSET
-from g2cone.cli import (CSV_HEADER, MAX_CONV_TOL, MAX_MU_POINTS, MAX_SAMPLES, SWEEP_HEADER,
-                        ConfigError, build_parser, main, mu_values, validate)
+from g2cone.cli import (CSV_HEADER, MAX_CONV_TOL, MAX_MU_POINTS, MAX_SAMPLES, MAX_T_MAX,
+                        MAX_U_MAX, SWEEP_HEADER, ConfigError, build_parser, main, mu_values,
+                        validate)
 
 
 def run(args):
@@ -96,6 +99,10 @@ def test_input_bounds():
     validate(parse(["shoot", "--t-max", str(float(np.nextafter(SERIES_MAX_OFFSET, 1.0)))]))
     with pytest.raises(ConfigError):
         validate(parse(["shoot", "--t-max", str(SERIES_MAX_OFFSET)]))
+    for option, bound in (("--t-max", MAX_T_MAX), ("--u-max", MAX_U_MAX)):
+        validate(parse(["shoot", option, str(bound)]))
+        with pytest.raises(ConfigError):
+            validate(parse(["shoot", option, str(float(np.nextafter(bound, np.inf)))]))
     validate(parse(["shoot", "--conv-tol", str(MAX_CONV_TOL)]))
     with pytest.raises(ConfigError):
         validate(parse(["shoot", "--conv-tol", str(float(np.nextafter(MAX_CONV_TOL, 1.0)))]))
@@ -332,3 +339,79 @@ def test_runtime_imports():
     for module in sorted(flow_layers):
         assert "g2cone.exterior" not in loaded(module), module
     assert not {m for m in loaded("g2cone.cli") if m.startswith("scipy")}
+
+
+# -- the exit-code contract under generated inputs -------------------------------
+
+_BAD = ["nan", "inf", "", "abc", "1e", "--"]  # non-finite and garbage strings
+_NEXT = repr(float(np.nextafter(SERIES_MAX_OFFSET, 1.0)))
+_PAST_CONV = repr(float(np.nextafter(MAX_CONV_TOL, 1.0)))
+# each numeric option at and past its bounds, with a bounded cost per run
+_OPTIONS = {
+    "--t-max": ["200", "1", _NEXT, repr(SERIES_MAX_OFFSET), repr(MAX_T_MAX), "1e101", "0",
+                "-1", *_BAD],
+    "--u-max": ["60", "1", "5e-324", repr(MAX_U_MAX), repr(float(np.nextafter(MAX_U_MAX, np.inf))),
+                "6000", "0", "-1", *_BAD],
+    "--tol": ["1e-10", "5e-324", "0.1", "1e300", "0", "-1e-10", *_BAD],
+    "--conv-tol": ["1e-6", "5e-324", repr(MAX_CONV_TOL), _PAST_CONV, "0", *_BAD],
+    "--order": ["3", "8", "2", "9", "-1", "3.5", "abc"],
+    "--stride": ["1", "7", "1000000000000", "0", "-1", "abc"],
+    "--seed": ["0", str(2**70), "-1", "abc"],
+    "--format": ["csv,json", "json", "svg", "", "csv,svg,json", "bogus", ",,"],
+}
+_MU = [repr(sys.float_info.min), "5e-324", "1e-300", "1e-9", "0", "-0.0", "0.3", "0.6",
+       "0.9999999", "0.9999999999999999", "1", "1.0000001", "nan", "inf", "abc"]
+_MU_RANGE = ["0.99999:0.99999:1", "1e-300:0.9999999:2", "0.3:0.6:2", "0:0.5:2", "0.5:1:2",
+             "nan:0.5:1", "inf:inf:1", "0.5:0.5:0", f"0.5:0.5:{MAX_MU_POINTS + 1}",
+             "0.3:0.4:2.5", "a:b:c", "1:2", ""]
+_SAMPLES = ["1", "2", "0", str(MAX_SAMPLES + 1), "-1", "abc"]
+
+
+@st.composite
+def _argv(draw):
+    """An argv list of one command from the option grammar, at most two mu values."""
+    command = draw(st.sampled_from(["verify-torsion", "oracle", "shoot", "stationary", "sweep"]))
+    argv = [command]
+    if command == "verify-torsion":  # the default of 200 samples is too slow to draw often
+        argv += ["--samples", draw(st.sampled_from(_SAMPLES))]
+        argv += ["--debug-flip-psi"] if draw(st.booleans()) else []
+    # the default grid of sweep is nine members: sweeps always name theirs
+    mu = draw(st.sampled_from(["--mu", "--mu-range"] + ([None] if command != "sweep" else [])))
+    if mu is not None:
+        argv += [mu, draw(st.sampled_from(_MU if mu == "--mu" else _MU_RANGE))]
+    for option in draw(st.lists(st.sampled_from(sorted(_OPTIONS)), max_size=3, unique=True)):
+        argv += [option, draw(st.sampled_from(_OPTIONS[option]))]
+    return argv
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(argv=_argv(), unusable_out=st.sampled_from([False, False, False, True]))  # one in four
+@example(argv=["shoot", "--mu", "0.9999999"], unusable_out=False)
+@example(argv=["sweep", "--mu-range", "0.99999:0.99999:1"], unusable_out=False)
+@example(argv=["sweep", "--mu", "0.6", "--tol", "0.1"], unusable_out=False)  # B1 < 0 at the end
+@example(argv=["sweep", "--mu", "5e-324"], unusable_out=False)  # a subnormal A1
+@example(argv=["shoot", "--mu", "0.3", "--t-max", "1e103"], unusable_out=False)  # f^3 overflows
+@example(argv=["shoot", "--mu", "0.3", "--u-max", "6000"], unusable_out=False)  # so does exp(ln f)
+def test_exit_code_contract_generated(tmp_path_factory, argv, unusable_out):
+    """Every argv exits 0, 1 or 2 without an exception or a RuntimeWarning, and
+    writes its report (exit 2 exactly when it has an error), except after an
+    argparse error or with an unusable --out."""
+    out = tmp_path_factory.mktemp("run") / "out"
+    if unusable_out:
+        out.write_text("not a directory\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:  # argparse rejected the argv
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2), argv
+    if unusable_out:
+        assert code == 2 and out.read_text() == "not a directory\n", argv
+        return
+    reports = list(out.glob("*.json"))
+    assert len(reports) == 1, (argv, reports)
+    rep = load(reports[0])
+    assert (code == 2) == ("error" in rep), argv
+    assert (code == 0) == rep["pass"], argv

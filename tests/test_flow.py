@@ -444,6 +444,17 @@ def test_wall_derivative_identities():
         assert abs(dg2 + 2.0 / a[1] * g1) <= 1e-8
 
 
+def test_wall_corner_is_invariant():
+    """The corner {G1 = G2 = 0} of the quadrant Q is {A1 = A2, B1 = B2}, and
+    the flow keeps it: v1 = v2 and v3 = v4 there."""
+    rng = np.random.default_rng(13)
+    for a, b in rng.uniform(0.1, 2.0, size=(200, 2)):
+        v = flow.velocity([a, a, b, b])
+        scale = np.max(np.abs(v))
+        assert abs(v[0] - v[1]) <= 1e-13 * scale
+        assert abs(v[2] - v[3]) <= 1e-13 * scale
+
+
 def test_monotone_relations_along_trajectory():
     """The growth rates of F1 and F2 match their closed forms on samples.
 

@@ -500,27 +500,54 @@ def test_critical_parameter_pinned():
     assert shoot.critical_parameter(0.5, 0.6, tol=1e-9) == MU_EDGE
 
 
-@pytest.mark.parametrize("mu", [0.5, 0.6] + [MU_EDGE + s * d for d in (1e-3, 1e-6, 1e-9)
-                                             for s in (-1.0, 1.0)])
-def test_wall_stop_keeps_the_escape_decision(mu):
-    """A run stopped at the wall is a prefix of the full run and decides alike."""
+@pytest.mark.parametrize("mu", [0.1, 0.3, 0.5, 0.6] + [MU_EDGE + s * d
+                                                       for d in (1e-3, 1e-6, 1e-9)
+                                                       for s in (-1.0, 1.0)])
+def test_decided_stop_keeps_the_escape_decision(mu):
+    """A run stopped once decided is a prefix of the full run and decides alike.
+
+    A non-escaping run stops on entering Q = {G1 > 0, G2 < 0}, and the
+    full run stays in Q from that sample on.
+    """
     full = shoot.family_shape_trajectory(mu, t_max=60.0, tol=1e-12)
-    stopped = shoot.family_shape_trajectory(mu, t_max=60.0, tol=1e-12, until_wall=True)
+    stopped = shoot.family_shape_trajectory(mu, t_max=60.0, tol=1e-12, until_decided=True)
     escapes = shoot.escapes_invariant_region(full)
     assert escapes == (mu > MU_EDGE)
     assert shoot.escapes_invariant_region(stopped) == escapes
     n = len(stopped)
     assert np.array_equal(stopped.params, full.params[:n])
     assert np.array_equal(stopped.shapes, full.shapes[:n])
+    assert stopped.stats["steps"] < full.stats["steps"]
+    g1 = stopped.monitor("G1")
     if escapes:
         assert stopped.termination == shoot.WALL_CROSSING
-        assert stopped.stats["steps"] < full.stats["steps"]
-        g1 = stopped.monitor("G1")
         assert g1[-1] < 0.0 and np.all(g1[:-1] >= 0.0)  # stopped at the first crossing
     else:
-        assert stopped.termination == full.termination == shoot.REACHED_HORIZON
-        assert n == len(full)
-        assert all(stopped.stats[k] == full.stats[k] for k in ("steps", "rejected", "evals"))
+        assert stopped.termination == shoot.STAYS_INSIDE
+        g2 = stopped.monitor("G2")
+        assert g1[-1] > 0.0 and g2[-1] < 0.0
+        # no earlier sample clears both margins of the stop
+        a1, a2, b1, b2 = stopped.shapes[:-1].T
+        m = 1e-12 * np.sum(stopped.shapes[:-1] ** 2, axis=1)
+        assert not np.any((a2 * b2 - a1 * b1 > m) & (a1 * b2 - a2 * b1 < -m))
+        assert np.all(full.monitor("G1")[n - 1:] > 0.0)
+        assert np.all(full.monitor("G2")[n - 1:] < 0.0)
+
+
+def test_critical_parameter_step_count(monkeypatch):
+    """The bisection's runs stop once decided: a count, not a clock, guards the cost."""
+    runs = []
+    run = shoot.family_shape_trajectory
+
+    def counted(*args, **kwargs):
+        runs.append(run(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(shoot, "family_shape_trajectory", counted)
+    assert shoot.critical_parameter(0.5, 0.6, tol=1e-9) == MU_EDGE
+    assert len(runs) == 29
+    assert {r.termination for r in runs} <= {shoot.WALL_CROSSING, shoot.STAYS_INSIDE}
+    assert sum(r.stats["steps"] for r in runs) <= 4700
 
 
 def test_critical_trajectory_approaches_conic_point():
