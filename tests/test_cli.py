@@ -344,11 +344,11 @@ def test_runtime_imports():
 # -- the exit-code contract under generated inputs -------------------------------
 
 _BAD = ["nan", "inf", "", "abc", "1e", "--"]  # non-finite and garbage strings
-_NEXT = repr(float(np.nextafter(SERIES_MAX_OFFSET, 1.0)))
+_ABOVE_LAUNCH = repr(float(np.nextafter(SERIES_MAX_OFFSET, 1.0)))  # the least valid --t-max
 _PAST_CONV = repr(float(np.nextafter(MAX_CONV_TOL, 1.0)))
 # each numeric option at and past its bounds, with a bounded cost per run
 _OPTIONS = {
-    "--t-max": ["200", "1", _NEXT, repr(SERIES_MAX_OFFSET), repr(MAX_T_MAX), "1e101", "0",
+    "--t-max": ["200", "1", _ABOVE_LAUNCH, repr(SERIES_MAX_OFFSET), repr(MAX_T_MAX), "1e101", "0",
                 "-1", *_BAD],
     "--u-max": ["60", "1", "5e-324", repr(MAX_U_MAX), repr(float(np.nextafter(MAX_U_MAX, np.inf))),
                 "6000", "0", "-1", *_BAD],
