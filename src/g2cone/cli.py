@@ -238,7 +238,7 @@ def cmd_verify_torsion(args, outdir: Path, report: dict) -> str:
     worst_case = None
     for _ in range(args.samples):
         state = rng.uniform(0.2, 5.0, size=4)
-        analytic = flow.rhs(state)
+        analytic = flow.velocity(state)
         try:
             solved = ext.solve_torsion_free_derivs(state, psi)
             rel = float(np.max(np.abs(solved - analytic) / np.maximum(1.0, np.abs(analytic))))

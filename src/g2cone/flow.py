@@ -8,7 +8,10 @@ unit sphere and the radial equations d(ln f)/du = <V(S), S>, dt = f du.
 Near the arc J = {(mu, lambda, 0, lambda)} of singular initial shapes
 the tangential field has a 1/alpha3 pole; the chart (x, y, z) =
 (alpha3, alpha4 - alpha2, alpha1) and the time change du = x dv make
-x W a smooth field that vanishes exactly on J.
+x W a smooth field that vanishes exactly on J, with its own pole-split
+formula on floats (_chart_components; modified_field is its array form)
+that never calls the analytic right-hand side.  The sphere launch runs it
+off J, then W in u to the horizon or past the wall G1 = 0 (shoot).
 
 Also provided: the discrete symmetry group of the flow, the cubic first
 integral, and the scalar monitors used to certify the qualitative
@@ -26,7 +29,7 @@ import numpy as np
 
 __all__ = [
     "S1", "SINF", "CHART_RADIUS", "CHART_MIN_RADICAND",
-    "rhs", "velocity", "first_integral", "sphere_field",
+    "velocity", "first_integral", "sphere_field",
     "chart_to_sphere", "modified_field",
     "symmetry_group", "monitor_table", "MONITOR_NAMES",
 ]
@@ -81,9 +84,7 @@ def _components(a1, a2, b1, b2) -> tuple:
     return v1, v2, v3, v4
 
 
-def rhs(state) -> np.ndarray:
-    """Torsion-free evolution dR/dt of the shape (A1, A2, B1, B2): velocity."""
-    return velocity(state)
+rhs = velocity  # the name under which the benchmark harness calls velocity
 
 
 def first_integral(state):
@@ -109,56 +110,51 @@ def sphere_field(a: np.ndarray) -> tuple:
 # -- chart around the singular arc J -------------------------------------
 
 
-def _radicand(p) -> float:
-    x, y, z = p
-    return 2.0 - 2.0 * x**2 - y**2 - 2.0 * z**2
-
-
 def chart_to_sphere(p: np.ndarray) -> np.ndarray:
-    """Recover the sphere point from chart coordinates.
+    """Recover sphere points (..., 4) from chart coordinates (..., 3).
 
     alpha2 = (sqrt(2 - 2x^2 - y^2 - 2z^2) - y)/2 and alpha4 the same with
     +y; rejects points where the radicand is negative.
     """
-    rad = _radicand(p)
-    if rad < 0.0:
-        raise ValueError(f"chart radicand negative at {list(map(float, p))}")
-    x, y, z = p
-    root = math.sqrt(rad)
-    return np.array([z, 0.5 * (root - y), x, 0.5 * (root + y)], dtype=float)
+    x, y, z = p = np.asarray(p, dtype=float).T
+    rad = 2.0 - 2.0 * x**2 - y**2 - 2.0 * z**2
+    if np.any(rad < 0.0):
+        raise ValueError(f"chart radicand negative at {p.T[rad < 0.0].tolist()}")
+    root = np.sqrt(rad)
+    return np.array([z, 0.5 * (root - y), x, 0.5 * (root + y)]).T
 
 
 def modified_field(p: np.ndarray) -> tuple:
     """(g, x beta) at a chart point: g = (x W_x, x W_y, x W_z) is the
     desingularized chart field, zero exactly on J, and x beta = x <V(S), S>
-    is d(ln f)/dv in the chart time.  Both are smooth through x = 0.
+    is d(ln f)/dv in the chart time.  Both are smooth through x = 0."""
+    *g, xbeta = _chart_components(*np.asarray(p, dtype=float).tolist())
+    return np.array(g), xbeta
+
+
+def _chart_components(x, y, z) -> tuple:
+    """(g1, g2, g3, x beta) of modified_field at one chart point, on Python floats.
 
     V = Vreg + P / alpha3 with P supported on the (alpha2, alpha4)
     components, so x W = q - <q, S> S with q = x Vreg + P extends
     smoothly through x = 0.  alpha4^2 - alpha2^2 is evaluated as
     y (alpha2 + alpha4), exact near the arc where the difference is tiny.
+    x beta = <q, S> is summed left to right.
     """
-    x, y, _ = p
     if x * x + y * y > CHART_RADIUS**2:
-        raise ValueError(f"chart point {list(map(float, p))} outside radius {CHART_RADIUS}")
-    if _radicand(p) < CHART_MIN_RADICAND:
-        raise ValueError(f"chart radicand too small at {list(map(float, p))}")
-    s = chart_to_sphere(p)
-    a1, a2, a3, a4 = s
+        raise ValueError(f"chart point {[x, y, z]} outside radius {CHART_RADIUS}")
+    rad = 2.0 - 2.0 * x**2 - y**2 - 2.0 * z**2
+    if rad < CHART_MIN_RADICAND:
+        raise ValueError(f"chart radicand too small at {[x, y, z]}")
+    root = math.sqrt(rad)
+    a1, a2, a3, a4 = z, 0.5 * (root - y), x, 0.5 * (root + y)
     diff24 = y * (a2 + a4)  # alpha4^2 - alpha2^2 without cancellation
-    vreg = np.array(
-        [
-            0.5 * (a1 * a1 / (a2 * a2) - a1 * a1 / (a4 * a4)),
-            0.5 * (a3 / a4 - a1 / a2),
-            (a2 * a2 + a4 * a4 - a3 * a3) / (a2 * a4),
-            0.5 * (a3 / a2 + a1 / a4),
-        ]
-    )
-    pole = np.array([0.0, 0.5 * diff24 / a4, 0.0, -0.5 * diff24 / a2])
-    q = x * vreg + pole
-    xbeta = float(np.dot(q, s))
-    xw = q - xbeta * s
-    return np.array([xw[2], xw[3] - xw[1], xw[0]]), xbeta
+    q1 = x * (0.5 * (a1 * a1 / (a2 * a2) - a1 * a1 / (a4 * a4)))
+    q2 = x * (0.5 * (a3 / a4 - a1 / a2)) + 0.5 * diff24 / a4
+    q3 = x * ((a2 * a2 + a4 * a4 - a3 * a3) / (a2 * a4))
+    q4 = x * (0.5 * (a3 / a2 + a1 / a4)) - 0.5 * diff24 / a2
+    xbeta = q1 * a1 + q2 * a2 + q3 * a3 + q4 * a4
+    return (q3 - xbeta * a3, (q4 - xbeta * a4) - (q2 - xbeta * a2), q1 - xbeta * a1, xbeta)
 
 
 # -- discrete symmetries --------------------------------------------------

@@ -52,8 +52,8 @@ REACHED_HORIZON = "reached-horizon"
 CONVERGED = "converged-to-target"
 POSITIVITY_VIOLATION = "positivity-violation"
 STEP_FAILURE = "step-failure"
-WALL_CROSSING = "wall-crossing"  # runs asked to stop once decided end at the G1 wall
-STAYS_INSIDE = "stays-inside"  # or on entering the quadrant Q (see integrate_shape)
+WALL_CROSSING = "wall-crossing"  # sphere launches and runs stopped once decided: the G1 wall
+STAYS_INSIDE = "stays-inside"  # runs stopped once decided, on entering Q (see integrate_shape)
 
 POSITIVITY_FLOOR = 1e-9
 SERIES_MAX_OFFSET = 1e-2  # the series launch offset never exceeds this t
@@ -365,6 +365,14 @@ def _sphere_field(y):
     return [v1 - beta * a1, v2 - beta * a2, v3 - beta * a3, v4 - beta * a4, beta]
 
 
+def _wall_stop(y):
+    """WALL_CROSSING at a state (R, rider) with G1 < -m, m = 1e-12 |R|^2: the escape is
+    decided, as {G1 < 0, G2 > 0} is forward-invariant (see integrate_shape)."""
+    a1, a2, b1, b2, _ = y
+    m = 1e-12 * (a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2)
+    return WALL_CROSSING if a2 * b2 - a1 * b1 < -m else None
+
+
 def _project_sphere(y):
     a1, a2, a3, a4, lnf = y
     f = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4)
@@ -395,13 +403,12 @@ def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, max_step: f
         a1, a2, b1, b2, _ = y
         if min(a1, a2, b1, b2) < POSITIVITY_FLOOR:
             return POSITIVITY_VIOLATION
-        if until_decided:
-            m, g1 = 1e-12 * (a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2), a2 * b2 - a1 * b1
-            if g1 < -m:
-                return WALL_CROSSING
-            if g1 > m and a1 * b2 - a2 * b1 < -m:
-                return STAYS_INSIDE
-        return None
+        if not until_decided:
+            return None
+        m = 1e-12 * (a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2)
+        if a2 * b2 - a1 * b1 > m and a1 * b2 - a2 * b1 < -m:
+            return STAYS_INSIDE
+        return _wall_stop(y)
 
     ts, ys, term, stats = _integrate(_shape_field, t0, np.append(r, u0), t1, tol,
                                      max_step=max_step, stop=stop)
@@ -447,11 +454,13 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
     """Unique sphere trajectory leaving the singular arc at parameter mu.
 
     Starts at (0, 0, mu) + eps * e_unstable in the chart, integrates the
-    desingularized system in v until alpha3 reaches 0.01, then switches
+    desingularized system in v on floats (flow._chart_components, not the
+    analytic right-hand side) until alpha3 reaches 0.01, then switches
     to the tangential system in u (du = x dv accumulated through the
-    first phase).  The scale f rides along via d(ln f) = beta du with
-    f = 1 at launch.  The trajectory is run to the u horizon and marked
-    converged when it enters and stays within 1e-6 of the limit direction.
+    first phase).  ln f rides along via d(ln f) = beta du from f = 1 at
+    launch.  The run ends at the first sample past the G1 wall, which can
+    never converge (WALL_CROSSING, see _wall_stop), or else at the u horizon,
+    marked converged when it enters and stays within 1e-6 of the limit direction.
     """
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
@@ -461,8 +470,8 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
     p0 = np.array([0.0, 0.0, mu]) + eps * unstable_direction(mu)
 
     def chart_field(y):
-        g, xbeta = flow.modified_field(np.array(y[:3]))
-        return [*g.tolist(), y[0], xbeta]
+        g1, g2, g3, xbeta = flow._chart_components(*y[:3])
+        return [g1, g2, g3, y[0], xbeta]
 
     def chart_stop(y):
         return "switch" if y[0] >= CHART_SWITCH_X else None
@@ -471,23 +480,17 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
                                        2000.0, LAUNCH_TOL, stop=chart_stop)
     if term != "switch":
         raise RuntimeError(f"chart phase did not reach the switch threshold ({term})")
-    chart_spheres = np.array([flow.chart_to_sphere(y[:3]) for y in cys])
-    chart_u, chart_lnf = cys[:, 3], cys[:, 4]
+    chart = np.column_stack([flow.chart_to_sphere(cys[:, :3]), cys[:, 4]])
 
-    # phase 2: tangential system in u
-    u_switch = float(chart_u[-1])
-    tail = integrate_sphere(chart_spheres[-1], u_switch, u_max,
-                            f0=float(math.exp(chart_lnf[-1])), tol=LAUNCH_TOL,
-                            max_step=max_step)
-
-    stats = dict(tail.stats)
+    # phase 2: tangential system in u, state (S, ln f), to the horizon or the wall
+    us, ys, term, stats = _integrate(_sphere_field, cys[-1, 3], chart[-1], u_max, LAUNCH_TOL,
+                                     max_step=max_step, project=_project_sphere,
+                                     stop=_wall_stop)
     stats["chart"] = {"v_span": float(vs[-1]), "steps": cstats["steps"],
-                      "u_switch": u_switch}
-    traj = Trajectory.from_samples(
-        "u", np.concatenate([chart_u[:-1], tail.params]),
-        spheres=np.concatenate([chart_spheres[:-1], tail.spheres]),
-        f=np.concatenate([np.exp(chart_lnf[:-1]), tail.f]),
-        termination=tail.termination, stats=stats)
+                      "u_switch": float(cys[-1, 3])}
+    ys = np.concatenate([chart[:-1], ys])
+    traj = Trajectory.from_samples("u", np.concatenate([cys[:-1, 3], us]), spheres=ys[:, :4],
+                                   f=np.exp(ys[:, 4]), termination=term, stats=stats)
     if traj.termination == REACHED_HORIZON:
         converged, _ = detect_convergence(traj.spheres, traj.params)
         if converged:

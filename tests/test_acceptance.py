@@ -57,10 +57,10 @@ def test_criterion_1_torsion_free_equivalence():
     for _ in range(200):
         state = ext.ShapeState(*rng.uniform(0.2, 5.0, size=4))
         solved = ext.solve_torsion_free_derivs(state)
-        analytic = flow.rhs(state)
+        analytic = flow.velocity(state)
         worst_rel = max(worst_rel, float(np.max(
             np.abs(solved - analytic) / np.maximum(1.0, np.abs(analytic)))))
-        worst_res = max(worst_res, *ext.torsion_residual(state, flow.rhs(state)))
+        worst_res = max(worst_res, *ext.torsion_residual(state, flow.velocity(state)))
     elapsed = time.monotonic() - start
     if worst_rel > 1e-9:
         failures.append(f"relative mismatch {worst_rel:.3e} > 1e-9")

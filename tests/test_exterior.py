@@ -394,7 +394,7 @@ def test_torsion_residual_at_analytic_derivs_along_trajectory(family_shapes):
     traj = family_shapes[0.5]
     for i in range(0, len(traj), max(1, len(traj) // 40)):
         state = traj.shapes[i]
-        assert max(torsion_residual(state, flow.rhs(state))) <= 1e-10
+        assert max(torsion_residual(state, flow.velocity(state))) <= 1e-10
 
 
 def test_solve_unit_state():
@@ -407,7 +407,7 @@ def test_solve_matches_analytic_rhs_on_random_states():
     for _ in range(100):
         state = ShapeState(*rng.uniform(0.2, 5.0, size=4))
         solved = solve_torsion_free_derivs(state)
-        analytic = flow.rhs(state)
+        analytic = flow.velocity(state)
         rel = np.max(np.abs(solved - analytic) / np.maximum(1.0, np.abs(analytic)))
         assert rel <= 1e-9
         # a ShapeState is its (4,) array: bit-identical results either way
@@ -449,11 +449,11 @@ def test_flipped_sign_is_caught():
     state = ShapeState(1.0, 1.3, 0.8, 1.1)
     try:
         solved = solve_torsion_free_derivs(state, bad_psi)
-        mismatch = np.max(np.abs(solved - flow.rhs(state)))
+        mismatch = np.max(np.abs(solved - flow.velocity(state)))
         assert mismatch > 0.1
     except TorsionSolveError:
         pass
-    assert max(torsion_residual(state, flow.rhs(state), bad_psi)) > 0.1
+    assert max(torsion_residual(state, flow.velocity(state), bad_psi)) > 0.1
 
 
 def test_acceptance_style_equivalence_is_fast():

@@ -25,7 +25,7 @@ def _radicand(p):
 
 
 def test_rhs_unit_state():
-    assert np.allclose(flow.rhs(ShapeState(1, 1, 1, 1)), [0, 0, 1, 1], atol=0)
+    assert np.allclose(flow.velocity(ShapeState(1, 1, 1, 1)), [0, 0, 1, 1], atol=0)
 
 
 def test_rhs_matches_bgg_chain_rule():
@@ -34,7 +34,7 @@ def test_rhs_matches_bgg_chain_rule():
     r, h = 3.0, 1e-5
     drdr = (closed_form("bgg", r + h) - closed_form("bgg", r - h)) / (2 * h)
     expected = drdr * dr_dt("bgg", r)
-    got = flow.rhs(closed_form("bgg", r))
+    got = flow.velocity(closed_form("bgg", r))
     assert np.max(np.abs(got - expected)) <= 1e-10
 
 
@@ -219,6 +219,26 @@ def test_chart_log_scale_rate_matches_x_beta():
     p = np.array([0.12, 0.03, 0.4])
     _, beta = flow.sphere_field(flow.chart_to_sphere(p))
     assert flow.modified_field(p)[1] == pytest.approx(p[0] * beta, abs=1e-13)
+
+
+def test_modified_field_is_the_float_chart_routine(monkeypatch):
+    """modified_field is _chart_components bit for bit, and neither reads V."""
+
+    def analytic(*args):
+        raise AssertionError("the chart field called the analytic right-hand side")
+
+    monkeypatch.setattr(flow, "_components", analytic)
+    monkeypatch.setattr(flow, "velocity", analytic)
+    rng = np.random.default_rng(13)
+    count = 0
+    while count < 200:
+        p = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2), rng.uniform(0.0, 0.9)])
+        if p[0] ** 2 + p[1] ** 2 > flow.CHART_RADIUS**2 or _radicand(p) < 0.05:
+            continue
+        count += 1
+        g, x_beta = flow.modified_field(p)
+        want = flow._chart_components(*p.tolist())
+        assert [v.hex() for v in [*g.tolist(), x_beta]] == [v.hex() for v in want]
 
 
 def test_modified_field_rejects_outside_chart():

@@ -550,6 +550,29 @@ def test_critical_parameter_step_count(monkeypatch):
     assert sum(r.stats["steps"] for r in runs) <= 4700
 
 
+def test_launch_above_the_edge_stops_at_the_wall(monkeypatch):
+    """Past mu* the launch ends at its first sample with G1 < 0, a prefix of the run
+    integrated on; a count, not a clock, guards the tail."""
+    stopped = shoot.launch_sphere(MU_EDGE + 1e-5)
+    g1 = stopped.monitor("G1")
+    assert stopped.termination == shoot.WALL_CROSSING
+    assert g1[-1] < 0.0 and np.all(g1[:-1] >= 0.0)
+    assert stopped.stats["steps"] <= 120
+    monkeypatch.setattr(shoot, "_wall_stop", None)
+    full = shoot.launch_sphere(MU_EDGE + 1e-5)
+    n = len(stopped)
+    assert len(full) > n and full.termination != shoot.CONVERGED
+    for name in ("params", "spheres", "f"):
+        assert np.array_equal(getattr(full, name)[:n], getattr(stopped, name))
+
+
+def test_launch_below_the_edge_converges():
+    below = shoot.launch_sphere(MU_EDGE - 1e-5)
+    assert below.termination == shoot.CONVERGED
+    assert below.params[-1] == 60.0
+    assert np.all(below.monitor("G1") > 0.0)
+
+
 def test_critical_trajectory_approaches_conic_point():
     # just below the edge the path passes very close to S1 before turning
     traj = shoot.family_shape_trajectory(0.5441297, t_max=60.0, tol=1e-12)
