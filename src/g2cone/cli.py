@@ -84,6 +84,7 @@ ECHOED = ("t_max", "u_max", "tol", "conv_tol", "order", "stride", "seed", "forma
 MAX_SAMPLES = 100_000
 MAX_MU_POINTS = 1_000
 MAX_CONV_TOL = 0.1  # convergence ball around SINF, far from S1 (0.41 away), where paths linger
+MAX_TOL = 1e-3  # at 0.1 a run at mu 0.6 accepts its last step at B1 = -3.5
 MAX_T_MAX = 1e100  # f grows like t, and f^3 in the F monitor overflows past t ~ 1e102
 MAX_U_MAX = 200.0  # and like exp(sqrt(10) u / 3) near S_inf, so f^3 overflows past u ~ 225
 
@@ -106,8 +107,9 @@ def validate(args) -> None:
         raise ConfigError("stride must be >= 1")
     if not 3 <= args.order <= 8:
         raise ConfigError("order must lie in 3..8")
-    if args.tol <= 0 or not 0 < args.conv_tol <= MAX_CONV_TOL:
-        raise ConfigError(f"--tol must be positive and --conv-tol in (0, {MAX_CONV_TOL:g}]")
+    if not (0 < args.tol <= MAX_TOL and 0 < args.conv_tol <= MAX_CONV_TOL):
+        raise ConfigError(f"--tol must lie in (0, {MAX_TOL:g}], "
+                          f"--conv-tol in (0, {MAX_CONV_TOL:g}]")
     if args.seed < 0:
         raise ConfigError("--seed must be >= 0")
     if not 1 <= getattr(args, "samples", 1) <= MAX_SAMPLES:

@@ -149,33 +149,33 @@ class ALCFit:
 # -- power series off the singular orbit ----------------------------------
 
 
-def _poly_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Product of coefficient arrays truncated to degree n."""
-    return np.convolve(a, b)[: n + 1]
-
-
-def _series_residuals(c: np.ndarray, n: int) -> list:
-    """Coefficient arrays of the four polynomial flow identities.
+def _series_residuals(c: np.ndarray, n: int, odd: bool) -> tuple:
+    """Coefficient arrays of (E1, E3) when odd, else (E2, E4), truncated to degree n.
 
     With denominators cleared, a series solution satisfies
         E1 = 2 A1' A2^2 B2^2 - A1^2 (B2^2 - A2^2)            = 0
         E2 = 2 A2' A2 B1 B2 - A2 (B2^2 - A2^2 + B1^2) + A1 B1 B2 = 0
         E3 = B1' A2 B2 - (A2^2 + B2^2 - B1^2)                = 0
         E4 = 2 B2' A2 B1 B2 - B2 (A2^2 - B2^2 + B1^2) - A1 A2 B1 = 0
-    identically in t.
+    identically in t.  series_start reads one pair at a time, so only that pair is built.
     """
     a1, a2, b1, b2 = (c[:, j] for j in range(4))
     k = np.arange(len(a1))
-    da1, da2, db1, db2 = (np.append((k * f)[1:], 0.0) for f in (a1, a2, b1, b2))
-    m = _poly_mul
-    a2sq, b2sq, b1sq = m(a2, a2, n), m(b2, b2, n), m(b1, b1, n)
-    a1sq = m(a1, a1, n)
-    b1b2 = m(b1, b2, n)
-    e1 = 2.0 * m(da1, m(a2sq, b2sq, n), n) - m(a1sq, b2sq - a2sq, n)
-    e2 = 2.0 * m(da2, m(a2, b1b2, n), n) - m(a2, b2sq - a2sq + b1sq, n) + m(a1, b1b2, n)
-    e3 = m(db1, m(a2, b2, n), n) - (a2sq + b2sq - b1sq)
-    e4 = 2.0 * m(db2, m(a2, b1b2, n), n) - m(b2, a2sq - b2sq + b1sq, n) - m(a1, m(a2, b1, n), n)
-    return [e1, e2, e3, e4]
+
+    def d(f):  # coefficients of the t-derivative
+        return np.append((k * f)[1:], 0.0)
+
+    def m(a, b):  # product, truncated to degree n
+        return np.convolve(a, b)[: n + 1]
+
+    a2sq, b2sq, b1sq = m(a2, a2), m(b2, b2), m(b1, b1)
+    if odd:
+        return (2.0 * m(d(a1), m(a2sq, b2sq)) - m(m(a1, a1), b2sq - a2sq),
+                m(d(b1), m(a2, b2)) - (a2sq + b2sq - b1sq))
+    b1b2 = m(b1, b2)
+    a2b1b2 = m(a2, b1b2)
+    return (2.0 * m(d(a2), a2b1b2) - m(a2, b2sq - a2sq + b1sq) + m(a1, b1b2),
+            2.0 * m(d(b2), a2b1b2) - m(b2, a2sq - b2sq + b1sq) - m(a1, m(a2, b1)))
 
 
 def series_start(mu: float, order: int = 4) -> SeriesStart:
@@ -196,10 +196,10 @@ def series_start(mu: float, order: int = 4) -> SeriesStart:
     c = np.zeros((order + 1, 4))
     c[0] = (mu, lam, 0.0, lam)
     for k in range(1, order + 1):
-        e1, _, e3, _ = _series_residuals(c[: k + 1], k + 1)
+        e1, e3 = _series_residuals(c[: k + 1], k + 1, odd=True)
         c[k, 0] = -e1[k - 1] / (2 * k * lam2 * lam2)
         c[k, 2] = -e3[k - 1] / (k * lam2)
-        _, e2, _, e4 = _series_residuals(c[: k + 1], k + 1)
+        e2, e4 = _series_residuals(c[: k + 1], k + 1, odd=False)
         det = 16 * k * (k + 1) * lam2
         c[k, 1] = -((4 * k + 2) * e2[k] + 2.0 * e4[k]) / det
         c[k, 3] = -(2.0 * e2[k] + (4 * k + 2) * e4[k]) / det
@@ -255,39 +255,34 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 
 def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None):
     """Adaptive DP54 driver for an autonomous field; returns (xs, ys, termination, stats).
 
-    Every accepted step is recorded.  Steps run on Python floats: the state
-    is a list, field(y) -> dy/dx returns one, and every stage sum is a
-    left-to-right chain of +, so rounding does not depend on the
-    interpreter; only xs and ys come back as arrays.  An accepted step
-    ends at its stage-6 state (the fifth-order weights are _DP_A's last
-    row), whose field value is the next stage 0 (first-same-as-last).
-    project(y) -> y runs after every accepted step (its displacement is
-    logged as drift); when it moved the state, the next step evaluates
-    the field at the projected state.  stop(y) -> str | None is checked
-    after every accepted step; a non-None reason terminates with that
-    reason recorded.
-    stats counts accepted and rejected steps and field evaluations (evals:
-    1 + 6 per attempt, one more per step after a projection that moved the
-    state, and a raising stage counts and ends its attempt); h_min, h_max
-    bound the accepted steps (inf, 0 if none).
+    The state has five components, as every field here has: (R, u), (S, ln f) or the
+    chart's (x, y, z, u, ln f); another length raises ValueError.  field(y) takes the
+    state as a list and returns five floats.  A step runs on Python floats held in
+    locals, with every stage sum and the error norm written out per component as a
+    left-to-right chain of +: rounding does not depend on the interpreter, and no list
+    is zipped or looped over.  Every accepted step is recorded (xs, ys as arrays); it
+    ends at its stage-6 state (the fifth-order weights are _DP_A's last row), whose
+    field value is the next stage 0 (first-same-as-last).  project(y) -> y runs after
+    each accepted step (its displacement is logged as drift); when it moved the state,
+    the next step evaluates the field there.  stop(y) -> str | None ends the run with
+    its reason after any accepted step.  stats counts accepted and rejected steps and
+    field evaluations (1 + 6 per attempt, one more per moved projection; each counted
+    in a local just before its call, so a raising stage counts and ends its attempt);
+    h_min, h_max bound the accepted steps (inf, 0 if none).
     """
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
         (a50, a51, a52, a53, a54), (b0, _, b2, b3, b4, b5) = _DP_A[1:]
     e0, _, e2, e3, e4, e5, e6 = _DP_E
-
-    def f(y):
-        stats["evals"] += 1
-        return field(y)
-
     y = [float(v) for v in y0]
+    if len(y) != 5:
+        raise ValueError(f"the DP54 state has 5 components, got {len(y)}")
     x, x1, rtol, max_step = float(x0), float(x1), float(rtol), float(max_step)
     xs, ys = [x], [y]
-    stats = {"steps": 0, "rejected": 0, "evals": 0, "h_min": math.inf, "h_max": 0.0,
-             "max_drift": 0.0, "error_sum": 0.0}
-    k0 = f(y)
+    steps, rejected, evals, h_min, h_max, max_drift, error_sum = 0, 0, 1, math.inf, 0.0, 0.0, 0.0
+    k0 = field(y)
     scale = ATOL + rtol * np.abs(y)
-    d0 = np.linalg.norm(y / scale) / math.sqrt(len(y))
-    d1 = np.linalg.norm(k0 / scale) / math.sqrt(len(y))
+    d0 = np.linalg.norm(y / scale) / math.sqrt(5)
+    d1 = np.linalg.norm(k0 / scale) / math.sqrt(5)
     h = max(float(min(max_step, x1 - x, 1e-2 * d0 / d1 if d1 > 0 else 1e-6)), 1e-12)
     termination = REACHED_HORIZON
     while x < x1:
@@ -295,46 +290,81 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
         if h < 1e-13 * max(1.0, abs(x)):
             termination = STEP_FAILURE
             break
+        p0, p1, p2, p3, p4 = y
         try:
             if k0 is None:  # after a projection
-                k0 = f(y)
-            k1 = f([p + h * (a10 * q0) for p, q0 in zip(y, k0)])
-            k2 = f([p + h * (a20 * q0 + a21 * q1) for p, q0, q1 in zip(y, k0, k1)])
-            k3 = f([p + h * (a30 * q0 + a31 * q1 + a32 * q2)
-                    for p, q0, q1, q2 in zip(y, k0, k1, k2)])
-            k4 = f([p + h * (a40 * q0 + a41 * q1 + a42 * q2 + a43 * q3)
-                    for p, q0, q1, q2, q3 in zip(y, k0, k1, k2, k3)])
-            k5 = f([p + h * (a50 * q0 + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)
-                    for p, q0, q1, q2, q3, q4 in zip(y, k0, k1, k2, k3, k4)])
-            y6 = [p + h * (b0 * q0 + b2 * q2 + b3 * q3 + b4 * q4 + b5 * q5)
-                  for p, q0, q2, q3, q4, q5 in zip(y, k0, k2, k3, k4, k5)]
-            k6 = f(y6)
-            err = emax = 0.0
-            for p, z, q0, q2, q3, q4, q5, q6 in zip(y, y6, k0, k2, k3, k4, k5, k6):
-                e = h * (e0 * q0 + e2 * q2 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6)
-                r = e / (ATOL + rtol * max(abs(p), abs(z)))
-                err += r * r
-                emax = max(emax, abs(e))
-            err = math.sqrt(err) / math.sqrt(len(y))
+                evals += 1
+                k0 = field(y)
+            k00, k01, k02, k03, k04 = k0
+            evals += 1
+            k10, k11, k12, k13, k14 = field([
+                p0 + h * (a10 * k00), p1 + h * (a10 * k01), p2 + h * (a10 * k02),
+                p3 + h * (a10 * k03), p4 + h * (a10 * k04)])
+            evals += 1
+            k20, k21, k22, k23, k24 = field([
+                p0 + h * (a20 * k00 + a21 * k10), p1 + h * (a20 * k01 + a21 * k11),
+                p2 + h * (a20 * k02 + a21 * k12), p3 + h * (a20 * k03 + a21 * k13),
+                p4 + h * (a20 * k04 + a21 * k14)])
+            evals += 1
+            k30, k31, k32, k33, k34 = field([
+                p0 + h * (a30 * k00 + a31 * k10 + a32 * k20),
+                p1 + h * (a30 * k01 + a31 * k11 + a32 * k21),
+                p2 + h * (a30 * k02 + a31 * k12 + a32 * k22),
+                p3 + h * (a30 * k03 + a31 * k13 + a32 * k23),
+                p4 + h * (a30 * k04 + a31 * k14 + a32 * k24)])
+            evals += 1
+            k40, k41, k42, k43, k44 = field([
+                p0 + h * (a40 * k00 + a41 * k10 + a42 * k20 + a43 * k30),
+                p1 + h * (a40 * k01 + a41 * k11 + a42 * k21 + a43 * k31),
+                p2 + h * (a40 * k02 + a41 * k12 + a42 * k22 + a43 * k32),
+                p3 + h * (a40 * k03 + a41 * k13 + a42 * k23 + a43 * k33),
+                p4 + h * (a40 * k04 + a41 * k14 + a42 * k24 + a43 * k34)])
+            evals += 1
+            k50, k51, k52, k53, k54 = field([
+                p0 + h * (a50 * k00 + a51 * k10 + a52 * k20 + a53 * k30 + a54 * k40),
+                p1 + h * (a50 * k01 + a51 * k11 + a52 * k21 + a53 * k31 + a54 * k41),
+                p2 + h * (a50 * k02 + a51 * k12 + a52 * k22 + a53 * k32 + a54 * k42),
+                p3 + h * (a50 * k03 + a51 * k13 + a52 * k23 + a53 * k33 + a54 * k43),
+                p4 + h * (a50 * k04 + a51 * k14 + a52 * k24 + a53 * k34 + a54 * k44)])
+            y6 = [p0 + h * (b0 * k00 + b2 * k20 + b3 * k30 + b4 * k40 + b5 * k50),
+                  p1 + h * (b0 * k01 + b2 * k21 + b3 * k31 + b4 * k41 + b5 * k51),
+                  p2 + h * (b0 * k02 + b2 * k22 + b3 * k32 + b4 * k42 + b5 * k52),
+                  p3 + h * (b0 * k03 + b2 * k23 + b3 * k33 + b4 * k43 + b5 * k53),
+                  p4 + h * (b0 * k04 + b2 * k24 + b3 * k34 + b4 * k44 + b5 * k54)]
+            evals += 1
+            k60, k61, k62, k63, k64 = k6 = field(y6)
+            z0, z1, z2, z3, z4 = y6
+            # the error estimate r and its scaled size s
+            r0 = h * (e0 * k00 + e2 * k20 + e3 * k30 + e4 * k40 + e5 * k50 + e6 * k60)
+            r1 = h * (e0 * k01 + e2 * k21 + e3 * k31 + e4 * k41 + e5 * k51 + e6 * k61)
+            r2 = h * (e0 * k02 + e2 * k22 + e3 * k32 + e4 * k42 + e5 * k52 + e6 * k62)
+            r3 = h * (e0 * k03 + e2 * k23 + e3 * k33 + e4 * k43 + e5 * k53 + e6 * k63)
+            r4 = h * (e0 * k04 + e2 * k24 + e3 * k34 + e4 * k44 + e5 * k54 + e6 * k64)
+            s0 = r0 / (ATOL + rtol * max(abs(p0), abs(z0)))
+            s1 = r1 / (ATOL + rtol * max(abs(p1), abs(z1)))
+            s2 = r2 / (ATOL + rtol * max(abs(p2), abs(z2)))
+            s3 = r3 / (ATOL + rtol * max(abs(p3), abs(z3)))
+            s4 = r4 / (ATOL + rtol * max(abs(p4), abs(z4)))
+            err = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3 + s4 * s4) / math.sqrt(5)
+            emax = max(0.0, abs(r0), abs(r1), abs(r2), abs(r3), abs(r4))
         except (ValueError, ZeroDivisionError, FloatingPointError):
             err = math.nan
         if not (math.isfinite(err) and all(map(math.isfinite, y6))):
-            stats["rejected"] += 1
+            rejected += 1
             h *= 0.2
             continue
         if err > 1.0:
-            stats["rejected"] += 1
+            rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
         x += h
-        stats["steps"] += 1
-        stats["h_min"], stats["h_max"] = min(stats["h_min"], h), max(stats["h_max"], h)
-        stats["error_sum"] += emax
+        steps += 1
+        h_min, h_max = min(h_min, h), max(h_max, h)
+        error_sum += emax
         if project is not None:
             yp = project(y6)
             if yp != y6:  # a moved state needs its own stage 0; a bit-exact one keeps k6
-                stats["max_drift"] = max(stats["max_drift"],
-                                         *(abs(p - z) for p, z in zip(yp, y6)))
+                max_drift = max(max_drift, *(abs(p - z) for p, z in zip(yp, y6)))
                 y6, k6 = yp, None
         y, k0 = y6, k6
         xs.append(x)
@@ -344,6 +374,8 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
             termination = reason
             break
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
+    stats = {"steps": steps, "rejected": rejected, "evals": evals, "h_min": h_min,
+             "h_max": h_max, "max_drift": max_drift, "error_sum": error_sum}
     return np.array(xs), np.array(ys), termination, stats
 
 

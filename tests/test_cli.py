@@ -14,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 import g2cone
 from g2cone.shoot import SERIES_MAX_OFFSET
 from g2cone.cli import (CSV_HEADER, MAX_CONV_TOL, MAX_MU_POINTS, MAX_SAMPLES, MAX_T_MAX,
-                        MAX_U_MAX, SWEEP_HEADER, ConfigError, build_parser, main, mu_values,
-                        validate)
+                        MAX_TOL, MAX_U_MAX, SWEEP_HEADER, ConfigError, build_parser, main,
+                        mu_values, validate)
 
 
 def run(args):
@@ -77,6 +77,7 @@ def test_invalid_common_options(tmp_path):
                               ["shoot", "--mu", "0.3", "--t-max", "1e-300"],  # below launch
                               ["shoot", "--mu", "0.3", "--u-max", "nan"],
                               ["shoot", "--mu", "0.3", "--tol", "nan"],
+                              ["shoot", "--mu", "1e-9", "--tol", "1e300"],  # past MAX_TOL
                               ["shoot", "--mu", "0.3", "--conv-tol", "nan"],
                               ["shoot", "--mu", "0.9", "--conv-tol", "10"],  # vacuous
                               ["sweep", "--conv-tol", "2"],
@@ -106,6 +107,9 @@ def test_input_bounds():
     validate(parse(["shoot", "--conv-tol", str(MAX_CONV_TOL)]))
     with pytest.raises(ConfigError):
         validate(parse(["shoot", "--conv-tol", str(float(np.nextafter(MAX_CONV_TOL, 1.0)))]))
+    validate(parse(["shoot", "--tol", str(MAX_TOL)]))
+    with pytest.raises(ConfigError):
+        validate(parse(["shoot", "--tol", str(float(np.nextafter(MAX_TOL, 1.0)))]))
     grid = mu_values(parse(["sweep", "--mu-range", f"0.1:0.9:{MAX_MU_POINTS}"]), [])
     assert len(grid) == MAX_MU_POINTS
     for n in (0, MAX_MU_POINTS + 1):
@@ -346,13 +350,14 @@ def test_runtime_imports():
 _BAD = ["nan", "inf", "", "abc", "1e", "--"]  # non-finite and garbage strings
 _ABOVE_LAUNCH = repr(float(np.nextafter(SERIES_MAX_OFFSET, 1.0)))  # the least valid --t-max
 _PAST_CONV = repr(float(np.nextafter(MAX_CONV_TOL, 1.0)))
+_PAST_TOL = repr(float(np.nextafter(MAX_TOL, 1.0)))
 # each numeric option at and past its bounds, with a bounded cost per run
 _OPTIONS = {
     "--t-max": ["200", "1", _ABOVE_LAUNCH, repr(SERIES_MAX_OFFSET), repr(MAX_T_MAX), "1e101", "0",
                 "-1", *_BAD],
     "--u-max": ["60", "1", "5e-324", repr(MAX_U_MAX), repr(float(np.nextafter(MAX_U_MAX, np.inf))),
                 "6000", "0", "-1", *_BAD],
-    "--tol": ["1e-10", "5e-324", "0.1", "1e300", "0", "-1e-10", *_BAD],
+    "--tol": ["1e-10", "5e-324", repr(MAX_TOL), _PAST_TOL, "0.1", "1e300", "0", "-1e-10", *_BAD],
     "--conv-tol": ["1e-6", "5e-324", repr(MAX_CONV_TOL), _PAST_CONV, "0", *_BAD],
     "--order": ["3", "8", "2", "9", "-1", "3.5", "abc"],
     "--stride": ["1", "7", "1000000000000", "0", "-1", "abc"],
@@ -388,7 +393,7 @@ def _argv(draw):
 @given(argv=_argv(), unusable_out=st.sampled_from([False, False, False, True]))  # one in four
 @example(argv=["shoot", "--mu", "0.9999999"], unusable_out=False)
 @example(argv=["sweep", "--mu-range", "0.99999:0.99999:1"], unusable_out=False)
-@example(argv=["sweep", "--mu", "0.6", "--tol", "0.1"], unusable_out=False)  # B1 < 0 at the end
+@example(argv=["sweep", "--mu", "0.6", "--tol", "0.1"], unusable_out=False)  # past MAX_TOL
 @example(argv=["sweep", "--mu", "5e-324"], unusable_out=False)  # a subnormal A1
 @example(argv=["shoot", "--mu", "0.3", "--t-max", "1e103"], unusable_out=False)  # f^3 overflows
 @example(argv=["shoot", "--mu", "0.3", "--u-max", "6000"], unusable_out=False)  # so does exp(ln f)

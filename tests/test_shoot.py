@@ -45,11 +45,10 @@ def test_series_order_residual():
 
 def test_series_cleared_identities_vanish_to_matched_order():
     s = shoot.series_start(0.35, order=6)
-    res = shoot._series_residuals(s.coefficients, s.order + 1)
-    for eq in (0, 2):  # matched at t^0 .. t^(order-1)
-        assert np.max(np.abs(res[eq][: s.order])) <= 1e-11
-    for eq in (1, 3):  # matched at t^1 .. t^order
-        assert np.max(np.abs(res[eq][: s.order + 1])) <= 1e-11
+    for e in shoot._series_residuals(s.coefficients, s.order + 1, odd=True):
+        assert np.max(np.abs(e[: s.order])) <= 1e-11  # E1, E3 matched at t^0 .. t^(order-1)
+    for e in shoot._series_residuals(s.coefficients, s.order + 1, odd=False):
+        assert np.max(np.abs(e[: s.order + 1])) <= 1e-11  # E2, E4 matched at t^1 .. t^order
 
 
 def _exact_series(mu, lam, order):
@@ -96,13 +95,13 @@ def test_series_matches_exact_arithmetic():
 
 @pytest.mark.parametrize("order", [3, 4, 8])
 def test_series_two_residual_evaluations_per_order(monkeypatch, order):
-    """Two _series_residuals evaluations per order: 8 at the default order 4."""
+    """Two _series_residuals evaluations per order, one per pair: 8 at the default order 4."""
     calls = []
     residuals = shoot._series_residuals
     monkeypatch.setattr(shoot, "_series_residuals",
-                        lambda c, n: calls.append(n) or residuals(c, n))
+                        lambda c, n, odd: calls.append((n, odd)) or residuals(c, n, odd))
     shoot.series_start(0.37, order)
-    assert calls == [k + 1 for k in range(1, order + 1) for _ in (0, 1)]
+    assert calls == [(k + 1, odd) for k in range(1, order + 1) for odd in (True, False)]
 
 
 def test_series_validation():
@@ -192,10 +191,10 @@ def test_integrator_counters(monkeypatch):
         calls.append(y)
         if y[0] > 1.0:
             raise ValueError("outside the domain")
-        return [1.0, 1.0]
+        return [1.0] * 5
 
     calls.clear()
-    _, _, term, st = shoot._integrate(field, 0.0, np.zeros(2), 2.0, 1e-10)
+    _, _, term, st = shoot._integrate(field, 0.0, np.zeros(5), 2.0, 1e-10)
     attempts = st["steps"] + st["rejected"]
     assert term == shoot.STEP_FAILURE
     assert attempts < st["evals"] == len(calls) < 1 + 6 * attempts
@@ -232,23 +231,82 @@ def test_stage_zero_is_the_last_stage(monkeypatch):
 
 
 def test_float_kernel_on_closed_forms():
-    """The DP54 kernel on Python floats: decay and rotation to 1e-8, reruns bit for bit."""
+    """The DP54 kernel on Python floats: decay and rotation to 1e-8, reruns bit for bit.
+
+    Five decays at distinct rates, and a rotation in (y0, y1) beside three
+    decays: every component of the five-float step meets a closed form.
+    """
+    rates = (1.0, 0.5, 2.0, 0.25, 1.5)
+
     def decay(y):
-        return [-y[0]]
+        return [-c * v for c, v in zip(rates, y)]
 
     def rotation(y):
-        return [-y[1], y[0]]
+        return [-y[1], y[0], -0.5 * y[2], -2.0 * y[3], -0.25 * y[4]]
 
-    for field, y0, exact in ((decay, [1.0], lambda x: np.exp(-x)[:, None]),
-                             (rotation, [1.0, 0.0],
-                              lambda x: np.column_stack([np.cos(x), np.sin(x)]))):
+    def decays(x, cs):
+        return np.exp(-np.outer(x, cs))
+
+    for field, exact in ((decay, lambda x: decays(x, rates)),
+                         (rotation, lambda x: np.column_stack(
+                             [np.cos(x), np.sin(x), decays(x, (0.5, 2.0, 0.25))]))):
+        y0 = exact(np.zeros(1))[0].tolist()
         xs, ys, term, st = shoot._integrate(field, 0.0, y0, 5.0, 1e-10)
         assert term == shoot.REACHED_HORIZON and xs[-1] == 5.0
-        assert ys.dtype == float and ys.shape == (len(xs), len(y0))
+        assert ys.dtype == float and ys.shape == (len(xs), 5)
         assert np.max(np.abs(ys - exact(xs))) <= 1e-8
         again = shoot._integrate(field, 0.0, y0, 5.0, 1e-10)
         assert np.array_equal(again[0], xs) and np.array_equal(again[1], ys)
         assert again[3] == st
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_integrate_rejects_other_state_lengths(n):
+    """The DP54 state has five components; another length raises before any field call."""
+    calls = []
+    with pytest.raises(ValueError, match="5 components"):
+        shoot._integrate(lambda y: calls.append(y) or [0.0] * n, 0.0, [1.0] * n, 1.0, 1e-10)
+    assert calls == []
+
+
+def _hex(v):
+    """float.hex of v, or of every float in a list or dict of them; other values as given."""
+    if isinstance(v, dict):
+        return {k: _hex(w) for k, w in v.items()}
+    if isinstance(v, list):
+        return [_hex(w) for w in v]
+    return float(v).hex() if isinstance(v, float) else v
+
+
+def test_kernel_bits_pinned():
+    """The last sample and stats of a family run and of a sphere launch, bit for bit.
+
+    The golden gate compares to 1e-12 relative; these hex values were
+    recorded from the DP54 kernel written over lists, and any rewrite of
+    the kernel must reproduce them exactly.
+    """
+    traj = shoot.family_shape_trajectory(0.5, t_max=60.0, tol=1e-12)
+    stats = {k: v for k, v in traj.stats.items() if k != "u"}
+    assert (len(traj), traj.termination) == (322, shoot.REACHED_HORIZON)
+    assert _hex([traj.params[-1], *traj.shapes[-1], traj.stats["u"][-1]]) == [
+        "0x1.e000000000000p+5", "0x1.d604437b4c356p-1", "0x1.13414c4b57794p+5",
+        "0x1.419738b6ce3bfp+5", "0x1.199c92e2a7d7ap+5", "0x1.09628864a6cb0p+2"]
+    assert _hex(stats) == {
+        "steps": 321, "rejected": 0, "evals": 1927, "h_min": "0x1.541678e368066p-9",
+        "h_max": "0x1.af48f371c9bc1p+0", "max_drift": "0x0.0p+0",
+        "error_sum": "0x1.1afe51759d0d0p-29"}
+
+    launch = shoot.launch_sphere(0.3)
+    assert (len(launch), launch.termination) == (516, shoot.CONVERGED)
+    assert _hex([launch.params[-1], *launch.spheres[-1], launch.f[-1]]) == [
+        "0x1.e000000000000p+5", "0x1.3e439a993f0edp-93", "0x1.186f174f88472p-1",
+        "0x1.43d136248490fp-1", "0x1.186f174f88473p-1", "0x1.11c9d63c39e0bp+91"]
+    assert _hex(launch.stats) == {
+        "steps": 433, "rejected": 0, "evals": 2834, "h_min": "0x1.731c274c335f9p-13",
+        "h_max": "0x1.0000000000000p-2", "max_drift": "0x1.6c00000000000p-43",
+        "error_sum": "0x1.970ba05d1c568p-28",
+        "chart": {"v_span": "0x1.ba93034a487afp+1", "steps": 82,
+                  "u_switch": "0x1.47c640c3fdeb8p-8"}}
 
 
 def test_first_integral_drift_small():
