@@ -17,10 +17,17 @@ from g2cone import flow
 
 rng = np.random.default_rng(0)
 
+
+def show(form):
+    """A map of unit coefficients as its signed basis monomials, e.g. -e126 +e135 ..."""
+    return " ".join(f"{'-' if val < 0 else '+'}e{''.join(map(str, idx))}"
+                    for idx, val in sorted(form.items()))
+
+
 print("The defining 3-form (sorted-index basis, signs from permutation parity):")
-print(" ", ext.g2_form())
-print("Its Hodge dual:")
-print(" ", ext.hodge_star(ext.g2_form()))
+print(" ", show(ext.PSI))
+print("Its Hodge dual, e^I -> sign(I, I^c) e^(I^c):")
+print(" ", show(ext.STAR_PSI))
 print()
 
 print("At the unit shape (1, 1, 1, 1) the flow moves only B1 and B2:")
@@ -43,9 +50,8 @@ print(f"  worst closure coefficient: {worst_res:.3e}")
 print()
 
 print("Negative control: flip the sign of one monomial of the 3-form.")
-flipped = dict(ext.g2_form().coeffs)
-flipped[(4, 5, 6)] = -flipped[(4, 5, 6)]
-bad = ext.KForm(3, flipped)
+bad = dict(ext.PSI)
+bad[4, 5, 6] = -bad[4, 5, 6]
 res = ext.torsion_residual(state, flow.velocity(state), bad)
 print(f"  closure residual at the analytic derivatives: {max(res):.3f}"
       " (three orders of magnitude above anything torsion free)")

@@ -3,9 +3,10 @@ metrics on deformations of the cone over S^3 x S^3.
 
 The package is organized around five pieces:
 
-* :mod:`g2cone.exterior` -- exterior algebra on the invariant coframe;
-  builds the defining 3-form, evaluates the closure conditions and
-  re-derives the torsion-free flow from them (the independent oracle).
+* :mod:`g2cone.exterior` -- the closure conditions on the invariant
+  coframe: holds the defining 3-form as a map of seven signs, evaluates
+  d(Psi) and d(star Psi) and re-derives the torsion-free flow from them
+  (the independent oracle).
 * :mod:`g2cone.flow` -- the shape ODE system, its first integral, the
   radial/tangential split on S^3, the desingularized chart at the
   singular arc, discrete symmetries and scalar monitors.
@@ -30,7 +31,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "exterior": ("KForm", "ShapeState"),
+    "exterior": ("ShapeState",),
     "shoot": ("SeriesStart", "Trajectory", "ALCFit"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

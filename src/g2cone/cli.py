@@ -230,10 +230,8 @@ def cmd_verify_torsion(args, outdir: Path, report: dict) -> str:
     report["n_samples"] = args.samples
     psi = None
     if args.debug_flip_psi:
-        flipped = dict(ext.g2_form().coeffs)
-        key = (4, 5, 6)
-        flipped[key] = -flipped[key]
-        psi = ext.KForm(3, flipped)
+        psi = dict(ext.PSI)
+        psi[4, 5, 6] = -psi[4, 5, 6]
         report["debug_flip_psi"] = True
     rng = np.random.default_rng(args.seed)
     worst_rel, worst_res, failures, solve_failures = 0.0, 0.0, 0, 0

@@ -1,4 +1,4 @@
-"""Exterior algebra over the invariant orthonormal coframe e^1..e^7.
+"""Closure conditions of the G2 structure on the invariant orthonormal coframe e^1..e^7.
 
 The coframe is adapted to the squashed product of two 3-spheres:
 
@@ -11,31 +11,34 @@ with the Maurer-Cartan relations d eta_i = -2 eta_{i+1} ^ eta_{i+2}
 symmetric slice A2 = A3, B2 = B3, so a metric shape is the quadruple
 (A1, A2, B1, B2).
 
-Forms are stored sparsely (`KForm`): a degree-k form is a map from
-strictly increasing k-tuples over {1..7} to coefficients.  This module
-builds the defining 3-form Psi of the G2 structure and its Hodge dual,
-and evaluates the closure conditions d Psi = 0, d star Psi = 0 at a
-(shape, shape-derivative) point.  d is linear in the structure 2-forms
-de^1..de^7, so the 56 closure coefficients are one contraction
-S[56, 7, 21] . D[7, 21]: S holds the Leibniz-rule signs, built once per
-3-form from Psi and star Psi, and D the e-basis coefficients of the
-de^i, taken from the structure equations in numpy (batched over
-states, complex input allowed).  From the closure conditions alone it
-re-derives the torsion-free shape derivatives -- independently of the
-flow module's analytic right-hand side, which it serves as an oracle
-for.
+A form is a map from strictly increasing index tuples over {1..7} to
+coefficients.  The defining 3-form Psi of the G2 structure is the
+read-only map PSI, seven signs +-1.0 taken from its literal monomials by
+permutation parity; its Hodge dual STAR_PSI is the complement map
+I -> I^c with sign(I, I^c).  The module evaluates the closure conditions
+d Psi = 0, d star Psi = 0 at a (shape, shape-derivative) point.  d is
+linear in the structure 2-forms de^1..de^7, so the 56 closure
+coefficients are one contraction S[56, 7, 21] . D[7, 21]: S holds the
+Leibniz-rule signs, built once per 3-form from Psi and star Psi, and D
+the e-basis coefficients of the de^i, taken from the structure equations
+in numpy (batched over states, complex input allowed).  From the closure
+conditions alone it re-derives the torsion-free shape derivatives --
+independently of the flow module's analytic right-hand side, which it
+serves as an oracle for.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["KForm", "ShapeState", "TorsionSolveError", "basis_form", "wedge",
-           "hodge_star", "g2_form", "torsion_residual", "residual_coefficients",
-           "torsion_system", "solve_torsion_free_derivs"]
+__all__ = ["ShapeState", "TorsionSolveError", "PSI", "STAR_PSI", "torsion_residual",
+           "residual_coefficients", "torsion_system", "solve_torsion_free_derivs"]
 
 DIM = 7
 
@@ -54,127 +57,32 @@ class TorsionSolveError(RuntimeError):
     """The closure conditions could not be satisfied at the given state."""
 
 
-class KForm:
-    """Sparse exterior form of fixed degree on the 7-dimensional coframe.
-
-    Coefficients are stored in a dict keyed by strictly increasing index
-    tuples; absent keys mean zero.  Values may be any scalar supporting
-    arithmetic (floats in normal use, complex in derivative probes).
-    """
-
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree: int, coeffs: dict | None = None):
-        if not 0 <= degree <= DIM:
-            raise ValueError(f"degree must lie in 0..{DIM}, got {degree}")
-        self.degree = degree
-        self.coeffs = {}
-        if coeffs:
-            for idx, val in coeffs.items():
-                idx = tuple(idx)
-                if len(idx) != degree:
-                    raise ValueError(f"index {idx} has length != degree {degree}")
-                if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-                    raise ValueError(f"index {idx} is not strictly increasing")
-                if not all(1 <= j <= DIM for j in idx):
-                    raise ValueError(f"index {idx} out of range 1..{DIM}")
-                if val != 0:
-                    self.coeffs[idx] = self.coeffs.get(idx, 0) + val
-
-    # -- basic algebra -------------------------------------------------
-
-    def __add__(self, other: "KForm") -> "KForm":
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degree")
-        out = dict(self.coeffs)
-        for idx, val in other.coeffs.items():
-            out[idx] = out.get(idx, 0) + val
-        return KForm(self.degree, out)
-
-    def __sub__(self, other: "KForm") -> "KForm":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "KForm":
-        return KForm(self.degree, {i: scalar * v for i, v in self.coeffs.items()})
-
-    def __mul__(self, scalar) -> "KForm":
-        return self.__rmul__(scalar)
-
-    def coefficient(self, idx) -> float:
-        return self.coeffs.get(tuple(sorted(idx)), 0.0)
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"e{''.join(map(str, i))}: {v:g}" for i, v in sorted(self.coeffs.items()))
-        return f"KForm(deg={self.degree}, {{{terms}}})"
-
-
-def basis_form(*indices: int) -> KForm:
-    """e^{i1...ik} for strictly increasing indices, as a unit-coefficient form."""
-    return KForm(len(indices), {tuple(indices): 1.0})
-
-
-def zero_form(degree: int) -> KForm:
-    return KForm(degree)
-
-
-def _merge_sign(left: tuple, right: tuple):
-    """Sort the concatenation of two increasing tuples, with permutation sign.
-
-    Returns (sorted tuple, sign) or (None, 0) when an index repeats.
-    """
-    if set(left) & set(right):
-        return None, 0
-    # number of transpositions = inversions between the two sorted blocks
-    inversions = 0
-    for j in right:
-        inversions += sum(1 for i in left if i > j)
-    merged = tuple(sorted(left + right))
-    return merged, -1 if inversions % 2 else 1
-
-
-def wedge(a: KForm, b: KForm) -> KForm:
-    """Graded-anticommutative product; zero form when degrees exceed 7."""
-    deg = a.degree + b.degree
-    if deg > DIM:
-        return zero_form(DIM)  # only the zero form exists above top degree
-    out: dict = {}
-    for ia, va in a.coeffs.items():
-        for ib, vb in b.coeffs.items():
-            idx, sign = _merge_sign(ia, ib)
-            if idx is None:
-                continue
-            out[idx] = out.get(idx, 0) + sign * va * vb
-    return KForm(deg, out)
+def _parity(idx: tuple) -> int:
+    """Sign of the permutation that sorts idx, (-1)^inversions; 0 when an index repeats."""
+    if len(set(idx)) < len(idx):
+        return 0
+    return (-1) ** sum(a > b for a, b in itertools.combinations(idx, 2))
 
 
 _FULL = tuple(range(1, DIM + 1))
 
-
-def hodge_star(a: KForm) -> KForm:
-    """Hodge star for the orthonormal coframe, orientation e^{1234567}.
-
-    star(e^I) = sign(I, I^c) e^{I^c}; in dimension 7 the star is an
-    involution on every degree.
-    """
-    out: dict = {}
-    for idx, val in a.coeffs.items():
-        comp = tuple(j for j in _FULL if j not in idx)
-        _, sign = _merge_sign(idx, comp)
-        out[comp] = out.get(comp, 0) + sign * val
-    return KForm(DIM - a.degree, out)
-
-
 # The defining 3-form, kept in the literal e^{564} + e^{527} + ... shape;
-# normalisation to sorted index tuples supplies the permutation signs.
+# sorting each monomial's indices supplies its permutation sign.
 _PSI_MONOMIALS = ((5, 6, 4), (5, 2, 7), (5, 1, 3), (6, 2, 1), (6, 3, 7), (4, 3, 2), (4, 1, 7))
 
 
-def g2_form() -> KForm:
-    """The invariant 3-form defining the G2 structure (7 unit monomials)."""
-    out = zero_form(3)
-    for (i, j, k) in _PSI_MONOMIALS:
-        out = out + wedge(wedge(basis_form(i), basis_form(j)), basis_form(k))
+def _star(form: Mapping) -> dict:
+    """Hodge star for the orthonormal coframe, orientation e^{1234567}:
+    e^I -> sign(I, I^c) e^{I^c}."""
+    out = {}
+    for idx, val in form.items():
+        comp = tuple(j for j in _FULL if j not in idx)
+        out[comp] = _parity(idx + comp) * val
     return out
+
+
+PSI = MappingProxyType({tuple(sorted(m)): float(_parity(m)) for m in _PSI_MONOMIALS})
+STAR_PSI = MappingProxyType(_star(PSI))
 
 
 # -- the closure engine: S[56, 7, 21] . D[..., 7, 21] -------------------------
@@ -237,7 +145,7 @@ def _differentials(r, dr) -> np.ndarray:
     return out
 
 
-def _structure_tensor(psi: KForm) -> np.ndarray:
+def _structure_tensor(psi: Mapping) -> np.ndarray:
     """S[56, 7, 21] from Psi and star Psi by the Leibniz rule.
 
     d e^I = sum_pos (-1)^pos e^{i1} ^ .. de^{i_pos} .. ^ e^{ik}, and 2-forms
@@ -246,30 +154,37 @@ def _structure_tensor(psi: KForm) -> np.ndarray:
     Psi and star Psi do not depend on t.
     """
     tensor = np.zeros((len(_ROWS), DIM, len(_IDX2)))
-    for form in (psi, hodge_star(psi)):
-        for idx, val in form.coeffs.items():
+    for form in (psi, _star(psi)):
+        for idx, val in form.items():
             for pos, i in enumerate(idx):
+                rest = idx[:pos] + idx[pos + 1:]
                 for col, pair in enumerate(_IDX2):
-                    merged, sign = _merge_sign(pair, idx[:pos] + idx[pos + 1:])
-                    if merged is not None:
-                        tensor[_ROWS[merged], i - 1, col] += (-1) ** pos * sign * val
+                    sign = _parity(pair + rest)
+                    if sign:
+                        row = _ROWS[tuple(sorted(pair + rest))]
+                        tensor[row, i - 1, col] += (-1) ** pos * sign * val
     return tensor
 
 
 _TENSORS: dict = {}
 
 
-def _tensor(psi: KForm | None) -> np.ndarray:
-    """S for psi (default: the G2 form), built once per distinct 3-form."""
-    key = None if psi is None else tuple(sorted(psi.coeffs.items()))
+def _tensor(psi: Mapping | None) -> np.ndarray:
+    """S for psi (default: PSI), checked and built once per distinct 3-form."""
+    key = None if psi is None else tuple(sorted(psi.items()))
     if key not in _TENSORS:
-        tensor = _structure_tensor(g2_form() if psi is None else psi)
+        for idx, val in key or ():
+            if not (isinstance(idx, tuple) and len(idx) == 3
+                    and 1 <= idx[0] < idx[1] < idx[2] <= DIM and math.isfinite(val)):
+                raise ValueError(f"a 3-form term is an increasing triple over 1..{DIM} "
+                                 f"with a finite coefficient, got {idx!r}: {val!r}")
+        tensor = _structure_tensor(PSI if psi is None else psi)
         tensor.flags.writeable = False  # shared by every later call
         _TENSORS[key] = tensor
     return _TENSORS[key]
 
 
-def residual_coefficients(state, derivs, psi: KForm | None = None) -> np.ndarray:
+def residual_coefficients(state, derivs, psi: Mapping | None = None) -> np.ndarray:
     """All 56 closure coefficients (35 of dPsi, 21 of d star Psi), S . D.
 
     state and derivs are (..., 4) arrays (a ShapeState is one); leading
@@ -279,21 +194,22 @@ def residual_coefficients(state, derivs, psi: KForm | None = None) -> np.ndarray
     return d.reshape(d.shape[:-2] + (-1,)) @ _tensor(psi).reshape(len(_ROWS), -1).T
 
 
-def torsion_residual(state, derivs, psi: KForm | None = None) -> tuple:
+def torsion_residual(state, derivs, psi: Mapping | None = None) -> tuple:
     """Largest coefficients of d(Psi) and d(star Psi) at the given point.
 
     Both vanish exactly when (state, derivs) sits on the torsion-free
-    locus of the G2 structure.  A non-default psi (e.g. with a flipped
-    sign, as a negative control) can be supplied.  A single state gives
-    a pair of floats, arrays (..., 4) a pair of arrays over the leading
-    axes.
+    locus of the G2 structure.  A non-default psi, a map like PSI (e.g.
+    dict(PSI) with one sign flipped, as a negative control), can be
+    supplied; a term that is not an increasing triple over 1..7 with a
+    finite coefficient raises ValueError.  A single state gives a pair
+    of floats, arrays (..., 4) a pair of arrays over the leading axes.
     """
     vec = np.abs(residual_coefficients(state, derivs, psi))
     dpsi, dstar = vec[..., :_N4].max(axis=-1), vec[..., _N4:].max(axis=-1)
     return (float(dpsi), float(dstar)) if dpsi.ndim == 0 else (dpsi, dstar)
 
 
-def torsion_system(state, psi: KForm | None = None):
+def torsion_system(state, psi: Mapping | None = None):
     """Affine system M d + c = residuals over the shape derivatives d.
 
     The closure coefficients are affine in the four derivatives because
@@ -306,7 +222,7 @@ def torsion_system(state, psi: KForm | None = None):
     return m, residual_coefficients(r, np.zeros_like(r), psi)
 
 
-def solve_torsion_free_derivs(state, psi: KForm | None = None) -> np.ndarray:
+def solve_torsion_free_derivs(state, psi: Mapping | None = None) -> np.ndarray:
     """Shape derivatives (4,) annihilating both closure conditions, by least squares.
 
     This is the exterior-calculus route to the torsion-free flow: it

@@ -611,12 +611,13 @@ def critical_parameter(lo: float = 0.5, hi: float = 0.6, tol: float = 1e-9) -> f
     cross the G1 wall and the metric closes up singularly at finite t.
     The critical trajectory itself approaches the conic stationary
     direction S1.  Located by bisection on family runs stopped once decided (at
-    the wall or in Q, see integrate_shape); the bracket must straddle the transition.
+    the wall or in Q, see integrate_shape): a run escapes when it stops at the
+    wall.  The bracket must straddle the transition.
     """
 
     def escapes(mu):
-        return escapes_invariant_region(
-            family_shape_trajectory(mu, t_max=60.0, tol=1e-12, until_decided=True))
+        traj = family_shape_trajectory(mu, t_max=60.0, tol=1e-12, until_decided=True)
+        return traj.termination == WALL_CROSSING
 
     if escapes(lo) or not escapes(hi):
         raise ValueError(f"bracket ({lo}, {hi}) does not straddle the transition")

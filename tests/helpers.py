@@ -5,7 +5,6 @@ import math
 import numpy as np
 
 from g2cone import flow, shoot
-from g2cone.exterior import KForm, basis_form, wedge, zero_form
 
 
 def central_derivative(ts, ys, i, half=3):
@@ -94,6 +93,71 @@ def apply_symmetry(obj, k: int):
 
 
 # -- KForm reference for the closure engine ------------------------------------
+# A sparse form algebra of its own, sharing no code with g2cone.exterior, so a
+# sign slip in the engine cannot enter both sides of a comparison.
+
+
+def sort_sign(idx: tuple):
+    """Bubble-sort idx, one sign flip per swap of neighbours.
+
+    Returns (sorted tuple, sign), or (None, 0) when an index repeats.
+    """
+    if len(set(idx)) < len(idx):
+        return None, 0
+    out, sign = list(idx), 1
+    for end in range(len(out) - 1, 0, -1):
+        for j in range(end):
+            if out[j] > out[j + 1]:
+                out[j], out[j + 1] = out[j + 1], out[j]
+                sign = -sign
+    return tuple(out), sign
+
+
+class KForm:
+    """Degree-k form on the coframe e^1..e^7: a dict from strictly increasing
+    k-tuples to coefficients, zero coefficients dropped."""
+
+    def __init__(self, degree: int, coeffs: dict | None = None):
+        self.degree = degree
+        self.coeffs = {idx: val for idx, val in (coeffs or {}).items() if val != 0}
+
+    def __add__(self, other: "KForm") -> "KForm":
+        assert self.degree == other.degree, "forms of different degree"
+        out = dict(self.coeffs)
+        for idx, val in other.coeffs.items():
+            out[idx] = out.get(idx, 0) + val
+        return KForm(self.degree, out)
+
+    def __rmul__(self, scalar) -> "KForm":
+        return KForm(self.degree, {idx: scalar * val for idx, val in self.coeffs.items()})
+
+    def coefficient(self, idx) -> float:
+        return self.coeffs.get(tuple(idx), 0.0)
+
+
+def basis_form(*indices: int) -> KForm:
+    """e^{i1...ik} for strictly increasing indices."""
+    return KForm(len(indices), {indices: 1.0})
+
+
+def wedge(a: KForm, b: KForm) -> KForm:
+    """Graded-anticommutative product (a repeated index gives zero)."""
+    out: dict = {}
+    for ia, va in a.coeffs.items():
+        for ib, vb in b.coeffs.items():
+            idx, sign = sort_sign(ia + ib)
+            if sign:
+                out[idx] = out.get(idx, 0) + sign * va * vb
+    return KForm(a.degree + b.degree, out)
+
+
+def hodge_star(a: KForm) -> KForm:
+    """star(e^I) = sign(I, I^c) e^{I^c}, orientation e^{1234567}."""
+    out = {}
+    for idx, val in a.coeffs.items():
+        comp = tuple(j for j in range(1, 8) if j not in idx)
+        out[comp] = sort_sign(idx + comp)[1] * val
+    return KForm(7 - a.degree, out)
 
 
 def max_abs(form: KForm) -> float:
@@ -106,7 +170,6 @@ def allclose(a: KForm, b: KForm, tol: float = 1e-12) -> bool:
         return False
     keys = set(a.coeffs) | set(b.coeffs)
     return all(abs(a.coeffs.get(k, 0) - b.coeffs.get(k, 0)) <= tol for k in keys)
-
 
 
 def coframe_differentials(state, derivs) -> list:
@@ -127,7 +190,7 @@ def coframe_differentials(state, derivs) -> list:
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         d = (dA[i] / A[i]) * wedge(e7, basis_form(i + 1))
-        d = d - A[i] * (
+        d = d + (-A[i]) * (
             (1.0 / (A[j] * A[k])) * wedge(basis_form(j + 1), basis_form(k + 1))
             + (1.0 / (B[j] * B[k])) * wedge(basis_form(j + 4), basis_form(k + 4))
         )
@@ -135,12 +198,12 @@ def coframe_differentials(state, derivs) -> list:
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         d = (dB[i] / B[i]) * wedge(e7, basis_form(i + 4))
-        d = d - B[i] * (
+        d = d + (-B[i]) * (
             (1.0 / (A[j] * B[k])) * wedge(basis_form(j + 1), basis_form(k + 4))
             + (1.0 / (B[j] * A[k])) * wedge(basis_form(j + 4), basis_form(k + 1))
         )
         diffs.append(d)
-    diffs.append(zero_form(2))  # de^7 = d(dt) = 0
+    diffs.append(KForm(2))  # de^7 = d(dt) = 0
     return diffs
 
 
@@ -151,7 +214,7 @@ def exterior_derivative(form: KForm, diffs: list) -> KForm:
     Valid for forms whose coefficients do not depend on t (true for the
     G2 3-form and its dual); coefficient derivatives are not included.
     """
-    out = zero_form(form.degree + 1)
+    out = KForm(form.degree + 1)
     for idx, val in form.coeffs.items():
         for pos, i in enumerate(idx):
             term = KForm(0, {(): 1.0})

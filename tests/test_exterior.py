@@ -1,26 +1,34 @@
+import ast
 import itertools
-import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from sympy.combinatorics import Permutation
 
+import helpers
 from g2cone import exterior, flow
 from g2cone.exterior import (
-    KForm,
+    PSI,
+    STAR_PSI,
     ShapeState,
     TorsionSolveError,
-    basis_form,
-    g2_form,
-    hodge_star,
     residual_coefficients,
     solve_torsion_free_derivs,
     torsion_residual,
     torsion_system,
-    wedge,
 )
 from g2cone.analysis import closed_form, dr_dt
-from helpers import allclose, coframe_differentials, exterior_derivative, max_abs
+from helpers import (KForm, allclose, basis_form, coframe_differentials, exterior_derivative,
+                     hodge_star, max_abs, wedge)
+
+# the wedge, star and probe tests below run on the reference algebra of
+# tests/helpers.py, which shares no sign code with the engine
+
+
+def psi_form(psi=PSI) -> KForm:
+    """A 3-form map (default PSI) as a reference-algebra form."""
+    return KForm(3, dict(psi))
 
 
 def random_form(rng, degree, terms=4):
@@ -64,14 +72,18 @@ def test_wedge_bilinear_associative_anticommutative():
 
 
 def test_kform_validation():
-    with pytest.raises(ValueError):
-        KForm(2, {(2, 1): 1.0})
-    with pytest.raises(ValueError):
-        KForm(2, {(1, 1): 1.0})
-    with pytest.raises(ValueError):
-        KForm(1, {(8,): 1.0})
-    with pytest.raises(ValueError):
-        KForm(8)
+    """A supplied 3-form map is checked where its tensor is built: unsorted,
+    repeated, out-of-range and wrong-length keys and non-finite values raise,
+    and no tensor is cached for them."""
+    state, derivs = ShapeState(1.0, 1.3, 0.8, 1.1), np.array([0.2, -0.1, 0.7, 0.4])
+    cached = set(exterior._TENSORS)
+    for bad in ({(2, 1, 3): 1.0}, {(1, 1, 2): 1.0}, {(1, 2, 8): 1.0}, {(1, 2): 1.0},
+                {(1, 2, 3, 4): 1.0}, {(1, 2, 3): float("nan")}, {(1, 2, 3): float("inf")}):
+        with pytest.raises(ValueError):
+            torsion_residual(state, derivs, {**PSI, **bad})
+        with pytest.raises(ValueError):
+            solve_torsion_free_derivs(state, bad)
+    assert set(exterior._TENSORS) == cached
 
 
 # -- hodge star --------------------------------------------------------------
@@ -96,13 +108,17 @@ def test_star_is_involution_every_degree():
 
 
 def test_star_psi_involution():
-    psi = g2_form()
+    psi = psi_form()
     assert allclose(hodge_star(hodge_star(psi)), psi, tol=0.0)
+    # the engine's complement map is the reference star of Psi
+    assert hodge_star(psi).coeffs == dict(STAR_PSI)
 
 
 def test_psi_wedge_star_psi_is_seven_volumes():
-    psi = g2_form()
-    assert wedge(psi, hodge_star(psi)).coeffs == {tuple(range(1, 8)): 7.0}
+    psi = psi_form()
+    volume = {tuple(range(1, 8)): 7.0}
+    assert wedge(psi, hodge_star(psi)).coeffs == volume
+    assert wedge(psi, KForm(4, dict(STAR_PSI))).coeffs == volume
 
 
 # -- the defining 3-form ------------------------------------------------------
@@ -115,14 +131,14 @@ def test_g2_form_monomials_and_signs():
     for tri in monomials:
         order = tuple(np.argsort(tri))
         expected[tuple(sorted(tri))] = float(Permutation(order).signature())
-    psi = g2_form()
-    assert psi.degree == 3
-    assert set(psi.coeffs) == {(4, 5, 6), (2, 5, 7), (1, 3, 5), (1, 2, 6),
-                               (3, 6, 7), (2, 3, 4), (1, 4, 7)}
-    assert psi.coeffs == expected
-    assert psi.coefficient((4, 5, 6)) == 1.0
-    assert all(abs(v) == 1.0 for v in psi.coeffs.values())
-    assert len(psi.coeffs) == 7
+    assert set(PSI) == {(4, 5, 6), (2, 5, 7), (1, 3, 5), (1, 2, 6),
+                        (3, 6, 7), (2, 3, 4), (1, 4, 7)}
+    assert dict(PSI) == expected
+    assert PSI[4, 5, 6] == 1.0
+    assert all(type(v) is float and abs(v) == 1.0 for v in PSI.values())
+    assert len(PSI) == 7
+    with pytest.raises(TypeError):  # read-only: a flip needs its own copy
+        PSI[4, 5, 6] = -1.0
 
 
 # -- structure equations -------------------------------------------------------
@@ -270,9 +286,9 @@ _IDX5 = list(itertools.combinations(range(1, 8), 5))
 _IDX2 = list(itertools.combinations(range(1, 8), 2))
 
 
-def _kform_coefficients(state, derivs, psi=None):
+def _kform_coefficients(state, derivs, psi=PSI):
     """The 56 closure coefficients by sparse wedges (the reference route)."""
-    psi = g2_form() if psi is None else psi
+    psi = psi_form(psi)
     diffs = coframe_differentials(state, derivs)
     dpsi = exterior_derivative(psi, diffs)
     dstar = exterior_derivative(hodge_star(psi), diffs)
@@ -280,9 +296,9 @@ def _kform_coefficients(state, derivs, psi=None):
 
 
 def _flipped_psi():
-    flipped = dict(g2_form().coeffs)
-    flipped[(4, 5, 6)] = -flipped[(4, 5, 6)]
-    return KForm(3, flipped)
+    flipped = dict(PSI)
+    flipped[4, 5, 6] = -flipped[4, 5, 6]
+    return flipped
 
 
 def test_engine_matches_kform_route_on_random_shapes():
@@ -302,13 +318,40 @@ def test_engine_matches_kform_route_on_random_shapes():
     assert np.allclose(dstar, np.abs(expected[:, 35:]).max(axis=1), rtol=1e-13, atol=0.0)
 
 
+def test_reference_route_shares_no_sign_code(monkeypatch):
+    """The KForm route needs none of the engine's sign code: with the engine's
+    parity routine raising it still gives the 56 coefficients, and
+    tests/helpers.py imports nothing from g2cone.exterior."""
+    rng = np.random.default_rng(37)
+    shapes, derivs = rng.uniform(0.2, 5.0, size=(20, 4)), rng.normal(size=(20, 4))
+    engine = residual_coefficients(shapes, derivs)
+
+    def broken(idx):
+        raise RuntimeError("the engine's sign routine was called")
+
+    monkeypatch.setattr(exterior, "_parity", broken)
+    with pytest.raises(RuntimeError):  # the patch reaches the engine's S build
+        exterior._structure_tensor(PSI)
+    reference = np.array([_kform_coefficients(r, d) for r, d in zip(shapes, derivs)])
+    assert np.max(np.abs(engine - reference)) <= 1e-13
+    imported = []
+    for node in ast.walk(ast.parse(Path(helpers.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert not [m for m in imported if m.split(".")[:2] == ["g2cone", "exterior"]], imported
+    assert not [v for v in vars(helpers).values()
+                if getattr(v, "__module__", None) == "g2cone.exterior"]
+
+
 def test_structure_tensor_matches_exterior_derivative_probes():
     """S is 378 signs; probing d with one unit entry of D at a time gives the same."""
-    tensor = exterior._structure_tensor(g2_form())
+    tensor = exterior._structure_tensor(PSI)
     assert tensor.shape == (56, 7, 21)
     assert np.count_nonzero(tensor) == 378
     assert set(np.unique(tensor)) == {-1.0, 0.0, 1.0}
-    psi = g2_form()
+    psi = psi_form()
     star = hodge_star(psi)
     for i in range(7):
         for col, pair in enumerate(_IDX2):
@@ -354,7 +397,9 @@ def test_flipped_psi_has_its_own_tensor():
     assert np.max(np.abs(flipped - before)) > 0.1
     assert np.max(np.abs(flipped - _kform_coefficients(state, derivs, bad))) <= 1e-13
     assert np.array_equal(residual_coefficients(state, derivs), before)
-    assert np.array_equal(exterior._tensor(None), exterior._structure_tensor(g2_form()))
+    assert np.array_equal(exterior._tensor(None), exterior._structure_tensor(PSI))
+    # a supplied map gets its tensor once: equal maps share it
+    assert exterior._tensor(dict(bad)) is exterior._tensor(bad)
 
 
 def test_engine_rejects_nonpositive_and_malformed_shapes():
@@ -380,7 +425,7 @@ def test_torsion_residual_off_locus():
     # the two halves of the coefficient vector are exactly d(Psi) and d(star Psi)
     state, derivs = ShapeState(1.0, 1.3, 0.8, 1.1), np.array([0.2, -0.1, 0.7, 0.4])
     diffs = coframe_differentials(state, derivs)
-    psi = g2_form()
+    psi = psi_form()
     expected = (max_abs(exterior_derivative(psi, diffs)),
                 max_abs(exterior_derivative(hodge_star(psi), diffs)))
     assert expected[0] != expected[1]
