@@ -18,13 +18,15 @@ permutation parity; its Hodge dual STAR_PSI is the complement map
 I -> I^c with sign(I, I^c).  The module evaluates the closure conditions
 d Psi = 0, d star Psi = 0 at a (shape, shape-derivative) point.  d is
 linear in the structure 2-forms de^1..de^7, so the 56 closure
-coefficients are one contraction S[56, 7, 21] . D[7, 21]: S holds the
-Leibniz-rule signs, built once per 3-form from Psi and star Psi, and D
-the e-basis coefficients of the de^i, taken from the structure equations
-in numpy (batched over states, complex input allowed).  From the closure
-conditions alone it re-derives the torsion-free shape derivatives --
-independently of the flow module's analytic right-hand side, which it
-serves as an oracle for.
+coefficients are the contraction S[56, 7, 21] . D[7, 21] of the
+Leibniz-rule signs S, built once per 3-form from Psi and star Psi, with
+the e-basis coefficients D of the de^i.  It runs in numpy over D's
+eighteen non-zero slots only (batched over states, complex input
+allowed), as c(R) + K (dR/R) with the constant 56 x 4 matrix K; the four
+slots that are exactly +-1/A1 go apart, so the wall A1 = 0 costs no
+accuracy.  From the closure conditions alone it re-derives the
+torsion-free shape derivatives, dR = R (-K^+ c) -- independently of the
+flow module's analytic right-hand side, which it serves as an oracle for.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = ["ShapeState", "TorsionSolveError", "PSI", "STAR_PSI", "torsion_residual",
-           "residual_coefficients", "torsion_system", "solve_torsion_free_derivs"]
+           "residual_coefficients", "solve_torsion_free_derivs"]
 
 DIM = 7
 
@@ -85,7 +87,7 @@ PSI = MappingProxyType({tuple(sorted(m)): float(_parity(m)) for m in _PSI_MONOMI
 STAR_PSI = MappingProxyType(_star(PSI))
 
 
-# -- the closure engine: S[56, 7, 21] . D[..., 7, 21] -------------------------
+# -- the closure engine: S . D over D's eighteen non-zero slots ---------------
 
 _IDX2, _IDX4, _IDX5 = (list(itertools.combinations(range(1, DIM + 1), k)) for k in (2, 4, 5))
 _ROWS = {idx: n for n, idx in enumerate(_IDX4 + _IDX5)}  # d Psi rows, then d star Psi
@@ -101,7 +103,7 @@ def _slot(i: int, j: int) -> tuple:
 
 
 def _d_entries() -> tuple:
-    """The eighteen non-zero entries of D, as index arrays.
+    """The eighteen non-zero entries of D[7, 21], the e-basis coefficients of de^1..de^7.
 
     With d eta_i = -2 eta_{i+1} ^ eta_{i+2} and the inversion
     eta_i = (e^i/A_i + e^{i+3}/B_i)/2, eta~_i = (e^i/A_i - e^{i+3}/B_i)/2,
@@ -120,6 +122,14 @@ def _d_entries() -> tuple:
 
 
 _SPATIAL, _DT = _d_entries()
+# Four spatial entries, in de^2, de^3, de^5 and de^6, are R_r / (R_r A1), that
+# is +-1/A1 exactly.  They cancel within every closure coefficient of PSI; summed
+# among the other entries they would round at the 1/A1 scale near the wall
+# A1 = 0, so they are contracted apart as sign / A1.
+_NUM, _DEN_U, _DEN_V = (_COORD[a] for a in (_SPATIAL[0], *_SPATIAL[3:]))
+_EXACT = (_NUM == _DEN_U) | (_NUM == _DEN_V)
+# the other eight: sign R_num / (R_u R_v), as indices into the shape
+_TERMS = tuple(a[~_EXACT] for a in (_SPATIAL[2], _NUM, _DEN_U, _DEN_V))
 
 
 def _shapes(state) -> np.ndarray:
@@ -130,19 +140,6 @@ def _shapes(state) -> np.ndarray:
     if not np.all(np.real(r) > 0):
         raise ValueError(f"shape state must be strictly positive, got {state}")
     return r
-
-
-def _differentials(r, dr) -> np.ndarray:
-    """D[..., 7, 21]: e-basis coefficients of de^1..de^7 (de^7 = 0)."""
-    dr = np.asarray(dr)
-    coord = r[..., _COORD]
-    lead = np.broadcast_shapes(r.shape[:-1], dr.shape[:-1])
-    out = np.zeros(lead + (DIM, len(_IDX2)), dtype=np.result_type(r, dr, float))
-    row, col, sign, u, v = _SPATIAL
-    out[..., row, col] = sign * coord[..., row] / (coord[..., u] * coord[..., v])
-    row, col, sign = _DT
-    out[..., row, col] = sign * dr[..., _COORD] / coord
-    return out
 
 
 def _structure_tensor(psi: Mapping) -> np.ndarray:
@@ -169,8 +166,16 @@ def _structure_tensor(psi: Mapping) -> np.ndarray:
 _TENSORS: dict = {}
 
 
-def _tensor(psi: Mapping | None) -> np.ndarray:
-    """S for psi (default: PSI), checked and built once per distinct 3-form."""
+def _tensor(psi: Mapping | None) -> list:
+    """S for psi (default: PSI) at D's non-zero slots, checked and built once per 3-form.
+
+    [spatial, exact, K^T, K^+]: S at the eight other spatial slots (8, 56),
+    the four exact slots summed by sign (56,), and K (56, 4), the signed dt
+    slots summed per derivative (the six dt entries are the four dR/R).
+    K^+ is None until the first solve: LAPACK and level-3 BLAS (hence
+    einsum for K) add about 0.7 MB on first use, which residual-only
+    callers do not pay.
+    """
     key = None if psi is None else tuple(sorted(psi.items()))
     if key not in _TENSORS:
         for idx, val in key or ():
@@ -178,20 +183,29 @@ def _tensor(psi: Mapping | None) -> np.ndarray:
                     and 1 <= idx[0] < idx[1] < idx[2] <= DIM and math.isfinite(val)):
                 raise ValueError(f"a 3-form term is an increasing triple over 1..{DIM} "
                                  f"with a finite coefficient, got {idx!r}: {val!r}")
-        tensor = _structure_tensor(PSI if psi is None else psi)
-        tensor.flags.writeable = False  # shared by every later call
-        _TENSORS[key] = tensor
+        s = _structure_tensor(PSI if psi is None else psi)
+        at = s[:, _SPATIAL[0], _SPATIAL[1]]
+        k = np.einsum("rj,jk->kr", s[:, _DT[0], _DT[1]] * _DT[2], _GATHER)
+        parts = [at[:, ~_EXACT].T.copy(), at[:, _EXACT] @ _SPATIAL[2][_EXACT], k, None]
+        for a in parts[:3]:
+            a.flags.writeable = False  # shared by every later call
+        _TENSORS[key] = parts
     return _TENSORS[key]
 
 
 def residual_coefficients(state, derivs, psi: Mapping | None = None) -> np.ndarray:
     """All 56 closure coefficients (35 of dPsi, 21 of d star Psi), S . D.
 
+    Only D's eighteen non-zero slots enter: the coefficients are
+    c(R) + K (dR/R), with c the spatial slots' part and K the dt slots'.
     state and derivs are (..., 4) arrays (a ShapeState is one); leading
     axes broadcast, giving (..., 56).
     """
-    d = _differentials(_shapes(state), derivs)
-    return d.reshape(d.shape[:-2] + (-1,)) @ _tensor(psi).reshape(len(_ROWS), -1).T
+    r = _shapes(state)
+    spatial, exact, k, _ = _tensor(psi)
+    sign, num, den_u, den_v = _TERMS
+    return ((sign * r[..., num] / (r[..., den_u] * r[..., den_v])) @ spatial + exact / r[..., :1]
+            + (np.asarray(derivs) / r) @ k)
 
 
 def torsion_residual(state, derivs, psi: Mapping | None = None) -> tuple:
@@ -209,30 +223,30 @@ def torsion_residual(state, derivs, psi: Mapping | None = None) -> tuple:
     return (float(dpsi), float(dstar)) if dpsi.ndim == 0 else (dpsi, dstar)
 
 
-def torsion_system(state, psi: Mapping | None = None):
-    """Affine system M d + c = residuals over the shape derivatives d.
+def solve_torsion_free_derivs(state, psi: Mapping | None = None) -> np.ndarray:
+    """Shape derivatives (..., 4) annihilating both closure conditions, by least squares.
 
-    The closure coefficients are affine in the four derivatives because
-    only the dt entries of D involve them, linearly: M is the dt slots
-    of S scaled by those entries' 1/R, summed per derivative.
+    The coefficients c(R) + K (dR/R) vanish in the least-squares sense at
+    dR = R (-K^+ c), with K^+ cached per 3-form, so a batch of states is
+    one product.  This is the exterior-calculus route to the
+    torsion-free flow: it never looks at the analytic right-hand side,
+    so agreement with it is a genuine equivalence check.  Where the
+    system cannot be driven below 1e-8 (degenerate state), a single
+    state raises TorsionSolveError and a state in a batch gives a NaN row.
     """
     r = _shapes(state)
-    row, col, sign = _DT
-    m = (_tensor(psi)[:, row, col] * (sign / r[..., _COORD])[..., None, :]) @ _GATHER
-    return m, residual_coefficients(r, np.zeros_like(r), psi)
-
-
-def solve_torsion_free_derivs(state, psi: Mapping | None = None) -> np.ndarray:
-    """Shape derivatives (4,) annihilating both closure conditions, by least squares.
-
-    This is the exterior-calculus route to the torsion-free flow: it
-    never looks at the analytic right-hand side, so agreement with it is
-    a genuine equivalence check.  Raises TorsionSolveError when the
-    affine system cannot be driven below 1e-8 (degenerate state).
-    """
-    m, c = torsion_system(state, psi)
-    sol, *_ = np.linalg.lstsq(m, -c, rcond=None)
-    res = float(np.max(np.abs(m @ sol + c)))
-    if res > 1e-8:
+    parts = _tensor(psi)
+    if parts[3] is None:
+        kt = parts[2]
+        try:  # K^T K is a small integer matrix, so this gives K^+ to rounding
+            parts[3] = np.linalg.solve(kt @ kt.T, kt)
+        except np.linalg.LinAlgError:  # a 3-form whose closure leaves a derivative free
+            parts[3] = np.linalg.pinv(kt.T)
+        parts[3].flags.writeable = False
+    c = residual_coefficients(r, np.zeros_like(r), psi)
+    y = -c @ parts[3].T  # dR/R
+    res = np.max(np.abs(y @ parts[2] + c), axis=-1)
+    failed = ~(res <= 1e-8)
+    if r.ndim == 1 and failed:
         raise TorsionSolveError(f"closure residual {res:.3e} at {state}")
-    return sol
+    return np.where(failed[..., None], np.nan, r * y)

@@ -43,7 +43,6 @@ __all__ = [
     "sample_at_level",
     "alc_fit",
     "family_shape_trajectory",
-    "escapes_invariant_region",
     "critical_parameter",
     "ALC_NOTE",
 ]
@@ -590,17 +589,6 @@ def alc_fit(traj: Trajectory) -> ALCFit | None:
                          np.abs(fit), np.inf)
         dev = max(dev, float(np.max(np.abs(vals - fit) / denom)))
     return ALCFit(slopes, intercepts, float(ts[0]), float(ts[-1]), dev)
-
-
-def escapes_invariant_region(traj: Trajectory) -> bool:
-    """True when the wall function G1 = a2 a4 - a1 a3 goes negative.
-
-    Once a trajectory crosses G1 = 0 while G2 > 0 it cannot return
-    (d G1 / du = -(2/alpha2) G2 on the wall); such trajectories run to
-    the corner alpha2 = alpha3 = alpha4 = 0 and the shape degenerates at
-    finite t, so no complete metric arises.  A path in Q = {G1 > 0, G2 < 0} never escapes.
-    """
-    return bool(np.any(traj.monitor("G1") < 0.0))
 
 
 def critical_parameter(lo: float = 0.5, hi: float = 0.6, tol: float = 1e-9) -> float:

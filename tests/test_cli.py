@@ -48,19 +48,78 @@ def test_verify_torsion_negative_control(tmp_path):
 
 def test_verify_torsion_counts_solve_failures(tmp_path, monkeypatch):
     ext = g2cone.exterior
-    solve, calls = ext.solve_torsion_free_derivs, []
+    solve = ext.solve_torsion_free_derivs
 
-    def every_fourth_fails(state, psi=None):
-        calls.append(1)
-        if len(calls) % 4 == 0:
-            raise ext.TorsionSolveError("forced")
-        return solve(state, psi)
+    def every_fourth_fails(states, psi=None):
+        out = solve(states, psi)
+        out[3::4] = np.nan  # a failing state of a batch is a NaN row
+        return out
 
     monkeypatch.setattr(ext, "solve_torsion_free_derivs", every_fourth_fails)
     assert run(["verify-torsion", "--samples", "12", "--out", str(tmp_path)]) == 1
     rep = load(tmp_path / "verify_torsion.json")
     assert (rep["failing_samples"], rep["solve_failures"]) == (3, 3)
     assert rep["max_relative_mismatch"] is None
+
+
+@pytest.mark.parametrize("flip", [[], ["--debug-flip-psi"]])
+def test_verify_torsion_is_one_batch(tmp_path, monkeypatch, flip):
+    """One run makes one solve and one residual call, over all states at
+    once; the one draw gives the states of one draw per sample, bit for bit."""
+    ext = g2cone.exterior
+    calls = []
+    for name in ("solve_torsion_free_derivs", "torsion_residual"):
+        def counted(states, *rest, _name=name, _fn=getattr(ext, name)):
+            calls.append((_name, states))
+            return _fn(states, *rest)
+        monkeypatch.setattr(ext, name, counted)
+    run(["verify-torsion", "--samples", "30", "--seed", "5", "--out", str(tmp_path), *flip])
+    assert sorted(name for name, _ in calls) == ["solve_torsion_free_derivs", "torsion_residual"]
+    rng = np.random.default_rng(5)
+    per_sample = np.array([rng.uniform(0.2, 5.0, size=4) for _ in range(30)])
+    for _, states in calls:
+        assert np.array_equal(states, per_sample)
+
+
+@pytest.mark.parametrize("rel_peak, res_peak, unsolved, expected", [
+    (30, 10, [], 30), (10, 30, [], 30), (35, 20, [5, 35], 20)])
+def test_verify_torsion_worst_state_is_the_last_new_maximum(tmp_path, monkeypatch, rel_peak,
+                                                            res_peak, unsolved, expected):
+    """worst_state is the last sample that raised the running maximum of the
+    mismatch or of the residual, as a loop over the samples finds it; a
+    repeated maximum (two unsolved states) raises it only the first time."""
+    ext, flow = g2cone.exterior, g2cone.flow
+    rng = np.random.default_rng(3)
+    offsets, residuals = rng.uniform(0.0, 1e-12, size=40), rng.uniform(0.0, 1e-13, size=40)
+    offsets[rel_peak], residuals[res_peak] = 5e-10, 5e-11
+    seen = {}
+
+    def solve(states, psi=None):
+        seen["states"] = states
+        v = flow.velocity(states)
+        out = v + offsets[:, None] * np.maximum(1.0, np.abs(v))
+        out[unsolved] = np.nan
+        return out
+
+    monkeypatch.setattr(ext, "solve_torsion_free_derivs", solve)
+    monkeypatch.setattr(ext, "torsion_residual", lambda states, derivs, psi=None:
+                        (residuals, 0.5 * residuals))
+    assert run(["verify-torsion", "--samples", "40", "--out", str(tmp_path)]) == int(
+        bool(unsolved))
+    states = seen["states"]
+    v = flow.velocity(states)
+    rel = np.max(np.abs(solve(states) - v) / np.maximum(1.0, np.abs(v)), axis=1)
+    rel[unsolved] = np.inf
+    worst, top_rel, top_res = None, 0.0, 0.0
+    for i, (r, q) in enumerate(zip(rel, residuals)):
+        if r > top_rel or q > top_res:
+            worst = i
+        top_rel, top_res = max(top_rel, r), max(top_res, q)
+    assert worst == expected
+    rep = load(tmp_path / "verify_torsion.json")
+    assert rep["worst_state"] == states[worst].tolist()
+    assert rep["max_residual_at_analytic_derivs"] == top_res
+    assert rep["max_relative_mismatch"] == (None if unsolved else top_rel)
 
 
 def test_invalid_common_options(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from sympy.combinatorics import Permutation
 
 import helpers
-from g2cone import exterior, flow
+from g2cone import exterior, flow, shoot
 from g2cone.exterior import (
     PSI,
     STAR_PSI,
@@ -16,7 +16,6 @@ from g2cone.exterior import (
     residual_coefficients,
     solve_torsion_free_derivs,
     torsion_residual,
-    torsion_system,
 )
 from g2cone.analysis import closed_form, dr_dt
 from helpers import (KForm, allclose, basis_form, coframe_differentials, exterior_derivative,
@@ -363,15 +362,28 @@ def test_structure_tensor_matches_exterior_derivative_probes():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_engine_differentials_match_substitution_oracle(seed):
+    """The engine's table of D's eighteen non-zero slots gives the oracle's de^i:
+    every other entry is zero, the four exact slots are +-1/A1, and the eight
+    other spatial slots are the quotients the engine contracts."""
     rng = np.random.default_rng(seed)
     shapes = rng.uniform(0.3, 3.0, size=(5, 4))
     derivs = rng.normal(size=(5, 4))
-    got = exterior._differentials(shapes, derivs)
-    assert got.shape == (5, 7, 21)
-    for r, d, g in zip(shapes, derivs, got):
-        oracle = _oracle_differentials(r, d)
-        expected = np.array([[form.get(pair, 0.0) for pair in _IDX2] for form in oracle])
-        assert np.max(np.abs(g - expected)) <= 1e-13
+    row, col, sign, u, v = exterior._SPATIAL
+    dt_row, dt_col, dt_sign = exterior._DT
+    exact = exterior._EXACT
+    assert np.count_nonzero(exact) == 4 and set(row[exact]) == {1, 2, 4, 5}
+    t_sign, num, den_u, den_v = exterior._TERMS
+    for r, d in zip(shapes, derivs):
+        oracle = np.array([[form.get(pair, 0.0) for pair in _IDX2]
+                           for form in _oracle_differentials(r, d)])
+        coord = r[exterior._COORD]
+        table = np.zeros((7, 21))
+        table[row, col] = sign * coord[row] / (coord[u] * coord[v])
+        table[dt_row, dt_col] = dt_sign * d[exterior._COORD] / coord
+        assert np.max(np.abs(oracle - table)) <= 1e-13
+        assert np.max(np.abs(oracle[row[exact], col[exact]] - sign[exact] / r[0])) <= 1e-13
+        generic = t_sign * r[num] / (r[den_u] * r[den_v])
+        assert np.max(np.abs(oracle[row[~exact], col[~exact]] - generic)) <= 1e-13
 
 
 def test_engine_complex_step_matches_central_difference():
@@ -393,11 +405,13 @@ def test_flipped_psi_has_its_own_tensor():
     before = residual_coefficients(state, derivs)
     bad = _flipped_psi()
     flipped = residual_coefficients(state, derivs, bad)
-    assert not np.array_equal(exterior._tensor(bad), exterior._tensor(None))
+    assert not np.array_equal(exterior._tensor(bad)[2], exterior._tensor(None)[2])
     assert np.max(np.abs(flipped - before)) > 0.1
     assert np.max(np.abs(flipped - _kform_coefficients(state, derivs, bad))) <= 1e-13
     assert np.array_equal(residual_coefficients(state, derivs), before)
-    assert np.array_equal(exterior._tensor(None), exterior._structure_tensor(PSI))
+    # the default's cached parts are PSI's, rebuilt from a supplied copy of the map
+    assert all(np.array_equal(a, b)
+               for a, b in zip(exterior._tensor(None)[:3], exterior._tensor(dict(PSI))[:3]))
     # a supplied map gets its tensor once: equal maps share it
     assert exterior._tensor(dict(bad)) is exterior._tensor(bad)
 
@@ -471,16 +485,63 @@ def test_solve_matches_bs_chain_rule():
 
 
 def test_residuals_affine_and_rank_four():
+    """The coefficients are M d + c, with M = K diag(1/R) of rank four."""
     rng = np.random.default_rng(23)
+    k = exterior._tensor(None)[2].T
     for _ in range(10):
         state = ShapeState(*rng.uniform(0.2, 5.0, size=4))
-        m, c = torsion_system(state)
+        c = residual_coefficients(state, np.zeros(4))
+        m = (residual_coefficients(state, np.eye(4)) - c).T
         # affinity: a random deriv reproduces M d + c
         d = rng.normal(size=4)
         vec = residual_coefficients(state, d)
         assert np.max(np.abs(m @ d + c - vec)) < 1e-10
+        assert np.max(np.abs(m - k / np.asarray(state))) < 1e-12
         sv = np.linalg.svd(m, compute_uv=False)
         assert np.sum(sv > 1e-10 * sv[0]) == 4
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_batched_solve_matches_single_states(flip):
+    """One call over 200 states gives, row for row, what 200 single calls give."""
+    psi = _flipped_psi() if flip else None
+    shapes = np.random.default_rng(41).uniform(0.2, 5.0, size=(200, 4))
+    batched = solve_torsion_free_derivs(shapes, psi)
+    single = np.array([solve_torsion_free_derivs(r, psi) for r in shapes])
+    assert batched.shape == (200, 4)
+    assert np.max(np.abs(batched - single) / np.maximum(1.0, np.abs(single))) <= 1e-13
+    assert np.max(np.abs(solve_torsion_free_derivs(shapes[:1], psi) - single[:1])) <= 1e-13
+
+
+def test_solve_of_a_degenerate_form(monkeypatch):
+    """A 3-form whose closure conditions leave derivatives free and cannot be
+    met: a single state raises, and each state of a batch gives a NaN row.
+    Its K^+ is computed on the first solve, not by residual evaluations."""
+    monkeypatch.setattr(exterior, "_TENSORS", {})
+    degenerate = {(1, 2, 3): 1.0}
+    shapes = np.random.default_rng(43).uniform(0.2, 5.0, size=(3, 4))
+    torsion_residual(shapes, np.zeros(4), degenerate)
+    parts = exterior._tensor(degenerate)
+    assert np.linalg.matrix_rank(parts[2]) < 4 and parts[3] is None
+    with pytest.raises(TorsionSolveError):
+        solve_torsion_free_derivs(shapes[0], degenerate)
+    assert np.all(np.isnan(solve_torsion_free_derivs(shapes, degenerate)))
+    assert parts[3].shape == (4, 56) and not parts[3].flags.writeable
+    assert np.all(np.isfinite(solve_torsion_free_derivs(shapes)))
+
+
+@pytest.mark.parametrize("mu", [1e-4, 1e-6, 1e-9])
+def test_residual_at_rounding_floor_near_the_wall(mu):
+    """Near the wall A1 = 0 the closure residuals of a family run stay at
+    their rounding floor: the four exact 1/A1 slots of D cancel exactly
+    instead of rounding among the other entries at the 1/A1 scale."""
+    traj = shoot.family_shape_trajectory(mu)
+    shapes = traj.shapes[np.all(traj.shapes > 0.0, axis=1)]
+    assert np.min(shapes[:, 0]) <= 2.0 * mu
+    velocity = flow.velocity(shapes)
+    assert max(np.max(x) for x in torsion_residual(shapes, velocity)) <= 1e-12
+    assert np.max(np.abs(solve_torsion_free_derivs(shapes) - velocity)
+                  / np.maximum(1.0, np.abs(velocity))) <= 1e-9
 
 
 def test_flipped_sign_is_caught():

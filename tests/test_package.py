@@ -1,0 +1,53 @@
+"""Every public name the package defines has a caller outside the tests."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "g2cone"
+
+
+def _public_names(tree: ast.Module) -> set:
+    """Module-level functions, classes and constants without a leading underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if not n.startswith("_")}
+
+
+def _used_names(tree: ast.Module) -> set:
+    """Every name the code reads: bare names, attributes and imported names."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used |= {a.name for a in node.names}
+    return used
+
+
+def test_no_public_name_has_only_test_callers():
+    """A public name in src/ is read somewhere in src/, demos/ or benchmarks/
+    (or is a console entry point of pyproject.toml); one that only the
+    tests read belongs in the tests.  Attributes count by name alone, so
+    the check can miss a dead name but never flags a used one."""
+    callers = {m.group(1) for m in re.finditer(r'=\s*"g2cone\.\w+:(\w+)"',
+                                               (ROOT / "pyproject.toml").read_text())}
+    files = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+             *(ROOT / "benchmarks").glob("*.py")]
+    defined = {}
+    for path in files:
+        tree = ast.parse(path.read_text())
+        callers |= _used_names(tree)
+        if path.parent == PACKAGE:
+            defined.update({name: path.name for name in _public_names(tree)})
+    assert defined, "no public names found"
+    unused = sorted(f"{module}: {name}" for name, module in defined.items() if name not in callers)
+    assert not unused, unused

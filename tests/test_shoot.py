@@ -530,14 +530,25 @@ def test_alc_fit_validation(family_launches):
 # -- the family edge --------------------------------------------------------------------
 
 
+def escapes_invariant_region(traj: shoot.Trajectory) -> bool:
+    """True when the wall function G1 = a2 a4 - a1 a3 goes negative.
+
+    Once a trajectory crosses G1 = 0 while G2 > 0 it cannot return
+    (d G1 / du = -(2/alpha2) G2 on the wall); such trajectories run to
+    the corner alpha2 = alpha3 = alpha4 = 0 and the shape degenerates at
+    finite t, so no complete metric arises.  A path in Q = {G1 > 0, G2 < 0} never escapes.
+    """
+    return bool(np.any(traj.monitor("G1") < 0.0))
+
+
 def test_escape_beyond_critical_parameter(family_shapes):
     """Above the family edge the wall function G1 goes negative and the
     shape degenerates at finite t; below it trajectories stay inside."""
     for mu in MU_CONVERGING:
-        assert not shoot.escapes_invariant_region(family_shapes[mu])
+        assert not escapes_invariant_region(family_shapes[mu])
     for mu in (0.6, 0.7, 0.8, 0.9):
         traj = family_shapes[mu]
-        assert shoot.escapes_invariant_region(traj)
+        assert escapes_invariant_region(traj)
         assert traj.termination in (shoot.STEP_FAILURE, shoot.POSITIVITY_VIOLATION)
         g2 = traj.monitor("G2")
         assert np.all(g2[np.isfinite(g2)] > 0.0)  # stuck in {G1<0, G2>0}
@@ -569,9 +580,9 @@ def test_decided_stop_keeps_the_escape_decision(mu):
     """
     full = shoot.family_shape_trajectory(mu, t_max=60.0, tol=1e-12)
     stopped = shoot.family_shape_trajectory(mu, t_max=60.0, tol=1e-12, until_decided=True)
-    escapes = shoot.escapes_invariant_region(full)
+    escapes = escapes_invariant_region(full)
     assert escapes == (mu > MU_EDGE)
-    assert shoot.escapes_invariant_region(stopped) == escapes
+    assert escapes_invariant_region(stopped) == escapes
     n = len(stopped)
     assert np.array_equal(stopped.params, full.params[:n])
     assert np.array_equal(stopped.shapes, full.shapes[:n])
