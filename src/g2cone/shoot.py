@@ -591,6 +591,32 @@ def alc_fit(traj: Trajectory) -> ALCFit | None:
     return ALCFit(slopes, intercepts, float(ts[0]), float(ts[-1]), dev)
 
 
+# The left eigenvector of the tangential Jacobian at S1 for its one unstable
+# eigenvalue, a unit row (a, -a, -b, b); kept as literals, since an eigen-solve at
+# import loads LAPACK into every command that imports shoot.
+_S1_UNSTABLE = -7.0 * math.sqrt(2.0) / 3.0 + math.sqrt(290.0) / 3.0
+_S1_LEFT = (0.7069029740352214, -0.7069029740352214,
+            -0.01697602132889324, 0.01697602132889324)
+
+
+def _edge_probe(mu: float) -> tuple:
+    """(verdict, h) of the decided family run at mu, for critical_parameter.
+
+    verdict is +1 when the run stops at the G1 wall, else -1.  A run near the
+    edge lingers at S1, where its unstable coordinate grows like exp(lambda u)
+    from a size proportional to mu - mu*; so h = verdict |l.(S_k - S1)|
+    exp(-lambda u_k), at the sample k nearest S1 (l = _S1_LEFT,
+    lambda = _S1_UNSTABLE), is near linear through mu*.
+    """
+    traj = family_shape_trajectory(mu, t_max=60.0, tol=1e-12, until_decided=True)
+    d = traj.spheres - flow.S1
+    k = int(np.argmin(np.linalg.norm(d, axis=1)))
+    verdict = 1.0 if traj.termination == WALL_CROSSING else -1.0
+    dwell = abs(float(np.dot(_S1_LEFT, d[k]))) * math.exp(
+        -_S1_UNSTABLE * traj.stats["u"][k])
+    return verdict, verdict * dwell
+
+
 def critical_parameter(lo: float = 0.5, hi: float = 0.6, tol: float = 1e-9) -> float:
     """Family edge: largest mu whose trajectory stays in the invariant region.
 
@@ -598,24 +624,55 @@ def critical_parameter(lo: float = 0.5, hi: float = 0.6, tol: float = 1e-9) -> f
     direction (asymptotically conic with a circle fiber); above it they
     cross the G1 wall and the metric closes up singularly at finite t.
     The critical trajectory itself approaches the conic stationary
-    direction S1.  Located by bisection on family runs stopped once decided (at
-    the wall or in Q, see integrate_shape): a run escapes when it stops at the
-    wall.  The bracket must straddle the transition.
+    direction S1.  Located by Brent's zeroin (Algorithms for Minimization
+    without Derivatives, 1973, ch. 4) on family runs stopped once decided (at
+    the wall or in Q, see integrate_shape): a run's verdict, escaping when it
+    stops at the wall, sets the bracket, and its dwell value h at S1 (see
+    _edge_probe) picks the next probe by secant or inverse quadratic
+    interpolation, with a bisection step whenever that would not shrink the
+    bracket fast enough.  Returns the midpoint of a bracket no wider than tol
+    whose ends were decided with opposite verdicts.  The bracket must straddle
+    the transition, and tol must be at least the float spacing at hi.
     """
-
-    def escapes(mu):
-        traj = family_shape_trajectory(mu, t_max=60.0, tol=1e-12, until_decided=True)
-        return traj.termination == WALL_CROSSING
-
-    if escapes(lo) or not escapes(hi):
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got ({lo}, {hi})")
+    if not tol >= math.ulp(hi):
+        raise ValueError(f"tol must be at least the float spacing {math.ulp(hi):.3e} "
+                         f"at hi, got {tol}")
+    a, (sa, fa) = lo, _edge_probe(lo)
+    b, (sb, fb) = hi, _edge_probe(hi)
+    if sa > 0.0 or sb < 0.0:
         raise ValueError(f"bracket ({lo}, {hi}) does not straddle the transition")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if escapes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    # b is the best probe, c the last probe with the opposite verdict and a the
+    # previous b; d is the last step and e the one before
+    c, sc, fc = b, sb, fb
+    step = 0.5 * tol  # the smallest step, half the final bracket
+    while True:
+        if sb == sc:
+            c, sc, fc = a, sa, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            sa, sb, sc = sb, sc, sb
+            fa, fb, fc = fb, fc, fb
+        m = 0.5 * (c - b)
+        if abs(m) <= step:
+            return 0.5 * (b + c)
+        interpolate = abs(e) >= step and abs(fa) > abs(fb) > 0.0
+        if interpolate:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b, c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            interpolate = 2.0 * p < 3.0 * m * q - abs(step * q) and p < abs(0.5 * e * q)
+        e, d = (d, p / q) if interpolate else (m, m)  # else bisect
+        a, sa, fa = b, sb, fb
+        b += d if abs(d) > step else math.copysign(step, m)
+        sb, fb = _edge_probe(b)
 
 
 def family_shape_trajectory(mu: float, t_max: float = 200.0, tol: float = 1e-10,

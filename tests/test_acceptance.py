@@ -152,8 +152,8 @@ def test_criterion_4_family_convergence():
 
     Holds for mu < mu* ~ 0.54413 only: beyond the family edge the
     trajectory crosses the G1 = 0 wall (confirmed independently by both
-    launch constructions, by tolerance-independence down to 1e-13, and
-    by 40-digit fixed-step integration) and no complete shape exists.
+    launch constructions and by tolerance-independence down to 1e-13; a
+    high-precision route is ROADMAP item 8) and no complete shape exists.
     """
     failures = []
     start = time.monotonic()

@@ -6,7 +6,7 @@ import sympy
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from g2cone import flow, shoot
+from g2cone import analysis, flow, shoot
 from g2cone.analysis import closed_form, dr_dt, r_to_t
 from g2cone.exterior import ShapeState
 from conftest import MU_CONVERGING, MU_GRID
@@ -555,14 +555,17 @@ def test_escape_beyond_critical_parameter(family_shapes):
 
 
 def test_critical_parameter_location():
-    # regression pin; the value was confirmed by 40-digit integration of
-    # the wall crossing and is bracketed by the convergent mu = 0.544 and
-    # escaping mu = 0.545 members
+    # regression pin; the edge rests on the decided family-run verdicts (the
+    # wall crossing and the entry into Q, test_decided_stop_keeps_the_escape_decision)
+    # and on the chart launches at mu* -/+ 1e-5 (test_launch_below_the_edge_converges,
+    # test_launch_above_the_edge_stops_at_the_wall), and is bracketed by the
+    # convergent mu = 0.544 and escaping mu = 0.545 members; a high-precision route
+    # is still open (ROADMAP item 8)
     mu_star = shoot.critical_parameter(lo=0.53, hi=0.56, tol=1e-6)
     assert mu_star == pytest.approx(0.5441298, abs=1e-5)
 
 
-MU_EDGE = 0.5441298123449086  # critical_parameter(0.5, 0.6, tol=1e-9)
+MU_EDGE = 0.5441298121789304  # critical_parameter(0.5, 0.6, tol=1e-9)
 
 
 def test_critical_parameter_pinned():
@@ -603,20 +606,111 @@ def test_decided_stop_keeps_the_escape_decision(mu):
         assert np.all(full.monitor("G2")[n - 1:] < 0.0)
 
 
-def test_critical_parameter_step_count(monkeypatch):
-    """The bisection's runs stop once decided: a count, not a clock, guards the cost."""
+def _counted_edge_search(monkeypatch, *args):
+    """critical_parameter(*args) and its runs as [(mu, trajectory)], in call order."""
     runs = []
     run = shoot.family_shape_trajectory
 
-    def counted(*args, **kwargs):
-        runs.append(run(*args, **kwargs))
-        return runs[-1]
+    def counted(mu, *rest, **kwargs):
+        runs.append((mu, run(mu, *rest, **kwargs)))
+        return runs[-1][1]
 
     monkeypatch.setattr(shoot, "family_shape_trajectory", counted)
-    assert shoot.critical_parameter(0.5, 0.6, tol=1e-9) == MU_EDGE
-    assert len(runs) == 29
-    assert {r.termination for r in runs} <= {shoot.WALL_CROSSING, shoot.STAYS_INSIDE}
-    assert sum(r.stats["steps"] for r in runs) <= 4700
+    return shoot.critical_parameter(*args), runs
+
+
+def _final_bracket(result, runs, tol):
+    """The probes (lo, hi) that result is the midpoint of: lo stays inside, hi crosses
+    the wall, and they lie at most tol apart."""
+    inside = [mu for mu, r in runs if r.termination == shoot.STAYS_INSIDE]
+    wall = [mu for mu, r in runs if r.termination == shoot.WALL_CROSSING]
+    ends = [(lo, hi) for lo in inside for hi in wall
+            if abs(hi - lo) <= tol and 0.5 * (lo + hi) == result]
+    assert ends, f"{result!r} is not the midpoint of a decided bracket of width <= {tol}"
+    return ends[0]
+
+
+def test_critical_parameter_step_count(monkeypatch):
+    """The search's runs stop once decided, and its dwell values cut their number:
+    a count, not a clock, guards the cost."""
+    mu_star, runs = _counted_edge_search(monkeypatch, 0.5, 0.6, 1e-9)
+    assert mu_star == MU_EDGE
+    assert len(runs) <= 12
+    assert {r.termination for _, r in runs} <= {shoot.WALL_CROSSING, shoot.STAYS_INSIDE}
+    assert sum(r.stats["steps"] for _, r in runs) <= 1600
+    lo, hi = _final_bracket(mu_star, runs, 1e-9)
+    assert lo < MU_EDGE < hi
+
+
+def test_critical_parameter_at_the_float_spacing(monkeypatch):
+    """The smallest accepted tol ends on a bracket of two adjacent floats."""
+    tol = math.ulp(0.6)
+    mu_star, runs = _counted_edge_search(monkeypatch, 0.5, 0.6, tol)
+    lo, hi = _final_bracket(mu_star, runs, tol)
+    assert hi == math.nextafter(lo, 1.0)
+    assert abs(mu_star - MU_EDGE) <= 1e-9
+    assert len(runs) <= 20
+
+
+@pytest.mark.parametrize("lo, hi, tol", [
+    (0.5, 0.6, math.nan), (0.5, 0.6, 0.0), (0.5, 0.6, -1e-9),
+    (0.5, 0.6, 0.5 * math.ulp(0.6)),  # below the float spacing at hi
+    (0.6, 0.5, 1e-9), (0.55, 0.55, 1e-9), (math.nan, 0.6, 1e-9), (0.5, math.nan, 1e-9)])
+def test_critical_parameter_rejects_bad_input(monkeypatch, lo, hi, tol):
+    """Rejected before any run: a NaN tol would return the unrefined midpoint and a
+    tol at or below zero would never end."""
+    with pytest.raises(ValueError):
+        _counted_edge_search(monkeypatch, lo, hi, tol)
+
+
+def test_critical_parameter_rejects_a_bracket_off_the_edge():
+    with pytest.raises(ValueError, match="straddle"):
+        shoot.critical_parameter(0.55, 0.6, 1e-9)
+
+
+def test_edge_probe_dwell_value():
+    """The dwell literals are the unstable eigendata at S1, and h carries the
+    verdict's sign and increases strictly through the edge."""
+    jac = analysis.linearize(flow.S1, "tangential")
+    basis = analysis.tangent_basis(flow.S1)
+    values, vectors = np.linalg.eig(jac.T)
+    i = int(np.argmax(values.real))
+    left = basis.T @ vectors[:, i].real
+    left *= np.sign(left[0]) / np.linalg.norm(left)
+    # the central differences of linearize are good to about 1e-10
+    assert values[i].real == pytest.approx(shoot._S1_UNSTABLE, abs=1e-9)
+    assert np.max(np.abs(left - shoot._S1_LEFT)) <= 1e-9
+    # the literals to 1e-12: the closed-form eigenvalue, and a left eigenvector
+    # of the Jacobian of the degree-0 field W(R/|R|) in 4 coordinates, by
+    # complex-step differences of flow._components (exact to rounding)
+    assert shoot._S1_UNSTABLE == analysis.S1_EIGENVALUES[2]
+    left = np.array(shoot._S1_LEFT)
+    assert np.linalg.norm(left) == pytest.approx(1.0, abs=1e-15)
+    assert left @ _tangential_jacobian(flow.S1) == pytest.approx(
+        shoot._S1_UNSTABLE * left, abs=1e-12)
+
+    mus = [0.5] + sorted(MU_EDGE + s * d for d in (1e-3, 1e-5, 1e-7, 1e-9)
+                         for s in (-1.0, 1.0)) + [0.6]
+    probes = [shoot._edge_probe(mu) for mu in mus]
+    for mu, (verdict, h) in zip(mus, probes):
+        assert verdict == (1.0 if mu > MU_EDGE else -1.0)
+        assert np.sign(h) == verdict
+    hs = [h for _, h in probes]
+    assert all(x < y for x, y in zip(hs, hs[1:])), hs
+
+
+def _tangential_jacobian(s, step=1e-20):
+    """d/dR of W(R/|R|) = V(S) - <V(S), S> S at the unit direction s, (4, 4)."""
+    jac = np.empty((4, 4))
+    for j in range(4):
+        r = [complex(x) for x in s]
+        r[j] += 1j * step
+        n = sum(x * x for x in r) ** 0.5
+        a = [x / n for x in r]
+        v = flow._components(*a)
+        beta = sum(vi * ai for vi, ai in zip(v, a))
+        jac[:, j] = [(vi - beta * ai).imag / step for vi, ai in zip(v, a)]
+    return jac
 
 
 def test_launch_above_the_edge_stops_at_the_wall(monkeypatch):
