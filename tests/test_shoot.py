@@ -566,17 +566,20 @@ def test_critical_parameter_location():
 
 
 MU_EDGE = 0.5441298121789304  # critical_parameter(0.5, 0.6, tol=1e-9)
+MU_EDGE_BISECTION = 0.5441298123449086  # the same call when it bisected the bracket
 
 
 def test_critical_parameter_pinned():
     assert shoot.critical_parameter(0.5, 0.6, tol=1e-9) == MU_EDGE
 
 
-@pytest.mark.parametrize("mu", [0.1, 0.3, 0.5, 0.6] + [MU_EDGE + s * d
+@pytest.mark.parametrize("mu", [0.1, 0.3, 0.5, 0.6] + [edge + s * d
+                                                       for edge in (MU_EDGE_BISECTION, MU_EDGE)
                                                        for d in (1e-3, 1e-6, 1e-9)
                                                        for s in (-1.0, 1.0)])
 def test_decided_stop_keeps_the_escape_decision(mu):
-    """A run stopped once decided is a prefix of the full run and decides alike.
+    """A run stopped once decided is a prefix of the full run and decides alike,
+    around the edge as the Brent search and as the earlier bisection located it.
 
     A non-escaping run stops on entering Q = {G1 > 0, G2 < 0}, and the
     full run stays in Q from that sample on.
@@ -655,17 +658,14 @@ def test_critical_parameter_at_the_float_spacing(monkeypatch):
 @pytest.mark.parametrize("lo, hi, tol", [
     (0.5, 0.6, math.nan), (0.5, 0.6, 0.0), (0.5, 0.6, -1e-9),
     (0.5, 0.6, 0.5 * math.ulp(0.6)),  # below the float spacing at hi
-    (0.6, 0.5, 1e-9), (0.55, 0.55, 1e-9), (math.nan, 0.6, 1e-9), (0.5, math.nan, 1e-9)])
+    (0.6, 0.5, 1e-9), (0.55, 0.55, 1e-9), (math.nan, 0.6, 1e-9), (0.5, math.nan, 1e-9),
+    (0.55, 0.6, 1e-9)])  # both ends beyond the edge
 def test_critical_parameter_rejects_bad_input(monkeypatch, lo, hi, tol):
-    """Rejected before any run: a NaN tol would return the unrefined midpoint and a
-    tol at or below zero would never end."""
+    """A bad tol or bracket is rejected before any run (a NaN tol would return the
+    unrefined midpoint, and a tol at or below zero would never end); a bracket that
+    does not straddle the edge, after its two end runs."""
     with pytest.raises(ValueError):
         _counted_edge_search(monkeypatch, lo, hi, tol)
-
-
-def test_critical_parameter_rejects_a_bracket_off_the_edge():
-    with pytest.raises(ValueError, match="straddle"):
-        shoot.critical_parameter(0.55, 0.6, 1e-9)
 
 
 def test_edge_probe_dwell_value():
