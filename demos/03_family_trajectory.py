@@ -37,7 +37,7 @@ print(f"  conserved cubic F: {F[0]:.12f} (drift {np.max(np.abs(F - F[0])):.2e}; 
       f"seed value mu(1 - mu^2) = {MU * (1 - MU**2):.12f})")
 
 u_end = float(traj.stats["u"][-1])
-cont = shoot.integrate_sphere(traj.spheres[-1], u_end, 60.0, f0=float(traj.f[-1]),
+cont = shoot.integrate_sphere(traj.spheres[-1], u_end, 60.0, ln_f0=np.log(traj.f[-1]),
                               tol=1e-10)
 ok, u_conv = shoot.detect_convergence(cont.spheres, cont.params, tol=1e-6)
 print(f"  sphere continuation: converged to the limit direction at u = {u_conv:.3f}")

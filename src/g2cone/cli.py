@@ -166,7 +166,7 @@ def _shoot_pipeline(mu: float, args) -> tuple:
     u, spheres = traj.stats["u"], traj.spheres
     if u[-1] < args.u_max and traj.termination == shoot.REACHED_HORIZON:
         cont = shoot.integrate_sphere(spheres[-1], float(u[-1]), args.u_max,
-                                      f0=float(traj.f[-1]), tol=args.tol)
+                                      ln_f0=math.log(traj.f[-1]), tol=args.tol)
         u = np.concatenate([u, cont.params[1:]])
         spheres = np.concatenate([spheres, cont.spheres[1:]])
     converged, u_conv = shoot.detect_convergence(spheres, u, flow.SINF, args.conv_tol)

@@ -7,9 +7,10 @@ small offset; on the sphere side, the trajectory leaves the singular
 arc J along the unstable eigenvector of the desingularized chart field
 and is continued in u after leaving a small neighbourhood of J.
 
-Integration uses an embedded Dormand-Prince 5(4) pair with PI step
-control, optional per-step projection (used to renormalize sphere
-states), and early termination on positivity loss or step collapse.
+Integration uses an embedded Dormand-Prince 5(4) pair with elementary
+step control, h <- h clamp(0.9 err^(-1/5), 0.2, 5), optional per-step
+projection (used to renormalize sphere states), and early termination on
+positivity loss or step collapse.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ class SeriesStart:
 class Trajectory:
     """Ordered samples of an integrated solution.
 
-    params is strictly increasing in the stated parameter kind ("t", "u"
-    or "v"); shapes and spheres are (n, 4) with shapes = f * spheres;
+    params is strictly increasing in the stated parameter kind ("t" or
+    "u"); shapes and spheres are (n, 4) with shapes = f * spheres;
     monitors is (n, 9) in the order flow.MONITOR_NAMES with NaN for
     flagged-missing entries.  Instances are not mutated after creation.
     """
@@ -205,13 +206,13 @@ def series_start(mu: float, order: int = 4) -> SeriesStart:
     return SeriesStart(mu, lam, order, c)
 
 
-def eval_series(s: SeriesStart, t: float) -> np.ndarray:
-    """The shape (4,) of the truncated series at t; rejects offsets beyond its trust radius."""
+def eval_series(s: SeriesStart, t) -> np.ndarray:
+    """Shapes (..., 4) of the truncated series at offsets t (...), all in its trust radius."""
+    t = np.asarray(t, dtype=float)
     dmax = s.truncation_offset()
-    if not 0.0 <= t <= dmax:
+    if not np.all((0.0 <= t) & (t <= dmax)):
         raise ValueError(f"t={t} outside the series trust interval [0, {dmax:.3e}]")
-    powers = t ** np.arange(s.order + 1)
-    return powers @ s.coefficients
+    return t[..., None] ** np.arange(s.order + 1) @ s.coefficients
 
 
 # -- quadrature --------------------------------------------------------------
@@ -255,8 +256,9 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
     """Adaptive DP54 driver for an autonomous field; returns (xs, ys, termination, stats).
 
     The state has five components, as every field here has: (R, u), (S, ln f) or the
-    chart's (x, y, z, u, ln f); another length raises ValueError.  field(y) takes the
-    state as a list and returns five floats.  A step runs on Python floats held in
+    chart's (x, y, z, u, ln f); another length raises ValueError, as do a NaN x0 or x1,
+    rtol < 0 and max_step <= 0 (NaN included).  field(y) takes the state as a list and
+    returns five floats.  A step runs on Python floats held in
     locals, with every stage sum and the error norm written out per component as a
     left-to-right chain of +: rounding does not depend on the interpreter, and no list
     is zipped or looped over.  Every accepted step is recorded (xs, ys as arrays); it
@@ -276,6 +278,9 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
     if len(y) != 5:
         raise ValueError(f"the DP54 state has 5 components, got {len(y)}")
     x, x1, rtol, max_step = float(x0), float(x1), float(rtol), float(max_step)
+    if math.isnan(x) or math.isnan(x1) or not (rtol >= 0.0 and max_step > 0.0):
+        raise ValueError(f"need x0 and x1 not NaN, rtol >= 0 and max_step > 0, "
+                         f"got {x0}, {x1}, {rtol}, {max_step}")
     xs, ys = [x], [y]
     steps, rejected, evals, h_min, h_max, max_drift, error_sum = 0, 0, 1, math.inf, 0.0, 0.0, 0.0
     k0 = field(y)
@@ -425,9 +430,9 @@ def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, max_step: f
     and the corner {G1 = G2 = 0} = {A1 = A2, B1 = B2} is invariant (v1 = v2, v3 = v4).
     """
     r = np.asarray(start, dtype=float)
-    if np.any(r <= 0.0):
+    if not np.all(r > 0.0):
         raise ValueError(f"start must be strictly positive, got {start}")
-    if t1 <= t0:
+    if not t1 > t0:
         raise ValueError("t1 must exceed t0")
 
     def stop(y):
@@ -447,23 +452,23 @@ def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, max_step: f
                                    stats={**stats, "u": ys[:, 4].copy()})
 
 
-def integrate_sphere(start: np.ndarray, u0: float, u1: float, f0: float = 1.0,
-                     tol: float = 1e-10, max_step: float = 0.25) -> Trajectory:
+def integrate_sphere(start: np.ndarray, u0: float, u1: float, ln_f0: float = 0.0,
+                     tol: float = 1e-10, max_step: float = 0.25, stop=None) -> Trajectory:
     """Integrate the tangential system in u from the unit direction start,
     with the scale riding along.
 
     The state is renormalized to the unit sphere after every accepted
     step (pre-projection drift is logged in stats["max_drift"]);
-    d(ln f)/du = <V(S), S> tracks the radial factor from f0.
+    d(ln f)/du = <V(S), S> tracks ln f from ln_f0 (ln f, not f: a launch
+    hands over its state with no exp/log round trip).  stop(y) -> str | None
+    on the state (S, ln f) ends the run after an accepted step, as in _integrate.
     """
-    if f0 <= 0.0:
-        raise ValueError("f0 must be positive")
     a0 = np.asarray(start, dtype=float)
-    if abs(np.linalg.norm(a0) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(a0) - 1.0) <= 1e-9:
         raise ValueError(f"start must be a unit vector, got |S| = {np.linalg.norm(a0)}")
 
-    us, ys, term, stats = _integrate(_sphere_field, u0, np.append(a0, math.log(f0)), u1, tol,
-                                     max_step=max_step, project=_project_sphere)
+    us, ys, term, stats = _integrate(_sphere_field, u0, np.append(a0, ln_f0), u1, tol,
+                                     max_step=max_step, project=_project_sphere, stop=stop)
     return Trajectory.from_samples("u", us, spheres=ys[:, :4], f=np.exp(ys[:, 4]),
                                    termination=term, stats=stats)
 
@@ -486,9 +491,9 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
 
     Starts at (0, 0, mu) + eps * e_unstable in the chart, integrates the
     desingularized system in v on floats (flow._chart_components, not the
-    analytic right-hand side) until alpha3 reaches 0.01, then switches
-    to the tangential system in u (du = x dv accumulated through the
-    first phase).  ln f rides along via d(ln f) = beta du from f = 1 at
+    analytic right-hand side) until alpha3 reaches 0.01, then continues
+    with integrate_sphere in u (du = x dv accumulated through the first
+    phase).  ln f rides along via d(ln f) = beta du from f = 1 at
     launch.  The run ends at the first sample past the G1 wall, which can
     never converge (WALL_CROSSING, see _wall_stop), or else at the u horizon,
     marked converged when it enters and stays within 1e-6 of the limit direction.
@@ -511,17 +516,17 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
                                        2000.0, LAUNCH_TOL, stop=chart_stop)
     if term != "switch":
         raise RuntimeError(f"chart phase did not reach the switch threshold ({term})")
-    chart = np.column_stack([flow.chart_to_sphere(cys[:, :3]), cys[:, 4]])
+    chart = flow.chart_to_sphere(cys[:, :3])
 
     # phase 2: tangential system in u, state (S, ln f), to the horizon or the wall
-    us, ys, term, stats = _integrate(_sphere_field, cys[-1, 3], chart[-1], u_max, LAUNCH_TOL,
-                                     max_step=max_step, project=_project_sphere,
-                                     stop=_wall_stop)
-    stats["chart"] = {"v_span": float(vs[-1]), "steps": cstats["steps"],
-                      "u_switch": float(cys[-1, 3])}
-    ys = np.concatenate([chart[:-1], ys])
-    traj = Trajectory.from_samples("u", np.concatenate([cys[:-1, 3], us]), spheres=ys[:, :4],
-                                   f=np.exp(ys[:, 4]), termination=term, stats=stats)
+    tail = integrate_sphere(chart[-1], cys[-1, 3], u_max, cys[-1, 4], LAUNCH_TOL, max_step,
+                            stop=_wall_stop)
+    stats = {**tail.stats, "chart": {"v_span": float(vs[-1]), "steps": cstats["steps"],
+                                     "u_switch": float(cys[-1, 3])}}
+    traj = Trajectory.from_samples("u", np.concatenate([cys[:-1, 3], tail.params]),
+                                   spheres=np.concatenate([chart[:-1], tail.spheres]),
+                                   f=np.concatenate([np.exp(cys[:-1, 4]), tail.f]),
+                                   termination=tail.termination, stats=stats)
     if traj.termination == REACHED_HORIZON:
         converged, _ = detect_convergence(traj.spheres, traj.params)
         if converged:
@@ -687,11 +692,7 @@ def family_shape_trajectory(mu: float, t_max: float = 200.0, tol: float = 1e-10,
     s = series_start(mu, order)
     delta = s.truncation_offset(1e-12)
     start = eval_series(s, delta)
-
-    def inv_f(t):
-        return 1.0 / np.linalg.norm(t[..., None] ** np.arange(s.order + 1) @ s.coefficients,
-                                    axis=-1)
-
-    u0 = float(gauss_legendre(inv_f, 0.0, delta))
+    u0 = float(gauss_legendre(lambda t: 1.0 / np.linalg.norm(eval_series(s, t), axis=-1),
+                              0.0, delta))
     return integrate_shape(start, delta, t_max, tol=tol, max_step=max_step, u0=u0,
                            until_decided=until_decided)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,13 +10,14 @@ import sympy
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from g2cone import analysis, flow, shoot
+from g2cone import analysis, cli, flow, shoot
 from g2cone.analysis import closed_form, dr_dt, r_to_t
 from g2cone.exterior import ShapeState
 from conftest import MU_CONVERGING, MU_GRID
 from helpers import constant_trajectory, sphere_to_chart
 
 SQ3 = math.sqrt(3.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # -- power series off the singular orbit ----------------------------------------
@@ -130,6 +135,23 @@ def test_eval_series_rejects_beyond_trust_radius():
         shoot.eval_series(s, 0.5)
     with pytest.raises(ValueError):
         shoot.eval_series(s, -1e-3)
+
+
+@pytest.mark.parametrize("mu", [0.3, 0.5])
+def test_eval_series_on_arrays(mu):
+    """An array of offsets (...) gives shapes (..., 4), bit for bit the scalar calls;
+    one offset past the trust radius rejects the whole array."""
+    s = shoot.series_start(mu)
+    dmax = s.truncation_offset()
+    grid = np.linspace(0.0, dmax, 40).reshape(2, 20)
+    shapes = shoot.eval_series(s, grid)
+    assert shapes.shape == (2, 20, 4)
+    assert np.array_equal(shapes, [[shoot.eval_series(s, float(t)) for t in row]
+                                   for row in grid])
+    for bad in (np.nextafter(dmax, 1.0), math.nan):
+        grid[1, 7] = bad
+        with pytest.raises(ValueError, match="trust interval"):
+            shoot.eval_series(s, grid)
 
 
 def test_series_offset_consistency_step_doubling():
@@ -267,6 +289,48 @@ def test_integrate_rejects_other_state_lengths(n):
     with pytest.raises(ValueError, match="5 components"):
         shoot._integrate(lambda y: calls.append(y) or [0.0] * n, 0.0, [1.0] * n, 1.0, 1e-10)
     assert calls == []
+
+
+SPHERE_START = "np.array([2.0, 3.0, 4.0, 5.0]) / math.sqrt(54.0)"
+
+
+@pytest.mark.parametrize("call, fresh", [
+    # a NaN max_step would keep h NaN, so the step-collapse guard would never end the loop
+    pytest.param(f"shoot.integrate_sphere({SPHERE_START}, 0.0, 10.0, max_step=math.nan)", True,
+                 id="sphere-nan-max-step"),
+    pytest.param("shoot.family_shape_trajectory(0.3, t_max=5.0, max_step=math.nan)", True,
+                 id="family-nan-max-step"),
+    pytest.param(f"shoot.integrate_sphere({SPHERE_START}, 0.0, 10.0, max_step=0.0)", False,
+                 id="zero-max-step"),
+    pytest.param(f"shoot.integrate_sphere({SPHERE_START}, 0.0, math.nan)", False,
+                 id="nan-horizon"),
+    pytest.param(f"shoot.integrate_sphere({SPHERE_START}, math.nan, 10.0)", False,
+                 id="nan-start-parameter"),
+    pytest.param(f"shoot.integrate_sphere({SPHERE_START}, 0.0, 10.0, tol=-1.0)", False,
+                 id="negative-tol"),
+    pytest.param(f"shoot.integrate_sphere({SPHERE_START}, 0.0, 10.0, tol=math.nan)", False,
+                 id="nan-tol"),
+    pytest.param("shoot.integrate_sphere(np.full(4, math.nan), 0.0, 10.0)", False,
+                 id="nan-sphere-start"),
+    pytest.param("shoot.integrate_shape([1.0, 1.0, math.nan, 1.0], 0.0, 1.0)", False,
+                 id="nan-shape-start"),
+    pytest.param("shoot.integrate_shape([1.0, 1.0, 1.0, 1.0], 0.0, math.nan)", False,
+                 id="nan-shape-horizon"),
+])
+def test_integration_rejects_nan_and_bad_controls(call, fresh):
+    """A NaN start, horizon, tolerance or step cap, a negative tolerance and a step cap
+    at or below zero raise ValueError before any step.  A NaN step cap would loop for
+    ever, so those calls run in a fresh interpreter under a timeout: a regression fails."""
+    if not fresh:
+        with pytest.raises(ValueError):
+            eval(call, {"math": math, "np": np, "shoot": shoot})
+        return
+    code = ("import math\nimport numpy as np\nfrom g2cone import shoot\n"
+            f"try:\n    {call}\nexcept ValueError:\n    raise SystemExit(0)\n"
+            "raise SystemExit('no ValueError')")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _hex(v):
@@ -726,6 +790,24 @@ def test_launch_above_the_edge_stops_at_the_wall(monkeypatch):
     assert len(full) > n and full.termination != shoot.CONVERGED
     for name in ("params", "spheres", "f"):
         assert np.array_equal(getattr(full, name)[:n], getattr(stopped, name))
+
+
+def test_one_sphere_path(monkeypatch, tmp_path):
+    """The launch tail and the CLI continuation both run integrate_sphere: the launch
+    stops its tail at the G1 wall, the continuation has no stop."""
+    spheres, integrations = [], []
+    for name, calls in (("integrate_sphere", spheres), ("_integrate", integrations)):
+        def recording(*args, _fn=getattr(shoot, name), _calls=calls, **kwargs):
+            _calls.append(kwargs)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(shoot, name, recording)
+
+    shoot.launch_sphere(0.3)
+    assert len(spheres) == 1 and spheres[0]["stop"] is shoot._wall_stop
+    assert len(integrations) == 2  # the chart phase and the tail
+    spheres.clear()
+    assert cli.main(["shoot", "--mu", "0.3", "--out", str(tmp_path), "--format", "json"]) == 0
+    assert len(spheres) == 1 and spheres[0].get("stop") is None
 
 
 def test_launch_below_the_edge_converges():
