@@ -466,6 +466,8 @@ def integrate_sphere(start: np.ndarray, u0: float, u1: float, ln_f0: float = 0.0
     a0 = np.asarray(start, dtype=float)
     if not abs(np.linalg.norm(a0) - 1.0) <= 1e-9:
         raise ValueError(f"start must be a unit vector, got |S| = {np.linalg.norm(a0)}")
+    if not u1 > u0:
+        raise ValueError(f"u1 must exceed u0, got u0 = {u0}, u1 = {u1}")
 
     us, ys, term, stats = _integrate(_sphere_field, u0, np.append(a0, ln_f0), u1, tol,
                                      max_step=max_step, project=_project_sphere, stop=stop)
@@ -497,6 +499,7 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
     launch.  The run ends at the first sample past the G1 wall, which can
     never converge (WALL_CROSSING, see _wall_stop), or else at the u horizon,
     marked converged when it enters and stays within 1e-6 of the limit direction.
+    A u_max at or before the switch's u raises ValueError (from integrate_sphere).
     """
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -65,7 +66,8 @@ def test_verify_torsion_counts_solve_failures(tmp_path, monkeypatch):
 @pytest.mark.parametrize("flip", [[], ["--debug-flip-psi"]])
 def test_verify_torsion_is_one_batch(tmp_path, monkeypatch, flip):
     """One run makes one solve and one residual call, over all states at
-    once; the one draw gives the states of one draw per sample, bit for bit."""
+    once; the states are random.Random(seed)'s draws, four per sample in
+    sample order, bit for bit."""
     ext = g2cone.exterior
     calls = []
     for name in ("solve_torsion_free_derivs", "torsion_residual"):
@@ -75,8 +77,8 @@ def test_verify_torsion_is_one_batch(tmp_path, monkeypatch, flip):
         monkeypatch.setattr(ext, name, counted)
     run(["verify-torsion", "--samples", "30", "--seed", "5", "--out", str(tmp_path), *flip])
     assert sorted(name for name, _ in calls) == ["solve_torsion_free_derivs", "torsion_residual"]
-    rng = np.random.default_rng(5)
-    per_sample = np.array([rng.uniform(0.2, 5.0, size=4) for _ in range(30)])
+    rng = random.Random(5)
+    per_sample = np.array([[rng.uniform(0.2, 5.0) for _ in range(4)] for _ in range(30)])
     for _, states in calls:
         assert np.array_equal(states, per_sample)
 
@@ -402,6 +404,27 @@ def test_runtime_imports():
     for module in sorted(flow_layers):
         assert "g2cone.exterior" not in loaded(module), module
     assert not {m for m in loaded("g2cone.cli") if m.startswith("scipy")}
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    """numpy.random takes about 13 ms to import and no command needs it: after
+    verify-torsion (plain and flipped), oracle, stationary and shoot in one
+    fresh interpreter, it is still not loaded."""
+    code = ("import sys\nfrom g2cone import cli\n"
+            f"out = {str(tmp_path)!r}\n"
+            "for argv in (['verify-torsion', '--samples', '5'],\n"
+            "             ['verify-torsion', '--samples', '5', '--debug-flip-psi'],\n"
+            "             ['oracle'], ['stationary'], ['shoot', '--mu', '0.3']):\n"
+            "    cli.main(argv + ['--out', out])\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n")
+    src = str(Path(g2cone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # every command ran and wrote its report
+    assert {"verify_torsion.json", "oracle.json", "stationary.json",
+            "shoot_mu0.3.json"} <= {p.name for p in tmp_path.iterdir()}
 
 
 # -- the exit-code contract under generated inputs -------------------------------

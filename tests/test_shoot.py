@@ -316,11 +316,20 @@ SPHERE_START = "np.array([2.0, 3.0, 4.0, 5.0]) / math.sqrt(54.0)"
                  id="nan-shape-start"),
     pytest.param("shoot.integrate_shape([1.0, 1.0, 1.0, 1.0], 0.0, math.nan)", False,
                  id="nan-shape-horizon"),
+    # a horizon at or before the start used to give a one-sample "reached-horizon" run
+    pytest.param("shoot.integrate_sphere(shoot.flow.SINF, 5.0, 1.0)", False,
+                 id="sphere-horizon-before-start"),
+    pytest.param("shoot.integrate_sphere(shoot.flow.SINF, 5.0, 5.0)", False,
+                 id="sphere-horizon-at-start"),
+    # u_max = 0.001 lies before the chart switch (u ~ 0.005)
+    pytest.param("shoot.launch_sphere(0.3, u_max=0.001)", False,
+                 id="launch-horizon-before-switch"),
 ])
 def test_integration_rejects_nan_and_bad_controls(call, fresh):
-    """A NaN start, horizon, tolerance or step cap, a negative tolerance and a step cap
-    at or below zero raise ValueError before any step.  A NaN step cap would loop for
-    ever, so those calls run in a fresh interpreter under a timeout: a regression fails."""
+    """A NaN start, horizon, tolerance or step cap, a horizon at or before the start, a
+    negative tolerance and a step cap at or below zero raise ValueError before any step
+    of the integration they configure.  A NaN step cap would loop for ever, so those
+    calls run in a fresh interpreter under a timeout: a regression fails."""
     if not fresh:
         with pytest.raises(ValueError):
             eval(call, {"math": math, "np": np, "shoot": shoot})
