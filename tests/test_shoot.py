@@ -316,7 +316,7 @@ SPHERE_START = "np.array([2.0, 3.0, 4.0, 5.0]) / math.sqrt(54.0)"
                  id="nan-shape-start"),
     pytest.param("shoot.integrate_shape([1.0, 1.0, 1.0, 1.0], 0.0, math.nan)", False,
                  id="nan-shape-horizon"),
-    # a horizon at or before the start used to give a one-sample "reached-horizon" run
+    # a horizon at or before the start leaves nothing to integrate
     pytest.param("shoot.integrate_sphere(shoot.flow.SINF, 5.0, 1.0)", False,
                  id="sphere-horizon-before-start"),
     pytest.param("shoot.integrate_sphere(shoot.flow.SINF, 5.0, 5.0)", False,
