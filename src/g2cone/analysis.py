@@ -242,10 +242,10 @@ R_TO_T_MAX = 1e6  # the rule's cost grows as sqrt(r)
 def r_to_t(kind: str, r):
     """Arc-length parameter t(r) = integral of 1/(dr/dt), strictly increasing.
 
-    Accepts a float or an array of r, up to R_TO_T_MAX.  The integrand
-    has an integrable 1/sqrt endpoint singularity at the bgg and bs
-    origins; substituting r = r0 + s^2 removes it, so the composite
-    Gauss-Legendre rule sees a smooth integrand throughout.
+    Accepts a float or an array of r (one cumulative pass over its sorted
+    radii), up to R_TO_T_MAX.  The integrand has an integrable 1/sqrt
+    endpoint singularity at the bgg and bs origins; substituting
+    r = r0 + s^2 removes it, so the Gauss-Legendre rule sees a smooth one.
     """
     _check_domain(kind, r)
     if np.max(r) > R_TO_T_MAX:

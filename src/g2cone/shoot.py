@@ -221,20 +221,31 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 
 
 def gauss_legendre(fn, a, b):
-    """Composite 20-point Gauss-Legendre rule for smooth integrands.
+    """Cumulative composite 20-point Gauss-Legendre rule for smooth integrands.
 
-    fn maps an array of abscissae to integrand values elementwise; a and
-    b may be arrays of one shape, giving one integral per entry.  At
-    least eight panels, at most one unit wide: accurate to rounding when
-    fn is analytic 0.5 off the real segment.  The nodes avoid the
-    endpoints, so fn only needs a continuous extension there.
+    Integrals of fn from the float a to every entry of b (float or array,
+    whose shape the result keeps), in one pass: the span is cut at a and
+    at each distinct end, every gap gets the same number of panels, at
+    most one unit wide and at least eight in all, and each integral is a
+    prefix sum of gap integrals.  Accurate to rounding when fn is analytic
+    0.5 off the real segment.  fn maps an array of abscissae to integrand
+    values elementwise; the nodes avoid the knots, so fn only needs a
+    continuous extension there.  An end equal to a gives exactly 0.0.
     """
-    a = np.asarray(a, dtype=float)[..., None, None]
-    b = np.asarray(b, dtype=float)[..., None, None]
-    panels = max(8, math.ceil(np.max(np.abs(b - a), initial=0.0)))
-    h = (b - a) / panels
-    x = a + h * (np.arange(panels)[:, None] + 0.5 * (_GL_X + 1.0))
-    return np.sum(0.5 * h * _GL_W * fn(x), axis=(-2, -1))
+    b = np.asarray(b, dtype=float)
+    ends = b.ravel().tolist()
+    if bad := [x for x in (a, *ends) if not math.isfinite(x)]:
+        raise ValueError(f"gauss_legendre needs finite limits, got {bad[0]}")
+    knots = sorted({a, *ends})  # not np.unique: its first call imports numpy.ma
+    cuts = np.array(knots)[:, None, None]
+    h = cuts[1:] - cuts[:-1]
+    panels = max(math.ceil(8 / max(1, len(h))), math.ceil(np.max(h, initial=0.0)))
+    h = h / panels
+    x = cuts[:-1] + h * (np.arange(panels)[:, None] + 0.5 * (_GL_X + 1.0))
+    prefix = np.zeros(len(knots))
+    np.cumsum(np.sum(0.5 * h * _GL_W * fn(x), axis=(-2, -1)), out=prefix[1:])
+    index = {x: i for i, x in enumerate(knots)}
+    return prefix[[index[x] for x in ends]].reshape(b.shape) - prefix[index[a]]
 
 
 # -- Dormand-Prince 5(4) ---------------------------------------------------

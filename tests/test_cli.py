@@ -409,14 +409,16 @@ def test_runtime_imports():
 def test_no_command_imports_numpy_random(tmp_path):
     """numpy.random takes about 13 ms to import and no command needs it: after
     verify-torsion (plain and flipped), oracle, stationary and shoot in one
-    fresh interpreter, it is still not loaded."""
+    fresh interpreter, it is still not loaded.  Nor is numpy.ma, which the
+    first np.unique call imports, also about 13 ms."""
     code = ("import sys\nfrom g2cone import cli\n"
             f"out = {str(tmp_path)!r}\n"
             "for argv in (['verify-torsion', '--samples', '5'],\n"
             "             ['verify-torsion', '--samples', '5', '--debug-flip-psi'],\n"
             "             ['oracle'], ['stationary'], ['shoot', '--mu', '0.3']):\n"
             "    cli.main(argv + ['--out', out])\n"
-            "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n")
+            "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
     src = str(Path(g2cone.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -404,6 +404,71 @@ def test_family_u0_matches_quad(family_shapes):
         assert abs(family_shapes[mu].stats["u"][0] - ref) <= 1e-15, mu
 
 
+# -- cumulative quadrature --------------------------------------------------------
+
+
+@pytest.mark.parametrize("a, b, bad", [
+    (0.0, math.inf, "inf"),
+    (0.0, -math.inf, "-inf"),
+    (math.inf, 1.0, "inf"),
+    (0.0, math.nan, "nan"),
+    (math.nan, 1.0, "nan"),
+    (0.0, np.array([1.0, math.nan, 2.0]), "nan"),
+])
+def test_gauss_legendre_rejects_non_finite_limits(a, b, bad):
+    with pytest.raises(ValueError, match=f"finite limits, got {bad}$"):
+        shoot.gauss_legendre(np.cos, a, b)
+
+
+def test_gauss_legendre_evaluation_count(monkeypatch):
+    """The cost is counted, not clocked.  The oracle's 260 radii
+    (`cli._bs_trajectory`) cut the span into 260 gaps of one panel each:
+    5,200 abscissae, at most 6,000.  Integrating every end from a on its
+    own gave each 18 panels, 93,600 abscissae.  A one-end call over
+    [0, 1e-3] keeps its 8 panels of 20 nodes: exactly 160."""
+    seen = []
+
+    def counting(fn, a, b):
+        return shoot.gauss_legendre(lambda x: seen.append(x.size) or fn(x), a, b)
+
+    monkeypatch.setattr(analysis, "gauss_legendre", counting)
+    cli._bs_trajectory()
+    assert sum(seen) <= 6000
+    seen.clear()
+    counting(np.exp, 0.0, 1e-3)
+    assert seen == [160]
+
+
+def test_gauss_legendre_cumulative_edge_cases():
+    """Unsorted and repeated ends, an end equal to a, ends on both sides of
+    a, and a 2-D b all follow the one-end rule."""
+    b = np.array([3.0, 1.0, 3.0, 0.5, 2.0, 1.0, 0.5])
+    got = shoot.gauss_legendre(np.cos, 0.5, b)
+    assert got.shape == b.shape
+    assert got[0] == got[2] and got[1] == got[5] and got[3] == got[6] == 0.0
+    assert shoot.gauss_legendre(np.cos, 0.5, 0.5) == 0.0
+    np.testing.assert_allclose(got, np.sin(b) - np.sin(0.5), rtol=0.0, atol=1e-15)
+    grid = np.array([[-2.5, 7.25], [0.1, 2.0]])  # both sides of a, shape kept
+    got = shoot.gauss_legendre(np.exp, 0.5, grid)
+    assert got.shape == (2, 2)
+    np.testing.assert_allclose(got, np.exp(grid) - np.exp(0.5), rtol=1e-14)
+    t = r_to_t("singular", np.array([0.5, 2.0]))
+    assert t[0] < 0.0 < t[1]
+
+
+def test_r_to_t_batch_matches_one_end_calls():
+    """Each batch entry agrees with its own one-end call to 1e-14 relative,
+    and the one-end call keeps its bits."""
+    assert r_to_t("bs", 3.0).hex() == "0x1.4536658ed178ep+1"
+    cases = {"bs": np.geomspace(1.5, 300.0, 260),
+             "bgg": np.array([50.0, 2.5, 2.25, 1e5, 5.0]),
+             "singular": np.array([2.0, 1e-6, 0.5, 1.0, 1e5, 0.5])}
+    for kind, rs in cases.items():
+        batch = r_to_t(kind, rs)
+        for r, t in zip(rs, batch):
+            assert t == pytest.approx(r_to_t(kind, r), rel=1e-14, abs=0.0), (kind, r)
+
+
 def test_positivity_along_family(family_shapes):
     for mu in MU_CONVERGING:
         assert np.all(family_shapes[mu].shapes > 0.0)
