@@ -404,6 +404,50 @@ def test_family_u0_matches_quad(family_shapes):
         assert abs(family_shapes[mu].stats["u"][0] - ref) <= 1e-15, mu
 
 
+def test_positivity_along_family(family_shapes):
+    for mu in MU_CONVERGING:
+        assert np.all(family_shapes[mu].shapes > 0.0)
+        assert family_shapes[mu].termination == shoot.REACHED_HORIZON
+
+
+# Acceptance criterion 5 fails by design beyond the family edge; its clauses
+# that hold below the edge are pinned here, at its thresholds, out to t = 200.
+
+
+def test_first_integral_drift_below_edge(family_shapes):
+    for mu in MU_CONVERGING:
+        F = family_shapes[mu].monitor("F")
+        assert np.max(np.abs(F - F[0])) <= 1e-8 * max(1.0, abs(F[0])), mu
+
+
+def test_f1_f2_monotone_below_edge(family_shapes):
+    for mu in MU_CONVERGING:
+        for name in ("F1", "F2"):
+            m = family_shapes[mu].monitor(name)
+            assert np.all(np.isfinite(m)), (mu, name)
+            assert np.min(np.diff(m)) >= -1e-12, (mu, name)
+
+
+def test_single_g2_sign_change_below_edge(family_shapes):
+    """G2 changes sign exactly once, from positive to negative for good."""
+    for mu in MU_CONVERGING:
+        g2 = family_shapes[mu].monitor("G2")
+        assert int(np.sum(np.diff(np.sign(g2[g2 != 0.0])) != 0)) == 1, mu
+        first_neg = int(np.argmax(g2 < 0.0))
+        assert g2[0] > 0.0 and not np.any(g2[first_neg:] > 0.0), mu
+
+
+def test_tolerance_scaling():
+    """Halving the tolerance moves the endpoint by less than the error budget."""
+    s = shoot.series_start(0.5, order=4)
+    delta = s.truncation_offset()
+    start = shoot.eval_series(s, delta)
+    a = shoot.integrate_shape(start, delta, 10.0, tol=1e-8)
+    b = shoot.integrate_shape(start, delta, 10.0, tol=5e-9)
+    diff = np.max(np.abs(a.shapes[-1] - b.shapes[-1]))
+    assert diff <= 10.0 * a.stats["error_sum"]
+
+
 # -- cumulative quadrature --------------------------------------------------------
 
 
@@ -467,50 +511,6 @@ def test_r_to_t_batch_matches_one_end_calls():
         batch = r_to_t(kind, rs)
         for r, t in zip(rs, batch):
             assert t == pytest.approx(r_to_t(kind, r), rel=1e-14, abs=0.0), (kind, r)
-
-
-def test_positivity_along_family(family_shapes):
-    for mu in MU_CONVERGING:
-        assert np.all(family_shapes[mu].shapes > 0.0)
-        assert family_shapes[mu].termination == shoot.REACHED_HORIZON
-
-
-# Acceptance criterion 5 fails by design beyond the family edge; its clauses
-# that hold below the edge are pinned here, at its thresholds, out to t = 200.
-
-
-def test_first_integral_drift_below_edge(family_shapes):
-    for mu in MU_CONVERGING:
-        F = family_shapes[mu].monitor("F")
-        assert np.max(np.abs(F - F[0])) <= 1e-8 * max(1.0, abs(F[0])), mu
-
-
-def test_f1_f2_monotone_below_edge(family_shapes):
-    for mu in MU_CONVERGING:
-        for name in ("F1", "F2"):
-            m = family_shapes[mu].monitor(name)
-            assert np.all(np.isfinite(m)), (mu, name)
-            assert np.min(np.diff(m)) >= -1e-12, (mu, name)
-
-
-def test_single_g2_sign_change_below_edge(family_shapes):
-    """G2 changes sign exactly once, from positive to negative for good."""
-    for mu in MU_CONVERGING:
-        g2 = family_shapes[mu].monitor("G2")
-        assert int(np.sum(np.diff(np.sign(g2[g2 != 0.0])) != 0)) == 1, mu
-        first_neg = int(np.argmax(g2 < 0.0))
-        assert g2[0] > 0.0 and not np.any(g2[first_neg:] > 0.0), mu
-
-
-def test_tolerance_scaling():
-    """Halving the tolerance moves the endpoint by less than the error budget."""
-    s = shoot.series_start(0.5, order=4)
-    delta = s.truncation_offset()
-    start = shoot.eval_series(s, delta)
-    a = shoot.integrate_shape(start, delta, 10.0, tol=1e-8)
-    b = shoot.integrate_shape(start, delta, 10.0, tol=5e-9)
-    diff = np.max(np.abs(a.shapes[-1] - b.shapes[-1]))
-    assert diff <= 10.0 * a.stats["error_sum"]
 
 
 # -- sphere launch -------------------------------------------------------------------
