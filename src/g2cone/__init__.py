@@ -21,25 +21,8 @@ The package is organized around five pieces:
 
 Shapes (A1, A2, B1, B2) and their t-derivatives are (..., 4) arrays
 throughout.  ``exterior`` and the flow layers (``flow``, ``shoot``,
-``analysis``) import nothing from each other, and the classes
-re-exported here load their module on first access, so the closure
-oracle stays independent of the flow it checks.
+``analysis``) import nothing from each other, so the closure oracle
+stays independent of the flow it checks.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_EXPORTS = {
-    "exterior": ("ShapeState",),
-    "shoot": ("SeriesStart", "Trajectory", "ALCFit"),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = [*_HOME, "__version__"]
-
-
-def __getattr__(name):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

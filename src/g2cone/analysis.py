@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow
+from .flow import S1_EIGENVALUES
 from .shoot import gauss_legendre
 
 __all__ = [
@@ -36,13 +37,6 @@ __all__ = [
     "S1_EIGENVALUES",
     "CHART_EIGENVALUES",
 ]
-
-# closed forms of the tangential eigenvalues at S1 (simple, all real)
-S1_EIGENVALUES = (
-    -2.0 * math.sqrt(2.0),
-    -7.0 * math.sqrt(2.0) / 3.0 - math.sqrt(290.0) / 3.0,
-    -7.0 * math.sqrt(2.0) / 3.0 + math.sqrt(290.0) / 3.0,
-)
 
 # eigenvalues of the desingularized chart field on the singular arc;
 # independent of mu

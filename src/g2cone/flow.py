@@ -4,6 +4,8 @@ The quadruple R = (A1, A2, B1, B2) evolves by dR/dt = V(R) where V is
 degree-0 homogeneous.  Writing R = f S with |S| = 1 splits the flow
 into the tangential system dS/du = W(S) = V(S) - <V(S), S> S on the
 unit sphere and the radial equations d(ln f)/du = <V(S), S>, dt = f du.
+W and beta have one formula, on floats (_sphere_rate, the field that
+shoot integrates; sphere_field is its array form).
 
 Near the arc J = {(mu, lambda, 0, lambda)} of singular initial shapes
 the tangential field has a 1/alpha3 pole; the chart (x, y, z) =
@@ -28,7 +30,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "S1", "SINF", "CHART_RADIUS", "CHART_MIN_RADICAND",
+    "S1", "SINF", "S1_EIGENVALUES", "CHART_RADIUS", "CHART_MIN_RADICAND",
     "velocity", "first_integral", "sphere_field",
     "chart_to_sphere", "modified_field",
     "symmetry_group", "monitor_table", "MONITOR_NAMES",
@@ -57,6 +59,10 @@ S1 = _frozen([1.0 / (2.0 * math.sqrt(2.0)), 1.0 / (2.0 * math.sqrt(2.0)),
 SINF = _frozen([0.0, math.sqrt(3.0) / math.sqrt(10.0), math.sqrt(2.0) / math.sqrt(5.0),
                 math.sqrt(3.0) / math.sqrt(10.0)])
 
+# closed forms of the tangential eigenvalues at S1 (simple, all real)
+S1_EIGENVALUES = (-2.0 * math.sqrt(2.0), -7.0 * math.sqrt(2.0) / 3.0 - math.sqrt(290.0) / 3.0,
+                  -7.0 * math.sqrt(2.0) / 3.0 + math.sqrt(290.0) / 3.0)
+
 
 # -- the vector field ---------------------------------------------------
 
@@ -67,8 +73,6 @@ def velocity(r) -> np.ndarray:
     Defined wherever the denominators A2, B1, B2 are nonzero; A1 never
     divides, so the wall A1 = 0 is inside the domain (and is invariant).
     """
-    if np.ndim(r) == 1:  # one state on Python floats, where a zero denominator raises
-        return np.array(_components(*np.asarray(r).tolist()))
     a1, a2, b1, b2 = rt = np.asarray(r).T  # components first; the last .T undoes it
     if np.count_nonzero(rt[1:]) < 3 * a2.size:
         raise ZeroDivisionError(f"vector field undefined at {r}")
@@ -100,11 +104,19 @@ def first_integral(state):
 
 
 def sphere_field(a: np.ndarray) -> tuple:
-    """(W, beta) at a unit direction: W = V - beta S is the tangential field
-    and beta = <V(S), S> the logarithmic growth rate of the scale f."""
-    v = velocity(a)
-    beta = float(np.dot(v, a))
-    return v - beta * a, beta
+    """(W, beta) at a unit direction: W = V - beta S is the tangential field and
+    beta = <V(S), S> the logarithmic growth rate of the scale f.  The array view
+    of _sphere_rate, bit for bit; complex input keeps Im beta."""
+    *w, beta = _sphere_rate([*np.asarray(a).tolist(), 0.0])
+    return np.array(w), beta
+
+
+def _sphere_rate(y) -> list:
+    """The DP54 field of integrate_sphere on Python floats: (S, ln f) -> [W, beta]."""
+    a1, a2, a3, a4, _ = y
+    v1, v2, v3, v4 = _components(a1, a2, a3, a4)
+    beta = v1 * a1 + v2 * a2 + v3 * a3 + v4 * a4  # summed as monitor_table's beta
+    return [v1 - beta * a1, v2 - beta * a2, v3 - beta * a3, v4 - beta * a4, beta]
 
 
 # -- chart around the singular arc J -------------------------------------

@@ -397,19 +397,12 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
 # -- trajectory assembly ----------------------------------------------------
 
 
-# DP54 fields on (R, u) and (S, ln f): lists of Python floats in and out
+# DP54 field on (R, u): lists of Python floats in and out (on (S, ln f): flow._sphere_rate)
 def _shape_field(y):
     a1, a2, b1, b2, _ = y
     # 1/f, with f summed as np.linalg.norm sums a row of shapes
     return [*flow._components(a1, a2, b1, b2),
             1.0 / math.sqrt(a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2)]
-
-
-def _sphere_field(y):
-    a1, a2, a3, a4, _ = y
-    v1, v2, v3, v4 = flow._components(a1, a2, a3, a4)
-    beta = v1 * a1 + v2 * a2 + v3 * a3 + v4 * a4  # summed as flow.monitor_table's beta
-    return [v1 - beta * a1, v2 - beta * a2, v3 - beta * a3, v4 - beta * a4, beta]
 
 
 def _wall_stop(y):
@@ -480,7 +473,7 @@ def integrate_sphere(start: np.ndarray, u0: float, u1: float, ln_f0: float = 0.0
     if not u1 > u0:
         raise ValueError(f"u1 must exceed u0, got u0 = {u0}, u1 = {u1}")
 
-    us, ys, term, stats = _integrate(_sphere_field, u0, np.append(a0, ln_f0), u1, tol,
+    us, ys, term, stats = _integrate(flow._sphere_rate, u0, np.append(a0, ln_f0), u1, tol,
                                      max_step=max_step, project=_project_sphere, stop=stop)
     return Trajectory.from_samples("u", us, spheres=ys[:, :4], f=np.exp(ys[:, 4]),
                                    termination=term, stats=stats)
@@ -611,9 +604,8 @@ def alc_fit(traj: Trajectory) -> ALCFit | None:
 
 
 # The left eigenvector of the tangential Jacobian at S1 for its one unstable
-# eigenvalue, a unit row (a, -a, -b, b); kept as literals, since an eigen-solve at
-# import loads LAPACK into every command that imports shoot.
-_S1_UNSTABLE = -7.0 * math.sqrt(2.0) / 3.0 + math.sqrt(290.0) / 3.0
+# eigenvalue flow.S1_EIGENVALUES[2], a unit row (a, -a, -b, b); kept as literals,
+# since an eigen-solve at import loads LAPACK into every command that imports shoot.
 _S1_LEFT = (0.7069029740352214, -0.7069029740352214,
             -0.01697602132889324, 0.01697602132889324)
 
@@ -625,14 +617,14 @@ def _edge_probe(mu: float) -> tuple:
     edge lingers at S1, where its unstable coordinate grows like exp(lambda u)
     from a size proportional to mu - mu*; so h = verdict |l.(S_k - S1)|
     exp(-lambda u_k), at the sample k nearest S1 (l = _S1_LEFT,
-    lambda = _S1_UNSTABLE), is near linear through mu*.
+    lambda = flow.S1_EIGENVALUES[2]), is near linear through mu*.
     """
     traj = family_shape_trajectory(mu, t_max=60.0, tol=1e-12, until_decided=True)
     d = traj.spheres - flow.S1
     k = int(np.argmin(np.linalg.norm(d, axis=1)))
     verdict = 1.0 if traj.termination == WALL_CROSSING else -1.0
     dwell = abs(float(np.dot(_S1_LEFT, d[k]))) * math.exp(
-        -_S1_UNSTABLE * traj.stats["u"][k])
+        -flow.S1_EIGENVALUES[2] * traj.stats["u"][k])
     return verdict, verdict * dwell
 
 

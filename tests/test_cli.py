@@ -383,9 +383,9 @@ def test_console_entry_point(tmp_path):
 
 
 def test_runtime_imports():
-    """The command runs on numpy alone, the closure oracle loads none of the
-    flow modules it is checked against, and none of them loads the oracle
-    (fresh interpreters)."""
+    """The command runs on numpy alone, a bare import of the package loads no
+    module of it, the closure oracle loads none of the flow modules it is
+    checked against, and none of them loads the oracle (fresh interpreters)."""
     def loaded(module):
         code = ("import json, sys\n"
                 f"import {module}\n"
@@ -398,6 +398,7 @@ def test_runtime_imports():
                               env=env, check=True)
         return set(json.loads(proc.stdout))
 
+    assert loaded("g2cone") == {"g2cone"}
     flow_layers = {"g2cone.flow", "g2cone.shoot", "g2cone.analysis"}
     oracle = loaded("g2cone.exterior")
     assert not flow_layers & oracle, oracle

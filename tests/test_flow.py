@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,14 +57,15 @@ def test_rhs_rejects_zero_denominators():
         with pytest.raises(ZeroDivisionError):
             shoot._shape_field([*r.tolist(), 0.0])
         with pytest.raises(ZeroDivisionError):
-            shoot._sphere_field([*(r / np.linalg.norm(r)).tolist(), 0.0])
+            flow._sphere_rate([*(r / np.linalg.norm(r)).tolist(), 0.0])
     # A1 = 0 is inside the domain (the wall is invariant: V1 = 0 there)
     v = flow.velocity(np.array([0.0, 1.0, 1.0, 1.0]))
     assert v[0] == 0.0
 
 
 def test_one_state_fields_match_array_path():
-    """One state runs on Python floats: bit for bit the numpy (array) results."""
+    """One state, through the float kernels or the array functions: bit for bit the
+    batch results, and one beta, monitor_table's."""
     rng = np.random.default_rng(11)
     states = np.exp(rng.uniform(-4.0, 2.0, size=(1000, 5)))
     batch = flow.velocity(states[:, :4])
@@ -76,7 +78,10 @@ def test_one_state_fields_match_array_path():
         assert np.array_equal(flow.velocity(a), v)
         assert np.array_equal(flow.velocity(list(a)), v)
         assert shoot._shape_field(y.tolist()) == [*v.tolist(), 1.0 / fy]
-        assert shoot._sphere_field([*s.tolist(), y[4]]) == [*(w - beta * s).tolist(), beta]
+        rate = flow._sphere_rate([*s.tolist(), y[4]])
+        assert rate == [*(w - beta * s).tolist(), beta]
+        w_s, beta_s = flow.sphere_field(s)
+        assert w_s.tolist() == rate[:4] and beta_s == beta
 
 
 # -- first integral -------------------------------------------------------------
@@ -147,6 +152,21 @@ def test_radial_log_derivative_values():
     # V is parallel to S at the conic point with rate 2 sqrt(2) / 3
     assert flow.sphere_field(flow.S1)[1] == pytest.approx(
         2.0 * math.sqrt(2.0) / 3.0, abs=1e-14)
+
+
+def test_sphere_field_complex_step():
+    """A complex step through sphere_field keeps Im beta, with no warning: Im beta / h
+    is d beta along e, as the central difference gives it, at a non-stationary state."""
+    a = np.array([2.0, 3.0, 4.0, 5.0]) / math.sqrt(54.0)
+    e = np.array([0.3, -0.5, 0.1, 0.8])
+    assert np.linalg.norm(_w(a)) > 0.1
+    h, d = 1e-20, 1e-5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, beta = flow.sphere_field(a + 1j * h * e)
+    central = (flow.sphere_field(a + d * e)[1] - flow.sphere_field(a - d * e)[1]) / (2 * d)
+    assert abs(central) > 0.1
+    assert beta.imag / h == pytest.approx(central, rel=1e-8)
 
 
 def test_radial_rate_scale_invariant():

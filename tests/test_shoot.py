@@ -189,17 +189,17 @@ def test_integrate_shape_rejects_boundary_start():
         shoot.integrate_shape(ShapeState(1, 1, 1, 1), 1.0, 0.5)
 
 
-def _recording(monkeypatch, name):
-    """Replace the DP54 field shoot.<name> by one that records every state it is given."""
+def _recording(monkeypatch, module, name):
+    """Replace the DP54 field module.<name> by one that records every state it is given."""
     calls = []
-    field = getattr(shoot, name)
-    monkeypatch.setattr(shoot, name, lambda y: calls.append(list(y)) or field(y))
+    field = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda y: calls.append(list(y)) or field(y))
     return calls
 
 
 def test_integrator_counters(monkeypatch):
     """stats count every field evaluation and bound the accepted steps."""
-    calls = _recording(monkeypatch, "_shape_field")
+    calls = _recording(monkeypatch, shoot, "_shape_field")
     traj = shoot.family_shape_trajectory(0.5, t_max=60.0, tol=1e-12)
     st = traj.stats
     assert st["evals"] == len(calls) == 1 + 6 * (st["steps"] + st["rejected"])
@@ -231,12 +231,12 @@ def test_stage_zero_is_the_last_stage(monkeypatch):
     sample that another step follows, unless the projection left the
     state bit for bit unchanged, and a rejected attempt keeps its stage 0.
     """
-    calls = _recording(monkeypatch, "_shape_field")
+    calls = _recording(monkeypatch, shoot, "_shape_field")
     traj = shoot.family_shape_trajectory(0.5, t_max=60.0, tol=1e-12)
     assert len(calls) == traj.stats["evals"]
     assert all(a != b for a, b in zip(calls, calls[1:]))
 
-    calls = _recording(monkeypatch, "_sphere_field")
+    calls = _recording(monkeypatch, flow, "_sphere_rate")
     moved = []
     project = shoot._project_sphere
     monkeypatch.setattr(shoot, "_project_sphere",
@@ -815,16 +815,15 @@ def test_edge_probe_dwell_value():
     left = basis.T @ vectors[:, i].real
     left *= np.sign(left[0]) / np.linalg.norm(left)
     # the central differences of linearize are good to about 1e-10
-    assert values[i].real == pytest.approx(shoot._S1_UNSTABLE, abs=1e-9)
+    assert values[i].real == pytest.approx(flow.S1_EIGENVALUES[2], abs=1e-9)
     assert np.max(np.abs(left - shoot._S1_LEFT)) <= 1e-9
-    # the literals to 1e-12: the closed-form eigenvalue, and a left eigenvector
-    # of the Jacobian of the degree-0 field W(R/|R|) in 4 coordinates, by
-    # complex-step differences of flow._components (exact to rounding)
-    assert shoot._S1_UNSTABLE == analysis.S1_EIGENVALUES[2]
+    # the literal to 1e-12: a left eigenvector for the closed-form eigenvalue of
+    # the Jacobian of the degree-0 field W(R/|R|) in 4 coordinates, by
+    # complex-step differences of flow._sphere_rate (exact to rounding)
     left = np.array(shoot._S1_LEFT)
     assert np.linalg.norm(left) == pytest.approx(1.0, abs=1e-15)
     assert left @ _tangential_jacobian(flow.S1) == pytest.approx(
-        shoot._S1_UNSTABLE * left, abs=1e-12)
+        flow.S1_EIGENVALUES[2] * left, abs=1e-12)
 
     mus = [0.5] + sorted(MU_EDGE + s * d for d in (1e-3, 1e-5, 1e-7, 1e-9)
                          for s in (-1.0, 1.0)) + [0.6]
@@ -843,10 +842,7 @@ def _tangential_jacobian(s, step=1e-20):
         r = [complex(x) for x in s]
         r[j] += 1j * step
         n = sum(x * x for x in r) ** 0.5
-        a = [x / n for x in r]
-        v = flow._components(*a)
-        beta = sum(vi * ai for vi, ai in zip(v, a))
-        jac[:, j] = [(vi - beta * ai).imag / step for vi, ai in zip(v, a)]
+        jac[:, j] = [w.imag / step for w in flow._sphere_rate([*(x / n for x in r), 0.0])[:4]]
     return jac
 
 
