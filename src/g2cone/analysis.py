@@ -111,23 +111,27 @@ def tangent_basis(s: np.ndarray) -> np.ndarray:
     return np.array(basis)
 
 
-_FD_STEP = 1e-6
+_FD_STEP = 1e-6  # central differences of the chart route
+_CS_STEP = 1e-20  # complex step of the tangential route
 
 
 def linearize(point, system: str) -> np.ndarray:
-    """Jacobian of the chosen flow at a stationary point, by central differences.
+    """Jacobian of the chosen flow at a stationary point.
 
     system="tangential": the degree-0 extension W(R/|R|) differentiated
     at a unit direction and expressed in an orthonormal tangent basis
-    (3 x 3; eigenvalues are basis independent).
+    (3 x 3; eigenvalues are basis independent), by a complex step through
+    flow.sphere_field (Squire & Trapp, SIAM Rev. 40, 1998): exact to
+    rounding, one evaluation per direction.
     system="modified-chart": the Jacobian of the desingularized chart
-    field at a chart point (x, y, z) on the singular arc.
+    field at a chart point (x, y, z) on the singular arc, by central
+    differences (the chart field runs on real square roots).
     Rejects points where the respective field is not below 1e-8.
     """
     p = np.asarray(point, dtype=float)
     if system == "tangential":
-        def fn(r):
-            return flow.sphere_field(r / np.linalg.norm(r))[0]
+        def fn(r):  # the normalization is analytic in r, so a complex step passes it
+            return flow.sphere_field(r / np.sqrt(np.sum(r * r)))[0]
         basis = tangent_basis(p)
     elif system == "modified-chart":
         def fn(q):
@@ -138,9 +142,11 @@ def linearize(point, system: str) -> np.ndarray:
     if np.linalg.norm(fn(p)) > 1e-8:
         raise ValueError(f"{tuple(p)} is not stationary for the {system} flow")
     jac = np.empty((3, 3))
-    for j in range(3):
-        fp, fm = fn(p + _FD_STEP * basis[j]), fn(p - _FD_STEP * basis[j])
-        jac[:, j] = basis @ ((fp - fm) / (2.0 * _FD_STEP))
+    for j, e in enumerate(basis):
+        if system == "tangential":
+            jac[:, j] = basis @ (fn(p + 1j * _CS_STEP * e).imag / _CS_STEP)
+        else:
+            jac[:, j] = basis @ ((fn(p + _FD_STEP * e) - fn(p - _FD_STEP * e)) / (2.0 * _FD_STEP))
     return jac
 
 

@@ -317,7 +317,7 @@ def cmd_stationary(args, outdir: Path, report: dict) -> str:
             got = np.sort(rep.eigenvalues.real)
             entry["expected_eigenvalues"] = list(expected)
             entry["eigenvalue_error"] = float(np.max(np.abs(got - expected)))
-            if entry["eigenvalue_error"] > 1e-6 or np.max(np.abs(rep.eigenvalues.imag)) > 1e-8:
+            if entry["eigenvalue_error"] > 1e-12 or np.max(np.abs(rep.eigenvalues.imag)) > 1e-8:
                 ok = False
             # eigenvector of the -2 sqrt(2) mode is tangent to the diagonal curve
             i = int(np.argmin(np.abs(rep.eigenvalues.real - analysis.S1_EIGENVALUES[0])))

@@ -107,16 +107,15 @@ def sphere_field(a: np.ndarray) -> tuple:
     """(W, beta) at a unit direction: W = V - beta S is the tangential field and
     beta = <V(S), S> the logarithmic growth rate of the scale f.  The array view
     of _sphere_rate, bit for bit; complex input keeps Im beta."""
-    *w, beta = _sphere_rate([*np.asarray(a).tolist(), 0.0])
+    *w, beta = _sphere_rate(*np.asarray(a).tolist(), 0.0)
     return np.array(w), beta
 
 
-def _sphere_rate(y) -> list:
-    """The DP54 field of integrate_sphere on Python floats: (S, ln f) -> [W, beta]."""
-    a1, a2, a3, a4, _ = y
+def _sphere_rate(a1, a2, a3, a4, _) -> tuple:
+    """The DP54 field of integrate_sphere on Python floats: (S, ln f) -> (W, beta)."""
     v1, v2, v3, v4 = _components(a1, a2, a3, a4)
     beta = v1 * a1 + v2 * a2 + v3 * a3 + v4 * a4  # summed as monitor_table's beta
-    return [v1 - beta * a1, v2 - beta * a2, v3 - beta * a3, v4 - beta * a4, beta]
+    return v1 - beta * a1, v2 - beta * a2, v3 - beta * a3, v4 - beta * a4, beta
 
 
 # -- chart around the singular arc J -------------------------------------

@@ -15,6 +15,7 @@ positivity loss or step collapse.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -97,9 +98,9 @@ class Trajectory:
     """Ordered samples of an integrated solution.
 
     params is strictly increasing in the stated parameter kind ("t" or
-    "u"); shapes and spheres are (n, 4) with shapes = f * spheres;
-    monitors is (n, 9) in the order flow.MONITOR_NAMES with NaN for
-    flagged-missing entries.  Instances are not mutated after creation.
+    "u"); shapes and spheres are (n, 4) with shapes = f * spheres.
+    Instances are not mutated after creation; the monitor table is computed
+    from spheres and f on first use.
     """
 
     kind: str
@@ -107,7 +108,6 @@ class Trajectory:
     shapes: np.ndarray
     spheres: np.ndarray
     f: np.ndarray
-    monitors: np.ndarray
     termination: str
     stats: dict
 
@@ -119,8 +119,8 @@ class Trajectory:
                      termination: str = REACHED_HORIZON, stats=None) -> "Trajectory":
         """Assemble from shapes, or from spheres and f; the other columns are derived.
 
-        The monitor table is always computed here, so every trajectory
-        carries monitors consistent with its samples.
+        The monitor table is not computed here: a run that no one reads the
+        monitors of (an edge probe, a launch's tail) never builds it.
         """
         if shapes is None:
             shapes = spheres * f[:, None]
@@ -128,7 +128,12 @@ class Trajectory:
             f = np.linalg.norm(shapes, axis=1)
             spheres = shapes / f[:, None]
         return cls(kind, np.asarray(params, dtype=float), shapes, spheres, f,
-                   flow.monitor_table(spheres, f), termination, dict(stats or {}))
+                   termination, dict(stats or {}))
+
+    @functools.cached_property
+    def monitors(self) -> np.ndarray:
+        """(n, 9) in the order flow.MONITOR_NAMES, NaN for flagged-missing entries."""
+        return flow.monitor_table(self.spheres, self.f)
 
     def monitor(self, name: str) -> np.ndarray:
         return self.monitors[:, flow.MONITOR_NAMES.index(name)]
@@ -268,23 +273,26 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
 
     The state has five components, as every field here has: (R, u), (S, ln f) or the
     chart's (x, y, z, u, ln f); another length raises ValueError, as do a NaN x0 or x1,
-    rtol < 0 and max_step <= 0 (NaN included).  field(y) takes the state as a list and
-    returns five floats.  A step runs on Python floats held in
-    locals, with every stage sum and the error norm written out per component as a
-    left-to-right chain of +: rounding does not depend on the interpreter, and no list
-    is zipped or looped over.  Every accepted step is recorded (xs, ys as arrays); it
-    ends at its stage-6 state (the fifth-order weights are _DP_A's last row), whose
-    field value is the next stage 0 (first-same-as-last).  project(y) -> y runs after
-    each accepted step (its displacement is logged as drift); when it moved the state,
-    the next step evaluates the field there.  stop(y) -> str | None ends the run with
-    its reason after any accepted step.  stats counts accepted and rejected steps and
-    field evaluations (1 + 6 per attempt, one more per moved projection; each counted
-    in a local just before its call, so a raising stage counts and ends its attempt);
-    h_min, h_max bound the accepted steps (inf, 0 if none).
+    rtol < 0 and max_step <= 0 (NaN included).  field(p0, p1, p2, p3, p4) takes the state
+    as five floats and returns five floats.  A step runs on Python floats held in locals,
+    with every stage sum and the error norm written out per component as a left-to-right
+    chain of +, and the step control's max, min and abs as comparisons: rounding does not
+    depend on the interpreter, and no list is built per stage.  An attempt is rejected
+    with h *= 0.2 when a stage raises or its error norm or new state is not finite.  Every
+    accepted step is recorded (xs, ys as arrays); it ends at its stage-6 state (the
+    fifth-order weights are _DP_A's last row), whose field value is the next stage 0
+    (first-same-as-last).  project(y) -> y runs on the list y after each accepted step
+    (its displacement is logged as drift); when it moved the state, the next step
+    evaluates the field there.  stop(y) -> str | None ends the run with its reason after
+    any accepted step.  stats counts accepted and rejected steps and field evaluations
+    (1 + 6 per attempt, one more per moved projection; each counted in a local just
+    before its call, so a raising stage counts and ends its attempt); h_min, h_max bound
+    the accepted steps (inf, 0 if none).
     """
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
         (a50, a51, a52, a53, a54), (b0, _, b2, b3, b4, b5) = _DP_A[1:]
     e0, _, e2, e3, e4, e5, e6 = _DP_E
+    atol, sqrt, root5 = ATOL, math.sqrt, math.sqrt(5)
     y = [float(v) for v in y0]
     if len(y) != 5:
         raise ValueError(f"the DP54 state has 5 components, got {len(y)}")
@@ -294,88 +302,101 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
                          f"got {x0}, {x1}, {rtol}, {max_step}")
     xs, ys = [x], [y]
     steps, rejected, evals, h_min, h_max, max_drift, error_sum = 0, 0, 1, math.inf, 0.0, 0.0, 0.0
-    k0 = field(y)
+    k0 = field(*y)
     scale = ATOL + rtol * np.abs(y)
-    d0 = np.linalg.norm(y / scale) / math.sqrt(5)
-    d1 = np.linalg.norm(k0 / scale) / math.sqrt(5)
+    d0 = np.linalg.norm(y / scale) / root5
+    d1 = np.linalg.norm(k0 / scale) / root5
     h = max(float(min(max_step, x1 - x, 1e-2 * d0 / d1 if d1 > 0 else 1e-6)), 1e-12)
     termination = REACHED_HORIZON
     while x < x1:
-        h = min(h, x1 - x, max_step)
-        if h < 1e-13 * max(1.0, abs(x)):
+        h = x1 - x if x1 - x < h else h  # h = min(h, x1 - x, max_step)
+        h = max_step if max_step < h else h
+        if h < 1e-13 * (x if x > 1.0 else -x if x < -1.0 else 1.0):
             termination = STEP_FAILURE
             break
         p0, p1, p2, p3, p4 = y
         try:
             if k0 is None:  # after a projection
                 evals += 1
-                k0 = field(y)
+                k0 = field(p0, p1, p2, p3, p4)
             k00, k01, k02, k03, k04 = k0
             evals += 1
-            k10, k11, k12, k13, k14 = field([
+            k10, k11, k12, k13, k14 = field(
                 p0 + h * (a10 * k00), p1 + h * (a10 * k01), p2 + h * (a10 * k02),
-                p3 + h * (a10 * k03), p4 + h * (a10 * k04)])
+                p3 + h * (a10 * k03), p4 + h * (a10 * k04))
             evals += 1
-            k20, k21, k22, k23, k24 = field([
+            k20, k21, k22, k23, k24 = field(
                 p0 + h * (a20 * k00 + a21 * k10), p1 + h * (a20 * k01 + a21 * k11),
                 p2 + h * (a20 * k02 + a21 * k12), p3 + h * (a20 * k03 + a21 * k13),
-                p4 + h * (a20 * k04 + a21 * k14)])
+                p4 + h * (a20 * k04 + a21 * k14))
             evals += 1
-            k30, k31, k32, k33, k34 = field([
+            k30, k31, k32, k33, k34 = field(
                 p0 + h * (a30 * k00 + a31 * k10 + a32 * k20),
                 p1 + h * (a30 * k01 + a31 * k11 + a32 * k21),
                 p2 + h * (a30 * k02 + a31 * k12 + a32 * k22),
                 p3 + h * (a30 * k03 + a31 * k13 + a32 * k23),
-                p4 + h * (a30 * k04 + a31 * k14 + a32 * k24)])
+                p4 + h * (a30 * k04 + a31 * k14 + a32 * k24))
             evals += 1
-            k40, k41, k42, k43, k44 = field([
+            k40, k41, k42, k43, k44 = field(
                 p0 + h * (a40 * k00 + a41 * k10 + a42 * k20 + a43 * k30),
                 p1 + h * (a40 * k01 + a41 * k11 + a42 * k21 + a43 * k31),
                 p2 + h * (a40 * k02 + a41 * k12 + a42 * k22 + a43 * k32),
                 p3 + h * (a40 * k03 + a41 * k13 + a42 * k23 + a43 * k33),
-                p4 + h * (a40 * k04 + a41 * k14 + a42 * k24 + a43 * k34)])
+                p4 + h * (a40 * k04 + a41 * k14 + a42 * k24 + a43 * k34))
             evals += 1
-            k50, k51, k52, k53, k54 = field([
+            k50, k51, k52, k53, k54 = field(
                 p0 + h * (a50 * k00 + a51 * k10 + a52 * k20 + a53 * k30 + a54 * k40),
                 p1 + h * (a50 * k01 + a51 * k11 + a52 * k21 + a53 * k31 + a54 * k41),
                 p2 + h * (a50 * k02 + a51 * k12 + a52 * k22 + a53 * k32 + a54 * k42),
                 p3 + h * (a50 * k03 + a51 * k13 + a52 * k23 + a53 * k33 + a54 * k43),
-                p4 + h * (a50 * k04 + a51 * k14 + a52 * k24 + a53 * k34 + a54 * k44)])
-            y6 = [p0 + h * (b0 * k00 + b2 * k20 + b3 * k30 + b4 * k40 + b5 * k50),
-                  p1 + h * (b0 * k01 + b2 * k21 + b3 * k31 + b4 * k41 + b5 * k51),
-                  p2 + h * (b0 * k02 + b2 * k22 + b3 * k32 + b4 * k42 + b5 * k52),
-                  p3 + h * (b0 * k03 + b2 * k23 + b3 * k33 + b4 * k43 + b5 * k53),
-                  p4 + h * (b0 * k04 + b2 * k24 + b3 * k34 + b4 * k44 + b5 * k54)]
+                p4 + h * (a50 * k04 + a51 * k14 + a52 * k24 + a53 * k34 + a54 * k44))
+            z0 = p0 + h * (b0 * k00 + b2 * k20 + b3 * k30 + b4 * k40 + b5 * k50)
+            z1 = p1 + h * (b0 * k01 + b2 * k21 + b3 * k31 + b4 * k41 + b5 * k51)
+            z2 = p2 + h * (b0 * k02 + b2 * k22 + b3 * k32 + b4 * k42 + b5 * k52)
+            z3 = p3 + h * (b0 * k03 + b2 * k23 + b3 * k33 + b4 * k43 + b5 * k53)
+            z4 = p4 + h * (b0 * k04 + b2 * k24 + b3 * k34 + b4 * k44 + b5 * k54)
             evals += 1
-            k60, k61, k62, k63, k64 = k6 = field(y6)
-            z0, z1, z2, z3, z4 = y6
-            # the error estimate r and its scaled size s
+            k60, k61, k62, k63, k64 = k6 = field(z0, z1, z2, z3, z4)
+            # the error estimate r and its scaled size s, over ATOL + rtol max(|p|, |z|)
             r0 = h * (e0 * k00 + e2 * k20 + e3 * k30 + e4 * k40 + e5 * k50 + e6 * k60)
             r1 = h * (e0 * k01 + e2 * k21 + e3 * k31 + e4 * k41 + e5 * k51 + e6 * k61)
             r2 = h * (e0 * k02 + e2 * k22 + e3 * k32 + e4 * k42 + e5 * k52 + e6 * k62)
             r3 = h * (e0 * k03 + e2 * k23 + e3 * k33 + e4 * k43 + e5 * k53 + e6 * k63)
             r4 = h * (e0 * k04 + e2 * k24 + e3 * k34 + e4 * k44 + e5 * k54 + e6 * k64)
-            s0 = r0 / (ATOL + rtol * max(abs(p0), abs(z0)))
-            s1 = r1 / (ATOL + rtol * max(abs(p1), abs(z1)))
-            s2 = r2 / (ATOL + rtol * max(abs(p2), abs(z2)))
-            s3 = r3 / (ATOL + rtol * max(abs(p3), abs(z3)))
-            s4 = r4 / (ATOL + rtol * max(abs(p4), abs(z4)))
-            err = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3 + s4 * s4) / math.sqrt(5)
-            emax = max(0.0, abs(r0), abs(r1), abs(r2), abs(r3), abs(r4))
+            m, n = -p0 if p0 < 0.0 else p0, -z0 if z0 < 0.0 else z0
+            s0 = r0 / (atol + rtol * (n if n > m else m))
+            m, n = -p1 if p1 < 0.0 else p1, -z1 if z1 < 0.0 else z1
+            s1 = r1 / (atol + rtol * (n if n > m else m))
+            m, n = -p2 if p2 < 0.0 else p2, -z2 if z2 < 0.0 else z2
+            s2 = r2 / (atol + rtol * (n if n > m else m))
+            m, n = -p3 if p3 < 0.0 else p3, -z3 if z3 < 0.0 else z3
+            s3 = r3 / (atol + rtol * (n if n > m else m))
+            m, n = -p4 if p4 < 0.0 else p4, -z4 if z4 < 0.0 else z4
+            s4 = r4 / (atol + rtol * (n if n > m else m))
+            err = sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3 + s4 * s4) / root5
         except (ValueError, ZeroDivisionError, FloatingPointError):
             err = math.nan
-        if not (math.isfinite(err) and all(map(math.isfinite, y6))):
+        # v * 0.0 is 0.0 for a finite v, NaN for inf or NaN
+        if err * 0.0 != 0.0 or z0 * 0.0 + z1 * 0.0 + z2 * 0.0 + z3 * 0.0 + z4 * 0.0 != 0.0:
             rejected += 1
             h *= 0.2
             continue
         if err > 1.0:
             rejected += 1
-            h *= max(0.2, 0.9 * err ** -0.2)
+            fac = 0.9 * err ** -0.2
+            h *= fac if fac > 0.2 else 0.2
             continue
         x += h
         steps += 1
-        h_min, h_max = min(h_min, h), max(h_max, h)
+        h_min = h if h < h_min else h_min
+        h_max = h if h > h_max else h_max
+        emax = -r0 if r0 < 0.0 else r0  # max |r|
+        emax = r1 if r1 > emax else -r1 if -r1 > emax else emax
+        emax = r2 if r2 > emax else -r2 if -r2 > emax else emax
+        emax = r3 if r3 > emax else -r3 if -r3 > emax else emax
+        emax = r4 if r4 > emax else -r4 if -r4 > emax else emax
         error_sum += emax
+        y6 = [z0, z1, z2, z3, z4]
         if project is not None:
             yp = project(y6)
             if yp != y6:  # a moved state needs its own stage 0; a bit-exact one keeps k6
@@ -388,7 +409,8 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
         if reason is not None:
             termination = reason
             break
-        h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0 else 5.0
+        fac = 0.9 * err ** -0.2 if err > 0.0 else 5.0  # at least 0.9, as err <= 1
+        h *= fac if fac < 5.0 else 5.0
     stats = {"steps": steps, "rejected": rejected, "evals": evals, "h_min": h_min,
              "h_max": h_max, "max_drift": max_drift, "error_sum": error_sum}
     return np.array(xs), np.array(ys), termination, stats
@@ -397,12 +419,11 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
 # -- trajectory assembly ----------------------------------------------------
 
 
-# DP54 field on (R, u): lists of Python floats in and out (on (S, ln f): flow._sphere_rate)
-def _shape_field(y):
-    a1, a2, b1, b2, _ = y
+# DP54 field on (R, u): five Python floats in, a tuple out (on (S, ln f): flow._sphere_rate)
+def _shape_field(a1, a2, b1, b2, _):
+    v1, v2, v3, v4 = flow._components(a1, a2, b1, b2)
     # 1/f, with f summed as np.linalg.norm sums a row of shapes
-    return [*flow._components(a1, a2, b1, b2),
-            1.0 / math.sqrt(a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2)]
+    return v1, v2, v3, v4, 1.0 / math.sqrt(a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2)
 
 
 def _wall_stop(y):
@@ -512,9 +533,9 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
     # phase 1: chart state (x, y, z, u, ln f) in the chart time v
     p0 = np.array([0.0, 0.0, mu]) + eps * unstable_direction(mu)
 
-    def chart_field(y):
-        g1, g2, g3, xbeta = flow._chart_components(*y[:3])
-        return [g1, g2, g3, y[0], xbeta]
+    def chart_field(x, y, z, u, lnf):
+        g1, g2, g3, xbeta = flow._chart_components(x, y, z)
+        return g1, g2, g3, x, xbeta
 
     def chart_stop(y):
         return "switch" if y[0] >= CHART_SWITCH_X else None

@@ -67,7 +67,7 @@ def test_tangential_eigenvalues_at_conic_point():
     assert np.max(np.abs(w.imag)) <= 1e-8
     got = np.sort(w.real)
     expected = np.sort(S1_EIGENVALUES)
-    assert np.max(np.abs(got - expected)) <= 1e-6
+    assert np.max(np.abs(got - expected)) <= 1e-12  # the complex step is exact to rounding
 
 
 def test_tangential_eigenvector_at_conic_point():
@@ -88,13 +88,13 @@ def test_tangential_eigenvector_at_conic_point():
 
 def test_tangential_eigenvalues_at_limit_direction():
     # all three rates are negative; the observed values agree with
-    # -2 sqrt(10), -sqrt(10), -sqrt(10)/3 to finite-difference accuracy
+    # -2 sqrt(10), -sqrt(10), -sqrt(10)/3 to rounding (complex-step linearization)
     jac = linearize(flow.SINF, "tangential")
     w, _ = eig_small(jac)
     assert np.max(np.abs(w.imag)) <= 1e-8
     got = np.sort(w.real)
     observed = np.sort([-2 * math.sqrt(10), -math.sqrt(10), -math.sqrt(10) / 3])
-    assert np.max(np.abs(got - observed)) <= 1e-6
+    assert np.max(np.abs(got - observed)) <= 1e-12
     assert np.all(got < 0.0)
 
 

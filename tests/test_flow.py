@@ -55,9 +55,9 @@ def test_rhs_rejects_zero_denominators():
         with pytest.raises(ZeroDivisionError):
             flow.velocity(np.stack([np.ones(4), r]))
         with pytest.raises(ZeroDivisionError):
-            shoot._shape_field([*r.tolist(), 0.0])
+            shoot._shape_field(*r.tolist(), 0.0)
         with pytest.raises(ZeroDivisionError):
-            flow._sphere_rate([*(r / np.linalg.norm(r)).tolist(), 0.0])
+            flow._sphere_rate(*(r / np.linalg.norm(r)).tolist(), 0.0)
     # A1 = 0 is inside the domain (the wall is invariant: V1 = 0 there)
     v = flow.velocity(np.array([0.0, 1.0, 1.0, 1.0]))
     assert v[0] == 0.0
@@ -77,11 +77,11 @@ def test_one_state_fields_match_array_path():
         a = y[:4]
         assert np.array_equal(flow.velocity(a), v)
         assert np.array_equal(flow.velocity(list(a)), v)
-        assert shoot._shape_field(y.tolist()) == [*v.tolist(), 1.0 / fy]
-        rate = flow._sphere_rate([*s.tolist(), y[4]])
-        assert rate == [*(w - beta * s).tolist(), beta]
+        assert shoot._shape_field(*y.tolist()) == (*v.tolist(), 1.0 / fy)
+        rate = flow._sphere_rate(*s.tolist(), y[4])
+        assert rate == (*(w - beta * s).tolist(), beta)
         w_s, beta_s = flow.sphere_field(s)
-        assert w_s.tolist() == rate[:4] and beta_s == beta
+        assert (*w_s.tolist(), beta_s) == (*rate[:4], beta)
 
 
 # -- first integral -------------------------------------------------------------
@@ -320,7 +320,7 @@ def test_trajectory_equivariance():
         # integrate the reversed field and flip the parameter afterwards
         import g2cone.shoot as sh
 
-        def field(y):
+        def field(*y):
             a = np.array(y[:4])
             v = -flow.velocity(a)
             beta = float(np.dot(v, a))

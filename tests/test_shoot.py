@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -193,7 +194,7 @@ def _recording(monkeypatch, module, name):
     """Replace the DP54 field module.<name> by one that records every state it is given."""
     calls = []
     field = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda y: calls.append(list(y)) or field(y))
+    monkeypatch.setattr(module, name, lambda *y: calls.append(list(y)) or field(*y))
     return calls
 
 
@@ -209,7 +210,7 @@ def test_integrator_counters(monkeypatch):
 
     # a stage that raises ends its attempt early and is counted: y' = 1
     # from 0, so the state tracks the parameter, and the field fails past 1
-    def field(y):
+    def field(*y):
         calls.append(y)
         if y[0] > 1.0:
             raise ValueError("outside the domain")
@@ -221,6 +222,52 @@ def test_integrator_counters(monkeypatch):
     assert term == shoot.STEP_FAILURE
     assert attempts < st["evals"] == len(calls) < 1 + 6 * attempts
     assert 0.0 < st["h_min"] <= st["h_max"] <= 1.0
+
+
+def test_non_finite_attempts_are_rejected():
+    """An attempt is rejected with h *= 0.2 when its error norm or its new state is
+    not finite, also when no stage raises.
+
+    A field that returns NaN or inf past y0 = 1 (and at NaN) rejects exactly the
+    attempts that a raising field rejects: the same samples and step counters, six
+    evaluations per attempt.  A field of 1.7e308 leaves the error norm finite (its
+    weights cancel, and max(|p|, |z|) = inf scales it to 0) while the weighted sum of
+    the new state overflows to inf: every attempt is rejected, each with a fifth of
+    the step before, until the step falls below its floor.
+    """
+    def field(bad):
+        def fn(*y):
+            calls.append(y)
+            if y[0] <= 1.0:
+                return (1.0,) * 5
+            if bad is None:
+                raise ValueError("outside the domain")
+            return (bad,) * 5
+        return fn
+
+    runs = {}
+    for bad in (None, math.nan, math.inf):
+        calls = []
+        runs[bad] = shoot._integrate(field(bad), 0.0, np.zeros(5), 2.0, 1e-10)
+        st = runs[bad][3]
+        assert st["evals"] == len(calls)
+        assert (st["steps"], st["rejected"]) == (53, 54)
+    for bad in (math.nan, math.inf):
+        xs, ys, term, st = runs[bad]
+        assert np.array_equal(xs, runs[None][0]) and np.array_equal(ys, runs[None][1])
+        assert term == shoot.STEP_FAILURE
+        assert {**st, "evals": None} == {**runs[None][3], "evals": None}
+        assert st["evals"] == 1 + 6 * (53 + 54) > runs[None][3]["evals"]
+
+    calls = []
+    xs, ys, term, st = shoot._integrate(lambda *y: calls.append(y) or (1.7e308,) * 5,
+                                        0.0, [1e300] * 5, 1.0, 1e-10)
+    assert term == shoot.STEP_FAILURE and len(xs) == 1
+    assert (st["steps"], st["rejected"], st["evals"]) == (0, 4, 25)
+    # each attempt's step, from its stage-1 state p + (h / 5) k
+    h = [5.0 * (c[0] - 1e300) / 1.7e308 for c in calls[1::6]]
+    assert all(b == pytest.approx(0.2 * a, rel=1e-12) for a, b in zip(h, h[1:]))
+    assert 0.2 * h[-1] < 1e-13 <= h[-1]
 
 
 def test_stage_zero_is_the_last_stage(monkeypatch):
@@ -260,10 +307,10 @@ def test_float_kernel_on_closed_forms():
     """
     rates = (1.0, 0.5, 2.0, 0.25, 1.5)
 
-    def decay(y):
+    def decay(*y):
         return [-c * v for c, v in zip(rates, y)]
 
-    def rotation(y):
+    def rotation(*y):
         return [-y[1], y[0], -0.5 * y[2], -2.0 * y[3], -0.25 * y[4]]
 
     def decays(x, cs):
@@ -287,7 +334,7 @@ def test_integrate_rejects_other_state_lengths(n):
     """The DP54 state has five components; another length raises before any field call."""
     calls = []
     with pytest.raises(ValueError, match="5 components"):
-        shoot._integrate(lambda y: calls.append(y) or [0.0] * n, 0.0, [1.0] * n, 1.0, 1e-10)
+        shoot._integrate(lambda *y: calls.append(y) or [0.0] * n, 0.0, [1.0] * n, 1.0, 1e-10)
     assert calls == []
 
 
@@ -842,7 +889,7 @@ def _tangential_jacobian(s, step=1e-20):
         r = [complex(x) for x in s]
         r[j] += 1j * step
         n = sum(x * x for x in r) ** 0.5
-        jac[:, j] = [w.imag / step for w in flow._sphere_rate([*(x / n for x in r), 0.0])[:4]]
+        jac[:, j] = [w.imag / step for w in flow._sphere_rate(*(x / n for x in r), 0.0)[:4]]
     return jac
 
 
@@ -878,6 +925,31 @@ def test_one_sphere_path(monkeypatch, tmp_path):
     spheres.clear()
     assert cli.main(["shoot", "--mu", "0.3", "--out", str(tmp_path), "--format", "json"]) == 0
     assert len(spheres) == 1 and spheres[0].get("stop") is None
+
+
+def test_edge_search_builds_no_monitor_table(monkeypatch):
+    """The edge probes and launch tails never read their monitors, so no table is built."""
+    def refuse(*args):
+        raise AssertionError("monitor_table called")
+
+    monkeypatch.setattr(flow, "monitor_table", refuse)
+    assert abs(shoot.critical_parameter(0.5, 0.6, 1e-3) - MU_EDGE) <= 1e-3
+    launch = shoot.launch_sphere(0.3, u_max=5.0)
+    with pytest.raises(AssertionError, match="monitor_table called"):
+        launch.monitor("G1")
+
+
+def test_monitors_on_first_use():
+    """A trajectory's monitors are flow.monitor_table of its samples, bit for bit,
+    computed on first read and kept; a replace() copy computes its own."""
+    launch = shoot.launch_sphere(0.3)
+    assert launch.termination == shoot.CONVERGED  # itself a replace() of the assembled run
+    for traj in (launch, dataclasses.replace(launch, termination=shoot.REACHED_HORIZON)):
+        assert "monitors" not in vars(traj)
+        table = flow.monitor_table(traj.spheres, traj.f)
+        assert traj.monitors.tobytes() == table.tobytes()
+        assert traj.monitors is traj.monitors
+        assert traj.monitor("G1").tobytes() == table[:, 6].tobytes()
 
 
 def test_launch_below_the_edge_converges():
