@@ -156,17 +156,18 @@ def _monitor_extrema(traj: shoot.Trajectory) -> dict:
 def _shoot_pipeline(mu: float, args) -> tuple:
     """Family run shared by the shoot and sweep commands: (traj, fit, summary, ok).
 
-    ok is the run's pass rule: converged, and integrated to the t horizon.
+    ok is the run's pass rule: converged, and integrated to the t horizon.  The shape run goes
+    on in u until _sphere_stop(--conv-tol) or u_max ends it; summary "continuation" says which.
     """
     traj = shoot.family_shape_trajectory(mu, t_max=args.t_max, tol=args.tol, order=args.order)
-    # convergence is certified on the whole path in u: the shape run,
-    # continued on the sphere up to the u horizon when it ends early
-    u, spheres = traj.stats["u"], traj.spheres
+    u, spheres, continuation = traj.stats["u"], traj.spheres, None
     if u[-1] < args.u_max and traj.termination == shoot.REACHED_HORIZON:
         cont = shoot.integrate_sphere(spheres[-1], float(u[-1]), args.u_max,
-                                      ln_f0=math.log(traj.f[-1]), tol=args.tol)
+                                      ln_f0=math.log(traj.f[-1]), tol=args.tol,
+                                      stop=shoot._sphere_stop(args.conv_tol))
         u = np.concatenate([u, cont.params[1:]])
         spheres = np.concatenate([spheres, cont.spheres[1:]])
+        continuation = cont.termination
     converged, u_conv = shoot.detect_convergence(spheres, u, flow.SINF, args.conv_tol)
 
     F = traj.monitor("F")
@@ -177,6 +178,8 @@ def _shoot_pipeline(mu: float, args) -> tuple:
         "positivity_ok": traj.termination != shoot.POSITIVITY_VIOLATION,
         "converged": converged,
         "u_converged": u_conv,
+        "continuation": continuation,
+        "u_end": float(u[-1]),
         "dist_to_target_end": float(np.linalg.norm(spheres[-1] - flow.SINF)),
         "F_initial": float(F[0]),
         "F_drift": float(np.max(np.abs(F - F[0]))),

@@ -30,8 +30,8 @@ import math
 import numpy as np
 
 __all__ = [
-    "S1", "SINF", "S1_EIGENVALUES", "CHART_RADIUS", "CHART_MIN_RADICAND",
-    "velocity", "first_integral", "sphere_field",
+    "S1", "SINF", "S1_EIGENVALUES", "SINF_P", "SINF_R0", "SINF_DELTA",
+    "CHART_RADIUS", "CHART_MIN_RADICAND", "velocity", "first_integral", "sphere_field",
     "chart_to_sphere", "modified_field",
     "symmetry_group", "monitor_table", "MONITOR_NAMES",
 ]
@@ -58,6 +58,16 @@ S1 = _frozen([1.0 / (2.0 * math.sqrt(2.0)), 1.0 / (2.0 * math.sqrt(2.0)),
               math.sqrt(3.0) / (2.0 * math.sqrt(2.0)), math.sqrt(3.0) / (2.0 * math.sqrt(2.0))])
 SINF = _frozen([0.0, math.sqrt(3.0) / math.sqrt(10.0), math.sqrt(2.0) / math.sqrt(5.0),
                 math.sqrt(3.0) / math.sqrt(10.0)])
+
+# Lyapunov certificate of the sink SINF (proved in tests/test_flow.py): V = d.P.d, P = SINF_P,
+# d = S - SINF (J^T P + P J = -Q on the tangent space, least eigenvalue 1) decreases within
+# SINF_R0 of SINF, where V <= (min(tol, SINF_R0) - SINF_DELTA)^2 lies within tol of SINF.
+SINF_P = ((3.110617309793769, 1.8739990342490522, 0.0, -1.8739990342490522),
+          (1.8739990342490522, 3.0294707712774085, -1.4991992273992414, -1.2983446162617462),
+          (0.0, -1.4991992273992414, 2.596689232523493, -1.4991992273992414),
+          (-1.8739990342490522, -1.2983446162617462, -1.4991992273992414, 3.0294707712774085))
+SINF_R0 = 1e-3
+SINF_DELTA = 1e-9
 
 # closed forms of the tangential eigenvalues at S1 (simple, all real)
 S1_EIGENVALUES = (-2.0 * math.sqrt(2.0), -7.0 * math.sqrt(2.0) / 3.0 - math.sqrt(290.0) / 3.0,

@@ -400,7 +400,8 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
         if project is not None:
             yp = project(y6)
             if yp != y6:  # a moved state needs its own stage 0; a bit-exact one keeps k6
-                max_drift = max(max_drift, *(abs(p - z) for p, z in zip(yp, y6)))
+                for dv in (yp[0] - z0, yp[1] - z1, yp[2] - z2, yp[3] - z3, yp[4] - z4):
+                    max_drift = dv if dv > max_drift else -dv if -dv > max_drift else max_drift
                 y6, k6 = yp, None
         y, k0 = y6, k6
         xs.append(x)
@@ -434,6 +435,26 @@ def _wall_stop(y):
     return WALL_CROSSING if a2 * b2 - a1 * b1 < -m else None
 
 
+def _sphere_stop(conv_tol: float):
+    """WALL_CROSSING as _wall_stop, else CONVERGED in the trapping set {V < c} of SINF within
+    conv_tol of it (flow.SINF_P).  The ball test |d|^2 < c skips V far off and keeps out -SINF,
+    where V is small again; conv_tol <= flow.SINF_DELTA gives c = 0 and no stop."""
+    c = max(0.0, min(conv_tol, flow.SINF_R0) - flow.SINF_DELTA) ** 2
+    s0, s1, s2, s3 = flow.SINF.tolist()
+    (p00, p01, p02, p03), (_, p11, p12, p13), (*_, p22, p23), (*_, p33) = flow.SINF_P
+
+    def stop(y):
+        reason = _wall_stop(y)
+        d0, d1, d2, d3 = y[0] - s0, y[1] - s1, y[2] - s2, y[3] - s3
+        if reason is None and d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 < c and (
+                d0 * (p00 * d0 + 2.0 * (p01 * d1 + p02 * d2 + p03 * d3))
+                + d1 * (p11 * d1 + 2.0 * (p12 * d2 + p13 * d3))
+                + d2 * (p22 * d2 + 2.0 * p23 * d3) + d3 * (p33 * d3) < c):
+            return CONVERGED
+        return reason
+    return stop
+
+
 def _project_sphere(y):
     a1, a2, a3, a4, lnf = y
     f = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4)
@@ -460,9 +481,9 @@ def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, max_step: f
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
 
-    def stop(y):
+    def stop(y, floor=POSITIVITY_FLOOR):  # y is finite, so this is min(...) < floor
         a1, a2, b1, b2, _ = y
-        if min(a1, a2, b1, b2) < POSITIVITY_FLOOR:
+        if a1 < floor or a2 < floor or b1 < floor or b2 < floor:
             return POSITIVITY_VIOLATION
         if not until_decided:
             return None
@@ -486,7 +507,8 @@ def integrate_sphere(start: np.ndarray, u0: float, u1: float, ln_f0: float = 0.0
     step (pre-projection drift is logged in stats["max_drift"]);
     d(ln f)/du = <V(S), S> tracks ln f from ln_f0 (ln f, not f: a launch
     hands over its state with no exp/log round trip).  stop(y) -> str | None
-    on the state (S, ln f) ends the run after an accepted step, as in _integrate.
+    on the state (S, ln f) ends the run after an accepted step, as in _integrate;
+    its callers pass _sphere_stop, and u1 is the backstop.
     """
     a0 = np.asarray(start, dtype=float)
     if not abs(np.linalg.norm(a0) - 1.0) <= 1e-9:
@@ -521,9 +543,9 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
     analytic right-hand side) until alpha3 reaches 0.01, then continues
     with integrate_sphere in u (du = x dv accumulated through the first
     phase).  ln f rides along via d(ln f) = beta du from f = 1 at
-    launch.  The run ends at the first sample past the G1 wall, which can
-    never converge (WALL_CROSSING, see _wall_stop), or else at the u horizon,
-    marked converged when it enters and stays within 1e-6 of the limit direction.
+    launch.  The tail stops as _sphere_stop(1e-6): past the G1 wall (WALL_CROSSING) or in
+    the trapping set of the limit direction (CONVERGED), else at the u horizon, marked
+    converged when it enters and stays within 1e-6 of the limit direction.
     A u_max at or before the switch's u raises ValueError (from integrate_sphere).
     """
     if not 0.0 < mu < 1.0:
@@ -546,9 +568,9 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
         raise RuntimeError(f"chart phase did not reach the switch threshold ({term})")
     chart = flow.chart_to_sphere(cys[:, :3])
 
-    # phase 2: tangential system in u, state (S, ln f), to the horizon or the wall
+    # phase 2: tangential system in u, state (S, ln f), to the horizon, wall or trapping set
     tail = integrate_sphere(chart[-1], cys[-1, 3], u_max, cys[-1, 4], LAUNCH_TOL, max_step,
-                            stop=_wall_stop)
+                            stop=_sphere_stop(1e-6))
     stats = {**tail.stats, "chart": {"v_span": float(vs[-1]), "steps": cstats["steps"],
                                      "u_switch": float(cys[-1, 3])}}
     traj = Trajectory.from_samples("u", np.concatenate([cys[:-1, 3], tail.params]),
@@ -568,7 +590,7 @@ def detect_convergence(spheres, params, target=None, tol: float = 1e-6):
     spheres is (n, 4), params its n parameter values and target a unit
     direction (default: the limit direction).  Returns (True, parameter)
     on success, (False, None) when the path never enters, or enters but
-    leaves again before its end.
+    leaves again before its end: the backstop of runs that reach their horizon.
     """
     dist = np.linalg.norm(spheres - (flow.SINF if target is None else target), axis=1)
     # suffix maximum: within tolerance from index i onward

@@ -600,3 +600,149 @@ def test_symmetry_group_closure():
     for m1, _ in group:
         for m2, _ in group:
             assert tuple((m1 @ m2).astype(int).ravel()) in mats
+
+
+# -- the trapping set of the limit direction ----------------------------------------
+
+
+class _Dual:
+    """v + d.e on mpmath.iv intervals: forward-mode derivatives, each an enclosure."""
+
+    def __init__(self, v, d):
+        self.v, self.d = v, d
+
+    def __add__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.v + o.v, [a + b for a, b in zip(self.d, o.d)])
+        return _Dual(self.v + o, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Dual(-self.v, [-a for a in self.d])
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.v * o.v, [self.v * b + a * o.v for a, b in zip(self.d, o.d)])
+        return _Dual(self.v * o, [a * o for a in self.d])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        o = o if isinstance(o, _Dual) else _Dual(o, [0] * len(self.d))
+        q = self.v / o.v
+        return _Dual(q, [(a - q * b) / o.v for a, b in zip(self.d, o.d)])
+
+    def __rtruediv__(self, o):
+        return _Dual(o, [0] * len(self.d)) / self
+
+
+def _positive_definite(n) -> bool:
+    """Sylvester's criterion on a 3x3 interval matrix: the leading minors' enclosures are
+    positive, so every symmetric matrix within it is positive definite."""
+    m2 = n[0][0] * n[1][1] - n[0][1] * n[1][0]
+    m3 = (n[0][0] * (n[1][1] * n[2][2] - n[1][2] * n[2][1])
+          - n[0][1] * (n[1][0] * n[2][2] - n[1][2] * n[2][0])
+          + n[0][2] * (n[1][0] * n[2][1] - n[1][1] * n[2][0]))
+    return all(m.a > 0 for m in (n[0][0], m2, m3))
+
+
+def test_sinf_trapping_set_proof():
+    """Interval proof (mpmath.iv, no sampling) of the certificate flow.SINF_P, SINF_R0,
+    SINF_DELTA at the exact S_inf = (0, sqrt(3/10), sqrt(2/5), sqrt(3/10)).
+
+    On the unit sphere write d = S - S_inf = E y + n S_inf, E an exact orthonormal tangent
+    basis, n = -|d|^2 / 2; V = d.P.d = y.A y + 2 n y.b + n^2 k with A = E^T P E.
+    (a) A - I > 0.  With |d| <= r0 this gives V >= lam |d|^2, lam = 1 - r0^2/4 - r0 |b|
+        - r0^2 |k| / 4, as |y|^2 = |d|^2 (1 - |d|^2 / 4).
+    (b) dV/du = d.(P M + M^T P).d < 0 for 0 < |d| <= r0: W(S) = W(S) - W(S_inf) = M d,
+        M the mean of the Jacobian of flow._sphere_rate's formula over the segment, which
+        lies in one interval enclosure over the box S_inf + [-r0, r0]^4; the tangent block
+        plus a bound of the n terms, |n| <= eta |y|, is negative definite.
+    (c) A float sample S (within 8 ulps of the sphere) where the stop fires, |d^|^2 < c
+        and V(d^) < c = s^2, s = min(tol, r0) - delta, d^ = S - SINF (exact near SINF),
+        has sqrt(V) < s + beta at its exact projection onto the sphere: beta covers V's
+        rounding (gamma_10 times the absolute row sums of P), SINF's rounding and the
+        sample's distance from the sphere.  By (a) the set {V <= (s + beta)^2} within r0
+        has |d| <= (s + beta) / sqrt(lam), which is below min(tol, r0) when
+        delta > beta + r0 (1 - sqrt(lam)), the normal part of d; by (b) the exact flow
+        never leaves it.
+    """
+    from mpmath import iv
+    r0, delta = iv.mpf(flow.SINF_R0), iv.mpf(flow.SINF_DELTA)
+    a, b = iv.sqrt(iv.mpf(3) / 10), iv.sqrt(iv.mpf(2) / 5)
+    s = [iv.mpf(0), a, b, a]
+    q = iv.sqrt(iv.mpf(2))
+    e = [[1, 0, 0, 0], [0, 1 / q, 0, -1 / q], [0, b / q, -2 * a / q, b / q]]  # rows
+    p = [[iv.mpf(x) for x in row] for row in flow.SINF_P]
+    assert all(flow.SINF_P[i][j] == flow.SINF_P[j][i] for i in range(4) for j in range(4))
+
+    def dot(x, y):
+        return sum((u * v for u, v in zip(x, y)), iv.mpf(0))
+
+    def sandwich(m):  # (E m E^T, E m s, s.m s) of a 4x4 interval matrix m
+        me = [[dot(row, f) for row in m] for f in e]  # (m e_j) for each tangent vector
+        ms = [dot(row, s) for row in m]
+        return [[dot(f, g) for g in me] for f in e], [dot(f, ms) for f in e], dot(s, ms)
+
+    def sup(x):
+        return iv.mpf(max(abs(x.a), abs(x.b)))
+
+    def sup_norm(xs):
+        return iv.sqrt(sum((sup(x) ** 2 for x in xs), iv.mpf(0)))
+
+    # (a) the tangent form is at least I
+    av, bv, kv = sandwich(p)
+    assert _positive_definite([[av[i][j] - (i == j) for j in range(3)] for i in range(3)])
+    lam = 1 - r0 ** 2 / 4 - r0 * sup_norm(bv) - r0 ** 2 * sup(kv) / 4
+
+    # (b) V decreases on the sphere within r0 of S_inf, off S_inf
+    box = [x + iv.mpf([-flow.SINF_R0, flow.SINF_R0]) for x in s]
+    w = flow._sphere_rate(*(_Dual(x, [iv.mpf(int(i == j)) for i in range(4)])
+                            for j, x in enumerate(box)), 0.0)[:4]
+    assert all(0 in x for x in flow._sphere_rate(*s, 0.0)[:4])  # S_inf is stationary
+    pm = [[dot(row, [x.d[j] for x in w]) for j in range(4)] for row in p]  # P M
+    ak, bk, kk = sandwich([[pm[i][j] + pm[j][i] for j in range(4)] for i in range(4)])
+    eta = r0 / (2 * iv.sqrt(1 - r0 ** 2 / 4))
+    m = 2 * eta * sup_norm(bk) + eta ** 2 * sup(kk)
+    assert _positive_definite([[-ak[i][j] - (m if i == j else 0) for j in range(3)]
+                               for i in range(3)])
+
+    # (c) delta covers the rounding and the normal part of d
+    u = iv.mpf(2) ** -53
+    gamma4, gamma10 = 4 * u / (1 - 4 * u), 10 * u / (1 - 10 * u)
+    rowsum = max(sup(sum(iv.mpf(abs(x)) for x in row)) for row in flow.SINF_P)
+    h = sup_norm([iv.mpf(float(x)) - y for x, y in zip(flow.SINF, s)]) + 8 * u
+    beta = r0 * gamma10 * rowsum / (1 - gamma4) + (rowsum * (1 + gamma4) + iv.sqrt(rowsum)) * h
+    assert (beta + r0 * (1 - iv.sqrt(lam))).b < delta.a
+
+
+def test_sinf_lyapunov_literals_match_scipy():
+    """flow.SINF_P is E P E^T for P = T^-T diag(4, 4, 1) T^-1 over the unit eigenvectors T of
+    the tangential Jacobian at SINF (fast to slow), the solution of J^T P + P J = -Q with
+    Q = -T^-T 2 Lambda diag(4, 4, 1) T^-1, scaled to least eigenvalue 1 (and 1e-12)."""
+    from scipy.linalg import solve_continuous_lyapunov
+
+    from g2cone import analysis
+
+    jac = analysis.linearize(flow.SINF, "tangential")
+    basis = analysis.tangent_basis(flow.SINF)
+    w, t = np.linalg.eig(jac)
+    order = np.argsort(w.real)
+    w, t = w.real[order], t.real[:, order]
+    assert np.allclose(w, [-2 * math.sqrt(10), -math.sqrt(10), -math.sqrt(10) / 3],
+                       rtol=0, atol=1e-12)
+    ti = np.linalg.inv(t)
+    q = -ti.T @ np.diag(2.0 * w * [4.0, 4.0, 1.0]) @ ti
+    assert np.linalg.eigvalsh(q)[0] > 0.0
+    p = solve_continuous_lyapunov(jac.T, -q)
+    p *= (1.0 + 1e-12) / np.linalg.eigvalsh(p)[0]
+    literal = np.array(flow.SINF_P)
+    assert np.max(np.abs(basis @ literal @ basis.T - p)) <= 1e-12
+    assert np.max(np.abs(literal @ flow.SINF)) <= 1e-15

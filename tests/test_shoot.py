@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -398,12 +399,14 @@ def _hex(v):
     return float(v).hex() if isinstance(v, float) else v
 
 
-def test_kernel_bits_pinned():
+def test_kernel_bits_pinned(monkeypatch):
     """The last sample and stats of a family run and of a sphere launch, bit for bit.
 
     The golden gate compares to 1e-12 relative; these hex values were
     recorded from the DP54 kernel written over lists, and any rewrite of
-    the kernel must reproduce them exactly.
+    the kernel must reproduce them exactly.  The launch is pinned twice: as
+    it runs, stopped in the trapping set of SINF, and with only the wall
+    stop, on to the u = 60 horizon as it was recorded.
     """
     traj = shoot.family_shape_trajectory(0.5, t_max=60.0, tol=1e-12)
     stats = {k: v for k, v in traj.stats.items() if k != "u"}
@@ -416,6 +419,19 @@ def test_kernel_bits_pinned():
         "h_max": "0x1.af48f371c9bc1p+0", "max_drift": "0x0.0p+0",
         "error_sum": "0x1.1afe51759d0d0p-29"}
 
+    launch = shoot.launch_sphere(0.3)
+    assert (len(launch), launch.termination) == (326, shoot.CONVERGED)
+    assert _hex([launch.params[-1], *launch.spheres[-1], launch.f[-1]]) == [
+        "0x1.90b2f56880453p+3", "0x1.6dff59e4a07c9p-21", "0x1.186f0d67d32dcp-1",
+        "0x1.43d13624849b7p-1", "0x1.186f21373c0c3p-1", "0x1.dc26224ddcecfp+18"]
+    assert _hex(launch.stats) == {
+        "steps": 243, "rejected": 0, "evals": 1684, "h_min": "0x1.731c274c335f9p-13",
+        "h_max": "0x1.0000000000000p-2", "max_drift": "0x1.6c00000000000p-43",
+        "error_sum": "0x1.96d09c126d31cp-28",
+        "chart": {"v_span": "0x1.ba93034a487afp+1", "steps": 82,
+                  "u_switch": "0x1.47c640c3fdeb8p-8"}}
+
+    monkeypatch.setattr(shoot, "_sphere_stop", lambda conv_tol: shoot._wall_stop)
     launch = shoot.launch_sphere(0.3)
     assert (len(launch), launch.termination) == (516, shoot.CONVERGED)
     assert _hex([launch.params[-1], *launch.spheres[-1], launch.f[-1]]) == [
@@ -901,7 +917,7 @@ def test_launch_above_the_edge_stops_at_the_wall(monkeypatch):
     assert stopped.termination == shoot.WALL_CROSSING
     assert g1[-1] < 0.0 and np.all(g1[:-1] >= 0.0)
     assert stopped.stats["steps"] <= 120
-    monkeypatch.setattr(shoot, "_wall_stop", None)
+    monkeypatch.setattr(shoot, "_sphere_stop", lambda conv_tol: None)
     full = shoot.launch_sphere(MU_EDGE + 1e-5)
     n = len(stopped)
     assert len(full) > n and full.termination != shoot.CONVERGED
@@ -910,21 +926,28 @@ def test_launch_above_the_edge_stops_at_the_wall(monkeypatch):
 
 
 def test_one_sphere_path(monkeypatch, tmp_path):
-    """The launch tail and the CLI continuation both run integrate_sphere: the launch
-    stops its tail at the G1 wall, the continuation has no stop."""
-    spheres, integrations = [], []
+    """The launch tail and the CLI continuation both run integrate_sphere, each with the
+    one _sphere_stop closure: the launch at conv_tol 1e-6, the continuation at --conv-tol."""
+    spheres, integrations, stops = [], [], []
     for name, calls in (("integrate_sphere", spheres), ("_integrate", integrations)):
         def recording(*args, _fn=getattr(shoot, name), _calls=calls, **kwargs):
             _calls.append(kwargs)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(shoot, name, recording)
 
+    def sphere_stop(conv_tol, _fn=shoot._sphere_stop):
+        stops.append((conv_tol, _fn(conv_tol)))
+        return stops[-1][1]
+    monkeypatch.setattr(shoot, "_sphere_stop", sphere_stop)
+
     shoot.launch_sphere(0.3)
-    assert len(spheres) == 1 and spheres[0]["stop"] is shoot._wall_stop
+    assert len(spheres) == 1 and [(1e-6, spheres[0]["stop"])] == stops
     assert len(integrations) == 2  # the chart phase and the tail
     spheres.clear()
-    assert cli.main(["shoot", "--mu", "0.3", "--out", str(tmp_path), "--format", "json"]) == 0
-    assert len(spheres) == 1 and spheres[0].get("stop") is None
+    stops.clear()
+    assert cli.main(["shoot", "--mu", "0.3", "--conv-tol", "2e-6", "--out", str(tmp_path),
+                     "--format", "json"]) == 0
+    assert len(spheres) == 1 and [(2e-6, spheres[0]["stop"])] == stops
 
 
 def test_edge_search_builds_no_monitor_table(monkeypatch):
@@ -943,7 +966,7 @@ def test_monitors_on_first_use():
     """A trajectory's monitors are flow.monitor_table of its samples, bit for bit,
     computed on first read and kept; a replace() copy computes its own."""
     launch = shoot.launch_sphere(0.3)
-    assert launch.termination == shoot.CONVERGED  # itself a replace() of the assembled run
+    assert launch.termination == shoot.CONVERGED  # as assembled, from the tail's stop
     for traj in (launch, dataclasses.replace(launch, termination=shoot.REACHED_HORIZON)):
         assert "monitors" not in vars(traj)
         table = flow.monitor_table(traj.spheres, traj.f)
@@ -953,10 +976,72 @@ def test_monitors_on_first_use():
 
 
 def test_launch_below_the_edge_converges():
+    """Just below mu* the launch ends in the trapping set of SINF, well before u = 60,
+    on the sample where it converges."""
     below = shoot.launch_sphere(MU_EDGE - 1e-5)
     assert below.termination == shoot.CONVERGED
-    assert below.params[-1] == 60.0
+    assert below.params[-1] < 20.0
+    assert shoot.detect_convergence(below.spheres, below.params) == (True, below.params[-1])
     assert np.all(below.monitor("G1") > 0.0)
+
+
+def _horizon_runs(monkeypatch):
+    """Make every sphere run go on to its horizon, stopping only at the G1 wall."""
+    monkeypatch.setattr(shoot, "_sphere_stop", lambda conv_tol: shoot._wall_stop)
+
+
+@pytest.mark.parametrize("mu", [*MU_CONVERGING, "edge"])
+def test_stopped_launch_is_a_prefix_of_the_horizon_run(monkeypatch, mu):
+    """A launch stopped in the trapping set is a bit-exact prefix of the launch run on to
+    u = 60, with the same u_converged; every later sample of that run stays within 1e-6
+    of SINF.  Just below the edge the tail takes at least 25 % fewer steps."""
+    mu = MU_EDGE - 1e-5 if mu == "edge" else mu
+    stopped = shoot.launch_sphere(mu)
+    _horizon_runs(monkeypatch)
+    full = shoot.launch_sphere(mu)
+    n = len(stopped)
+    assert stopped.termination == full.termination == shoot.CONVERGED
+    assert stopped.params[-1] < full.params[-1] == 60.0
+    for name in ("params", "spheres", "f"):
+        assert np.array_equal(getattr(full, name)[:n], getattr(stopped, name))
+    assert (shoot.detect_convergence(stopped.spheres, stopped.params)
+            == shoot.detect_convergence(full.spheres, full.params))
+    assert np.max(np.linalg.norm(full.spheres[n:] - flow.SINF, axis=1)) <= 1e-6
+    if mu > 0.5:
+        assert stopped.stats["steps"] <= 0.75 * full.stats["steps"]
+
+
+def _sweep(monkeypatch, out):
+    """sweep.json of a default sweep and the steps of its sphere continuations."""
+    steps = []
+
+    def recording(*args, _fn=shoot.integrate_sphere, **kwargs):
+        steps.append(_fn(*args, **kwargs))
+        return steps[-1]
+    monkeypatch.setattr(shoot, "integrate_sphere", recording)
+    assert cli.main(["sweep", "--format", "json", "--out", str(out)]) == 1
+    return (out / "sweep.json").read_bytes(), [c.stats["steps"] for c in steps]
+
+
+def test_sweep_continuations_stop_in_the_trapping_set(monkeypatch, tmp_path):
+    """The five converging members' continuations take at least 70 % fewer steps in sum
+    than run on to the u horizon, and sweep.json is byte for byte the same."""
+    report, steps = _sweep(monkeypatch, tmp_path / "stopped")
+    _horizon_runs(monkeypatch)
+    full_report, full_steps = _sweep(monkeypatch, tmp_path / "horizon")
+    assert report == full_report
+    assert len(steps) == len(full_steps) == len(MU_CONVERGING)
+    assert sum(steps) <= 0.3 * sum(full_steps)
+
+
+def test_tiny_conv_tol_reaches_the_horizon(tmp_path):
+    """A --conv-tol below flow.SINF_DELTA gives the stop an empty set: the continuation
+    runs on to the u horizon, as without a stop."""
+    assert cli.main(["shoot", "--mu", "0.3", "--conv-tol", "1e-16", "--format", "json",
+                     "--out", str(tmp_path)]) == 1
+    rep = json.loads((tmp_path / "shoot_mu0.3.json").read_text())
+    assert (rep["continuation"], rep["u_end"], rep["converged"]) == (
+        shoot.REACHED_HORIZON, 60.0, False)
 
 
 def test_critical_trajectory_approaches_conic_point():
@@ -964,3 +1049,27 @@ def test_critical_trajectory_approaches_conic_point():
     traj = shoot.family_shape_trajectory(0.5441297, t_max=60.0, tol=1e-12)
     dmin = np.min(np.linalg.norm(traj.spheres - flow.S1, axis=1))
     assert dmin <= 1e-4
+
+
+@pytest.mark.parametrize("conv_tol", [1e-6, 5e-5, 0.05])
+def test_sphere_stop_threshold(conv_tol):
+    """_sphere_stop fires exactly below c = (min(conv_tol, r0) - delta)^2, the level the
+    proof in tests/test_flow.py covers: along the least eigenvector of the tangent form
+    (eigenvalue 1) a point on the sphere stops just inside and runs on just outside; along
+    the largest (6.4) one, halfway to the ball's edge, V is still above c.  It never fires
+    at -SINF or with c = 0, and past the G1 wall it stops as _wall_stop."""
+    stop = shoot._sphere_stop(conv_tol)
+    basis = analysis.tangent_basis(flow.SINF)
+    w, v = np.linalg.eigh(basis @ np.array(flow.SINF_P) @ basis.T)
+    assert abs(w[0] - 1.0) <= 1e-11
+    edge = min(conv_tol, flow.SINF_R0) - flow.SINF_DELTA
+    for k, scale, want in ((0, 1.0 - 1e-6, shoot.CONVERGED), (0, 1.0 + 1e-6, None),
+                           (2, 0.5, None)):
+        t = math.asin(scale * edge)
+        s = math.cos(t) * flow.SINF + math.sin(t) * (v[:, k] @ basis)
+        assert stop([*s, 0.0]) == want
+    assert stop([*-flow.SINF, 0.0]) is None
+    assert stop([*flow.SINF, 0.0]) == shoot.CONVERGED
+    past = [0.9, 0.1, 0.9, 0.1, 0.0]  # G1 = A2 B2 - A1 B1 < 0
+    assert stop(past) == shoot._wall_stop(past) == shoot.WALL_CROSSING
+    assert shoot._sphere_stop(flow.SINF_DELTA)([*flow.SINF, 0.0]) is None
