@@ -3,10 +3,10 @@
 A smooth metric closing the cone singularity leaves the singular orbit
 with shape (mu, lambda, 0, lambda); the launch uses a power series built
 order by order from the flow equations.  The trajectory is integrated to
-t = 200, its sphere projection is continued to the u horizon, and the
-asymptotically conic behaviour is certified by affine fits: A1
-approaches a constant (the bounded circle direction) while the other
-three functions grow linearly.
+t = 200, its sphere projection is continued in u until it enters the
+proven trapping set of the limit direction, and the asymptotically conic
+behaviour is certified by affine fits: A1 approaches a constant (the
+bounded circle direction) while the other three functions grow linearly.
 
 Run:  python demos/03_family_trajectory.py
 """
@@ -38,10 +38,11 @@ print(f"  conserved cubic F: {F[0]:.12f} (drift {np.max(np.abs(F - F[0])):.2e}; 
 
 u_end = float(traj.stats["u"][-1])
 cont = shoot.integrate_sphere(traj.spheres[-1], u_end, 60.0, ln_f0=np.log(traj.f[-1]),
-                              tol=1e-10)
+                              tol=1e-10, stop=shoot.sphere_stop(1e-6))
 ok, u_conv = shoot.detect_convergence(cont.spheres, cont.params, tol=1e-6)
 print(f"  sphere continuation: converged to the limit direction at u = {u_conv:.3f}")
-print(f"  final distance: {np.linalg.norm(cont.spheres[-1] - flow.SINF):.2e}")
+print(f"  stopped ({cont.termination}) after {cont.stats['steps']} steps, in the proven "
+      f"trapping set at distance {np.linalg.norm(cont.spheres[-1] - flow.SINF):.2e}")
 print()
 
 fit = shoot.alc_fit(traj)

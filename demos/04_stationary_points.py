@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from g2cone import analysis
+from g2cone import analysis, flow
 
 for rep in analysis.stationary_points():
     print(f"{rep.name}: {np.round(rep.point, 10)}")
@@ -25,7 +25,7 @@ for rep in analysis.stationary_points():
     print()
 
 print("closed forms at S1: -2 sqrt2, -7 sqrt2/3 -+ sqrt290/3 =")
-print("  ", np.round(sorted(analysis.S1_EIGENVALUES), 8))
+print("  ", np.round(sorted(flow.S1_EIGENVALUES), 8))
 print("the -2 sqrt2 mode is tangent to the diagonal a1 = a2, a3 = a4, i.e.")
 print("to the ray of the round explicit solution.")
 print()
@@ -38,12 +38,8 @@ print()
 print("Linearization of the desingularized chart field on the singular arc:")
 for mu in (0.25, 0.5, 0.75):
     lam = math.sqrt((1 - mu * mu) / 2)
-    jac = analysis.linearize(np.array([0.0, 0.0, mu]), "modified-chart")
-    w, v = analysis.eig_small(jac)
-    i = int(np.argmax(w.real))
-    vec = v[:, i].real
-    vec = vec / np.linalg.norm(vec) * np.sign(vec[0])
-    print(f"  mu = {mu}: eigenvalues {np.round(np.sort(w.real), 9)}, "
+    w, vec = analysis.chart_eigendata(mu)
+    print(f"  mu = {mu}: eigenvalues {np.round(w, 9)}, "
           f"outgoing direction {np.round(vec, 6)}")
     print(f"           closed form: (1, mu/(4 lambda), 0) with mu/(4 lambda) "
           f"= {mu / (4 * lam):.6f}")

@@ -4,10 +4,10 @@ The tangential flow has exactly two stationary directions up to the
 discrete symmetries: the conic point S1 (where the two classical
 explicit solutions meet the sphere) and the limit direction S_inf of
 the one-parameter family.  This module catalogues them, linearizes the
-sphere flow and the desingularized chart flow around them, and wraps
-the three classical closed-form solutions together with the r -> t
-reparameterization so they can serve as exact oracles for the
-integrator and the flow field.
+sphere flow around them (linearize) and the desingularized chart flow on
+the singular arc (chart_eigendata), and wraps the three classical
+closed-form solutions together with the r -> t reparameterization so
+they can serve as exact oracles for the integrator and the flow field.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow
-from .flow import S1_EIGENVALUES
 from .shoot import gauss_legendre
 
 __all__ = [
@@ -28,13 +27,13 @@ __all__ = [
     "stationary_points",
     "tangent_basis",
     "linearize",
+    "chart_eigendata",
     "eig_small",
     "closed_form",
     "dr_dt",
     "r_to_t",
     "R_TO_T_MAX",
     "verify_solution",
-    "S1_EIGENVALUES",
     "CHART_EIGENVALUES",
 ]
 
@@ -82,7 +81,7 @@ def stationary_points() -> list:
     """
     reports = []
     for name, s in (("S1", flow.S1), ("Sinf", flow.SINF)):
-        w, v = eig_small(linearize(s, "tangential"))
+        w, v = eig_small(linearize(s))
         basis = tangent_basis(s)
         re = w.real
         reports.append(StationaryReport(
@@ -111,43 +110,46 @@ def tangent_basis(s: np.ndarray) -> np.ndarray:
     return np.array(basis)
 
 
-_FD_STEP = 1e-6  # central differences of the chart route
-_CS_STEP = 1e-20  # complex step of the tangential route
+_CS_STEP = 1e-20  # complex step of linearize
+_FD_STEP = 1e-6  # central differences of chart_eigendata
 
 
-def linearize(point, system: str) -> np.ndarray:
-    """Jacobian of the chosen flow at a stationary point.
+def linearize(point) -> np.ndarray:
+    """Jacobian of the tangential flow at a stationary unit direction.
 
-    system="tangential": the degree-0 extension W(R/|R|) differentiated
-    at a unit direction and expressed in an orthonormal tangent basis
-    (3 x 3; eigenvalues are basis independent), by a complex step through
+    The degree-0 extension W(R/|R|) in an orthonormal tangent basis (3 x 3;
+    eigenvalues are basis independent), by a complex step through
     flow.sphere_field (Squire & Trapp, SIAM Rev. 40, 1998): exact to
-    rounding, one evaluation per direction.
-    system="modified-chart": the Jacobian of the desingularized chart
-    field at a chart point (x, y, z) on the singular arc, by central
-    differences (the chart field runs on real square roots).
-    Rejects points where the respective field is not below 1e-8.
+    rounding, one evaluation per direction.  Rejects a point that is not a
+    (4,) unit vector (the tangent basis needs one), and one where W is not
+    below 1e-8.
     """
     p = np.asarray(point, dtype=float)
-    if system == "tangential":
-        def fn(r):  # the normalization is analytic in r, so a complex step passes it
-            return flow.sphere_field(r / np.sqrt(np.sum(r * r)))[0]
-        basis = tangent_basis(p)
-    elif system == "modified-chart":
-        def fn(q):
-            return flow.modified_field(q)[0]
-        basis = np.eye(3)
-    else:
-        raise ValueError(f"unknown system {system!r}")
+    if p.shape != (4,) or not abs(np.linalg.norm(p) - 1.0) <= 1e-9:
+        raise ValueError(f"linearize needs a (4,) unit direction, got {p!r}")
+
+    def fn(r):  # the normalization is analytic in r, so a complex step passes it
+        return flow.sphere_field(r / np.sqrt(np.sum(r * r)))[0]
     if np.linalg.norm(fn(p)) > 1e-8:
-        raise ValueError(f"{tuple(p)} is not stationary for the {system} flow")
-    jac = np.empty((3, 3))
-    for j, e in enumerate(basis):
-        if system == "tangential":
-            jac[:, j] = basis @ (fn(p + 1j * _CS_STEP * e).imag / _CS_STEP)
-        else:
-            jac[:, j] = basis @ ((fn(p + _FD_STEP * e) - fn(p - _FD_STEP * e)) / (2.0 * _FD_STEP))
-    return jac
+        raise ValueError(f"{tuple(p)} is not stationary for the tangential flow")
+    basis = tangent_basis(p)
+    return np.array([basis @ (fn(p + 1j * _CS_STEP * e).imag / _CS_STEP) for e in basis]).T
+
+
+def chart_eigendata(mu: float) -> tuple:
+    """(eigenvalues, direction) of the desingularized chart field at (0, 0, mu) on J.
+
+    Central differences of flow.modified_field (it runs on real square
+    roots); the sorted real eigenvalues, and the unit eigenvector of the
+    largest, along which paths leave J, with a positive first component.
+    Raises ValueError when the stencil leaves the chart.
+    """
+    p, fn = np.array([0.0, 0.0, mu]), flow.modified_field
+    jac = np.array([(fn(p + _FD_STEP * e)[0] - fn(p - _FD_STEP * e)[0]) / (2.0 * _FD_STEP)
+                    for e in np.eye(3)]).T
+    w, v = eig_small(jac)
+    direction = v[:, int(np.argmax(w.real))].real
+    return np.sort(w.real), direction / np.linalg.norm(direction) * np.sign(direction[0])
 
 
 def eig_small(m: np.ndarray):

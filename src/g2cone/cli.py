@@ -157,18 +157,18 @@ def _shoot_pipeline(mu: float, args) -> tuple:
     """Family run shared by the shoot and sweep commands: (traj, fit, summary, ok).
 
     ok is the run's pass rule: converged, and integrated to the t horizon.  The shape run goes
-    on in u until _sphere_stop(--conv-tol) or u_max ends it; summary "continuation" says which.
+    on in u until sphere_stop(--conv-tol) or u_max ends it; summary "continuation" says which.
     """
     traj = shoot.family_shape_trajectory(mu, t_max=args.t_max, tol=args.tol, order=args.order)
     u, spheres, continuation = traj.stats["u"], traj.spheres, None
     if u[-1] < args.u_max and traj.termination == shoot.REACHED_HORIZON:
         cont = shoot.integrate_sphere(spheres[-1], float(u[-1]), args.u_max,
                                       ln_f0=math.log(traj.f[-1]), tol=args.tol,
-                                      stop=shoot._sphere_stop(args.conv_tol))
+                                      stop=shoot.sphere_stop(args.conv_tol))
         u = np.concatenate([u, cont.params[1:]])
         spheres = np.concatenate([spheres, cont.spheres[1:]])
         continuation = cont.termination
-    converged, u_conv = shoot.detect_convergence(spheres, u, flow.SINF, args.conv_tol)
+    converged, u_conv = shoot.detect_convergence(spheres, u, args.conv_tol)
 
     F = traj.monitor("F")
     ok = converged and traj.termination == shoot.REACHED_HORIZON
@@ -316,14 +316,14 @@ def cmd_stationary(args, outdir: Path, report: dict) -> str:
             "classification_neg_zero_pos": list(rep.classification),
         }
         if rep.name == "S1":
-            expected = np.sort(analysis.S1_EIGENVALUES)
+            expected = np.sort(flow.S1_EIGENVALUES)
             got = np.sort(rep.eigenvalues.real)
             entry["expected_eigenvalues"] = list(expected)
             entry["eigenvalue_error"] = float(np.max(np.abs(got - expected)))
             if entry["eigenvalue_error"] > 1e-12 or np.max(np.abs(rep.eigenvalues.imag)) > 1e-8:
                 ok = False
             # eigenvector of the -2 sqrt(2) mode is tangent to the diagonal curve
-            i = int(np.argmin(np.abs(rep.eigenvalues.real - analysis.S1_EIGENVALUES[0])))
+            i = int(np.argmin(np.abs(rep.eigenvalues.real - flow.S1_EIGENVALUES[0])))
             v = rep.eigenvectors[i].real
             target = np.array([-math.sqrt(3.0), -math.sqrt(3.0), 1.0, 1.0])
             target /= np.linalg.norm(target)
@@ -338,16 +338,11 @@ def cmd_stationary(args, outdir: Path, report: dict) -> str:
     for mu in mus:
         lam = math.sqrt((1.0 - mu * mu) / 2.0)
         try:  # the finite-difference stencil must stay inside the chart
-            jac = analysis.linearize(np.array([0.0, 0.0, mu]), "modified-chart")
+            got, direction = analysis.chart_eigendata(mu)
         except ValueError as exc:
             raise ConfigError(f"--mu {mu:g}: {exc}") from exc
-        w, v = analysis.eig_small(jac)
-        got = np.sort(w.real)
         expected = np.sort(analysis.CHART_EIGENVALUES)
         err = float(np.max(np.abs(got - expected)))
-        iu = int(np.argmax(w.real))
-        direction = v[:, iu].real
-        direction = direction / np.linalg.norm(direction) * np.sign(direction[0])
         closed = shoot.unstable_direction(mu)
         angle = float(np.arccos(np.clip(np.dot(direction, closed), -1.0, 1.0)))
         entry = {"mu": mu, "eigenvalues": list(got), "expected_eigenvalues": list(expected),

@@ -39,6 +39,7 @@ __all__ = [
     "gauss_legendre",
     "integrate_shape",
     "integrate_sphere",
+    "sphere_stop",
     "launch_sphere",
     "unstable_direction",
     "detect_convergence",
@@ -435,7 +436,7 @@ def _wall_stop(y):
     return WALL_CROSSING if a2 * b2 - a1 * b1 < -m else None
 
 
-def _sphere_stop(conv_tol: float):
+def sphere_stop(conv_tol: float):
     """WALL_CROSSING as _wall_stop, else CONVERGED in the trapping set {V < c} of SINF within
     conv_tol of it (flow.SINF_P).  The ball test |d|^2 < c skips V far off and keeps out -SINF,
     where V is small again; conv_tol <= flow.SINF_DELTA gives c = 0 and no stop."""
@@ -508,7 +509,7 @@ def integrate_sphere(start: np.ndarray, u0: float, u1: float, ln_f0: float = 0.0
     d(ln f)/du = <V(S), S> tracks ln f from ln_f0 (ln f, not f: a launch
     hands over its state with no exp/log round trip).  stop(y) -> str | None
     on the state (S, ln f) ends the run after an accepted step, as in _integrate;
-    its callers pass _sphere_stop, and u1 is the backstop.
+    its callers pass sphere_stop, and u1 is the backstop.
     """
     a0 = np.asarray(start, dtype=float)
     if not abs(np.linalg.norm(a0) - 1.0) <= 1e-9:
@@ -543,7 +544,7 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
     analytic right-hand side) until alpha3 reaches 0.01, then continues
     with integrate_sphere in u (du = x dv accumulated through the first
     phase).  ln f rides along via d(ln f) = beta du from f = 1 at
-    launch.  The tail stops as _sphere_stop(1e-6): past the G1 wall (WALL_CROSSING) or in
+    launch.  The tail stops as sphere_stop(1e-6): past the G1 wall (WALL_CROSSING) or in
     the trapping set of the limit direction (CONVERGED), else at the u horizon, marked
     converged when it enters and stays within 1e-6 of the limit direction.
     A u_max at or before the switch's u raises ValueError (from integrate_sphere).
@@ -570,7 +571,7 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
 
     # phase 2: tangential system in u, state (S, ln f), to the horizon, wall or trapping set
     tail = integrate_sphere(chart[-1], cys[-1, 3], u_max, cys[-1, 4], LAUNCH_TOL, max_step,
-                            stop=_sphere_stop(1e-6))
+                            stop=sphere_stop(1e-6))
     stats = {**tail.stats, "chart": {"v_span": float(vs[-1]), "steps": cstats["steps"],
                                      "u_switch": float(cys[-1, 3])}}
     traj = Trajectory.from_samples("u", np.concatenate([cys[:-1, 3], tail.params]),
@@ -584,15 +585,14 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
     return traj
 
 
-def detect_convergence(spheres, params, target=None, tol: float = 1e-6):
-    """First parameter value after which a sphere path stays within tol of target.
+def detect_convergence(spheres, params, tol: float = 1e-6):
+    """First parameter value after which a sphere path stays within tol of flow.SINF.
 
-    spheres is (n, 4), params its n parameter values and target a unit
-    direction (default: the limit direction).  Returns (True, parameter)
-    on success, (False, None) when the path never enters, or enters but
-    leaves again before its end: the backstop of runs that reach their horizon.
+    spheres is (n, 4) and params its n parameter values.  Returns (True,
+    parameter) on success, (False, None) when the path never enters, or enters
+    but leaves again before its end: the backstop of runs that reach their horizon.
     """
-    dist = np.linalg.norm(spheres - (flow.SINF if target is None else target), axis=1)
+    dist = np.linalg.norm(spheres - flow.SINF, axis=1)
     # suffix maximum: within tolerance from index i onward
     suffix = np.maximum.accumulate(dist[::-1])[::-1]
     inside = suffix <= tol
@@ -646,9 +646,9 @@ def alc_fit(traj: Trajectory) -> ALCFit | None:
     return ALCFit(slopes, intercepts, float(ts[0]), float(ts[-1]), dev)
 
 
-# The left eigenvector of the tangential Jacobian at S1 for its one unstable
-# eigenvalue flow.S1_EIGENVALUES[2], a unit row (a, -a, -b, b); kept as literals,
-# since an eigen-solve at import loads LAPACK into every command that imports shoot.
+# The left eigenvector, a unit row (a, -a, -b, b), of the tangential Jacobian at S1 for its
+# unstable eigenvalue flow.S1_EIGENVALUES[2]; literals, as that Jacobian is analysis.linearize
+# and analysis imports shoot.  test_edge_probe_dwell_value checks them against it.
 _S1_LEFT = (0.7069029740352214, -0.7069029740352214,
             -0.01697602132889324, 0.01697602132889324)
 

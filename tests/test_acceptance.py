@@ -117,7 +117,7 @@ def test_criterion_3_stationary_eigendata():
     [[2, 0, 0], [mu/(2 lam), -1, 0], [0, 0, 0]].
     """
     failures = []
-    w, _ = analysis.eig_small(analysis.linearize(flow.S1, "tangential"))
+    w, _ = analysis.eig_small(analysis.linearize(flow.S1))
     expected = np.sort([-2 * SQ2, -7 * SQ2 / 3 - math.sqrt(290) / 3,
                         -7 * SQ2 / 3 + math.sqrt(290) / 3])
     err = float(np.max(np.abs(np.sort(w.real) - expected)))
@@ -125,18 +125,13 @@ def test_criterion_3_stationary_eigendata():
         failures.append(f"S1 eigenvalues off by {err:.2e}")
     for mu in (0.25, 0.5, 0.75):
         lam = math.sqrt((1 - mu * mu) / 2)
-        jac = analysis.linearize(np.array([0.0, 0.0, mu]), "modified-chart")
-        wc, vc = analysis.eig_small(jac)
-        got = np.sort(wc.real)
+        got, vec = analysis.chart_eigendata(mu)
         stated = np.sort([2.0, -2.0, 0.0])
         cerr = float(np.max(np.abs(got - stated)))
         if cerr > 1e-7:
             failures.append(
                 f"chart eigenvalues at mu={mu}: stated {{2,-2,0}}, computed "
                 f"{np.round(got, 9).tolist()}")
-        i = int(np.argmax(wc.real))
-        vec = vc[:, i].real
-        vec /= np.linalg.norm(vec) * np.sign(vec[0])
         stated_dir = np.array([1.0, mu / (4 * lam), 0.0])
         stated_dir /= np.linalg.norm(stated_dir)
         angle = float(np.arccos(np.clip(np.dot(vec, stated_dir), -1, 1)))

@@ -7,8 +7,8 @@ from g2cone import analysis, flow
 from g2cone.analysis import (
     CHART_EIGENVALUES,
     R_TO_T_MAX,
-    S1_EIGENVALUES,
     EigenResidualError,
+    chart_eigendata,
     closed_form,
     dr_dt,
     eig_small,
@@ -62,16 +62,16 @@ def test_tangent_basis_orthonormal():
 
 
 def test_tangential_eigenvalues_at_conic_point():
-    jac = linearize(flow.S1, "tangential")
+    jac = linearize(flow.S1)
     w, _ = eig_small(jac)
     assert np.max(np.abs(w.imag)) <= 1e-8
     got = np.sort(w.real)
-    expected = np.sort(S1_EIGENVALUES)
+    expected = np.sort(flow.S1_EIGENVALUES)
     assert np.max(np.abs(got - expected)) <= 1e-12  # the complex step is exact to rounding
 
 
 def test_tangential_eigenvector_at_conic_point():
-    jac = linearize(flow.S1, "tangential")
+    jac = linearize(flow.S1)
     w, v = eig_small(jac)
     basis = tangent_basis(flow.S1)
     i = int(np.argmin(np.abs(w.real - (-2.0 * SQ2))))
@@ -89,7 +89,7 @@ def test_tangential_eigenvector_at_conic_point():
 def test_tangential_eigenvalues_at_limit_direction():
     # all three rates are negative; the observed values agree with
     # -2 sqrt(10), -sqrt(10), -sqrt(10)/3 to rounding (complex-step linearization)
-    jac = linearize(flow.SINF, "tangential")
+    jac = linearize(flow.SINF)
     w, _ = eig_small(jac)
     assert np.max(np.abs(w.imag)) <= 1e-8
     got = np.sort(w.real)
@@ -103,30 +103,43 @@ def test_chart_linearization(mu):
     """The desingularized field linearizes to eigenvalues {2, -2, 0}.
 
     The analytic Jacobian on the arc is [[2, 0, 0], [mu/lam, -2, 0],
-    [0, 0, 0]]; the finite-difference computation must reproduce it and
-    the outgoing eigenvector (1, mu/(4 lam), 0).
+    [0, 0, 0]]; central differences of the chart field must reproduce it,
+    and chart_eigendata its eigenvalues and the outgoing eigenvector
+    (1, mu/(4 lam), 0).
     """
     lam = math.sqrt((1 - mu * mu) / 2)
-    jac = linearize(np.array([0.0, 0.0, mu]), "modified-chart")
+    p, h = np.array([0.0, 0.0, mu]), 1e-6
+    jac = np.array([(flow.modified_field(p + h * e)[0] - flow.modified_field(p - h * e)[0])
+                    / (2 * h) for e in np.eye(3)]).T
     expected = np.array([[2.0, 0.0, 0.0], [mu / lam, -2.0, 0.0], [0.0, 0.0, 0.0]])
     assert np.max(np.abs(jac - expected)) <= 1e-7
-    w, v = eig_small(jac)
-    assert np.max(np.abs(np.sort(w.real) - np.sort(CHART_EIGENVALUES))) <= 1e-7
-    i = int(np.argmax(w.real))
-    vec = v[:, i].real
-    vec /= np.linalg.norm(vec) * np.sign(vec[0])
+    w, vec = chart_eigendata(mu)
+    assert np.max(np.abs(w - np.sort(CHART_EIGENVALUES))) <= 1e-7
+    assert list(w) == sorted(w)
+    assert vec[0] > 0.0 and np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
     target = np.array([1.0, mu / (4 * lam), 0.0])
     target /= np.linalg.norm(target)
     assert np.arccos(np.clip(np.dot(vec, target), -1, 1)) <= 1e-6
 
 
+def test_chart_eigendata_rejects_a_stencil_off_the_chart():
+    with pytest.raises(ValueError):
+        chart_eigendata(0.99)
+
+
 def test_linearize_rejects_non_stationary():
     with pytest.raises(ValueError):
-        linearize(np.full(4, 0.5), "tangential")
-    with pytest.raises(ValueError):
-        linearize(np.array([0.2, 0.1, 0.5]), "modified-chart")
-    with pytest.raises(ValueError):
-        linearize(flow.S1, "unknown")
+        linearize(np.full(4, 0.5))
+
+
+@pytest.mark.parametrize("point", [np.array([0.0, 0.0, 0.5]), np.append(flow.S1, 0.0),
+                                   2.0 * flow.S1])
+def test_linearize_rejects_other_points(point):
+    """Only a (4,) unit direction is linearized: a (3,) chart point, a (5,) state and
+    a stationary ray off the sphere (whose tangent basis would be skew) are refused
+    before the field is evaluated."""
+    with pytest.raises(ValueError, match=r"\(4,\) unit direction"):
+        linearize(point)
 
 
 def test_stationary_reports_with_eigendata():

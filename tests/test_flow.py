@@ -731,7 +731,7 @@ def test_sinf_lyapunov_literals_match_scipy():
 
     from g2cone import analysis
 
-    jac = analysis.linearize(flow.SINF, "tangential")
+    jac = analysis.linearize(flow.SINF)
     basis = analysis.tangent_basis(flow.SINF)
     w, t = np.linalg.eig(jac)
     order = np.argsort(w.real)
