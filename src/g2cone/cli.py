@@ -4,13 +4,14 @@
 rejected configuration, and exits 0 only when all of its assertions
 pass; 1 signals an assertion failure and 2 an invalid configuration.
 CSV and SVG artifacts are controlled by --format and never affect the
-exit status.  Given the same configuration and seed, all outputs are
-byte-identical.
+exit status.  Given the same options (verify-torsion's include its
+seed), all outputs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -44,44 +45,25 @@ class ConfigError(ValueError):
     pass
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="g2cone",
-                                description="construct and verify the one-parameter "
-                                            "family of G2-holonomy cone deformations")
-    sub = p.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mu", type=float, default=None, help="family parameter in (0,1)")
-    common.add_argument("--mu-range", type=str, default=None, metavar="LO:HI:N",
-                        help="inclusive mu grid with N points")
-    common.add_argument("--t-max", type=float, default=200.0)
-    common.add_argument("--u-max", type=float, default=60.0)
-    common.add_argument("--tol", type=float, default=1e-10, help="integrator relative tolerance")
-    common.add_argument("--conv-tol", type=float, default=1e-6,
-                        help="convergence tolerance on the sphere")
-    common.add_argument("--order", type=int, default=4, help="series order, 3..8")
-    common.add_argument("--stride", type=int, default=1,
-                        help="write every N-th step (and the last) to CSV/SVG")
-    common.add_argument("--out", type=str, default="g2cone_out", help="output directory")
-    common.add_argument("--format", type=str, default="csv,json",
-                        help="comma subset of csv,json,svg")
-    common.add_argument("--seed", type=int, default=0)
-
-    sp = sub.add_parser("verify-torsion", parents=[common],
-                        help="closure conditions vs the analytic flow on random shapes")
-    sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--debug-flip-psi", action="store_true",
-                    help="negative control: flip one sign in the 3-form")
-    sub.add_parser("oracle", parents=[common],
-                   help="exactness of the three closed-form solutions")
-    sub.add_parser("shoot", parents=[common], help="produce one family trajectory")
-    sub.add_parser("stationary", parents=[common],
-                   help="stationary directions and their linearizations")
-    sub.add_parser("sweep", parents=[common], help="run a grid of mu values")
-    return p
-
-
-# options echoed in every accepted report, in this order
-ECHOED = ("t_max", "u_max", "tol", "conv_tol", "order", "stride", "seed", "format")
+# every option as add_argument keywords; each command takes those it reads (_COMMANDS)
+_OPTIONS = {
+    "--mu": dict(type=float, help="family parameter in (0,1)"),
+    "--mu-range": dict(metavar="LO:HI:N", help="inclusive mu grid with N points"),
+    "--t-max": dict(type=float, default=200.0),
+    "--u-max": dict(type=float, default=60.0),
+    "--tol": dict(type=float, default=1e-10, help="integrator relative tolerance"),
+    "--conv-tol": dict(type=float, default=1e-6, help="convergence tolerance on the sphere"),
+    "--order": dict(type=int, default=4, help="series order, 3..8"),
+    "--stride": dict(type=int, default=1, help="write every N-th step (and the last) to CSV/SVG"),
+    "--format": dict(default="csv,json", help="comma subset of csv,json,svg"),
+    "--samples": dict(type=int, default=200),
+    "--seed": dict(type=int, default=0),
+    "--debug-flip-psi": dict(action="store_true",
+                             help="negative control: flip one sign in the 3-form"),
+    "--out": dict(default="g2cone_out", help="output directory"),
+}
+# the options of one trajectory run, besides its mu
+_RUN = ("--t-max", "--u-max", "--tol", "--conv-tol", "--order", "--stride", "--format")
 MAX_SAMPLES = 100_000
 MAX_MU_POINTS = 1_000
 MAX_CONV_TOL = 0.1  # convergence ball around SINF, far from S1 (0.41 away), where paths linger
@@ -91,7 +73,11 @@ MAX_U_MAX = 200.0  # and like exp(sqrt(10) u / 3) near S_inf, so f^3 overflows p
 
 
 def validate(args) -> None:
-    """Reject an unusable configuration; normalizes --format to a sorted list."""
+    """Reject an unusable value of an option the command has; --format becomes a sorted list."""
+    if getattr(args, "seed", 0) < 0 or not 1 <= getattr(args, "samples", 1) <= MAX_SAMPLES:
+        raise ConfigError(f"--seed must be >= 0, --samples in 1..{MAX_SAMPLES}")
+    if not hasattr(args, "t_max"):  # only shoot and sweep run trajectories
+        return
     args.format = sorted({f.strip() for f in args.format.split(",") if f.strip()})
     bad = set(args.format) - {"csv", "json", "svg"}
     if bad:
@@ -108,24 +94,21 @@ def validate(args) -> None:
     if not (0 < args.tol <= MAX_TOL and 0 < args.conv_tol <= MAX_CONV_TOL):
         raise ConfigError(f"--tol must lie in (0, {MAX_TOL:g}], "
                           f"--conv-tol in (0, {MAX_CONV_TOL:g}]")
-    if args.seed < 0:
-        raise ConfigError("--seed must be >= 0")
-    if not 1 <= getattr(args, "samples", 1) <= MAX_SAMPLES:
-        raise ConfigError(f"--samples must lie in 1..{MAX_SAMPLES}")
-    if args.mu is not None and args.mu_range is not None:
-        raise ConfigError("--mu and --mu-range are mutually exclusive")
 
 
 def mu_values(args, default) -> list:
     """The requested mu grid (--mu, --mu-range or the default), each a normal float in (0, 1)."""
+    grid = getattr(args, "mu_range", None)  # shoot takes --mu only
+    if args.mu is not None and grid is not None:
+        raise ConfigError("--mu and --mu-range are mutually exclusive")
     if args.mu is not None:
         values = [args.mu]
-    elif args.mu_range is not None:
+    elif grid is not None:
         try:
-            lo, hi, n = args.mu_range.split(":")
+            lo, hi, n = grid.split(":")
             lo, hi, n = float(lo), float(hi), int(n)
         except ValueError as exc:
-            raise ConfigError(f"bad --mu-range {args.mu_range!r}: want LO:HI:N") from exc
+            raise ConfigError(f"bad --mu-range {grid!r}: want LO:HI:N") from exc
         if not 1 <= n <= MAX_MU_POINTS:
             raise ConfigError(f"--mu-range needs N in 1..{MAX_MU_POINTS}")
         values = [lo] if n == 1 else list(np.linspace(lo, hi, n))
@@ -291,15 +274,14 @@ def cmd_oracle(args, outdir: Path, report: dict) -> str:
 
 
 def cmd_shoot(args, outdir: Path, report: dict) -> str:
-    mus = mu_values(args, default=[])
-    if len(mus) != 1:
-        raise ConfigError("shoot needs exactly one --mu")
-    traj, fit, summary, ok = _shoot_pipeline(mus[0], args)
+    if args.mu is None:
+        raise ConfigError("shoot needs --mu")
+    (mu,) = mu_values(args, default=[])
+    traj, fit, summary, ok = _shoot_pipeline(mu, args)
     report.update(summary, alc=_fit_dict(fit), monitors=_monitor_extrema(traj),
-                  notes=[shoot.ALC_NOTE],
-                  files=_write_shoot_artifacts(mus[0], traj, outdir, args))
+                  notes=[shoot.ALC_NOTE], files=_write_shoot_artifacts(mu, traj, outdir, args))
     report["pass"] = ok
-    return f"shoot_mu{mus[0]!r}.json"
+    return f"shoot_mu{mu!r}.json"
 
 
 def cmd_stationary(args, outdir: Path, report: dict) -> str:
@@ -412,13 +394,28 @@ def cmd_sweep(args, outdir: Path, report: dict) -> str:
     return "sweep.json"
 
 
+# command -> (function, help, the options it reads); each also takes --out
 _COMMANDS = {
-    "verify-torsion": cmd_verify_torsion,
-    "oracle": cmd_oracle,
-    "shoot": cmd_shoot,
-    "stationary": cmd_stationary,
-    "sweep": cmd_sweep,
+    "verify-torsion": (cmd_verify_torsion, "closure conditions vs the analytic flow on "
+                       "random shapes", ("--samples", "--seed", "--debug-flip-psi")),
+    "oracle": (cmd_oracle, "exactness of the three closed-form solutions", ()),
+    "shoot": (cmd_shoot, "produce one family trajectory", ("--mu", *_RUN)),
+    "stationary": (cmd_stationary, "stationary directions and their linearizations",
+                   ("--mu", "--mu-range")),
+    "sweep": (cmd_sweep, "run a grid of mu values", ("--mu", "--mu-range", *_RUN)),
 }
+
+
+@functools.cache  # one per process: adding its 26 options takes about 1 ms
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="g2cone", description="construct and verify the "
+                                "one-parameter family of G2-holonomy cone deformations")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (_, text, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        for flag in (*options, "--out"):
+            sp.add_argument(flag, **_OPTIONS[flag])
+    return p
 
 
 def main(argv=None) -> int:
@@ -434,8 +431,9 @@ def main(argv=None) -> int:
     report = {"schema": 1, "command": args.command}
     try:
         validate(args)
-        report["config"] = {name: getattr(args, name) for name in ECHOED}
-        name = _COMMANDS[args.command](args, outdir, report)
+        # every parsed option but --out, whose path would differ between reruns
+        report["config"] = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+        name = _COMMANDS[args.command][0](args, outdir, report)
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         # a rejected value (say inf) may not serialize: the config is not echoed

@@ -10,7 +10,8 @@ and is continued in u after leaving a small neighbourhood of J.
 Integration uses an embedded Dormand-Prince 5(4) pair with elementary
 step control, h <- h clamp(0.9 err^(-1/5), 0.2, 5), optional per-step
 projection (used to renormalize sphere states), and early termination on
-positivity loss or step collapse.
+positivity loss, step collapse, the G1 wall (`wall-crossing`), entry into
+Q (`stays-inside`) or the trapping set of S_inf (`converged-to-target`).
 """
 
 from __future__ import annotations

@@ -270,7 +270,7 @@ def test_criterion_8_determinism(tmp_path):
     failures = []
     dirs = (tmp_path / "run1", tmp_path / "run2")
     for d in dirs:
-        assert main(["shoot", "--mu", "0.35", "--seed", "3", "--out", str(d)]) == 0
+        assert main(["shoot", "--mu", "0.35", "--out", str(d)]) == 0
         assert main(["verify-torsion", "--samples", "50", "--seed", "3",
                      "--out", str(d)]) == 0
     for name in ("shoot_mu0.35.csv", "shoot_mu0.35.json", "verify_torsion.json"):

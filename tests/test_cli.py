@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -128,7 +129,7 @@ def test_invalid_common_options(tmp_path):
     # a rejected configuration exits 2 and still writes <command>.json
     for i, argv in enumerate((["verify-torsion", "--samples", "0"],
                               ["verify-torsion", "--seed", "-1"],
-                              ["verify-torsion", "--format", "bogus"],
+                              ["shoot", "--mu", "0.3", "--format", "bogus"],
                               ["shoot", "--mu", "0.5", "--stride", "0"],
                               ["shoot", "--mu", "1.5"],
                               ["shoot"],  # no mu
@@ -176,6 +177,42 @@ def test_input_bounds():
     for n in (0, MAX_MU_POINTS + 1):
         with pytest.raises(ConfigError):
             mu_values(parse(["sweep", "--mu-range", f"0.1:0.9:{n}"]), [])
+
+
+_RUN = ("--t-max", "--u-max", "--tol", "--conv-tol", "--order", "--stride", "--format")
+# the options each command takes besides --out: those its code reads
+_TAKES = {
+    "verify-torsion": ("--samples", "--seed", "--debug-flip-psi"),
+    "oracle": (),
+    "shoot": ("--mu", *_RUN),
+    "stationary": ("--mu", "--mu-range"),
+    "sweep": ("--mu", "--mu-range", *_RUN),
+}
+
+
+def test_each_command_takes_only_the_options_it_reads(tmp_path, capsys):
+    """27 (command, option) pairs: --help lists a command's own options and
+    --out, an accepted report echoes all of them but --out, and an option of
+    another command is an argparse error that writes no report."""
+    assert sum(len(flags) + 1 for flags in _TAKES.values()) == 27
+    cheap = {"verify-torsion": ["--samples", "5"], "shoot": ["--mu", "0.3", "--format", "json"],
+             "sweep": ["--mu", "0.3", "--format", "json"]}
+    for command, flags in _TAKES.items():
+        dests = {flag[2:].replace("-", "_") for flag in flags}
+        assert set(vars(build_parser().parse_args([command]))) == dests | {"command", "out"}
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert listed == {*flags, "--out", "--help"}, command
+        out = tmp_path / command
+        assert run([command, *cheap.get(command, []), "--out", str(out)]) == 0, command
+        (report,) = out.glob("*.json")
+        assert set(load(report)["config"]) == dests, command
+    for argv in (["oracle", "--order", "9"], ["verify-torsion", "--format", "json"]):
+        out = tmp_path / "rejected"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(out)])
+        assert exc.value.code == 2 and not out.exists(), argv
 
 
 def test_unusable_out_directory(tmp_path, capsys):
@@ -459,18 +496,22 @@ _SAMPLES = ["1", "2", "0", str(MAX_SAMPLES + 1), "-1", "abc"]
 
 @st.composite
 def _argv(draw):
-    """An argv list of one command from the option grammar, at most two mu values."""
-    command = draw(st.sampled_from(["verify-torsion", "oracle", "shoot", "stationary", "sweep"]))
+    """An argv list of one command from its own options, at most two mu values."""
+    command = draw(st.sampled_from(list(_TAKES)))
+    takes = _TAKES[command]
     argv = [command]
     if command == "verify-torsion":  # the default of 200 samples is too slow to draw often
         argv += ["--samples", draw(st.sampled_from(_SAMPLES))]
         argv += ["--debug-flip-psi"] if draw(st.booleans()) else []
     # the default grid of sweep is nine members: sweeps always name theirs
-    mu = draw(st.sampled_from(["--mu", "--mu-range"] + ([None] if command != "sweep" else [])))
+    mu = draw(st.sampled_from([f for f in takes if f.startswith("--mu")]
+                              + ([None] if command != "sweep" else [])))
     if mu is not None:
         argv += [mu, draw(st.sampled_from(_MU if mu == "--mu" else _MU_RANGE))]
-    for option in draw(st.lists(st.sampled_from(sorted(_OPTIONS)), max_size=3, unique=True)):
-        argv += [option, draw(st.sampled_from(_OPTIONS[option]))]
+    options = [f for f in takes if f in _OPTIONS]
+    if options:  # oracle takes none
+        for option in draw(st.lists(st.sampled_from(options), max_size=3, unique=True)):
+            argv += [option, draw(st.sampled_from(_OPTIONS[option]))]
     return argv
 
 

@@ -516,17 +516,19 @@ def test_batched_solve_matches_single_states(flip):
 def test_solve_of_a_degenerate_form(monkeypatch):
     """A 3-form whose closure conditions leave derivatives free and cannot be
     met: a single state raises, and each state of a batch gives a NaN row.
-    Its K^+ is computed on the first solve, not by residual evaluations."""
+    Its K^+ is computed on the first solve, not by residual evaluations: K
+    has rank one, so K K^T is singular and K^+ is np.linalg.pinv's."""
     monkeypatch.setattr(exterior, "_TENSORS", {})
     degenerate = {(1, 2, 3): 1.0}
     shapes = np.random.default_rng(43).uniform(0.2, 5.0, size=(3, 4))
     torsion_residual(shapes, np.zeros(4), degenerate)
     parts = exterior._tensor(degenerate)
-    assert np.linalg.matrix_rank(parts[2]) < 4 and parts[3] is None
-    with pytest.raises(TorsionSolveError):
+    assert np.linalg.matrix_rank(parts[2]) == 1 and parts[3] is None
+    with pytest.raises(TorsionSolveError, match="closure residual"):
         solve_torsion_free_derivs(shapes[0], degenerate)
     assert np.all(np.isnan(solve_torsion_free_derivs(shapes, degenerate)))
     assert parts[3].shape == (4, 56) and not parts[3].flags.writeable
+    assert np.array_equal(parts[3], np.linalg.pinv(parts[2].T))
     assert np.all(np.isfinite(solve_torsion_free_derivs(shapes)))
 
 
