@@ -18,15 +18,15 @@ permutation parity; its Hodge dual STAR_PSI is the complement map
 I -> I^c with sign(I, I^c).  The module evaluates the closure conditions
 d Psi = 0, d star Psi = 0 at a (shape, shape-derivative) point.  d is
 linear in the structure 2-forms de^1..de^7, so the 56 closure
-coefficients are the contraction S[56, 7, 21] . D[7, 21] of the
-Leibniz-rule signs S, built once per 3-form from Psi and star Psi, with
-the e-basis coefficients D of the de^i.  It runs in numpy over D's
-eighteen non-zero slots only (batched over states, complex input
-allowed), as c(R) + K (dR/R) with the constant 56 x 4 matrix K; the four
-slots that are exactly +-1/A1 go apart, so the wall A1 = 0 costs no
-accuracy.  From the closure conditions alone it re-derives the
-torsion-free shape derivatives, dR = R (-K^+ c) -- independently of the
-flow module's analytic right-hand side, which it serves as an oracle for.
+coefficients are S . D: the Leibniz-rule signs S from Psi and star Psi
+against the e-basis coefficients D of the de^i.  S is built once per
+3-form, at D's eighteen non-zero slots only, and the coefficients are
+c(R) + K (dR/R) with the constant 56 x 4 matrix K (numpy, batched over
+states, complex input allowed); the four slots that are exactly +-1/A1
+go apart, so the wall A1 = 0 costs no accuracy.  From the closure
+conditions alone it re-derives the torsion-free shape derivatives,
+dR = R (-K^+ c) -- independently of the flow module's analytic
+right-hand side, which it serves as an oracle for.
 """
 
 from __future__ import annotations
@@ -87,49 +87,45 @@ PSI = MappingProxyType({tuple(sorted(m)): float(_parity(m)) for m in _PSI_MONOMI
 STAR_PSI = MappingProxyType(_star(PSI))
 
 
-# -- the closure engine: S . D over D's eighteen non-zero slots ---------------
+# -- the closure engine: S . D at D's eighteen non-zero slots -----------------
 
-_IDX2, _IDX4, _IDX5 = (list(itertools.combinations(range(1, DIM + 1), k)) for k in (2, 4, 5))
+_IDX4, _IDX5 = (list(itertools.combinations(range(1, DIM + 1), k)) for k in (4, 5))
 _ROWS = {idx: n for n, idx in enumerate(_IDX4 + _IDX5)}  # d Psi rows, then d star Psi
 _N4 = len(_IDX4)
 # the shape coefficient R of each moving coframe direction e^1..e^6: e^i = R_i (...)
-_COORD = np.array([0, 1, 1, 2, 3, 3])
-_GATHER = np.eye(4)[_COORD]  # (6, 4): direction -> the derivative it carries
-
-
-def _slot(i: int, j: int) -> tuple:
-    """(column of D, sign) of the 2-form e^i ^ e^j."""
-    return (_IDX2.index((i, j)), 1.0) if i < j else (_IDX2.index((j, i)), -1.0)
+_COORD = (0, 1, 1, 2, 3, 3)
 
 
 def _d_entries() -> tuple:
-    """The eighteen non-zero entries of D[7, 21], the e-basis coefficients of de^1..de^7.
+    """The eighteen non-zero entries of D, the e-basis coefficients of de^1..de^7.
 
     With d eta_i = -2 eta_{i+1} ^ eta_{i+2} and the inversion
     eta_i = (e^i/A_i + e^{i+3}/B_i)/2, eta~_i = (e^i/A_i - e^{i+3}/B_i)/2,
     de^(r+1) has the spatial entries -R_r / (R_u R_v) e^(u+1) ^ e^(v+1) and
     the dt entry (dR_r / R_r) e^7 ^ e^(r+1), with R_r the coefficient of e^(r+1).
-    Returns (row, column, sign, u, v) and (row, column, sign).
+    Returns, per de^i, its entries ((p, q), sign, term), each sign * term e^p ^ e^q,
+    and the shape indices (num, den_u, den_v) of the generic quotients.  Term
+    n < 8 is the n-th generic quotient, term 8 is 1/A1 and term 9 + k is dR_k / R_k.
     """
-    spatial = []
+    entries, quotients = [[] for _ in range(DIM)], []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         for row, u, v in ((i, j, k), (i, j + 3, k + 3), (i + 3, j, k + 3), (i + 3, j + 3, k)):
-            col, sign = _slot(u + 1, v + 1)
-            spatial.append((row, col, -sign, u, v))
-    dt = [(row, *_slot(7, row + 1)) for row in range(6)]
-    return tuple(np.array(t) for t in zip(*spatial)), tuple(np.array(t) for t in zip(*dt))
+            quotient = (_COORD[row], _COORD[u], _COORD[v])
+            term = 8 if quotient[0] in quotient[1:] else len(quotients)  # 8: R_r / (R_r A1)
+            if term < 8:
+                quotients.append(quotient)
+            entries[row].append(((u + 1, v + 1), -1, term))
+    for row in range(6):
+        entries[row].append(((7, row + 1), 1, 9 + _COORD[row]))
+    return tuple(map(tuple, entries)), tuple(np.array(t) for t in zip(*quotients))
 
 
-_SPATIAL, _DT = _d_entries()
+_D, _TERMS = _d_entries()
 # Four spatial entries, in de^2, de^3, de^5 and de^6, are R_r / (R_r A1), that
 # is +-1/A1 exactly.  They cancel within every closure coefficient of PSI; summed
 # among the other entries they would round at the 1/A1 scale near the wall
 # A1 = 0, so they are contracted apart as sign / A1.
-_NUM, _DEN_U, _DEN_V = (_COORD[a] for a in (_SPATIAL[0], *_SPATIAL[3:]))
-_EXACT = (_NUM == _DEN_U) | (_NUM == _DEN_V)
-# the other eight: sign R_num / (R_u R_v), as indices into the shape
-_TERMS = tuple(a[~_EXACT] for a in (_SPATIAL[2], _NUM, _DEN_U, _DEN_V))
 
 
 def _shapes(state) -> np.ndarray:
@@ -142,39 +138,20 @@ def _shapes(state) -> np.ndarray:
     return r
 
 
-def _structure_tensor(psi: Mapping) -> np.ndarray:
-    """S[56, 7, 21] from Psi and star Psi by the Leibniz rule.
-
-    d e^I = sum_pos (-1)^pos e^{i1} ^ .. de^{i_pos} .. ^ e^{ik}, and 2-forms
-    commute with everything, so the e^p entry of de^{i_pos} contributes
-    (-1)^pos e^p ^ e^{I minus i_pos}.  Valid because the coefficients of
-    Psi and star Psi do not depend on t.
-    """
-    tensor = np.zeros((len(_ROWS), DIM, len(_IDX2)))
-    for form in (psi, _star(psi)):
-        for idx, val in form.items():
-            for pos, i in enumerate(idx):
-                rest = idx[:pos] + idx[pos + 1:]
-                for col, pair in enumerate(_IDX2):
-                    sign = _parity(pair + rest)
-                    if sign:
-                        row = _ROWS[tuple(sorted(pair + rest))]
-                        tensor[row, i - 1, col] += (-1) ** pos * sign * val
-    return tensor
-
-
 _TENSORS: dict = {}
 
 
 def _tensor(psi: Mapping | None) -> list:
     """S for psi (default: PSI) at D's non-zero slots, checked and built once per 3-form.
 
-    [spatial, exact, K^T, K^+]: S at the eight other spatial slots (8, 56),
-    the four exact slots summed by sign (56,), and K (56, 4), the signed dt
-    slots summed per derivative (the six dt entries are the four dR/R).
-    K^+ is None until the first solve: LAPACK and level-3 BLAS (hence
-    einsum for K) add about 0.7 MB on first use, which residual-only
-    callers do not pay.
+    d e^I = sum_pos (-1)^pos e^{i1} ^ .. de^{i_pos} .. ^ e^{ik}, and 2-forms
+    commute with everything, so the entry sign * term e^p ^ e^q of de^{i_pos}
+    adds (-1)^pos sign * term e^p ^ e^q ^ e^{I minus i_pos}; valid because the
+    coefficients of Psi and star Psi do not depend on t.  Returns
+    [spatial, exact, K^T, K^+]: the coefficients of the eight generic
+    quotients (8, 56), of 1/A1 (56,), and K (56, 4) of the four dR/R.
+    K^+ is None until the first solve: LAPACK and level-3 BLAS add about
+    0.7 MB on first use, which residual-only callers do not pay.
     """
     key = None if psi is None else tuple(sorted(psi.items()))
     if key not in _TENSORS:
@@ -183,13 +160,19 @@ def _tensor(psi: Mapping | None) -> list:
                     and 1 <= idx[0] < idx[1] < idx[2] <= DIM and math.isfinite(val)):
                 raise ValueError(f"a 3-form term is an increasing triple over 1..{DIM} "
                                  f"with a finite coefficient, got {idx!r}: {val!r}")
-        s = _structure_tensor(PSI if psi is None else psi)
-        at = s[:, _SPATIAL[0], _SPATIAL[1]]
-        k = np.einsum("rj,jk->kr", s[:, _DT[0], _DT[1]] * _DT[2], _GATHER)
-        parts = [at[:, ~_EXACT].T.copy(), at[:, _EXACT] @ _SPATIAL[2][_EXACT], k, None]
-        for a in parts[:3]:
-            a.flags.writeable = False  # shared by every later call
-        _TENSORS[key] = parts
+        psi = PSI if psi is None else psi
+        ops = np.zeros((13, len(_ROWS)))
+        for form in (psi, _star(psi)):
+            for idx, val in form.items():
+                for pos, i in enumerate(idx):
+                    rest = idx[:pos] + idx[pos + 1:]
+                    for pair, sign, term in _D[i - 1]:
+                        parity = _parity(pair + rest)
+                        if parity:
+                            row = _ROWS[tuple(sorted(pair + rest))]
+                            ops[term, row] += (-1) ** pos * parity * sign * val
+        ops.flags.writeable = False  # shared by every later call
+        _TENSORS[key] = [ops[:8], ops[8], ops[9:], None]
     return _TENSORS[key]
 
 
@@ -203,8 +186,8 @@ def residual_coefficients(state, derivs, psi: Mapping | None = None) -> np.ndarr
     """
     r = _shapes(state)
     spatial, exact, k, _ = _tensor(psi)
-    sign, num, den_u, den_v = _TERMS
-    return ((sign * r[..., num] / (r[..., den_u] * r[..., den_v])) @ spatial + exact / r[..., :1]
+    num, den_u, den_v = _TERMS
+    return ((r[..., num] / (r[..., den_u] * r[..., den_v])) @ spatial + exact / r[..., :1]
             + (np.asarray(derivs) / r) @ k)
 
 

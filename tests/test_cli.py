@@ -357,6 +357,52 @@ def test_stationary_report(tmp_path):
     assert run(["stationary", "--mu", "0.9874", "--out", str(tmp_path / "edge")]) == 0
 
 
+def _stationary_fails(tmp_path):
+    """stationary exits 1 and still writes its full report, with "pass": false."""
+    assert run(["stationary", "--mu", "0.5", "--out", str(tmp_path)]) == 1
+    rep = load(tmp_path / "stationary.json")
+    assert rep["pass"] is False and "error" not in rep
+    assert set(rep["stationary"]) >= {"S1", "Sinf"} and [c["mu"] for c in rep["chart"]] == [0.5]
+    return rep
+
+
+def test_stationary_fails_on_s1_eigenvalues(tmp_path, monkeypatch):
+    shifted = tuple(v + 1e-10 for v in g2cone.flow.S1_EIGENVALUES)
+    monkeypatch.setattr(g2cone.flow, "S1_EIGENVALUES", shifted)
+    s1 = _stationary_fails(tmp_path)["stationary"]["S1"]
+    assert 1e-11 < s1["eigenvalue_error"] < 1e-9
+    assert s1["diagonal_mode_alignment"] >= 1.0 - 1e-6
+
+
+def test_stationary_fails_on_s1_diagonal_mode(tmp_path, monkeypatch):
+    # the same three eigenvalues, but the first names another mode than -2 sqrt(2)
+    first, *rest = g2cone.flow.S1_EIGENVALUES
+    monkeypatch.setattr(g2cone.flow, "S1_EIGENVALUES", (*rest, first))
+    s1 = _stationary_fails(tmp_path)["stationary"]["S1"]
+    assert s1["eigenvalue_error"] <= 1e-12
+    assert s1["diagonal_mode_alignment"] < 1.0 - 1e-6
+
+
+def test_stationary_fails_on_chart_eigenvalues(tmp_path, monkeypatch):
+    chart_eigendata = g2cone.analysis.chart_eigendata
+
+    def off(mu):
+        got, direction = chart_eigendata(mu)
+        return got + np.array([0.0, 0.0, 1e-6]), direction
+
+    monkeypatch.setattr(g2cone.analysis, "chart_eigendata", off)
+    (chart,) = _stationary_fails(tmp_path)["chart"]
+    assert chart["eigenvalue_error"] > 1e-7 and chart["direction_angle"] <= 1e-6
+
+
+@pytest.mark.parametrize("command", ["sweep", "stationary"])
+def test_mu_and_mu_range_are_mutually_exclusive(tmp_path, command):
+    assert run([command, "--mu", "0.3", "--mu-range", "0.1:0.2:2", "--out", str(tmp_path)]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == [f"{command}.json"]
+    rep = load(tmp_path / f"{command}.json")
+    assert rep["pass"] is False and "mutually exclusive" in rep["error"]
+
+
 # -- sweep -------------------------------------------------------------------------
 
 

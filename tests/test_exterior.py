@@ -329,8 +329,9 @@ def test_reference_route_shares_no_sign_code(monkeypatch):
         raise RuntimeError("the engine's sign routine was called")
 
     monkeypatch.setattr(exterior, "_parity", broken)
+    monkeypatch.setattr(exterior, "_TENSORS", {})
     with pytest.raises(RuntimeError):  # the patch reaches the engine's S build
-        exterior._structure_tensor(PSI)
+        exterior._tensor(dict(PSI))
     reference = np.array([_kform_coefficients(r, d) for r, d in zip(shapes, derivs)])
     assert np.max(np.abs(engine - reference)) <= 1e-13
     imported = []
@@ -344,46 +345,66 @@ def test_reference_route_shares_no_sign_code(monkeypatch):
                 if getattr(v, "__module__", None) == "g2cone.exterior"]
 
 
+def _slot_form(pair, sign):
+    """sign e^p ^ e^q for one of the engine's D entries, by the reference wedge."""
+    return sign * wedge(basis_form(pair[0]), basis_form(pair[1]))
+
+
 def test_structure_tensor_matches_exterior_derivative_probes():
-    """S is 378 signs; probing d with one unit entry of D at a time gives the same."""
-    tensor = exterior._structure_tensor(PSI)
-    assert tensor.shape == (56, 7, 21)
-    assert np.count_nonzero(tensor) == 378
-    assert set(np.unique(tensor)) == {-1.0, 0.0, 1.0}
-    psi = psi_form()
-    star = hodge_star(psi)
-    for i in range(7):
-        for col, pair in enumerate(_IDX2):
-            diffs = [KForm(2, {pair: 1.0}) if j == i else KForm(2) for j in range(7)]
-            dpsi, dstar = exterior_derivative(psi, diffs), exterior_derivative(star, diffs)
-            probe = [dpsi.coefficient(k) for k in _IDX4] + [dstar.coefficient(k) for k in _IDX5]
-            assert np.array_equal(tensor[:, i, col], probe)
+    """S at D's eighteen slots is what probing d with one slot at a time gives:
+    summed per term, the probes rebuild the engine's three operators exactly,
+    for PSI and for the flipped 3-form."""
+    assert sum(map(len, exterior._D)) == 18
+    for psi in (None, _flipped_psi()):
+        form = psi_form(PSI if psi is None else psi)
+        star = hodge_star(form)
+        ops = np.zeros((13, 56))
+        for i, entries in enumerate(exterior._D):
+            for pair, sign, term in entries:
+                diffs = [_slot_form(pair, sign) if j == i else KForm(2) for j in range(7)]
+                dpsi, dstar = exterior_derivative(form, diffs), exterior_derivative(star, diffs)
+                ops[term] += ([dpsi.coefficient(k) for k in _IDX4]
+                              + [dstar.coefficient(k) for k in _IDX5])
+        spatial, exact, k = exterior._tensor(psi)[:3]
+        assert np.array_equal(spatial, ops[:8])
+        assert np.array_equal(exact, ops[8])
+        assert np.array_equal(k, ops[9:])
+
+
+def test_operator_build_is_sparse(monkeypatch):
+    """Building one 3-form's operators visits D's eighteen slots only: at most
+    150 parity calls, where all 21 columns of D would take over a thousand."""
+    calls = []
+    parity = exterior._parity
+    monkeypatch.setattr(exterior, "_TENSORS", {})
+    monkeypatch.setattr(exterior, "_parity", lambda idx: calls.append(idx) or parity(idx))
+    for psi in (None, _flipped_psi()):
+        calls.clear()
+        exterior._tensor(psi)
+        assert 0 < len(calls) <= 150
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_engine_differentials_match_substitution_oracle(seed):
     """The engine's table of D's eighteen non-zero slots gives the oracle's de^i:
     every other entry is zero, the four exact slots are +-1/A1, and the eight
-    other spatial slots are the quotients the engine contracts."""
+    other slots are the quotients the engine contracts."""
     rng = np.random.default_rng(seed)
     shapes = rng.uniform(0.3, 3.0, size=(5, 4))
     derivs = rng.normal(size=(5, 4))
-    row, col, sign, u, v = exterior._SPATIAL
-    dt_row, dt_col, dt_sign = exterior._DT
-    exact = exterior._EXACT
-    assert np.count_nonzero(exact) == 4 and set(row[exact]) == {1, 2, 4, 5}
-    t_sign, num, den_u, den_v = exterior._TERMS
+    num, den_u, den_v = exterior._TERMS
+    assert {i for i, entries in enumerate(exterior._D)
+            for _, _, term in entries if term == 8} == {1, 2, 4, 5}
     for r, d in zip(shapes, derivs):
         oracle = np.array([[form.get(pair, 0.0) for pair in _IDX2]
                            for form in _oracle_differentials(r, d)])
-        coord = r[exterior._COORD]
+        values = np.concatenate([r[num] / (r[den_u] * r[den_v]), [1.0 / r[0]], d / r])
         table = np.zeros((7, 21))
-        table[row, col] = sign * coord[row] / (coord[u] * coord[v])
-        table[dt_row, dt_col] = dt_sign * d[exterior._COORD] / coord
+        for i, entries in enumerate(exterior._D):
+            for pair, sign, term in entries:
+                for idx, coeff in _slot_form(pair, sign).coeffs.items():
+                    table[i, _IDX2.index(idx)] += coeff * values[term]
         assert np.max(np.abs(oracle - table)) <= 1e-13
-        assert np.max(np.abs(oracle[row[exact], col[exact]] - sign[exact] / r[0])) <= 1e-13
-        generic = t_sign * r[num] / (r[den_u] * r[den_v])
-        assert np.max(np.abs(oracle[row[~exact], col[~exact]] - generic)) <= 1e-13
 
 
 def test_engine_complex_step_matches_central_difference():

@@ -1,8 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
-from g2cone.reporting import fmt_float, write_csv
+from g2cone.reporting import fmt_float, write_csv, write_svg_plot
 
 
 def test_csv_mixed_cells_bytes(tmp_path):
@@ -28,3 +29,16 @@ def test_csv_float_table_matches_cellwise_format(tmp_path):
     assert (tmp_path / "t.csv").read_text() == "u,v,w,x,y,z\n" + want
     write_csv(tmp_path / "empty.csv", ["a", "b"], np.empty((0, 2)))
     assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+
+
+def test_svg_nan_samples_break_the_polyline(tmp_path):
+    nan = float("nan")
+    write_svg_plot(tmp_path / "gap.svg", [([0, 1, 2, 3, 4], [0.0, 1.0, nan, 3.0, 4.0], "y")],
+                   "t", "x", "y")
+    assert (tmp_path / "gap.svg").read_text().count("<polyline") == 2
+    # a lone finite sample between NaNs draws no polyline
+    write_svg_plot(tmp_path / "lone.svg", [([0, 1, 2], [nan, 1.0, nan], "y")], "t", "x", "y")
+    assert "<polyline" not in (tmp_path / "lone.svg").read_text()
+    with pytest.raises(ValueError, match="nothing to plot"):
+        write_svg_plot(tmp_path / "none.svg", [([0, 1], [nan, nan], "y")], "t", "x", "y")
+    assert not (tmp_path / "none.svg").exists()
