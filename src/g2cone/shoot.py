@@ -654,19 +654,21 @@ _S1_LEFT = (0.7069029740352214, -0.7069029740352214,
             -0.01697602132889324, 0.01697602132889324)
 
 
-def _edge_probe(mu: float) -> tuple:
-    """(verdict, h) of the decided family run at mu, for critical_parameter.
+def _edge_probe(mu: float, rtol: float) -> tuple:
+    """(verdict, h) of the decided family run at mu and rtol, for critical_parameter.
 
-    verdict is +1 when the run stops at the G1 wall, else -1.  A run near the
-    edge lingers at S1, where its unstable coordinate grows like exp(lambda u)
-    from a size proportional to mu - mu*; so h = verdict |l.(S_k - S1)|
-    exp(-lambda u_k), at the sample k nearest S1 (l = _S1_LEFT,
-    lambda = flow.S1_EIGENVALUES[2]), is near linear through mu*.
+    verdict is +1 when the run stops at the G1 wall, -1 inside Q; a run undecided by
+    t = 1e6 raises RuntimeError (one a float spacing from the edge dwells at S1 to t = 176).
+    Near the edge its unstable coordinate at S1 grows like exp(lambda u) from a size
+    proportional to mu - mu*; so h = verdict |l.(S_k - S1)| exp(-lambda u_k), at the sample
+    k nearest S1 (l = _S1_LEFT, lambda = flow.S1_EIGENVALUES[2]), is near linear.
     """
-    traj = family_shape_trajectory(mu, t_max=60.0, tol=1e-12, until_decided=True)
+    traj = family_shape_trajectory(mu, t_max=1e6, tol=rtol, until_decided=True)
     d = traj.spheres - flow.S1
     k = int(np.argmin(np.linalg.norm(d, axis=1)))
-    verdict = 1.0 if traj.termination == WALL_CROSSING else -1.0
+    verdict = {WALL_CROSSING: 1.0, STAYS_INSIDE: -1.0}.get(traj.termination)
+    if verdict is None:
+        raise RuntimeError(f"undecided edge probe at mu={mu!r}, rtol={rtol!r}: {traj.termination}")
     dwell = abs(float(np.dot(_S1_LEFT, d[k]))) * math.exp(
         -flow.S1_EIGENVALUES[2] * traj.stats["u"][k])
     return verdict, verdict * dwell
@@ -687,15 +689,18 @@ def critical_parameter(lo: float = 0.5, hi: float = 0.6, tol: float = 1e-9) -> f
     interpolation, with a bisection step whenever that would not shrink the
     bracket fast enough.  Returns the midpoint of a bracket no wider than tol
     whose ends were decided with opposite verdicts.  The bracket must straddle
-    the transition, and tol must be at least the float spacing at hi.
+    the transition, and tol must be at least the float spacing at hi.  Runs integrate
+    at rtol = max(tol / 10, 1e-12), which moved the edge by at most 0.35 rtol
+    (measured for rtol 1e-12 to 1e-4): |returned - edge| <= tol / 2 + 0.035 tol.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
     if not tol >= math.ulp(hi):
         raise ValueError(f"tol must be at least the float spacing {math.ulp(hi):.3e} "
                          f"at hi, got {tol}")
-    a, (sa, fa) = lo, _edge_probe(lo)
-    b, (sb, fb) = hi, _edge_probe(hi)
+    rtol = max(tol / 10.0, 1e-12)
+    a, (sa, fa) = lo, _edge_probe(lo, rtol)
+    b, (sb, fb) = hi, _edge_probe(hi, rtol)
     if sa > 0.0 or sb < 0.0:
         raise ValueError(f"bracket ({lo}, {hi}) does not straddle the transition")
     # b is the best probe, c the last probe with the opposite verdict and a the
@@ -727,7 +732,7 @@ def critical_parameter(lo: float = 0.5, hi: float = 0.6, tol: float = 1e-9) -> f
         e, d = (d, p / q) if interpolate else (m, m)  # else bisect
         a, sa, fa = b, sb, fb
         b += d if abs(d) > step else math.copysign(step, m)
-        sb, fb = _edge_probe(b)
+        sb, fb = _edge_probe(b, rtol)
 
 
 def family_shape_trajectory(mu: float, t_max: float = 200.0, tol: float = 1e-10,

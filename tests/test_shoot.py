@@ -764,8 +764,11 @@ def test_critical_parameter_location():
     assert mu_star == pytest.approx(0.5441298, abs=1e-5)
 
 
-MU_EDGE = 0.5441298121789304  # critical_parameter(0.5, 0.6, tol=1e-9)
+MU_EDGE = 0.5441298122338323  # critical_parameter(0.5, 0.6, tol=1e-9), probes at rtol 1e-10
+MU_EDGE_RTOL_1E12 = 0.5441298121789304  # the same call when every probe ran at rtol 1e-12
 MU_EDGE_BISECTION = 0.5441298123449086  # the same call when it bisected the bracket
+# critical_parameter(0.5, 0.6, math.ulp(0.6)): the edge of the runs at rtol 1e-12
+MU_EDGE_FLOAT = 0.5441298121568525
 
 
 def test_critical_parameter_pinned():
@@ -773,12 +776,15 @@ def test_critical_parameter_pinned():
 
 
 @pytest.mark.parametrize("mu", [0.1, 0.3, 0.5, 0.6] + [edge + s * d
-                                                       for edge in (MU_EDGE_BISECTION, MU_EDGE)
+                                                       for edge in (MU_EDGE_BISECTION,
+                                                                    MU_EDGE_RTOL_1E12,
+                                                                    MU_EDGE_FLOAT)
                                                        for d in (1e-3, 1e-6, 1e-9)
                                                        for s in (-1.0, 1.0)])
 def test_decided_stop_keeps_the_escape_decision(mu):
     """A run stopped once decided is a prefix of the full run and decides alike,
-    around the edge as the Brent search and as the earlier bisection located it.
+    around the edge of the runs at rtol 1e-12 (the float-spacing search) and the
+    values the Brent search at rtol 1e-12 and the earlier bisection returned.
 
     A non-escaping run stops on entering Q = {G1 > 0, G2 < 0}, and the
     full run stays in Q from that sample on.
@@ -786,7 +792,7 @@ def test_decided_stop_keeps_the_escape_decision(mu):
     full = shoot.family_shape_trajectory(mu, t_max=60.0, tol=1e-12)
     stopped = shoot.family_shape_trajectory(mu, t_max=60.0, tol=1e-12, until_decided=True)
     escapes = escapes_invariant_region(full)
-    assert escapes == (mu > MU_EDGE)
+    assert escapes == (mu > MU_EDGE_FLOAT)
     assert escapes_invariant_region(stopped) == escapes
     n = len(stopped)
     assert np.array_equal(stopped.params, full.params[:n])
@@ -839,18 +845,48 @@ def test_critical_parameter_step_count(monkeypatch):
     assert mu_star == MU_EDGE
     assert len(runs) <= 12
     assert {r.termination for _, r in runs} <= {shoot.WALL_CROSSING, shoot.STAYS_INSIDE}
-    assert sum(r.stats["steps"] for _, r in runs) <= 1600
+    assert sum(r.stats["steps"] for _, r in runs) <= 800
     _final_bracket(mu_star, runs, 1e-9)
 
 
-def test_critical_parameter_at_the_float_spacing(monkeypatch):
+@pytest.fixture(scope="module")
+def float_spacing_search():
+    """critical_parameter(0.5, 0.6, math.ulp(0.6)) and its runs, searched once."""
+    with pytest.MonkeyPatch.context() as patch:
+        return _counted_edge_search(patch, 0.5, 0.6, math.ulp(0.6))
+
+
+def test_critical_parameter_at_the_float_spacing(float_spacing_search):
     """The smallest accepted tol ends on a bracket of two adjacent floats."""
-    tol = math.ulp(0.6)
-    mu_star, runs = _counted_edge_search(monkeypatch, 0.5, 0.6, tol)
-    lo, hi = _final_bracket(mu_star, runs, tol)
+    mu_star, runs = float_spacing_search
+    lo, hi = _final_bracket(mu_star, runs, math.ulp(0.6))
     assert hi == math.nextafter(lo, 1.0)
-    assert abs(mu_star - MU_EDGE) <= 1e-9
+    assert mu_star == MU_EDGE_FLOAT
     assert len(runs) <= 20
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+def test_critical_parameter_error_budget(float_spacing_search, tol):
+    """Probes at rtol = tol / 10 keep the result within the bracket's half-width plus
+    tol / 20 for the integrator (it measured at most 0.035 tol) of the float-spacing
+    search, whose probes run at the 1e-12 floor."""
+    reference, _ = float_spacing_search
+    assert abs(shoot.critical_parameter(0.5, 0.6, tol) - reference) <= 0.55 * tol
+
+
+@pytest.mark.parametrize("termination", [shoot.REACHED_HORIZON, shoot.STEP_FAILURE,
+                                         shoot.POSITIVITY_VIOLATION])
+def test_undecided_edge_probe_raises(monkeypatch, termination):
+    """A probe that neither crosses the wall nor enters Q decides nothing: it raises
+    instead of moving the inside end of the bracket."""
+    run = shoot.family_shape_trajectory
+
+    def undecided(mu, *args, **kwargs):
+        return dataclasses.replace(run(mu, *args, **kwargs), termination=termination)
+
+    monkeypatch.setattr(shoot, "family_shape_trajectory", undecided)
+    with pytest.raises(RuntimeError, match=rf"mu=0\.5, rtol=1e-10: {termination}$"):
+        shoot.critical_parameter(0.5, 0.6, 1e-9)
 
 
 @pytest.mark.parametrize("lo, hi, tol", [
@@ -868,7 +904,8 @@ def test_critical_parameter_rejects_bad_input(monkeypatch, lo, hi, tol):
 
 def test_edge_probe_dwell_value():
     """The dwell literals are the unstable eigendata at S1, and h carries the
-    verdict's sign and increases strictly through the edge."""
+    verdict's sign and increases strictly through the edge, at the 1e-12 floor and
+    at the rtol 1e-10 of the 1e-9 search."""
     jac = analysis.linearize(flow.S1)
     basis = analysis.tangent_basis(flow.S1)
     values, vectors = np.linalg.eig(jac.T)
@@ -885,14 +922,15 @@ def test_edge_probe_dwell_value():
     assert left @ _tangential_jacobian(flow.S1) == pytest.approx(
         flow.S1_EIGENVALUES[2] * left, abs=1e-12)
 
-    mus = [0.5] + sorted(MU_EDGE + s * d for d in (1e-3, 1e-5, 1e-7, 1e-9)
+    mus = [0.5] + sorted(MU_EDGE_FLOAT + s * d for d in (1e-3, 1e-5, 1e-7, 1e-9)
                          for s in (-1.0, 1.0)) + [0.6]
-    probes = [shoot._edge_probe(mu) for mu in mus]
-    for mu, (verdict, h) in zip(mus, probes):
-        assert verdict == (1.0 if mu > MU_EDGE else -1.0)
-        assert np.sign(h) == verdict
-    hs = [h for _, h in probes]
-    assert all(x < y for x, y in zip(hs, hs[1:])), hs
+    for rtol in (1e-12, 1e-10):
+        probes = [shoot._edge_probe(mu, rtol) for mu in mus]
+        for mu, (verdict, h) in zip(mus, probes):
+            assert verdict == (1.0 if mu > MU_EDGE_FLOAT else -1.0)
+            assert np.sign(h) == verdict
+        hs = [h for _, h in probes]
+        assert all(x < y for x, y in zip(hs, hs[1:])), (rtol, hs)
 
 
 def _tangential_jacobian(s, step=1e-20):
