@@ -32,7 +32,7 @@ for mu in np.arange(1, 10) / 10.0:
     print(f"{mu:6.1f} {outcome:22} {u_str} {w_str} {d1:15.4e}")
 print()
 
-print("locating the family edge by a Brent search on the wall crossing:")
+print("locating the family edge by regula falsi on the wall crossing:")
 mu_star = shoot.critical_parameter(lo=0.53, hi=0.56, tol=1e-7)
 print(f"  mu* = {mu_star:.7f}")
 print()

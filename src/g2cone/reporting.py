@@ -20,6 +20,10 @@ def fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+# JSON string escapes: every control character, the quote and the backslash
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {0x0A: "\\n", 0x22: '\\"', 0x5C: "\\\\"}
+
+
 def _json_value(obj, indent: int) -> str:
     pad = " " * indent
     if obj is None:
@@ -36,8 +40,7 @@ def _json_value(obj, indent: int) -> str:
             raise ValueError("refusing to serialize infinity")
         return fmt_float(x)
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{out}"'
+        return f'"{obj.translate(_ESCAPES)}"'
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -677,21 +677,21 @@ def _edge_probe(mu: float, rtol: float) -> tuple:
 def critical_parameter(lo: float = 0.5, hi: float = 0.6, tol: float = 1e-9) -> float:
     """Family edge: largest mu whose trajectory stays in the invariant region.
 
-    Below the returned value trajectories converge to the limit
-    direction (asymptotically conic with a circle fiber); above it they
-    cross the G1 wall and the metric closes up singularly at finite t.
-    The critical trajectory itself approaches the conic stationary
-    direction S1.  Located by Brent's zeroin (Algorithms for Minimization
-    without Derivatives, 1973, ch. 4) on family runs stopped once decided (at
-    the wall or in Q, see integrate_shape): a run's verdict, escaping when it
-    stops at the wall, sets the bracket, and its dwell value h at S1 (see
-    _edge_probe) picks the next probe by secant or inverse quadratic
-    interpolation, with a bisection step whenever that would not shrink the
-    bracket fast enough.  Returns the midpoint of a bracket no wider than tol
-    whose ends were decided with opposite verdicts.  The bracket must straddle
-    the transition, and tol must be at least the float spacing at hi.  Runs integrate
-    at rtol = max(tol / 10, 1e-12), which moved the edge by at most 0.35 rtol
-    (measured for rtol 1e-12 to 1e-4): |returned - edge| <= tol / 2 + 0.035 tol.
+    Below the returned value trajectories converge to the limit direction
+    (asymptotically conic with a circle fiber); above it they cross the G1 wall
+    and the metric closes up singularly at finite t.  The critical trajectory
+    approaches the conic stationary direction S1.  Located by Illinois regula
+    falsi (Dowell & Jarratt, BIT 11, 1971) on family runs stopped once decided
+    (at the wall or in Q, see integrate_shape): a run's verdict, escaping when it
+    stops at the wall, moves one end of the bracket.  The next probe is the secant
+    root of the ends' dwell values h at S1 (see _edge_probe), at least tol/2 inside
+    the bracket, or the midpoint when that root is NaN or not strictly inside; the
+    kept end's h is halved when the same end moves twice in a row.  Returns the
+    midpoint of a bracket no wider than tol whose ends were decided with opposite
+    verdicts.  The bracket must straddle the transition, and tol must be at least
+    the float spacing at hi.  Runs integrate at rtol = max(tol / 10, 1e-12), which
+    moved the edge by at most 0.35 rtol (measured for rtol 1e-12 to 1e-4), so
+    |returned - edge| <= tol / 2 + 0.035 tol.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
@@ -703,36 +703,18 @@ def critical_parameter(lo: float = 0.5, hi: float = 0.6, tol: float = 1e-9) -> f
     b, (sb, fb) = hi, _edge_probe(hi, rtol)
     if sa > 0.0 or sb < 0.0:
         raise ValueError(f"bracket ({lo}, {hi}) does not straddle the transition")
-    # b is the best probe, c the last probe with the opposite verdict and a the
-    # previous b; d is the last step and e the one before
-    c, sc, fc = b, sb, fb
-    step = 0.5 * tol  # the smallest step, half the final bracket
-    while True:
-        if sb == sc:
-            c, sc, fc = a, sa, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            sa, sb, sc = sb, sc, sb
-            fa, fb, fc = fb, fc, fb
-        m = 0.5 * (c - b)
-        if abs(m) <= step:
-            return 0.5 * (b + c)
-        interpolate = abs(e) >= step and abs(fa) > abs(fb) > 0.0
-        if interpolate:
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic through a, b, c
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            p, q = (p, -q) if p > 0.0 else (-p, q)
-            interpolate = 2.0 * p < 3.0 * m * q - abs(step * q) and p < abs(0.5 * e * q)
-        e, d = (d, p / q) if interpolate else (m, m)  # else bisect
-        a, sa, fa = b, sb, fb
-        b += d if abs(d) > step else math.copysign(step, m)
-        sb, fb = _edge_probe(b, rtol)
+    last = 0.0  # the verdict of the last probe
+    while b - a > tol:
+        x = b - fb * (b - a) / (fb - fa) if fb != fa else math.nan
+        x = min(max(x, a + 0.5 * tol), b - 0.5 * tol)  # a NaN stays NaN
+        x = x if a < x < b else 0.5 * (a + b)
+        s, f = _edge_probe(x, rtol)
+        if s > 0.0:
+            b, fb, fa = x, f, 0.5 * fa if s == last else fa
+        else:
+            a, fa, fb = x, f, 0.5 * fb if s == last else fb
+        last = s
+    return 0.5 * (a + b)
 
 
 def family_shape_trajectory(mu: float, t_max: float = 200.0, tol: float = 1e-10,

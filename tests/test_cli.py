@@ -569,6 +569,7 @@ def _argv(draw):
 @example(argv=["sweep", "--mu", "5e-324"], unusable_out=False)  # a subnormal A1
 @example(argv=["shoot", "--mu", "0.3", "--t-max", "1e103"], unusable_out=False)  # f^3 overflows
 @example(argv=["shoot", "--mu", "0.3", "--u-max", "6000"], unusable_out=False)  # so does exp(ln f)
+@example(argv=["stationary", "--mu-range", "0.25:0.75:3\t"], unusable_out=False)  # echoed in JSON
 def test_exit_code_contract_generated(tmp_path_factory, argv, unusable_out):
     """Every argv exits 0, 1 or 2 without an exception or a RuntimeWarning, and
     writes its report (exit 2 exactly when it has an error), except after an

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from g2cone.reporting import fmt_float, write_csv, write_svg_plot
+from g2cone.reporting import dump_json, fmt_float, write_csv, write_svg_plot
 
 
 def test_csv_mixed_cells_bytes(tmp_path):
@@ -16,6 +17,11 @@ def test_csv_mixed_cells_bytes(tmp_path):
         b"0.10000000000000001,true,,3,,2.5,false\n"
         b",false,1e-300,-7,1,,true\n"
         b"0.33333333333333331,true,2,100000000000000000000,,-0,true\n")
+
+
+def test_json_escapes_control_characters():
+    text = "a\tb\r\x1f"
+    assert json.loads(dump_json({"s": text, "q": '"\\\n'})) == {"s": text, "q": '"\\\n'}
 
 
 def test_csv_float_table_matches_cellwise_format(tmp_path):

@@ -764,27 +764,32 @@ def test_critical_parameter_location():
     assert mu_star == pytest.approx(0.5441298, abs=1e-5)
 
 
-MU_EDGE = 0.5441298122338323  # critical_parameter(0.5, 0.6, tol=1e-9), probes at rtol 1e-10
-MU_EDGE_RTOL_1E12 = 0.5441298121789304  # the same call when every probe ran at rtol 1e-12
+MU_EDGE = 0.5441298122028686  # critical_parameter(0.5, 0.6, tol=1e-9), probes at rtol 1e-10
+MU_EDGE_BRENT = 0.5441298122338323  # the same call when Brent's zeroin picked the probes
+MU_EDGE_RTOL_1E12 = 0.5441298121789304  # the same call by zeroin, every probe at rtol 1e-12
 MU_EDGE_BISECTION = 0.5441298123449086  # the same call when it bisected the bracket
 # critical_parameter(0.5, 0.6, math.ulp(0.6)): the edge of the runs at rtol 1e-12
 MU_EDGE_FLOAT = 0.5441298121568525
 
 
 def test_critical_parameter_pinned():
+    """mu* to the last bit, and README quotes the same value."""
     assert shoot.critical_parameter(0.5, 0.6, tol=1e-9) == MU_EDGE
+    assert repr(MU_EDGE) in (SRC.parent / "README.md").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("mu", [0.1, 0.3, 0.5, 0.6] + [edge + s * d
                                                        for edge in (MU_EDGE_BISECTION,
                                                                     MU_EDGE_RTOL_1E12,
-                                                                    MU_EDGE_FLOAT)
+                                                                    MU_EDGE_FLOAT,
+                                                                    MU_EDGE_BRENT)
                                                        for d in (1e-3, 1e-6, 1e-9)
                                                        for s in (-1.0, 1.0)])
 def test_decided_stop_keeps_the_escape_decision(mu):
     """A run stopped once decided is a prefix of the full run and decides alike,
     around the edge of the runs at rtol 1e-12 (the float-spacing search) and the
-    values the Brent search at rtol 1e-12 and the earlier bisection returned.
+    values that earlier searches returned: Brent's zeroin with its probes at rtol
+    1e-10 and at 1e-12, and the bisection.
 
     A non-escaping run stops on entering Q = {G1 > 0, G2 < 0}, and the
     full run stays in Q from that sample on.
@@ -849,6 +854,52 @@ def test_critical_parameter_step_count(monkeypatch):
     _final_bracket(mu_star, runs, 1e-9)
 
 
+def test_critical_parameter_wide_bracket(monkeypatch):
+    """From (0.01, 0.99), where the dwell value is least linear, the secant steps
+    still close a decided bracket to 1e-9 within a count of runs."""
+    mu_star, runs = _counted_edge_search(monkeypatch, 0.01, 0.99, 1e-9)
+    _final_bracket(mu_star, runs, 1e-9)
+    assert len(runs) <= 14
+
+
+@pytest.mark.parametrize("h", [0.0, math.nan, math.inf])
+def test_critical_parameter_degenerate_dwell_values(monkeypatch, h):
+    """Dwell values with no secant root (+-0.0, NaN, +-inf, each carrying the run's
+    verdict) leave the midpoint: the search still ends on a decided bracket."""
+    probe = shoot._edge_probe
+
+    def degenerate(mu, rtol):
+        verdict, _ = probe(mu, rtol)
+        return verdict, math.copysign(h, verdict)
+
+    monkeypatch.setattr(shoot, "_edge_probe", degenerate)
+    mu_star, runs = _counted_edge_search(monkeypatch, 0.5, 0.6, 1e-6)
+    lo, hi = _final_bracket(mu_star, runs, 1e-6)
+    mids = [0.5, 0.6]
+    for mu, _ in runs[2:]:  # every probe bisects the bracket left by the ones before
+        assert mu == 0.5 * (mids[0] + mids[1])
+        mids[mu > MU_EDGE_FLOAT] = mu
+    assert (lo, hi) == tuple(mids)
+
+
+def test_critical_parameter_secant_root_on_an_end(monkeypatch):
+    """Lopsided dwell values put the secant root next to the inside end, where tol/2
+    at the float spacing rounds back onto the end: the midpoint stands in, and the
+    search still ends on two adjacent floats."""
+    probe, calls = shoot._edge_probe, []
+
+    def lopsided(mu, rtol):
+        calls.append(mu)
+        assert len(calls) <= 100, "the search does not close the bracket"
+        verdict, _ = probe(mu, rtol)
+        return verdict, 1e300 if verdict > 0.0 else -1.0
+
+    monkeypatch.setattr(shoot, "_edge_probe", lopsided)
+    mu_star, runs = _counted_edge_search(monkeypatch, 0.5, 0.6, math.ulp(0.6))
+    lo, hi = _final_bracket(mu_star, runs, math.ulp(0.6))
+    assert hi == math.nextafter(lo, 1.0) and calls[2] == 0.55
+
+
 @pytest.fixture(scope="module")
 def float_spacing_search():
     """critical_parameter(0.5, 0.6, math.ulp(0.6)) and its runs, searched once."""
@@ -866,12 +917,15 @@ def test_critical_parameter_at_the_float_spacing(float_spacing_search):
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
-def test_critical_parameter_error_budget(float_spacing_search, tol):
+def test_critical_parameter_error_budget(monkeypatch, float_spacing_search, tol):
     """Probes at rtol = tol / 10 keep the result within the bracket's half-width plus
     tol / 20 for the integrator (it measured at most 0.035 tol) of the float-spacing
-    search, whose probes run at the 1e-12 floor."""
+    search, whose probes run at the 1e-12 floor.  Probes kept tol/2 inside the
+    bracket close it in 10, 9 and 6 runs (one more at 1e-6 and 1e-3 without that push)."""
     reference, _ = float_spacing_search
-    assert abs(shoot.critical_parameter(0.5, 0.6, tol) - reference) <= 0.55 * tol
+    mu_star, runs = _counted_edge_search(monkeypatch, 0.5, 0.6, tol)
+    assert abs(mu_star - reference) <= 0.55 * tol
+    assert len(runs) <= {1e-9: 10, 1e-6: 9, 1e-3: 6}[tol]
 
 
 @pytest.mark.parametrize("termination", [shoot.REACHED_HORIZON, shoot.STEP_FAILURE,
