@@ -6,16 +6,23 @@ pass; 1 signals an assertion failure and 2 an invalid configuration.
 CSV and SVG artifacts are controlled by --format and never affect the
 exit status.  Given the same options (verify-torsion's include its
 seed), all outputs are byte-identical.
+
+The command line is a command, then --name value or --name=value for
+each option the command reads and --out (the flag --debug-flip-psi takes
+no value).  Names are exact, the last of a repeated option wins and a
+value is taken as written, also one that starts with -.  -h/--help
+prints help and exits 0.  Any other usage error (an unknown command or
+option, a missing value, one that does not parse as its type) exits 2
+with a usage line on stderr and no report.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,7 +30,7 @@ from . import analysis, flow, shoot
 from . import exterior as ext
 from .reporting import write_csv, write_json, write_svg_plot
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "parse_args"]
 
 CSV_HEADER = ["t", "u", "A1", "A2", "B1", "B2", "alpha1", "alpha2", "alpha3", "alpha4",
               "f", "F", "F1", "F2", "F3", "F4", "F5", "G1", "G2", "beta"]
@@ -45,22 +52,21 @@ class ConfigError(ValueError):
     pass
 
 
-# every option as add_argument keywords; each command takes those it reads (_COMMANDS)
+# every option: (type, default, help); each command takes those it reads (_COMMANDS)
 _OPTIONS = {
-    "--mu": dict(type=float, help="family parameter in (0,1)"),
-    "--mu-range": dict(metavar="LO:HI:N", help="inclusive mu grid with N points"),
-    "--t-max": dict(type=float, default=200.0),
-    "--u-max": dict(type=float, default=60.0),
-    "--tol": dict(type=float, default=1e-10, help="integrator relative tolerance"),
-    "--conv-tol": dict(type=float, default=1e-6, help="convergence tolerance on the sphere"),
-    "--order": dict(type=int, default=4, help="series order, 3..8"),
-    "--stride": dict(type=int, default=1, help="write every N-th step (and the last) to CSV/SVG"),
-    "--format": dict(default="csv,json", help="comma subset of csv,json,svg"),
-    "--samples": dict(type=int, default=200),
-    "--seed": dict(type=int, default=0),
-    "--debug-flip-psi": dict(action="store_true",
-                             help="negative control: flip one sign in the 3-form"),
-    "--out": dict(default="g2cone_out", help="output directory"),
+    "--mu": (float, None, "family parameter in (0,1)"),
+    "--mu-range": (str, None, "inclusive mu grid LO:HI:N with N points"),
+    "--t-max": (float, 200.0, "t horizon of the shape run"),
+    "--u-max": (float, 60.0, "u horizon of its continuation on the sphere"),
+    "--tol": (float, 1e-10, "integrator relative tolerance"),
+    "--conv-tol": (float, 1e-6, "convergence tolerance on the sphere"),
+    "--order": (int, 4, "series order, 3..8"),
+    "--stride": (int, 1, "write every N-th step (and the last) to CSV/SVG"),
+    "--format": (str, "csv,json", "comma subset of csv,json,svg"),
+    "--samples": (int, 200, "number of random states"),
+    "--seed": (int, 0, "seed of the random states"),
+    "--debug-flip-psi": (bool, False, "negative control: flip one sign in the 3-form"),
+    "--out": (str, "g2cone_out", "output directory"),
 }
 # the options of one trajectory run, besides its mu
 _RUN = ("--t-max", "--u-max", "--tol", "--conv-tol", "--order", "--stride", "--format")
@@ -406,22 +412,59 @@ _COMMANDS = {
 }
 
 
-@functools.cache  # one per process: adding its 26 options takes about 1 ms
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="g2cone", description="construct and verify the "
-                                "one-parameter family of G2-holonomy cone deformations")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, text, options) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=text)
-        for flag in (*options, "--out"):
-            sp.add_argument(flag, **_OPTIONS[flag])
-    return p
+def _exit(code: int, command, text: str) -> None:
+    """Help on stdout and exit 0, or a usage error on stderr and exit 2; no report either way."""
+    usage = f"usage: g2cone {command or '{' + ','.join(_COMMANDS) + '}'} [-h] [options]"
+    print(usage, f"g2cone: error: {text}" if code else text, sep="\n",
+          file=sys.stderr if code else sys.stdout)
+    raise SystemExit(code)
+
+
+def _help(command) -> None:
+    """The commands, or one command's options with their value types, each with its help text."""
+    if command is None:
+        rows = [(name, text) for name, (_, text, _) in _COMMANDS.items()]
+    else:
+        rows = []
+        for flag in (*_COMMANDS[command][2], "--out"):
+            kind, _, text = _OPTIONS[flag]
+            rows.append((flag if kind is bool else f"{flag} {kind.__name__.upper()}", text))
+    _exit(0, command, "\n".join(f"  {name:<20} {text}" for name, text in rows))
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """The command and its options from argv (default sys.argv[1:]) by the rule in the module
+    docstring, as a namespace of the command and each option it takes, --out last."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in _COMMANDS:
+        _exit(2, None, f"unknown command {command!r}" if argv else "no command")
+    values = {flag: _OPTIONS[flag][1] for flag in (*_COMMANDS[command][2], "--out")}
+    rest = argv[:0:-1]  # the tokens after the command, popped from the end
+    while rest:
+        token = rest.pop()
+        if token in ("-h", "--help"):
+            _help(command)
+        flag, eq, value = token.partition("=")
+        if flag not in values:
+            _exit(2, command, f"{command} takes no option {token!r}")
+        kind = _OPTIONS[flag][0]
+        if kind is bool and eq or kind is not bool and not (eq or rest):
+            _exit(2, command, f"{flag} takes {'no' if kind is bool else 'a'} value")
+        try:
+            values[flag] = True if kind is bool else kind(value if eq else rest.pop())
+        except ValueError as exc:
+            _exit(2, command, f"{flag}: {exc}")
+    return SimpleNamespace(command=command,
+                           **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
 
 def main(argv=None) -> int:
     """Run one command: the only place that makes --out, writes the JSON
     report and prints the verdict.  Exit 0 pass, 1 fail, 2 invalid config."""
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

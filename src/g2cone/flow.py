@@ -25,6 +25,7 @@ closure oracle g2cone.exterior, which checks this flow.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -190,11 +191,12 @@ _SYMMETRIES = {
 }
 
 
-def symmetry_group() -> list:
+@functools.cache  # one per process
+def symmetry_group() -> tuple:
     """Closure of the five symmetries under composition.
 
-    Elements are (matrix, reversal) pairs; the group is finite since the
-    matrices are signed permutations.
+    Elements are (read-only matrix, reversal) pairs; the group is finite
+    since the matrices are signed permutations.
     """
     seen = {}
     frontier = [(np.eye(4), False)]
@@ -208,7 +210,9 @@ def symmetry_group() -> list:
             if key not in seen:
                 seen[key] = (nmat, nrev)
                 frontier.append((nmat, nrev))
-    return list(seen.values())
+    for mat, _ in seen.values():
+        mat.flags.writeable = False
+    return tuple(seen.values())
 
 
 # -- monitors --------------------------------------------------------------

@@ -232,25 +232,30 @@ def gauss_legendre(fn, a, b):
 
     Integrals of fn from the float a to every entry of b (float or array,
     whose shape the result keeps), in one pass: the span is cut at a and
-    at each distinct end, every gap gets the same number of panels, at
-    most one unit wide and at least eight in all, and each integral is a
-    prefix sum of gap integrals.  Accurate to rounding when fn is analytic
-    0.5 off the real segment.  fn maps an array of abscissae to integrand
-    values elementwise; the nodes avoid the knots, so fn only needs a
-    continuous extension there.  An end equal to a gives exactly 0.0.
+    at each distinct end, each gap gets its own number of panels, at most
+    one unit wide and at least eight in all, and each integral is a prefix
+    sum of gap integrals.  Accurate to rounding when fn is analytic 0.5
+    off the real segment.  fn maps an array of abscissae to integrand
+    values elementwise, one call per distinct panel count; the nodes avoid
+    the knots, so fn only needs a continuous extension there.  An end
+    equal to a gives exactly 0.0.
     """
     b = np.asarray(b, dtype=float)
     ends = b.ravel().tolist()
     if bad := [x for x in (a, *ends) if not math.isfinite(x)]:
         raise ValueError(f"gauss_legendre needs finite limits, got {bad[0]}")
     knots = sorted({a, *ends})  # not np.unique: its first call imports numpy.ma
-    cuts = np.array(knots)[:, None, None]
+    cuts = np.array(knots)
     h = cuts[1:] - cuts[:-1]
-    panels = max(math.ceil(8 / max(1, len(h))), math.ceil(np.max(h, initial=0.0)))
-    h = h / panels
-    x = cuts[:-1] + h * (np.arange(panels)[:, None] + 0.5 * (_GL_X + 1.0))
+    panels = np.maximum(math.ceil(8 / max(1, len(h))), np.ceil(h)).astype(int)
+    gaps = np.zeros(len(h))
+    for count in sorted(set(panels.tolist())):  # one rule per panel count
+        each = panels == count
+        w = (h[each] / count)[:, None, None]
+        x = cuts[:-1][each, None, None] + w * (np.arange(count)[:, None] + 0.5 * (_GL_X + 1.0))
+        gaps[each] = np.sum(0.5 * w * _GL_W * fn(x), axis=(-2, -1))
     prefix = np.zeros(len(knots))
-    np.cumsum(np.sum(0.5 * h * _GL_W * fn(x), axis=(-2, -1)), out=prefix[1:])
+    np.cumsum(gaps, out=prefix[1:])
     index = {x: i for i, x in enumerate(knots)}
     return prefix[[index[x] for x in ends]].reshape(b.shape) - prefix[index[a]]
 

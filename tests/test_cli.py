@@ -16,8 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 import g2cone
 from g2cone.shoot import SERIES_MAX_OFFSET
 from g2cone.cli import (CSV_HEADER, MAX_CONV_TOL, MAX_MU_POINTS, MAX_SAMPLES, MAX_T_MAX,
-                        MAX_TOL, MAX_U_MAX, SWEEP_HEADER, ConfigError, build_parser, main,
-                        mu_values, validate)
+                        MAX_TOL, MAX_U_MAX, SWEEP_HEADER, ConfigError, main, mu_values,
+                        parse_args, validate)
 
 
 def run(args):
@@ -26,6 +26,12 @@ def run(args):
 
 def load(path):
     return json.loads(path.read_text())
+
+
+def _env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(g2cone.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 # -- verify-torsion -----------------------------------------------------------
@@ -154,29 +160,28 @@ def test_invalid_common_options(tmp_path):
 
 
 def test_input_bounds():
-    parse = build_parser().parse_args
-    validate(parse(["verify-torsion", "--samples", str(MAX_SAMPLES)]))
+    validate(parse_args(["verify-torsion", "--samples", str(MAX_SAMPLES)]))
     with pytest.raises(ConfigError):
-        validate(parse(["verify-torsion", "--samples", str(MAX_SAMPLES + 1)]))
+        validate(parse_args(["verify-torsion", "--samples", str(MAX_SAMPLES + 1)]))
     # the shape run starts at the series launch offset, at most SERIES_MAX_OFFSET
-    validate(parse(["shoot", "--t-max", str(float(np.nextafter(SERIES_MAX_OFFSET, 1.0)))]))
+    validate(parse_args(["shoot", "--t-max", str(float(np.nextafter(SERIES_MAX_OFFSET, 1.0)))]))
     with pytest.raises(ConfigError):
-        validate(parse(["shoot", "--t-max", str(SERIES_MAX_OFFSET)]))
+        validate(parse_args(["shoot", "--t-max", str(SERIES_MAX_OFFSET)]))
     for option, bound in (("--t-max", MAX_T_MAX), ("--u-max", MAX_U_MAX)):
-        validate(parse(["shoot", option, str(bound)]))
+        validate(parse_args(["shoot", option, str(bound)]))
         with pytest.raises(ConfigError):
-            validate(parse(["shoot", option, str(float(np.nextafter(bound, np.inf)))]))
-    validate(parse(["shoot", "--conv-tol", str(MAX_CONV_TOL)]))
+            validate(parse_args(["shoot", option, str(float(np.nextafter(bound, np.inf)))]))
+    validate(parse_args(["shoot", "--conv-tol", str(MAX_CONV_TOL)]))
     with pytest.raises(ConfigError):
-        validate(parse(["shoot", "--conv-tol", str(float(np.nextafter(MAX_CONV_TOL, 1.0)))]))
-    validate(parse(["shoot", "--tol", str(MAX_TOL)]))
+        validate(parse_args(["shoot", "--conv-tol", str(float(np.nextafter(MAX_CONV_TOL, 1.0)))]))
+    validate(parse_args(["shoot", "--tol", str(MAX_TOL)]))
     with pytest.raises(ConfigError):
-        validate(parse(["shoot", "--tol", str(float(np.nextafter(MAX_TOL, 1.0)))]))
-    grid = mu_values(parse(["sweep", "--mu-range", f"0.1:0.9:{MAX_MU_POINTS}"]), [])
+        validate(parse_args(["shoot", "--tol", str(float(np.nextafter(MAX_TOL, 1.0)))]))
+    grid = mu_values(parse_args(["sweep", "--mu-range", f"0.1:0.9:{MAX_MU_POINTS}"]), [])
     assert len(grid) == MAX_MU_POINTS
     for n in (0, MAX_MU_POINTS + 1):
         with pytest.raises(ConfigError):
-            mu_values(parse(["sweep", "--mu-range", f"0.1:0.9:{n}"]), [])
+            mu_values(parse_args(["sweep", "--mu-range", f"0.1:0.9:{n}"]), [])
 
 
 _RUN = ("--t-max", "--u-max", "--tol", "--conv-tol", "--order", "--stride", "--format")
@@ -193,17 +198,18 @@ _TAKES = {
 def test_each_command_takes_only_the_options_it_reads(tmp_path, capsys):
     """27 (command, option) pairs: --help lists a command's own options and
     --out, an accepted report echoes all of them but --out, and an option of
-    another command is an argparse error that writes no report."""
+    another command is a usage error (exit 2) that writes no report."""
     assert sum(len(flags) + 1 for flags in _TAKES.values()) == 27
     cheap = {"verify-torsion": ["--samples", "5"], "shoot": ["--mu", "0.3", "--format", "json"],
              "sweep": ["--mu", "0.3", "--format", "json"]}
     for command, flags in _TAKES.items():
         dests = {flag[2:].replace("-", "_") for flag in flags}
-        assert set(vars(build_parser().parse_args([command]))) == dests | {"command", "out"}
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([command, "--help"])
+        assert set(vars(parse_args([command]))) == dests | {"command", "out"}
+        with pytest.raises(SystemExit) as exc:
+            parse_args([command, "--help"])
+        assert exc.value.code == 0, command
         listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
-        assert listed == {*flags, "--out", "--help"}, command
+        assert listed == {*flags, "--out"}, command
         out = tmp_path / command
         assert run([command, *cheap.get(command, []), "--out", str(out)]) == 0, command
         (report,) = out.glob("*.json")
@@ -213,6 +219,64 @@ def test_each_command_takes_only_the_options_it_reads(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--out", str(out)])
         assert exc.value.code == 2 and not out.exists(), argv
+
+
+def test_option_forms_give_one_namespace():
+    """--name value and --name=value parse alike, the last of a repeated option
+    wins, and the namespace keeps the command's option order."""
+    spaced = parse_args(["sweep", "--mu-range", "0.1:0.2:2", "--tol", "1e-9", "--order", "5",
+                         "--tol", "1e-8", "--format", "json", "--out", "x"])
+    joined = parse_args(["sweep", "--mu-range=0.1:0.2:2", "--tol=1e-9", "--order=5",
+                         "--tol=1e-8", "--format=json", "--out=x"])
+    assert vars(spaced) == vars(joined)
+    assert list(vars(spaced).items()) == [
+        ("command", "sweep"), ("mu", None), ("mu_range", "0.1:0.2:2"), ("t_max", 200.0),
+        ("u_max", 60.0), ("tol", 1e-8), ("conv_tol", 1e-6), ("order", 5), ("stride", 1),
+        ("format", "json"), ("out", "x")]
+    flipped = parse_args(["verify-torsion", "--debug-flip-psi", "--seed", "3"])
+    assert (flipped.debug_flip_psi, flipped.seed, flipped.samples) == (True, 3, 200)
+
+
+def test_a_value_is_taken_as_written(tmp_path):
+    """A value that starts with - is still the option's value: --mu -0.5 and
+    --format -x reach validation, which rejects them with exit 2 and a report."""
+    for i, argv in enumerate((["shoot", "--mu", "-0.5"],
+                              ["shoot", "--mu", "0.3", "--format", "-x"])):
+        out = tmp_path / str(i)
+        assert run(argv + ["--out", str(out)]) == 2, argv
+        rep = load(out / "shoot.json")
+        assert rep["pass"] is False and rep["error"], argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-torsion", "--samp", "5"],  # names are exact: no abbreviation
+    ["oracle", "--order", "9"],  # an option of another command
+    ["shoot", "--out", "OUT", "--mu"],  # a missing value
+    ["verify-torsion", "--samples", "abc"],  # not an int
+    ["verify-torsion", "--debug-flip-psi=1"],  # a flag takes no value
+    ["verify-torsion", "5"],  # a bare token
+    [],  # no command
+    ["bogus", "--out", "OUT"],  # an unknown command
+    ["--out", "OUT"],
+])
+def test_usage_errors_exit_2_without_a_report(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # the default --out would land here
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: g2cone "), captured.err
+    assert "error: " in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_lists_the_commands(capsys):
+    for flag in ("--help", "-h"):
+        with pytest.raises(SystemExit) as exc:
+            run([flag])
+        assert exc.value.code == 0
+        listed = capsys.readouterr().out
+        assert re.findall(r"^  ([a-z-]+)  +\S", listed, re.M) == list(_TAKES)
 
 
 def test_unusable_out_directory(tmp_path, capsys):
@@ -465,6 +529,21 @@ def test_console_entry_point(tmp_path):
     assert "PASS" in proc.stdout
 
 
+def test_console_entry_point_reads_sys_argv(tmp_path):
+    """With argv None, main parses sys.argv[1:]: --help exits 0 and lists the
+    commands, no argument at all exits 2 with a usage line and no report."""
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", "g2cone.cli", *args], cwd=tmp_path,
+                              env=_env(), capture_output=True, text=True, timeout=60)
+
+    proc = cli("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert all(command in proc.stdout for command in _TAKES)
+    proc = cli()
+    assert proc.returncode == 2 and proc.stderr.startswith("usage: g2cone "), proc.stderr
+    assert "Traceback" not in proc.stderr and list(tmp_path.iterdir()) == []
+
+
 def test_runtime_imports():
     """The command runs on numpy alone, a bare import of the package loads no
     module of it, the closure oracle loads none of the flow modules it is
@@ -474,11 +553,8 @@ def test_runtime_imports():
                 f"import {module}\n"
                 "print(json.dumps(sorted(m for m in sys.modules"
                 " if m.split('.')[0] in ('g2cone', 'scipy'))))\n")
-        src = str(Path(g2cone.__file__).resolve().parents[1])
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=True)
+                              env=_env(), check=True)
         return set(json.loads(proc.stdout))
 
     assert loaded("g2cone") == {"g2cone"}
@@ -494,7 +570,8 @@ def test_no_command_imports_numpy_random(tmp_path):
     """numpy.random takes about 13 ms to import and no command needs it: after
     verify-torsion (plain and flipped), oracle, stationary and shoot in one
     fresh interpreter, it is still not loaded.  Nor is numpy.ma, which the
-    first np.unique call imports, also about 13 ms."""
+    first np.unique call imports, also about 13 ms, nor argparse, gettext or
+    locale (a bare interpreter with numpy loads none of the three)."""
     code = ("import sys\nfrom g2cone import cli\n"
             f"out = {str(tmp_path)!r}\n"
             "for argv in (['verify-torsion', '--samples', '5'],\n"
@@ -502,11 +579,11 @@ def test_no_command_imports_numpy_random(tmp_path):
             "             ['oracle'], ['stationary'], ['shoot', '--mu', '0.3']):\n"
             "    cli.main(argv + ['--out', out])\n"
             "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
-            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
-    src = str(Path(g2cone.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+            "loaded = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
+            "assert not loaded, f'{sorted(loaded)} imported'\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     # every command ran and wrote its report
     assert {"verify_torsion.json", "oracle.json", "stationary.json",
@@ -572,8 +649,9 @@ def _argv(draw):
 @example(argv=["stationary", "--mu-range", "0.25:0.75:3\t"], unusable_out=False)  # echoed in JSON
 def test_exit_code_contract_generated(tmp_path_factory, argv, unusable_out):
     """Every argv exits 0, 1 or 2 without an exception or a RuntimeWarning, and
-    writes its report (exit 2 exactly when it has an error), except after an
-    argparse error or with an unusable --out."""
+    writes its report (exit 2 exactly when it has an error), except after a
+    usage error (a value that does not parse as its option's type) or with an
+    unusable --out."""
     out = tmp_path_factory.mktemp("run") / "out"
     if unusable_out:
         out.write_text("not a directory\n")
@@ -581,7 +659,7 @@ def test_exit_code_contract_generated(tmp_path_factory, argv, unusable_out):
         warnings.simplefilter("error", RuntimeWarning)
         try:
             code = main(argv + ["--out", str(out)])
-        except SystemExit as exc:  # argparse rejected the argv
+        except SystemExit as exc:  # parse_args rejected the argv
             assert exc.code == 2, argv
             return
     assert code in (0, 1, 2), argv

@@ -600,6 +600,9 @@ def test_symmetry_group_closure():
     for m1, _ in group:
         for m2, _ in group:
             assert tuple((m1 @ m2).astype(int).ravel()) in mats
+    # built once per process, its matrices read-only
+    assert flow.symmetry_group() is group
+    assert not any(m.flags.writeable for m, _ in group)
 
 
 # -- the trapping set of the limit direction ----------------------------------------

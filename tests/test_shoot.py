@@ -546,6 +546,24 @@ def test_gauss_legendre_evaluation_count(monkeypatch):
     assert seen == [160]
 
 
+def test_gauss_legendre_panels_per_gap(monkeypatch):
+    """Each gap gets its own panel count: 30 radii in [1.5, 2] plus 1e6 cost
+    one panel per clustered gap and about 1,000 for the far one, at most
+    21,000 abscissae (619,380 when every gap took the widest gap's count),
+    with values equal to the one-end calls to rounding."""
+    seen = []
+
+    def counting(fn, a, b):
+        return shoot.gauss_legendre(lambda x: seen.append(x.size) or fn(x), a, b)
+
+    monkeypatch.setattr(analysis, "gauss_legendre", counting)
+    rs = np.append(np.linspace(1.5, 2.0, 30), 1e6)
+    batch = r_to_t("bs", rs)
+    assert sum(seen) <= 21_000
+    for r, t in zip(rs, batch):
+        assert t == pytest.approx(r_to_t("bs", r), rel=1e-15, abs=0.0), r
+
+
 def test_gauss_legendre_cumulative_edge_cases():
     """Unsorted and repeated ends, an end equal to a, ends on both sides of
     a, and a 2-D b all follow the one-end rule."""
