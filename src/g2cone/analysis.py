@@ -13,7 +13,6 @@ they can serve as exact oracles for the integrator and the flow field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,17 +45,18 @@ class EigenResidualError(RuntimeError):
     """Eigenpairs could not be certified to the requested residual."""
 
 
-@dataclass
 class StationaryReport:
-    """A stationary direction of the sphere flow with its tangential eigendata."""
+    """A stationary direction of the sphere flow with its tangential eigendata.
 
-    point: np.ndarray  # unit direction on S^3
-    name: str
-    orbit_size: int
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # rows are tangent 4-vectors
-    classification: tuple  # counts (negative, zero, positive)
-    field_residual: float
+    point is a unit direction on S^3, the rows of eigenvectors are tangent
+    4-vectors, and classification counts the (negative, zero, positive) eigenvalues.
+    """
+
+    def __init__(self, point: np.ndarray, name: str, orbit_size: int, eigenvalues: np.ndarray,
+                 eigenvectors: np.ndarray, classification: tuple, field_residual: float):
+        vars(self).update(point=point, name=name, orbit_size=orbit_size, eigenvalues=eigenvalues,
+                          eigenvectors=eigenvectors, classification=classification,
+                          field_residual=field_residual)
 
 
 CLOSED_FORM_KINDS = ("bgg", "bs", "singular")

@@ -187,7 +187,7 @@ def _write_shoot_artifacts(mu: float, traj: shoot.Trajectory, outdir: Path, args
     """--format's CSV/SVG artifacts of rows 0, N, 2N, ..., last of the run (N = --stride)."""
     tag = f"shoot_mu{mu!r}"  # mu's shortest round-trip repr: one name per value
     files = []
-    rows = np.r_[0:len(traj) - 1:args.stride, len(traj) - 1]
+    rows = [*range(0, len(traj) - 1, args.stride), len(traj) - 1]
     t, shapes, spheres = traj.params[rows], traj.shapes[rows], traj.spheres[rows]
     if "csv" in args.format:
         path = outdir / f"{tag}.csv"

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,19 +72,26 @@ ALC_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class SeriesStart:
+class _Record:
+    """Read-only fields: __init__ sets them once in vars(self); assigning or deleting raises."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
+
+
+class SeriesStart(_Record):
     """Power-series data of the smooth solution leaving the singular orbit.
 
-    coefficients[k] holds the t^k coefficients of (A1, A2, B1, B2); the
-    seed is (mu, lambda, 0, lambda) with B1'(0) = +2, A1'(0) = 0 and
-    A2'(0) = -B2'(0) = -mu/(4 lambda).
+    coefficients[k], shape (order+1, 4), holds the t^k coefficients of
+    (A1, A2, B1, B2); the seed is (mu, lambda, 0, lambda) with
+    B1'(0) = +2, A1'(0) = 0 and A2'(0) = -B2'(0) = -mu/(4 lambda).
     """
 
-    mu: float
-    lam: float
-    order: int
-    coefficients: np.ndarray  # shape (order+1, 4)
+    def __init__(self, mu: float, lam: float, order: int, coefficients: np.ndarray):
+        vars(self).update(mu=mu, lam=lam, order=order, coefficients=coefficients)
 
     def truncation_offset(self, tol: float = 1e-10) -> float:
         """Largest launch offset with last-term estimate below tol, at most SERIES_MAX_OFFSET."""
@@ -95,8 +101,7 @@ class SeriesStart:
         return min(SERIES_MAX_OFFSET, (tol / last) ** (1.0 / self.order))
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """Ordered samples of an integrated solution.
 
     params is strictly increasing in the stated parameter kind ("t" or
@@ -105,13 +110,10 @@ class Trajectory:
     from spheres and f on first use.
     """
 
-    kind: str
-    params: np.ndarray
-    shapes: np.ndarray
-    spheres: np.ndarray
-    f: np.ndarray
-    termination: str
-    stats: dict
+    def __init__(self, kind: str, params: np.ndarray, shapes: np.ndarray, spheres: np.ndarray,
+                 f: np.ndarray, termination: str, stats: dict):
+        vars(self).update(kind=kind, params=params, shapes=shapes, spheres=spheres, f=f,
+                          termination=termination, stats=stats)
 
     def __len__(self) -> int:
         return len(self.params)
@@ -141,16 +143,13 @@ class Trajectory:
         return self.monitors[:, flow.MONITOR_NAMES.index(name)]
 
 
-@dataclass(frozen=True)
-class ALCFit:
+class ALCFit(_Record):
     """Affine fits of the shape functions over a trailing t-window."""
 
-    slopes: np.ndarray
-    intercepts: np.ndarray
-    t_lo: float
-    t_hi: float
-    max_relative_deviation: float
-    note: str = ALC_NOTE
+    def __init__(self, slopes: np.ndarray, intercepts: np.ndarray, t_lo: float, t_hi: float,
+                 max_relative_deviation: float, note: str = ALC_NOTE):
+        vars(self).update(slopes=slopes, intercepts=intercepts, t_lo=t_lo, t_hi=t_hi,
+                          max_relative_deviation=max_relative_deviation, note=note)
 
 
 # -- power series off the singular orbit ----------------------------------
@@ -224,7 +223,16 @@ def eval_series(s: SeriesStart, t) -> np.ndarray:
 
 # -- quadrature --------------------------------------------------------------
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+# np.polynomial.legendre.leggauss(20) bit for bit (importing numpy.polynomial costs ~3 ms
+# of start-up): its nodes are exactly odd and its weights exactly even, so half of each mirrors.
+_GL_XP = (0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+          0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+          0.9639719272779138, 0.993128599185095)
+_GL_WP = (0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+          0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+          0.040601429800386446, 0.017614007139150893)
+_GL_X = flow._frozen([-x for x in _GL_XP[::-1]] + list(_GL_XP))
+_GL_W = flow._frozen(_GL_WP[::-1] + _GL_WP)
 
 
 def gauss_legendre(fn, a, b):
@@ -580,15 +588,14 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
                             stop=sphere_stop(1e-6))
     stats = {**tail.stats, "chart": {"v_span": float(vs[-1]), "steps": cstats["steps"],
                                      "u_switch": float(cys[-1, 3])}}
-    traj = Trajectory.from_samples("u", np.concatenate([cys[:-1, 3], tail.params]),
-                                   spheres=np.concatenate([chart[:-1], tail.spheres]),
+    params = np.concatenate([cys[:-1, 3], tail.params])
+    spheres = np.concatenate([chart[:-1], tail.spheres])
+    termination = tail.termination
+    if termination == REACHED_HORIZON and detect_convergence(spheres, params)[0]:
+        termination = CONVERGED
+    return Trajectory.from_samples("u", params, spheres=spheres,
                                    f=np.concatenate([np.exp(cys[:-1, 4]), tail.f]),
-                                   termination=tail.termination, stats=stats)
-    if traj.termination == REACHED_HORIZON:
-        converged, _ = detect_convergence(traj.spheres, traj.params)
-        if converged:
-            traj = replace(traj, termination=CONVERGED)
-    return traj
+                                   termination=termination, stats=stats)
 
 
 def detect_convergence(spheres, params, tol: float = 1e-6):

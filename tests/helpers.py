@@ -46,6 +46,13 @@ def constant_trajectory(s, f0=2.0, slope=1.0, n=50, t_hi=80.0):
                                          f=f0 + slope * t)
 
 
+def with_termination(traj, termination):
+    """traj rebuilt through the Trajectory constructor with another termination,
+    every other field kept (the copy computes its own monitors)."""
+    return shoot.Trajectory(traj.kind, traj.params, traj.shapes, traj.spheres, traj.f,
+                            termination, traj.stats)
+
+
 # -- sphere points, the chart inverse and the discrete symmetries ---------------
 
 

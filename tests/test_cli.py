@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +17,7 @@ from g2cone.shoot import SERIES_MAX_OFFSET
 from g2cone.cli import (CSV_HEADER, MAX_CONV_TOL, MAX_MU_POINTS, MAX_SAMPLES, MAX_T_MAX,
                         MAX_TOL, MAX_U_MAX, SWEEP_HEADER, ConfigError, main, mu_values,
                         parse_args, validate)
+from helpers import with_termination
 
 
 def run(args):
@@ -341,7 +341,8 @@ def test_shoot_alc_block(tmp_path):
 
 def test_stride_only_thins_written_rows(tmp_path):
     # the report (convergence, fit, monitors) reads the whole run whatever
-    # --stride is; the CSV keeps rows 0, N, 2N, ..., last of the stride-1 CSV
+    # --stride is; the CSV keeps rows 0, N, 2N, ..., last of the stride-1 CSV,
+    # also for a stride past int64, which keeps the first and the last row only
     def shoot(stride):
         out = tmp_path / str(stride)
         assert run(["shoot", "--mu", "0.3", "--stride", str(stride), "--out", str(out)]) == 0
@@ -350,11 +351,12 @@ def test_stride_only_thins_written_rows(tmp_path):
         return rep, (out / "shoot_mu0.3.csv").read_text().splitlines()
 
     rep, (header, *rows) = shoot(1)
-    for n in (4, 16, 100000):
+    for n in (4, 16, 100000, 10**20):
         thin_rep, (thin_header, *thin_rows) = shoot(n)
         assert thin_rep == rep, n
         assert thin_header == header
         assert thin_rows == rows[:-1:n] + rows[-1:], n
+    assert thin_rows == [rows[0], rows[-1]]
 
 
 def test_shoot_beyond_family_edge_reports_and_fails(tmp_path):
@@ -377,8 +379,9 @@ def test_step_failure_never_passes(tmp_path, monkeypatch):
     # a sweep member that passes every other gate
     assert run(["sweep", "--mu", "0.3", "--out", str(tmp_path / "ok"), "--format", "json"]) == 0
     family = g2cone.shoot.family_shape_trajectory
-    monkeypatch.setattr(g2cone.shoot, "family_shape_trajectory", lambda mu, **kw: replace(
-        family(mu, **kw), termination=g2cone.shoot.STEP_FAILURE))
+    monkeypatch.setattr(g2cone.shoot, "family_shape_trajectory",
+                        lambda mu, **kw: with_termination(family(mu, **kw),
+                                                          g2cone.shoot.STEP_FAILURE))
     assert run(["sweep", "--mu", "0.3", "--out", str(tmp_path), "--format", "json"]) == 1
     assert load(tmp_path / "sweep.json")["members"][0]["pass"] is False
 
@@ -605,7 +608,7 @@ _OPTIONS = {
     "--tol": ["1e-10", "5e-324", repr(MAX_TOL), _PAST_TOL, "0.1", "1e300", "0", "-1e-10", *_BAD],
     "--conv-tol": ["1e-6", "5e-324", repr(MAX_CONV_TOL), _PAST_CONV, "0", *_BAD],
     "--order": ["3", "8", "2", "9", "-1", "3.5", "abc"],
-    "--stride": ["1", "7", "1000000000000", "0", "-1", "abc"],
+    "--stride": ["1", "7", "1000000000000", str(2**63), str(10**20), "0", "-1", "abc"],
     "--seed": ["0", str(2**70), "-1", "abc"],
     "--format": ["csv,json", "json", "svg", "", "csv,svg,json", "bogus", ",,"],
 }
@@ -647,6 +650,7 @@ def _argv(draw):
 @example(argv=["shoot", "--mu", "0.3", "--t-max", "1e103"], unusable_out=False)  # f^3 overflows
 @example(argv=["shoot", "--mu", "0.3", "--u-max", "6000"], unusable_out=False)  # so does exp(ln f)
 @example(argv=["stationary", "--mu-range", "0.25:0.75:3\t"], unusable_out=False)  # echoed in JSON
+@example(argv=["shoot", "--mu", "0.3", "--stride", str(2**63)], unusable_out=False)  # past int64
 def test_exit_code_contract_generated(tmp_path_factory, argv, unusable_out):
     """Every argv exits 0, 1 or 2 without an exception or a RuntimeWarning, and
     writes its report (exit 2 exactly when it has an error), except after a

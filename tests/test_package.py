@@ -1,8 +1,13 @@
-"""Every public name the package defines has a caller outside the tests, and
-the entry points read no private name of another module."""
+"""Every public name the package defines has a caller outside the tests, the
+entry points read no private name of another module, and start-up loads
+nothing beyond numpy that the mathematics does not need."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,3 +83,37 @@ def test_cli_and_demos_read_no_private_name():
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in modules and node.attr.startswith("_")]
     assert not reads, reads
+
+
+def _fresh(code: str) -> list:
+    """The JSON that code prints last in a fresh interpreter with this checkout's src/ first."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_only_the_package_beyond_numpy():
+    """The modules that import g2cone.cli adds to those of import numpy are
+    __future__ and g2cone's own: a set, not a clock (dataclasses and
+    numpy.polynomial once cost about 8 ms of start-up)."""
+    added = _fresh("import json, sys, numpy\nbefore = set(sys.modules)\nimport g2cone.cli\n"
+                   "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    assert set(added) == {"__future__", *(m for m in added if m.split(".")[0] == "g2cone")}
+    assert {"g2cone.cli", "g2cone.shoot", "g2cone.analysis"} <= set(added)
+
+
+def test_no_command_loads_dataclasses_or_numpy_polynomial(tmp_path):
+    """All five commands in one fresh interpreter leave dataclasses and
+    numpy.polynomial unloaded."""
+    ran = _fresh(
+        "import json, sys\nfrom g2cone import cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "codes = [cli.main(argv + ['--out', out]) for argv in (\n"
+        "    ['verify-torsion', '--samples', '5'], ['oracle'], ['stationary'],\n"
+        "    ['shoot', '--mu', '0.3'], ['sweep', '--mu', '0.3'])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m == 'dataclasses'"
+        " or m.startswith('numpy.polynomial'))]))\n")
+    assert ran == [[0, 0, 0, 0, 0], []]

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -16,7 +15,7 @@ from g2cone import analysis, cli, flow, shoot
 from g2cone.analysis import closed_form, dr_dt, r_to_t
 from g2cone.exterior import ShapeState
 from conftest import MU_CONVERGING, MU_GRID
-from helpers import constant_trajectory, sphere_to_chart
+from helpers import constant_trajectory, sphere_to_chart, with_termination
 
 SQ3 = math.sqrt(3.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -581,6 +580,16 @@ def test_gauss_legendre_cumulative_edge_cases():
     assert t[0] < 0.0 < t[1]
 
 
+def test_gauss_legendre_nodes_are_leggauss():
+    """The literal 20-point nodes and weights are numpy's leggauss(20) bit for bit,
+    exactly mirrored, and read-only."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    assert np.array_equal(shoot._GL_X, x) and np.array_equal(shoot._GL_W, w)
+    assert np.array_equal(shoot._GL_X, -shoot._GL_X[::-1])
+    assert np.array_equal(shoot._GL_W, shoot._GL_W[::-1])
+    assert not shoot._GL_X.flags.writeable and not shoot._GL_W.flags.writeable
+
+
 def test_r_to_t_batch_matches_one_end_calls():
     """Each batch entry agrees with its own one-end call to 1e-14 relative,
     and the one-end call keeps its bits."""
@@ -954,7 +963,7 @@ def test_undecided_edge_probe_raises(monkeypatch, termination):
     run = shoot.family_shape_trajectory
 
     def undecided(mu, *args, **kwargs):
-        return dataclasses.replace(run(mu, *args, **kwargs), termination=termination)
+        return with_termination(run(mu, *args, **kwargs), termination)
 
     monkeypatch.setattr(shoot, "family_shape_trajectory", undecided)
     with pytest.raises(RuntimeError, match=rf"mu=0\.5, rtol=1e-10: {termination}$"):
@@ -1071,15 +1080,37 @@ def test_edge_search_builds_no_monitor_table(monkeypatch):
 
 def test_monitors_on_first_use():
     """A trajectory's monitors are flow.monitor_table of its samples, bit for bit,
-    computed on first read and kept; a replace() copy computes its own."""
+    computed on first read and kept; a copy with another termination computes its own."""
     launch = shoot.launch_sphere(0.3)
     assert launch.termination == shoot.CONVERGED  # as assembled, from the tail's stop
-    for traj in (launch, dataclasses.replace(launch, termination=shoot.REACHED_HORIZON)):
+    for traj in (launch, with_termination(launch, shoot.REACHED_HORIZON)):
         assert "monitors" not in vars(traj)
         table = flow.monitor_table(traj.spheres, traj.f)
         assert traj.monitors.tobytes() == table.tobytes()
         assert traj.monitors is traj.monitors
         assert traj.monitor("G1").tobytes() == table[:, 6].tobytes()
+
+
+def test_records_are_read_only():
+    """SeriesStart, Trajectory and ALCFit refuse to assign or delete a field
+    (monitors included, once computed); StationaryReport stays mutable."""
+    fit = shoot.ALCFit(np.zeros(4), np.ones(4), 10.0, 20.0, 0.0)
+    assert fit.note == shoot.ALC_NOTE
+    assert shoot.ALCFit(slopes=1, intercepts=2, t_lo=3, t_hi=4, max_relative_deviation=5,
+                        note="n").note == "n"
+    traj = shoot.launch_sphere(0.3, u_max=5.0)
+    assert traj.monitors.shape == (len(traj), 9)  # computed and cached, then read-only too
+    for record in (shoot.series_start(0.3), traj, fit):
+        for name in [*vars(record), "other"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    assert traj.termination == shoot.REACHED_HORIZON and "monitors" in vars(traj)
+    report = analysis.stationary_points()[0]
+    report.name = "renamed"
+    del report.field_residual
+    assert report.name == "renamed" and not hasattr(report, "field_residual")
 
 
 def test_launch_below_the_edge_converges():
