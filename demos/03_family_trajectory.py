@@ -36,16 +36,16 @@ print(f"shape integration to t = 200: {len(traj)} samples, {traj.termination}")
 print(f"  conserved cubic F: {F[0]:.12f} (drift {np.max(np.abs(F - F[0])):.2e}; "
       f"seed value mu(1 - mu^2) = {MU * (1 - MU**2):.12f})")
 
-u_end = float(traj.stats["u"][-1])
+u_end = float(traj.u[-1])
 cont = shoot.integrate_sphere(traj.spheres[-1], u_end, 60.0, ln_f0=np.log(traj.f[-1]),
                               tol=1e-10, stop=shoot.sphere_stop(1e-6))
-ok, u_conv = shoot.detect_convergence(cont.spheres, cont.params, tol=1e-6)
+ok, u_conv = shoot.detect_convergence(cont.spheres, cont.u, tol=1e-6)
 print(f"  sphere continuation: converged to the limit direction at u = {u_conv:.3f}")
 print(f"  stopped ({cont.termination}) after {cont.stats['steps']} steps, in the proven "
       f"trapping set at distance {np.linalg.norm(cont.spheres[-1] - flow.SINF):.2e}")
 print()
 
-fit = shoot.alc_fit(traj)
+fit = shoot.alc_fit(traj.t, traj.shapes)
 print("asymptotically conic fit over the trailing half:")
 for name, slope, intercept in zip(("A1", "A2", "B1", "B2"), fit.slopes, fit.intercepts):
     print(f"  {name}: slope {slope:+.6f}  intercept {intercept:+.6f}")
@@ -57,7 +57,7 @@ print()
 from g2cone.reporting import write_svg_plot  # noqa: E402
 
 write_svg_plot(OUT / f"family_mu{MU}_shapes.svg",
-               [(traj.params, traj.shapes[:, j], n)
+               [(traj.t, traj.shapes[:, j], n)
                 for j, n in enumerate(("A1", "A2", "B1", "B2"))],
                f"family member mu = {MU}", "t", "metric functions")
 write_svg_plot(OUT / f"family_mu{MU}_sphere.svg",

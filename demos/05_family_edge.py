@@ -23,12 +23,12 @@ print("sweep over mu (sphere-normalized seed (mu, lambda, 0, lambda)):")
 print(f"{'mu':>6} {'outcome':22} {'u_conv':>8} {'u_wall':>8} {'min dist to S1':>15}")
 for mu in np.arange(1, 10) / 10.0:
     traj = shoot.launch_sphere(mu, u_max=60.0)
-    ok, u_conv = shoot.detect_convergence(traj.spheres, traj.params, tol=1e-6)
+    ok, u_conv = shoot.detect_convergence(traj.spheres, traj.u, tol=1e-6)
     d1 = float(np.min(np.linalg.norm(traj.spheres - flow.S1, axis=1)))
     outcome = "converges to S_inf" if ok else "escapes (incomplete)"
     u_str = f"{u_conv:8.2f}" if ok else "       -"
     wall = traj.termination == shoot.WALL_CROSSING  # ends at its first sample past the wall
-    w_str = f"{traj.params[-1]:8.4f}" if wall else "       -"
+    w_str = f"{traj.u[-1]:8.4f}" if wall else "       -"
     print(f"{mu:6.1f} {outcome:22} {u_str} {w_str} {d1:15.4e}")
 print()
 
@@ -45,7 +45,7 @@ for mu in (0.52, 0.54, 0.5441):
 print()
 escaped = shoot.family_shape_trajectory(0.6, t_max=60.0, tol=1e-12)
 print("past the wall the family run at mu = 0.6 heads on into the corner:")
-print(f"  {escaped.termination} at t = {escaped.params[-1]:.4f} with "
+print(f"  {escaped.termination} at t = {escaped.t[-1]:.4f} with "
       f"max(alpha2, alpha3, alpha4) = {float(np.max(escaped.spheres[-1, 1:])):.2e}")
 print()
 print("the edge member is asymptotically conic (it limits onto S1, where the")

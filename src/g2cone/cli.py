@@ -149,19 +149,19 @@ def _shoot_pipeline(mu: float, args) -> tuple:
     on in u until sphere_stop(--conv-tol) or u_max ends it; summary "continuation" says which.
     """
     traj = shoot.family_shape_trajectory(mu, t_max=args.t_max, tol=args.tol, order=args.order)
-    u, spheres, continuation = traj.stats["u"], traj.spheres, None
+    u, spheres, continuation = traj.u, traj.spheres, None
     if u[-1] < args.u_max and traj.termination == shoot.REACHED_HORIZON:
         cont = shoot.integrate_sphere(spheres[-1], float(u[-1]), args.u_max,
                                       ln_f0=math.log(traj.f[-1]), tol=args.tol,
                                       stop=shoot.sphere_stop(args.conv_tol))
-        u = np.concatenate([u, cont.params[1:]])
+        u = np.concatenate([u, cont.u[1:]])
         spheres = np.concatenate([spheres, cont.spheres[1:]])
         continuation = cont.termination
     converged, u_conv = shoot.detect_convergence(spheres, u, args.conv_tol)
 
     F = traj.monitor("F")
     ok = converged and traj.termination == shoot.REACHED_HORIZON
-    return traj, shoot.alc_fit(traj), {
+    return traj, shoot.alc_fit(traj.t, traj.shapes), {
         "mu": mu,
         "termination": traj.termination,
         "positivity_ok": traj.termination != shoot.POSITIVITY_VIOLATION,
@@ -188,10 +188,10 @@ def _write_shoot_artifacts(mu: float, traj: shoot.Trajectory, outdir: Path, args
     tag = f"shoot_mu{mu!r}"  # mu's shortest round-trip repr: one name per value
     files = []
     rows = [*range(0, len(traj) - 1, args.stride), len(traj) - 1]
-    t, shapes, spheres = traj.params[rows], traj.shapes[rows], traj.spheres[rows]
+    t, shapes, spheres = traj.t[rows], traj.shapes[rows], traj.spheres[rows]
     if "csv" in args.format:
         path = outdir / f"{tag}.csv"
-        write_csv(path, CSV_HEADER, np.column_stack([t, traj.stats["u"][rows], shapes, spheres,
+        write_csv(path, CSV_HEADER, np.column_stack([t, traj.u[rows], shapes, spheres,
                                                      traj.f[rows], traj.monitors[rows]]))
         files.append(path.name)
     if "svg" in args.format:
@@ -256,13 +256,6 @@ _ORACLE = {"bgg": (2.3, 50.0, -27.0 / 8.0),
            "singular": (0.1, 50.0, 1.0 / (3.0 * math.sqrt(3.0)))}
 
 
-def _bs_trajectory(r_hi: float = 300.0, n: int = 260) -> shoot.Trajectory:
-    """The round closed form as a t-parameterized trajectory (for asymptotics)."""
-    rs = np.geomspace(1.5, r_hi, n)
-    return shoot.Trajectory.from_samples("t", analysis.r_to_t("bs", rs),
-                                         shapes=analysis.closed_form("bs", rs))
-
-
 def cmd_oracle(args, outdir: Path, report: dict) -> str:
     ok = True
     for kind in analysis.CLOSED_FORM_KINDS:
@@ -274,7 +267,9 @@ def cmd_oracle(args, outdir: Path, report: dict) -> str:
                  "pass": res["max_mismatch"] <= 1e-7 and f_dev <= 1e-9}
         ok = ok and entry["pass"]
         report[kind] = entry
-    report["bs_asymptotics"] = _fit_dict(shoot.alc_fit(_bs_trajectory()))
+    rs = np.geomspace(1.5, 300.0, 260)  # the round closed form's asymptotics
+    report["bs_asymptotics"] = _fit_dict(shoot.alc_fit(analysis.r_to_t("bs", rs),
+                                                        analysis.closed_form("bs", rs)))
     report["pass"] = ok
     return "oracle.json"
 

@@ -92,18 +92,28 @@ _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
+def _axis(lo: float, hi: float) -> tuple:
+    """(lo, hi) with hi > lo: a degenerate axis widened to lo + 1.0, or by one float
+    spacing toward zero where adding 1.0 does not move lo (|lo| >= 2**53)."""
+    if hi > lo:
+        return lo, hi
+    if lo + 1.0 != lo:
+        return lo, lo + 1.0
+    return tuple(sorted((lo, math.nextafter(lo, 0.0))))
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list:
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round values start + k step in [lo, hi], lo < hi; k is bounded: v += step may not move v."""
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     start = math.ceil(lo / step) * step
     out = []
-    v = start
-    while v <= hi + 1e-12 * step:
+    for k in range(2 * n + 2):  # step >= (hi - lo) / n, so at most n + 1 values are in range
+        v = start + k * step
+        if v > hi + 1e-12 * step:
+            break
         out.append(0.0 if abs(v) < 1e-12 * step else v)
-        v += step
     return out
 
 
@@ -119,10 +129,7 @@ def write_svg_plot(path, series, title: str, xlabel: str, ylabel: str) -> None:
         raise ValueError("nothing to plot")
     xlo, xhi = float(xs.min()), float(xs.max())
     ylo, yhi = float(ys.min()), float(ys.max())
-    if xhi == xlo:
-        xhi = xlo + 1.0
-    if yhi == ylo:
-        yhi = ylo + 1.0
+    (xlo, xhi), (ylo, yhi) = _axis(xlo, xhi), _axis(ylo, yhi)
     ypad = 0.05 * (yhi - ylo)
     ylo, yhi = ylo - ypad, yhi + ypad
 

@@ -102,37 +102,29 @@ class SeriesStart(_Record):
 
 
 class Trajectory(_Record):
-    """Ordered samples of an integrated solution.
+    """Ordered samples of an integrated solution, as named columns.
 
-    params is strictly increasing in the stated parameter kind ("t" or
-    "u"); shapes and spheres are (n, 4) with shapes = f * spheres.
-    Instances are not mutated after creation; the monitor table is computed
-    from spheres and f on first use.
+    t and u are the cone and sphere parameters, each strictly increasing,
+    or None where the run does not track it (a sphere run has no t, a
+    closed form no u).  shapes and spheres are (n, 4) with shapes =
+    f * spheres: pass shapes, or spheres and f, and the rest is derived.
+    stats holds the integrator's counters only.  Instances are not mutated
+    after creation; the monitor table is computed from spheres and f on
+    first use, so a run no one reads it of (an edge probe) never builds it.
     """
 
-    def __init__(self, kind: str, params: np.ndarray, shapes: np.ndarray, spheres: np.ndarray,
-                 f: np.ndarray, termination: str, stats: dict):
-        vars(self).update(kind=kind, params=params, shapes=shapes, spheres=spheres, f=f,
-                          termination=termination, stats=stats)
-
-    def __len__(self) -> int:
-        return len(self.params)
-
-    @classmethod
-    def from_samples(cls, kind: str, params, *, shapes=None, spheres=None, f=None,
-                     termination: str = REACHED_HORIZON, stats=None) -> "Trajectory":
-        """Assemble from shapes, or from spheres and f; the other columns are derived.
-
-        The monitor table is not computed here: a run that no one reads the
-        monitors of (an edge probe, a launch's tail) never builds it.
-        """
+    def __init__(self, *, t=None, u=None, shapes=None, spheres=None, f=None,
+                 termination: str = REACHED_HORIZON, stats=None):
         if shapes is None:
             shapes = spheres * f[:, None]
         else:
             f = np.linalg.norm(shapes, axis=1)
             spheres = shapes / f[:, None]
-        return cls(kind, np.asarray(params, dtype=float), shapes, spheres, f,
-                   termination, dict(stats or {}))
+        vars(self).update(t=t, u=u, shapes=shapes, spheres=spheres, f=f,
+                          termination=termination, stats=dict(stats or {}))
+
+    def __len__(self) -> int:
+        return len(self.f)
 
     @functools.cached_property
     def monitors(self) -> np.ndarray:
@@ -233,6 +225,7 @@ _GL_WP = (0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.131688
           0.040601429800386446, 0.017614007139150893)
 _GL_X = flow._frozen([-x for x in _GL_XP[::-1]] + list(_GL_XP))
 _GL_W = flow._frozen(_GL_WP[::-1] + _GL_WP)
+_GL_MAX_PANELS = 100_000  # 16 MB of abscissae; r_to_t's widest span, sqrt(1e6), takes 1,000
 
 
 def gauss_legendre(fn, a, b):
@@ -241,12 +234,12 @@ def gauss_legendre(fn, a, b):
     Integrals of fn from the float a to every entry of b (float or array,
     whose shape the result keeps), in one pass: the span is cut at a and
     at each distinct end, each gap gets its own number of panels, at most
-    one unit wide and at least eight in all, and each integral is a prefix
-    sum of gap integrals.  Accurate to rounding when fn is analytic 0.5
-    off the real segment.  fn maps an array of abscissae to integrand
-    values elementwise, one call per distinct panel count; the nodes avoid
-    the knots, so fn only needs a continuous extension there.  An end
-    equal to a gives exactly 0.0.
+    one unit wide and at least eight in all (past _GL_MAX_PANELS in all,
+    ValueError), and each integral is a prefix sum of gap integrals.
+    Accurate to rounding when fn is analytic 0.5 off the real segment.
+    fn maps an array of abscissae to integrand values elementwise, one
+    call per distinct panel count; the nodes avoid the knots, so fn only
+    needs a continuous extension there.  An end equal to a gives exactly 0.0.
     """
     b = np.asarray(b, dtype=float)
     ends = b.ravel().tolist()
@@ -255,7 +248,11 @@ def gauss_legendre(fn, a, b):
     knots = sorted({a, *ends})  # not np.unique: its first call imports numpy.ma
     cuts = np.array(knots)
     h = cuts[1:] - cuts[:-1]
-    panels = np.maximum(math.ceil(8 / max(1, len(h))), np.ceil(h)).astype(int)
+    panels = np.maximum(math.ceil(8 / max(1, len(h))), np.ceil(h))
+    if not panels.sum() <= _GL_MAX_PANELS:  # checked before any abscissa is built
+        raise ValueError(f"gauss_legendre needs {panels.sum():.3g} panels, past its budget "
+                         f"of {_GL_MAX_PANELS}")
+    panels = panels.astype(int)
     gaps = np.zeros(len(h))
     for count in sorted(set(panels.tolist())):  # one rule per panel count
         each = panels == count
@@ -481,7 +478,7 @@ def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, max_step: f
     """Integrate the shape flow from a strictly positive shape (4,).
 
     The sphere parameter u (du = dt / f) rides along as a quadrature
-    variable and is exposed in stats["u"].  Terminates early when any
+    variable and is the trajectory's u column.  Terminates early when any
     shape component drops below 1e-9 or the step size collapses; the
     reason is recorded on the trajectory, never silently.  until_decided also
     stops at the first step with G1 < -m (WALL_CROSSING: the escape is decided)
@@ -509,8 +506,7 @@ def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, max_step: f
 
     ts, ys, term, stats = _integrate(_shape_field, t0, np.append(r, u0), t1, tol,
                                      max_step=max_step, stop=stop)
-    return Trajectory.from_samples("t", ts, shapes=ys[:, :4], termination=term,
-                                   stats={**stats, "u": ys[:, 4].copy()})
+    return Trajectory(t=ts, u=ys[:, 4].copy(), shapes=ys[:, :4], termination=term, stats=stats)
 
 
 def integrate_sphere(start: np.ndarray, u0: float, u1: float, ln_f0: float = 0.0,
@@ -533,8 +529,7 @@ def integrate_sphere(start: np.ndarray, u0: float, u1: float, ln_f0: float = 0.0
 
     us, ys, term, stats = _integrate(flow._sphere_rate, u0, np.append(a0, ln_f0), u1, tol,
                                      max_step=max_step, project=_project_sphere, stop=stop)
-    return Trajectory.from_samples("u", us, spheres=ys[:, :4], f=np.exp(ys[:, 4]),
-                                   termination=term, stats=stats)
+    return Trajectory(u=us, spheres=ys[:, :4], f=np.exp(ys[:, 4]), termination=term, stats=stats)
 
 
 def unstable_direction(mu: float) -> np.ndarray:
@@ -588,14 +583,13 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
                             stop=sphere_stop(1e-6))
     stats = {**tail.stats, "chart": {"v_span": float(vs[-1]), "steps": cstats["steps"],
                                      "u_switch": float(cys[-1, 3])}}
-    params = np.concatenate([cys[:-1, 3], tail.params])
+    u = np.concatenate([cys[:-1, 3], tail.u])
     spheres = np.concatenate([chart[:-1], tail.spheres])
     termination = tail.termination
-    if termination == REACHED_HORIZON and detect_convergence(spheres, params)[0]:
+    if termination == REACHED_HORIZON and detect_convergence(spheres, u)[0]:
         termination = CONVERGED
-    return Trajectory.from_samples("u", params, spheres=spheres,
-                                   f=np.concatenate([np.exp(cys[:-1, 4]), tail.f]),
-                                   termination=termination, stats=stats)
+    return Trajectory(u=u, spheres=spheres, f=np.concatenate([np.exp(cys[:-1, 4]), tail.f]),
+                      termination=termination, stats=stats)
 
 
 def detect_convergence(spheres, params, tol: float = 1e-6):
@@ -631,24 +625,26 @@ def sample_at_level(traj: Trajectory, level: float):
     return s / np.linalg.norm(s)
 
 
-def alc_fit(traj: Trajectory) -> ALCFit | None:
-    """Affine fit of the shape functions over the trailing half of the t span.
+def alc_fit(t, shapes) -> ALCFit | None:
+    """Affine fit of the shapes (n, 4) over the trailing half of the span of t (n).
 
     Certifies the asymptotically conic behaviour: each metric function
     approaches an affine function of t, one of them a constant.  None
-    when the recorded samples cannot carry a fit: a t span below 30 or
-    a trailing window below 10 in t.
+    when the samples cannot carry a fit: a t span below 30 or a trailing
+    window below 10 in t.  A t that is not 1-D with one entry per shape
+    (None, say: a sphere run has no t) raises ValueError.
     """
-    if traj.kind != "t":
-        raise ValueError("asymptotic fit needs a t-parameterized trajectory")
-    span = traj.params[-1] - traj.params[0]
-    sel = traj.params >= traj.params[-1] - 0.5 * span
-    if span < 30.0 or traj.params[-1] - traj.params[sel][0] < 10.0:
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1 or len(t) != len(shapes):
+        raise ValueError("asymptotic fit needs one t per row of shapes")
+    span = t[-1] - t[0]
+    sel = t >= t[-1] - 0.5 * span
+    if span < 30.0 or t[-1] - t[sel][0] < 10.0:
         return None
-    ts = traj.params[sel]
+    ts = t[sel]
     dev, slopes, intercepts = 0.0, np.empty(4), np.empty(4)
     for j in range(4):
-        vals = traj.shapes[sel, j]
+        vals = shapes[sel, j]
         slopes[j], intercepts[j] = np.polyfit(ts, vals, 1)
         fit = slopes[j] * ts + intercepts[j]
         # |1 - y/fit| with fit values indistinguishable from zero skipped
@@ -682,7 +678,7 @@ def _edge_probe(mu: float, rtol: float) -> tuple:
     if verdict is None:
         raise RuntimeError(f"undecided edge probe at mu={mu!r}, rtol={rtol!r}: {traj.termination}")
     dwell = abs(float(np.dot(_S1_LEFT, d[k]))) * math.exp(
-        -flow.S1_EIGENVALUES[2] * traj.stats["u"][k])
+        -flow.S1_EIGENVALUES[2] * traj.u[k])
     return verdict, verdict * dwell
 
 

@@ -42,15 +42,18 @@ def hermite_sample(params, values, derivs, x):
 def constant_trajectory(s, f0=2.0, slope=1.0, n=50, t_hi=80.0):
     """Synthetic exactly-conic trajectory along a fixed unit direction s."""
     t = np.linspace(1.0, t_hi, n)
-    return shoot.Trajectory.from_samples("t", t, spheres=np.tile(s, (n, 1)),
-                                         f=f0 + slope * t)
+    return shoot.Trajectory(t=t, spheres=np.tile(s, (n, 1)), f=f0 + slope * t)
 
 
 def with_termination(traj, termination):
     """traj rebuilt through the Trajectory constructor with another termination,
-    every other field kept (the copy computes its own monitors)."""
-    return shoot.Trajectory(traj.kind, traj.params, traj.shapes, traj.spheres, traj.f,
-                            termination, traj.stats)
+    every other field kept bit for bit: a run with t from its shapes, any other
+    from spheres and f, the columns it was built from (the copy computes its own
+    monitors)."""
+    columns = ({"shapes": traj.shapes} if traj.t is not None
+               else {"spheres": traj.spheres, "f": traj.f})
+    return shoot.Trajectory(t=traj.t, u=traj.u, **columns, termination=termination,
+                            stats=traj.stats)
 
 
 # -- sphere points, the chart inverse and the discrete symmetries ---------------
@@ -79,24 +82,21 @@ def symmetry(k: int) -> tuple:
 def apply_symmetry(obj, k: int):
     """Apply symmetry k to a unit direction (an array) or to a sphere trajectory.
 
-    For trajectories the parameter axis is negated and the sample order
-    reversed when the symmetry includes u -> -u, and so is a t-trajectory's
-    u column in its stats; the scale f is carried along unchanged (signed
-    permutations preserve |R|) and the monitors are recomputed on the
-    transformed samples.
+    For trajectories the sample order is reversed, and the t and u columns
+    (those the run has) negated, when the symmetry includes u -> -u; the scale
+    f is carried along unchanged (signed permutations preserve |R|) and the
+    monitors are recomputed on the transformed samples.
     """
     mat, reverse = symmetry(k)
     if isinstance(obj, np.ndarray):
         return mat @ obj
-    # duck-typed trajectory: rebuilt by its own class from params, spheres, f
-    spheres = obj.spheres @ mat.T
-    params, f, stats = obj.params, obj.f, dict(obj.stats)
+    # duck-typed trajectory: rebuilt by its own class from t, u, spheres, f
+    spheres, f, t, u = obj.spheres @ mat.T, obj.f, obj.t, obj.u
     if reverse:
-        spheres, f, params = spheres[::-1], f[::-1], -params[::-1]
-        if "u" in stats:  # the u column of a t-trajectory moves with its samples
-            stats["u"] = -stats["u"][::-1]
-    return type(obj).from_samples(obj.kind, params, spheres=spheres, f=f,
-                                  termination=obj.termination, stats=stats)
+        spheres, f = spheres[::-1], f[::-1]
+        t, u = (None if c is None else -c[::-1] for c in (t, u))
+    return type(obj)(t=t, u=u, spheres=spheres, f=f, termination=obj.termination,
+                     stats=obj.stats)
 
 
 # -- KForm reference for the closure engine ------------------------------------

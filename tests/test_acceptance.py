@@ -154,7 +154,7 @@ def test_criterion_4_family_convergence():
     start = time.monotonic()
     for mu in MU_GRID:
         launch = shoot.launch_sphere(mu, u_max=60.0)
-        ok, u_conv = shoot.detect_convergence(launch.spheres, launch.params, tol=1e-6)
+        ok, u_conv = shoot.detect_convergence(launch.spheres, launch.u, tol=1e-6)
         if not ok or u_conv >= 60.0:
             g1 = launch.monitor("G1")
             crossed = bool(np.any(g1 < 0))
@@ -166,7 +166,7 @@ def test_criterion_4_family_convergence():
         shape = shoot.family_shape_trajectory(mu, t_max=200.0, tol=1e-12)
         if shape.termination != shoot.REACHED_HORIZON or np.any(shape.shapes <= 0):
             failures.append(f"mu={mu:.1f}: positivity lost ({shape.termination})")
-        sel = (launch.params > launch.params[0]) & (launch.params <= u_conv)
+        sel = (launch.u > launch.u[0]) & (launch.u <= u_conv)
         s = launch.spheres[sel]
         if not (np.all(s[:, 3] > s[:, 1]) and np.all(s[:, 1] > 0)
                 and np.all(s[:, 0] > 0) and np.all(s[:, 2] > 0)):
@@ -235,7 +235,7 @@ def test_criterion_6_torsion_free_along_constructed_metrics(family_shapes):
             continue  # no metric is constructed beyond the family edge
         worst = 0.0
         for i in range(3, len(traj) - 3):
-            d = central_derivative(traj.params, traj.shapes, i)
+            d = central_derivative(traj.t, traj.shapes, i)
             res = ext.torsion_residual(traj.shapes[i], d)
             worst = max(worst, *res)
         worst_all = max(worst_all, worst)
@@ -247,13 +247,13 @@ def test_criterion_6_torsion_free_along_constructed_metrics(family_shapes):
 def test_criterion_7_alc_limit(family_shapes):
     """Trailing-window slopes (0, 1/sqrt3, 2/3, 1/sqrt3); A1 intercept stable."""
     failures = []
-    fit200 = shoot.alc_fit(family_shapes[0.5])
+    fit200 = shoot.alc_fit(family_shapes[0.5].t, family_shapes[0.5].shapes)
     expected = np.array([0.0, 1 / SQ3, 2.0 / 3.0, 1 / SQ3])
     err = float(np.max(np.abs(fit200.slopes - expected)))
     if err > 2e-2:
         failures.append(f"slopes off by {err:.3e} > 2e-2")
     traj400 = shoot.family_shape_trajectory(0.5, t_max=400.0, tol=1e-12)
-    fit400 = shoot.alc_fit(traj400)
+    fit400 = shoot.alc_fit(traj400.t, traj400.shapes)
     a1_change = abs(fit400.intercepts[0] - fit200.intercepts[0]) / abs(fit200.intercepts[0])
     if not fit200.intercepts[0] > 0.0:
         failures.append("A1 intercept not positive")

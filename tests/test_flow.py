@@ -69,7 +69,7 @@ def test_one_state_fields_match_array_path():
     rng = np.random.default_rng(11)
     states = np.exp(rng.uniform(-4.0, 2.0, size=(1000, 5)))
     batch = flow.velocity(states[:, :4])
-    f = np.linalg.norm(states[:, :4], axis=1)  # as Trajectory.from_samples
+    f = np.linalg.norm(states[:, :4], axis=1)  # as the Trajectory constructor
     spheres = states[:, :4] / f[:, None]
     sphere_batch = flow.velocity(spheres)
     betas = flow.monitor_table(spheres, f)[:, flow.MONITOR_NAMES.index("beta")]
@@ -346,7 +346,7 @@ def test_trajectory_equivariance():
             us, ys = run(image, backward=True)
 
             class Back:
-                params = us
+                u = us
                 spheres = ys
 
             other = Back()
@@ -355,8 +355,8 @@ def test_trajectory_equivariance():
         if rev:
             ref_w = other_w
         for u in np.linspace(0.1, span - 0.1, 7):
-            mine = hermite_sample(fwd.params, fwd.spheres, fwd_w, u)
-            theirs = hermite_sample(np.asarray(other.params),
+            mine = hermite_sample(fwd.u, fwd.spheres, fwd_w, u)
+            theirs = hermite_sample(np.asarray(other.u),
                                     np.asarray(other.spheres), ref_w, u)
             assert np.max(np.abs(mat @ mine - theirs)) <= 1e-8, f"symmetry {k}"
 
@@ -505,7 +505,7 @@ def test_monotone_relations_along_trajectory():
     launch point with a high-order central difference in u.
     """
     traj = shoot.family_shape_trajectory(0.5, t_max=3.0, tol=1e-12, max_step=0.002)
-    u = traj.stats["u"]
+    u = traj.u
     f1 = traj.monitor("F1")
     f2 = traj.monitor("F2")
     S = traj.spheres
@@ -570,12 +570,12 @@ def test_apply_symmetry_to_trajectory():
         image = apply_symmetry(base, k)
         mat, _ = symmetry(k)
         if reverse:
-            assert np.all(np.diff(image.params) > 0)
-            assert image.params[0] == -base.params[-1]
+            assert np.all(np.diff(image.u) > 0)
+            assert image.u[0] == -base.u[-1]
             assert np.allclose(image.spheres[0], mat @ base.spheres[-1], atol=0)
             assert image.f[0] == base.f[-1]
         else:
-            assert np.allclose(image.params, base.params, atol=0)
+            assert np.allclose(image.u, base.u, atol=0)
             assert np.allclose(image.spheres, base.spheres @ mat.T, atol=0)
         # shapes stay consistent with the transported scale
         assert np.allclose(image.shapes, image.spheres * image.f[:, None], atol=0)
@@ -586,9 +586,9 @@ def test_apply_symmetry_to_trajectory():
     base = shoot.family_shape_trajectory(0.3, t_max=5.0)
     for k in (2, 3):
         image = apply_symmetry(base, k)
-        assert np.array_equal(image.params, -base.params[::-1])
-        assert np.array_equal(image.stats["u"], -base.stats["u"][::-1])
-    assert np.array_equal(apply_symmetry(base, 4).stats["u"], base.stats["u"])
+        assert np.array_equal(image.t, -base.t[::-1])
+        assert np.array_equal(image.u, -base.u[::-1])
+    assert np.array_equal(apply_symmetry(base, 4).u, base.u)
 
 
 def test_symmetry_group_closure():

@@ -1,5 +1,6 @@
 import json
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -48,3 +49,28 @@ def test_svg_nan_samples_break_the_polyline(tmp_path):
     with pytest.raises(ValueError, match="nothing to plot"):
         write_svg_plot(tmp_path / "none.svg", [([0, 1], [nan, nan], "y")], "t", "x", "y")
     assert not (tmp_path / "none.svg").exists()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, np.float64(np.inf)])
+def test_json_refuses_infinity(bad):
+    with pytest.raises(ValueError, match="refusing to serialize infinity"):
+        dump_json({"x": [1.0, bad]})
+
+
+def test_json_refuses_an_unknown_type():
+    with pytest.raises(TypeError, match="cannot serialize"):
+        dump_json({"x": {1.0}})
+
+
+@pytest.mark.parametrize("x", [[1.0, 1.0 + 2**-52], [2.0**53, 2.0**53], [-2.0**60]])
+def test_svg_axis_of_a_few_ulps(tmp_path, x):
+    """An axis one ulp wide, where a tick loop of v += step never moved v, and a constant
+    at |x| >= 2**53, where widening by 1.0 left a zero width, write a well-formed SVG
+    with finite coordinates and a tick on each axis."""
+    path = tmp_path / "ulps.svg"
+    write_svg_plot(path, [(x, x, "y")], "t", "x", "y")
+    root = ET.parse(path).getroot()
+    lines = root.findall("{http://www.w3.org/2000/svg}line")
+    coords = [float(e.get(k)) for e in lines for k in ("x1", "y1", "x2", "y2")]
+    assert all(math.isfinite(c) for c in coords)
+    assert 1 + 2 <= len(lines) <= 1 + 2 * 12  # the legend's, and at most 2n + 2 ticks an axis

@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 from g2cone import analysis, cli, flow, shoot
 from g2cone.analysis import closed_form, dr_dt, r_to_t
 from g2cone.exterior import ShapeState
+from g2cone.reporting import dump_json
 from conftest import MU_CONVERGING, MU_GRID
 from helpers import constant_trajectory, sphere_to_chart, with_termination
 
@@ -177,7 +178,7 @@ def test_integrate_shape_against_round_closed_form():
     t1 = r_to_t("bs", r0) + 5.0
     traj = shoot.integrate_shape(start, r_to_t("bs", r0), t1, tol=1e-11)
     for i in range(0, len(traj), max(1, len(traj) // 20)):
-        t = traj.params[i]
+        t = traj.t[i]
         r = brentq(lambda rr: r_to_t("bs", rr) - t, r0 - 0.2, 60.0, xtol=1e-13)
         assert np.max(np.abs(traj.shapes[i] - closed_form("bs", r))) <= 1e-8
 
@@ -204,7 +205,7 @@ def test_integrator_counters(monkeypatch):
     traj = shoot.family_shape_trajectory(0.5, t_max=60.0, tol=1e-12)
     st = traj.stats
     assert st["evals"] == len(calls) == 1 + 6 * (st["steps"] + st["rejected"])
-    h = np.diff(traj.params)
+    h = np.diff(traj.t)
     assert st["h_min"] == pytest.approx(np.min(h), rel=1e-9)
     assert st["h_max"] == pytest.approx(np.max(h), rel=1e-9)
 
@@ -408,19 +409,18 @@ def test_kernel_bits_pinned(monkeypatch):
     stop, on to the u = 60 horizon as it was recorded.
     """
     traj = shoot.family_shape_trajectory(0.5, t_max=60.0, tol=1e-12)
-    stats = {k: v for k, v in traj.stats.items() if k != "u"}
     assert (len(traj), traj.termination) == (322, shoot.REACHED_HORIZON)
-    assert _hex([traj.params[-1], *traj.shapes[-1], traj.stats["u"][-1]]) == [
+    assert _hex([traj.t[-1], *traj.shapes[-1], traj.u[-1]]) == [
         "0x1.e000000000000p+5", "0x1.d604437b4c356p-1", "0x1.13414c4b57794p+5",
         "0x1.419738b6ce3bfp+5", "0x1.199c92e2a7d7ap+5", "0x1.09628864a6cb0p+2"]
-    assert _hex(stats) == {
+    assert _hex(traj.stats) == {
         "steps": 321, "rejected": 0, "evals": 1927, "h_min": "0x1.541678e368066p-9",
         "h_max": "0x1.af48f371c9bc1p+0", "max_drift": "0x0.0p+0",
         "error_sum": "0x1.1afe51759d0d0p-29"}
 
     launch = shoot.launch_sphere(0.3)
     assert (len(launch), launch.termination) == (326, shoot.CONVERGED)
-    assert _hex([launch.params[-1], *launch.spheres[-1], launch.f[-1]]) == [
+    assert _hex([launch.u[-1], *launch.spheres[-1], launch.f[-1]]) == [
         "0x1.90b2f56880453p+3", "0x1.6dff59e4a07c9p-21", "0x1.186f0d67d32dcp-1",
         "0x1.43d13624849b7p-1", "0x1.186f21373c0c3p-1", "0x1.dc26224ddcecfp+18"]
     assert _hex(launch.stats) == {
@@ -433,7 +433,7 @@ def test_kernel_bits_pinned(monkeypatch):
     monkeypatch.setattr(shoot, "sphere_stop", lambda conv_tol: shoot._wall_stop)
     launch = shoot.launch_sphere(0.3)
     assert (len(launch), launch.termination) == (516, shoot.CONVERGED)
-    assert _hex([launch.params[-1], *launch.spheres[-1], launch.f[-1]]) == [
+    assert _hex([launch.u[-1], *launch.spheres[-1], launch.f[-1]]) == [
         "0x1.e000000000000p+5", "0x1.3e439a993f0edp-93", "0x1.186f174f88472p-1",
         "0x1.43d136248490fp-1", "0x1.186f174f88473p-1", "0x1.11c9d63c39e0bp+91"]
     assert _hex(launch.stats) == {
@@ -463,7 +463,7 @@ def test_family_u0_matches_quad(family_shapes):
         delta = s.truncation_offset(1e-12)
         ref, _ = quad(lambda t: 1.0 / np.linalg.norm(t ** np.arange(s.order + 1) @ s.coefficients),
                       0.0, delta, epsabs=1e-16, epsrel=0.0)
-        assert abs(family_shapes[mu].stats["u"][0] - ref) <= 1e-15, mu
+        assert abs(family_shapes[mu].u[0] - ref) <= 1e-15, mu
 
 
 def test_positivity_along_family(family_shapes):
@@ -528,7 +528,7 @@ def test_gauss_legendre_rejects_non_finite_limits(a, b, bad):
 
 def test_gauss_legendre_evaluation_count(monkeypatch):
     """The cost is counted, not clocked.  The oracle's 260 radii
-    (`cli._bs_trajectory`) cut the span into 260 gaps of one panel each:
+    (its fit of the round closed form) cut the span into 260 gaps of one panel each:
     5,200 abscissae, at most 6,000.  Integrating every end from a on its
     own gave each 18 panels, 93,600 abscissae.  A one-end call over
     [0, 1e-3] keeps its 8 panels of 20 nodes: exactly 160."""
@@ -538,7 +538,7 @@ def test_gauss_legendre_evaluation_count(monkeypatch):
         return shoot.gauss_legendre(lambda x: seen.append(x.size) or fn(x), a, b)
 
     monkeypatch.setattr(analysis, "gauss_legendre", counting)
-    cli._bs_trajectory()
+    analysis.r_to_t("bs", np.geomspace(1.5, 300.0, 260))
     assert sum(seen) <= 6000
     seen.clear()
     counting(np.exp, 0.0, 1e-3)
@@ -561,6 +561,31 @@ def test_gauss_legendre_panels_per_gap(monkeypatch):
     assert sum(seen) <= 21_000
     for r, t in zip(rs, batch):
         assert t == pytest.approx(r_to_t("bs", r), rel=1e-15, abs=0.0), r
+
+
+def test_gauss_legendre_panel_budget():
+    """Past its panel budget the rule raises ValueError before it builds an array:
+    ends of 1e8 and 1e12 would ask for 14.9 GiB and 7.28 TiB of abscissae.  Run in
+    a fresh interpreter whose address space is capped at 3 GiB (resource acts on
+    that process only), so a regression fails with MemoryError and cannot take the
+    machine's memory.  The widest end inside the budget still integrates."""
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, resource.getrlimit("
+            "resource.RLIMIT_AS)[1]))\n"
+            "import math\nimport numpy as np\nfrom g2cone import shoot\n"
+            "top = float(shoot._GL_MAX_PANELS)\n"
+            "assert abs(shoot.gauss_legendre(np.cos, 0.0, top) - math.sin(top)) <= 1e-9\n"
+            "for end in (1e8, 1e12, top + 0.5):\n"
+            "    try:\n"
+            "        shoot.gauss_legendre(np.cos, 0.0, end)\n"
+            "    except ValueError as exc:\n"
+            "        assert 'budget' in str(exc), exc\n"
+            "    else:\n"
+            "        raise SystemExit(f'no ValueError at {end}')\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_gauss_legendre_cumulative_edge_cases():
@@ -663,8 +688,8 @@ def test_projection_consistency_series_vs_chart_launch():
 def test_pi_confinement_until_convergence(family_launches):
     for mu in MU_CONVERGING:
         traj = family_launches[mu]
-        _, u_conv = shoot.detect_convergence(traj.spheres, traj.params)
-        sel = (traj.params > traj.params[0]) & (traj.params <= u_conv)
+        _, u_conv = shoot.detect_convergence(traj.spheres, traj.u)
+        sel = (traj.u > traj.u[0]) & (traj.u <= u_conv)
         s = traj.spheres[sel]
         assert np.all(s[:, 3] > s[:, 1])
         assert np.all(s[:, 1] > 0.0)
@@ -684,7 +709,7 @@ def test_sphere_projection_drift_logged(family_launches):
 
 def test_detect_convergence_family_member():
     traj = shoot.launch_sphere(0.5, u_max=40.0)
-    ok, u_conv = shoot.detect_convergence(traj.spheres, traj.params, tol=1e-6)
+    ok, u_conv = shoot.detect_convergence(traj.spheres, traj.u, tol=1e-6)
     assert ok
     assert 5.0 < u_conv < 40.0
 
@@ -696,9 +721,9 @@ def test_detect_convergence_never_reaches_conic_point():
 
 def test_detect_convergence_constant_trajectory():
     traj = constant_trajectory(flow.SINF)
-    ok, u0 = shoot.detect_convergence(traj.spheres, traj.params, tol=1e-6)
+    ok, u0 = shoot.detect_convergence(traj.spheres, traj.t, tol=1e-6)
     assert ok
-    assert u0 == traj.params[0]
+    assert u0 == traj.t[0]
 
 
 def test_detect_convergence_requires_staying():
@@ -715,10 +740,35 @@ def test_detect_convergence_requires_staying():
 # -- asymptotics ----------------------------------------------------------------------
 
 
+def test_stats_hold_counters_only(family_shapes, family_launches):
+    """A family run, a sphere run and a launch carry only the integrator's counters in
+    stats, ints and floats (a launch's chart block a dict of them), which dump_json
+    writes; the samples' t and u are columns of the trajectory."""
+    launch = family_launches[0.3]
+    tail = shoot.integrate_sphere(launch.spheres[-1], launch.u[-1], launch.u[-1] + 1.0)
+    for traj in (family_shapes[0.5], tail, launch):
+        stats = dict(traj.stats)
+        chart = stats.pop("chart", {})
+        assert isinstance(chart, dict)
+        for v in (*stats.values(), *chart.values()):
+            assert type(v) in (int, float), (traj.termination, v)
+        dump_json(traj.stats)
+    assert set(launch.stats["chart"]) == {"v_span", "steps", "u_switch"}
+    assert family_shapes[0.5].t is not None and launch.t is None
+
+
+def test_launch_chart_phase_must_reach_the_switch(monkeypatch):
+    """A chart phase that cannot reach the switch threshold raises with its termination:
+    x = 0.5 lies outside the chart radius 0.35, so the steps collapse before it."""
+    monkeypatch.setattr(shoot, "CHART_SWITCH_X", 0.5)
+    with pytest.raises(RuntimeError, match=r"did not reach the switch threshold \(step-failure\)"):
+        shoot.launch_sphere(0.3)
+
+
 def test_alc_fit_family_slopes(family_shapes):
     expected = np.array([0.0, 1.0 / SQ3, 2.0 / 3.0, 1.0 / SQ3])
     for mu in (0.2, 0.5):
-        fit = shoot.alc_fit(family_shapes[mu])
+        fit = shoot.alc_fit(family_shapes[mu].t, family_shapes[mu].shapes)
         assert np.max(np.abs(fit.slopes - expected)) <= 2e-2
         assert fit.note == shoot.ALC_NOTE
 
@@ -731,26 +781,26 @@ def test_alc_fit_round_closed_form_slopes():
         inc, _ = quad(lambda r: 1.0 / dr_dt("bs", r), rs[i - 1], rs[i],
                       epsabs=1e-14, epsrel=1e-12)
         ts.append(ts[-1] + inc)
-    traj = shoot.Trajectory.from_samples("t", ts, shapes=closed_form("bs", rs))
-    fit = shoot.alc_fit(traj)
+    fit = shoot.alc_fit(ts, closed_form("bs", rs))
     expected = np.array([1 / 3, 1 / 3, 1 / SQ3, 1 / SQ3])
     assert np.max(np.abs(fit.slopes - expected)) <= 1e-3
 
 
 def test_alc_fit_exactly_conic_input():
-    fit = shoot.alc_fit(constant_trajectory(flow.SINF))
+    traj = constant_trajectory(flow.SINF)
+    fit = shoot.alc_fit(traj.t, traj.shapes)
     assert fit.max_relative_deviation <= 1e-12
 
 
 def test_alc_fit_validation(family_launches):
     with pytest.raises(ValueError):
-        shoot.alc_fit(family_launches[0.3])  # u-parameterized
+        shoot.alc_fit(family_launches[0.3].t, family_launches[0.3].shapes)  # no t
     # samples that cannot carry a fit give no fit: a short horizon, or a
     # trailing window holding only the last sample
-    assert shoot.alc_fit(shoot.family_shape_trajectory(0.5, t_max=10.0)) is None
+    short = shoot.family_shape_trajectory(0.5, t_max=10.0)
+    assert shoot.alc_fit(short.t, short.shapes) is None
     full = shoot.family_shape_trajectory(0.5, t_max=40.0)
-    ends = shoot.Trajectory.from_samples("t", full.params[[0, -1]], shapes=full.shapes[[0, -1]])
-    assert shoot.alc_fit(ends) is None
+    assert shoot.alc_fit(full.t[[0, -1]], full.shapes[[0, -1]]) is None
 
 
 # -- the family edge --------------------------------------------------------------------
@@ -827,7 +877,7 @@ def test_decided_stop_keeps_the_escape_decision(mu):
     assert escapes == (mu > MU_EDGE_FLOAT)
     assert escapes_invariant_region(stopped) == escapes
     n = len(stopped)
-    assert np.array_equal(stopped.params, full.params[:n])
+    assert np.array_equal(stopped.t, full.t[:n])
     assert np.array_equal(stopped.shapes, full.shapes[:n])
     assert stopped.stats["steps"] < full.stats["steps"]
     g1 = stopped.monitor("G1")
@@ -1037,7 +1087,7 @@ def test_launch_above_the_edge_stops_at_the_wall(monkeypatch):
     full = shoot.launch_sphere(MU_EDGE + 1e-5)
     n = len(stopped)
     assert len(full) > n and full.termination != shoot.CONVERGED
-    for name in ("params", "spheres", "f"):
+    for name in ("u", "spheres", "f"):
         assert np.array_equal(getattr(full, name)[:n], getattr(stopped, name))
 
 
@@ -1118,8 +1168,8 @@ def test_launch_below_the_edge_converges():
     on the sample where it converges."""
     below = shoot.launch_sphere(MU_EDGE - 1e-5)
     assert below.termination == shoot.CONVERGED
-    assert below.params[-1] < 20.0
-    assert shoot.detect_convergence(below.spheres, below.params) == (True, below.params[-1])
+    assert below.u[-1] < 20.0
+    assert shoot.detect_convergence(below.spheres, below.u) == (True, below.u[-1])
     assert np.all(below.monitor("G1") > 0.0)
 
 
@@ -1139,11 +1189,11 @@ def test_stopped_launch_is_a_prefix_of_the_horizon_run(monkeypatch, mu):
     full = shoot.launch_sphere(mu)
     n = len(stopped)
     assert stopped.termination == full.termination == shoot.CONVERGED
-    assert stopped.params[-1] < full.params[-1] == 60.0
-    for name in ("params", "spheres", "f"):
+    assert stopped.u[-1] < full.u[-1] == 60.0
+    for name in ("u", "spheres", "f"):
         assert np.array_equal(getattr(full, name)[:n], getattr(stopped, name))
-    assert (shoot.detect_convergence(stopped.spheres, stopped.params)
-            == shoot.detect_convergence(full.spheres, full.params))
+    assert (shoot.detect_convergence(stopped.spheres, stopped.u)
+            == shoot.detect_convergence(full.spheres, full.u))
     assert np.max(np.linalg.norm(full.spheres[n:] - flow.SINF, axis=1)) <= 1e-6
     if mu > 0.5:
         assert stopped.stats["steps"] <= 0.75 * full.stats["steps"]
