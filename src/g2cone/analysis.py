@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from . import flow
-from .shoot import gauss_legendre
 
 __all__ = [
     "StationaryReport",
@@ -253,7 +252,7 @@ def r_to_t(kind: str, r):
     if np.max(r) > R_TO_T_MAX:
         raise ValueError(f"r_to_t needs r <= {R_TO_T_MAX:g}")
     r0, s0, h, _ = _SUBSTITUTION[kind]
-    t = gauss_legendre(lambda s: h(r0 + s * s), s0, np.sqrt(np.asarray(r, dtype=float) - r0))
+    t = flow.gauss_legendre(lambda s: h(r0 + s * s), s0, np.sqrt(np.asarray(r, dtype=float) - r0))
     return float(t) if np.ndim(r) == 0 else t
 
 

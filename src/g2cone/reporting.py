@@ -92,14 +92,19 @@ _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
-def _axis(lo: float, hi: float) -> tuple:
-    """(lo, hi) with hi > lo: a degenerate axis widened to lo + 1.0, or by one float
-    spacing toward zero where adding 1.0 does not move lo (|lo| >= 2**53)."""
-    if hi > lo:
-        return lo, hi
-    if lo + 1.0 != lo:
-        return lo, lo + 1.0
-    return tuple(sorted((lo, math.nextafter(lo, 0.0))))
+def _axis(name: str, values: np.ndarray, pad: float) -> tuple:
+    """(lo, hi) of the finite values, each end moved out by pad (hi - lo).  A span of at most
+    1e-300 (degenerate, or with a tick step that underflows) is widened first, to lo + 1.0, or
+    by one float spacing toward zero where adding 1.0 does not move lo (|lo| >= 2**53).  A
+    padded span past the float range raises ValueError naming the axis."""
+    lo, hi = float(values.min()), float(values.max())
+    if not hi - lo > 1e-300:
+        lo, hi = (lo, lo + 1.0) if lo + 1.0 != lo else sorted((lo, math.nextafter(lo, 0.0)))
+    lo, hi = lo - pad * (hi - lo), hi + pad * (hi - lo)
+    if not hi - lo < math.inf:  # NaN too: a zero pad times an infinite span
+        raise ValueError(f"the {name} axis of {values.min():g} .. {values.max():g} spans past "
+                         f"the float range")
+    return lo, hi
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list:
@@ -114,7 +119,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list:
         if v > hi + 1e-12 * step:
             break
         out.append(0.0 if abs(v) < 1e-12 * step else v)
-    return out
+    return sorted(set(out))  # v never decreases in k, but repeats where step < its spacing
 
 
 def write_svg_plot(path, series, title: str, xlabel: str, ylabel: str) -> None:
@@ -127,11 +132,7 @@ def write_svg_plot(path, series, title: str, xlabel: str, ylabel: str) -> None:
     xs, ys = xs[np.isfinite(xs)], ys[np.isfinite(ys)]
     if xs.size == 0 or ys.size == 0:
         raise ValueError("nothing to plot")
-    xlo, xhi = float(xs.min()), float(xs.max())
-    ylo, yhi = float(ys.min()), float(ys.max())
-    (xlo, xhi), (ylo, yhi) = _axis(xlo, xhi), _axis(ylo, yhi)
-    ypad = 0.05 * (yhi - ylo)
-    ylo, yhi = ylo - ypad, yhi + ypad
+    (xlo, xhi), (ylo, yhi) = _axis("x", xs, 0.0), _axis("y", ys, 0.05)
 
     def px(x):
         return _ML + (x - xlo) / (xhi - xlo) * (_W - _ML - _MR)

@@ -318,8 +318,6 @@ def test_trajectory_equivariance():
         if not backward:
             return shoot.integrate_sphere(a0, 0.0, span, tol=1e-12, max_step=0.02)
         # integrate the reversed field and flip the parameter afterwards
-        import g2cone.shoot as sh
-
         def field(*y):
             a = np.array(y[:4])
             v = -flow.velocity(a)
@@ -330,9 +328,9 @@ def test_trajectory_equivariance():
             a = np.array(y[:4])
             return [*(a / np.linalg.norm(a)).tolist(), y[4]]
 
-        us, ys, term, stats = sh._integrate(field, 0.0, [*a0.tolist(), 0.0], span,
-                                            1e-12, max_step=0.02,
-                                            project=project)
+        us, ys, term, stats = flow._integrate(field, 0.0, [*a0.tolist(), 0.0], span,
+                                              1e-12, max_step=0.02,
+                                              project=project)
         return us, ys[:, :4]
 
     fwd = run(start)

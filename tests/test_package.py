@@ -1,6 +1,7 @@
 """Every public name the package defines has a caller outside the tests, the
-entry points read no private name of another module, and start-up loads
-nothing beyond numpy that the mathematics does not need."""
+entry points read no private name of another module, the modules import each
+other along one fixed graph, and start-up loads nothing beyond numpy that the
+mathematics does not need."""
 
 import ast
 import json
@@ -72,8 +73,9 @@ def _g2cone_imports(tree: ast.Module) -> tuple:
 
 def test_cli_and_demos_read_no_private_name():
     """cli.py and the demos reach the other modules through public names only; a
-    private name they need is promoted (shoot's reads of flow's float kernels are
-    the documented kernel contract, and shoot is not scanned)."""
+    private name they need is promoted (shoot's reads of flow's float kernels and of
+    its DP54 integrator _integrate are the documented kernel contract, and shoot is not
+    scanned)."""
     reads = []
     for path in [PACKAGE / "cli.py", *sorted((ROOT / "demos").glob("*.py"))]:
         tree = ast.parse(path.read_text())
@@ -83,6 +85,26 @@ def test_cli_and_demos_read_no_private_name():
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in modules and node.attr.startswith("_")]
     assert not reads, reads
+
+
+def test_import_graph():
+    """The g2cone modules each module imports: exterior, the closure oracle, and the
+    flow side (flow, shoot, analysis) import nothing from each other, so the two
+    routes stay independent; shoot and analysis reach the package through flow
+    alone, and only cli joins the routes."""
+    graph = {}
+    for path in PACKAGE.glob("*.py"):
+        graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.module in (None, "g2cone"):  # from . import m, from g2cone import m
+                graph[path.stem] |= {a.name for a in node.names}
+            elif node.level or node.module.startswith("g2cone."):  # from .m import name
+                graph[path.stem].add(node.module.rpartition(".")[2])
+    assert graph == {"__init__": set(), "exterior": set(), "flow": set(), "reporting": set(),
+                     "shoot": {"flow"}, "analysis": {"flow"},
+                     "cli": {"exterior", "flow", "shoot", "analysis", "reporting"}}
 
 
 def _fresh(code: str) -> list:

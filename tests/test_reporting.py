@@ -62,15 +62,31 @@ def test_json_refuses_an_unknown_type():
         dump_json({"x": {1.0}})
 
 
-@pytest.mark.parametrize("x", [[1.0, 1.0 + 2**-52], [2.0**53, 2.0**53], [-2.0**60]])
+@pytest.mark.parametrize("x", [[1.0, 1.0 + 2**-52], [2.0**53, 2.0**53], [-2.0**60],
+                               [0.0, 5e-324]])
 def test_svg_axis_of_a_few_ulps(tmp_path, x):
-    """An axis one ulp wide, where a tick loop of v += step never moved v, and a constant
-    at |x| >= 2**53, where widening by 1.0 left a zero width, write a well-formed SVG
-    with finite coordinates and a tick on each axis."""
+    """An axis one ulp wide, where a tick loop of v += step never moved v, a constant
+    at |x| >= 2**53, where widening by 1.0 left a zero width and the ticks repeated one
+    value, and a subnormal span, whose tick step underflowed to 0, write a well-formed
+    SVG with finite coordinates and distinct ticks on each axis."""
     path = tmp_path / "ulps.svg"
     write_svg_plot(path, [(x, x, "y")], "t", "x", "y")
     root = ET.parse(path).getroot()
     lines = root.findall("{http://www.w3.org/2000/svg}line")
-    coords = [float(e.get(k)) for e in lines for k in ("x1", "y1", "x2", "y2")]
-    assert all(math.isfinite(c) for c in coords)
+    coords = [[float(e.get(k)) for k in ("x1", "y1", "x2", "y2")] for e in lines]
+    assert all(math.isfinite(c) for line in coords for c in line)
     assert 1 + 2 <= len(lines) <= 1 + 2 * 12  # the legend's, and at most 2n + 2 ticks an axis
+    xticks = [x1 for x1, y1, x2, y2 in coords if x1 == x2]
+    yticks = [y1 for x1, y1, x2, y2 in coords if y1 == y2 and x2 - x1 == 5.0]
+    assert xticks and yticks
+    assert len(set(xticks)) == len(xticks) and len(set(yticks)) == len(yticks)
+
+
+@pytest.mark.parametrize("axis, x, y", [("x", [-1e308, 1e308], [0.0, 1.0]),
+                                        ("y", [0.0, 1.0], [-8.5e307, 8.5e307])])
+def test_svg_axis_past_the_float_range(tmp_path, axis, x, y):
+    """A span that overflows, on the y axis once padded by 5 %, raises ValueError naming
+    its axis before any file is written."""
+    with pytest.raises(ValueError, match=f"the {axis} axis"):
+        write_svg_plot(tmp_path / "wide.svg", [(x, y, "y")], "t", "x", "y")
+    assert not (tmp_path / "wide.svg").exists()

@@ -218,7 +218,7 @@ def test_integrator_counters(monkeypatch):
         return [1.0] * 5
 
     calls.clear()
-    _, _, term, st = shoot._integrate(field, 0.0, np.zeros(5), 2.0, 1e-10)
+    _, _, term, st = flow._integrate(field, 0.0, np.zeros(5), 2.0, 1e-10)
     attempts = st["steps"] + st["rejected"]
     assert term == shoot.STEP_FAILURE
     assert attempts < st["evals"] == len(calls) < 1 + 6 * attempts
@@ -249,7 +249,7 @@ def test_non_finite_attempts_are_rejected():
     runs = {}
     for bad in (None, math.nan, math.inf):
         calls = []
-        runs[bad] = shoot._integrate(field(bad), 0.0, np.zeros(5), 2.0, 1e-10)
+        runs[bad] = flow._integrate(field(bad), 0.0, np.zeros(5), 2.0, 1e-10)
         st = runs[bad][3]
         assert st["evals"] == len(calls)
         assert (st["steps"], st["rejected"]) == (53, 54)
@@ -261,8 +261,8 @@ def test_non_finite_attempts_are_rejected():
         assert st["evals"] == 1 + 6 * (53 + 54) > runs[None][3]["evals"]
 
     calls = []
-    xs, ys, term, st = shoot._integrate(lambda *y: calls.append(y) or (1.7e308,) * 5,
-                                        0.0, [1e300] * 5, 1.0, 1e-10)
+    xs, ys, term, st = flow._integrate(lambda *y: calls.append(y) or (1.7e308,) * 5,
+                                       0.0, [1e300] * 5, 1.0, 1e-10)
     assert term == shoot.STEP_FAILURE and len(xs) == 1
     assert (st["steps"], st["rejected"], st["evals"]) == (0, 4, 25)
     # each attempt's step, from its stage-1 state p + (h / 5) k
@@ -321,11 +321,11 @@ def test_float_kernel_on_closed_forms():
                          (rotation, lambda x: np.column_stack(
                              [np.cos(x), np.sin(x), decays(x, (0.5, 2.0, 0.25))]))):
         y0 = exact(np.zeros(1))[0].tolist()
-        xs, ys, term, st = shoot._integrate(field, 0.0, y0, 5.0, 1e-10)
+        xs, ys, term, st = flow._integrate(field, 0.0, y0, 5.0, 1e-10)
         assert term == shoot.REACHED_HORIZON and xs[-1] == 5.0
         assert ys.dtype == float and ys.shape == (len(xs), 5)
         assert np.max(np.abs(ys - exact(xs))) <= 1e-8
-        again = shoot._integrate(field, 0.0, y0, 5.0, 1e-10)
+        again = flow._integrate(field, 0.0, y0, 5.0, 1e-10)
         assert np.array_equal(again[0], xs) and np.array_equal(again[1], ys)
         assert again[3] == st
 
@@ -335,7 +335,7 @@ def test_integrate_rejects_other_state_lengths(n):
     """The DP54 state has five components; another length raises before any field call."""
     calls = []
     with pytest.raises(ValueError, match="5 components"):
-        shoot._integrate(lambda *y: calls.append(y) or [0.0] * n, 0.0, [1.0] * n, 1.0, 1e-10)
+        flow._integrate(lambda *y: calls.append(y) or [0.0] * n, 0.0, [1.0] * n, 1.0, 1e-10)
     assert calls == []
 
 
@@ -369,6 +369,13 @@ SPHERE_START = "np.array([2.0, 3.0, 4.0, 5.0]) / math.sqrt(54.0)"
                  id="sphere-horizon-before-start"),
     pytest.param("shoot.integrate_sphere(shoot.flow.SINF, 5.0, 5.0)", False,
                  id="sphere-horizon-at-start"),
+    pytest.param("shoot.integrate_shape([1.0, 1.0, 1.0, 1.0], 5.0, 1.0)", False,
+                 id="shape-horizon-before-start"),
+    pytest.param("shoot.integrate_shape([1.0, 1.0, 1.0, 1.0], 5.0, 5.0)", False,
+                 id="shape-horizon-at-start"),
+    # _integrate checks the interval itself: a field call would raise ZeroDivisionError
+    pytest.param("flow._integrate(lambda *y: 1 / 0, 5.0, [1.0] * 5, 5.0, 1e-10)", False,
+                 id="dp54-horizon-at-start"),
     # u_max = 0.001 lies before the chart switch (u ~ 0.005)
     pytest.param("shoot.launch_sphere(0.3, u_max=0.001)", False,
                  id="launch-horizon-before-switch"),
@@ -380,7 +387,7 @@ def test_integration_rejects_nan_and_bad_controls(call, fresh):
     calls run in a fresh interpreter under a timeout: a regression fails."""
     if not fresh:
         with pytest.raises(ValueError):
-            eval(call, {"math": math, "np": np, "shoot": shoot})
+            eval(call, {"math": math, "np": np, "flow": flow, "shoot": shoot})
         return
     code = ("import math\nimport numpy as np\nfrom g2cone import shoot\n"
             f"try:\n    {call}\nexcept ValueError:\n    raise SystemExit(0)\n"
@@ -523,7 +530,7 @@ def test_tolerance_scaling():
 ])
 def test_gauss_legendre_rejects_non_finite_limits(a, b, bad):
     with pytest.raises(ValueError, match=f"finite limits, got {bad}$"):
-        shoot.gauss_legendre(np.cos, a, b)
+        flow.gauss_legendre(np.cos, a, b)
 
 
 def test_gauss_legendre_evaluation_count(monkeypatch):
@@ -534,10 +541,10 @@ def test_gauss_legendre_evaluation_count(monkeypatch):
     [0, 1e-3] keeps its 8 panels of 20 nodes: exactly 160."""
     seen = []
 
-    def counting(fn, a, b):
-        return shoot.gauss_legendre(lambda x: seen.append(x.size) or fn(x), a, b)
+    def counting(fn, a, b, _rule=flow.gauss_legendre):
+        return _rule(lambda x: seen.append(x.size) or fn(x), a, b)
 
-    monkeypatch.setattr(analysis, "gauss_legendre", counting)
+    monkeypatch.setattr(flow, "gauss_legendre", counting)
     analysis.r_to_t("bs", np.geomspace(1.5, 300.0, 260))
     assert sum(seen) <= 6000
     seen.clear()
@@ -552,10 +559,10 @@ def test_gauss_legendre_panels_per_gap(monkeypatch):
     with values equal to the one-end calls to rounding."""
     seen = []
 
-    def counting(fn, a, b):
-        return shoot.gauss_legendre(lambda x: seen.append(x.size) or fn(x), a, b)
+    def counting(fn, a, b, _rule=flow.gauss_legendre):
+        return _rule(lambda x: seen.append(x.size) or fn(x), a, b)
 
-    monkeypatch.setattr(analysis, "gauss_legendre", counting)
+    monkeypatch.setattr(flow, "gauss_legendre", counting)
     rs = np.append(np.linspace(1.5, 2.0, 30), 1e6)
     batch = r_to_t("bs", rs)
     assert sum(seen) <= 21_000
@@ -572,12 +579,12 @@ def test_gauss_legendre_panel_budget():
     code = ("import resource\n"
             "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, resource.getrlimit("
             "resource.RLIMIT_AS)[1]))\n"
-            "import math\nimport numpy as np\nfrom g2cone import shoot\n"
-            "top = float(shoot._GL_MAX_PANELS)\n"
-            "assert abs(shoot.gauss_legendre(np.cos, 0.0, top) - math.sin(top)) <= 1e-9\n"
+            "import math\nimport numpy as np\nfrom g2cone import flow\n"
+            "top = float(flow._GL_MAX_PANELS)\n"
+            "assert abs(flow.gauss_legendre(np.cos, 0.0, top) - math.sin(top)) <= 1e-9\n"
             "for end in (1e8, 1e12, top + 0.5):\n"
             "    try:\n"
-            "        shoot.gauss_legendre(np.cos, 0.0, end)\n"
+            "        flow.gauss_legendre(np.cos, 0.0, end)\n"
             "    except ValueError as exc:\n"
             "        assert 'budget' in str(exc), exc\n"
             "    else:\n"
@@ -592,13 +599,13 @@ def test_gauss_legendre_cumulative_edge_cases():
     """Unsorted and repeated ends, an end equal to a, ends on both sides of
     a, and a 2-D b all follow the one-end rule."""
     b = np.array([3.0, 1.0, 3.0, 0.5, 2.0, 1.0, 0.5])
-    got = shoot.gauss_legendre(np.cos, 0.5, b)
+    got = flow.gauss_legendre(np.cos, 0.5, b)
     assert got.shape == b.shape
     assert got[0] == got[2] and got[1] == got[5] and got[3] == got[6] == 0.0
-    assert shoot.gauss_legendre(np.cos, 0.5, 0.5) == 0.0
+    assert flow.gauss_legendre(np.cos, 0.5, 0.5) == 0.0
     np.testing.assert_allclose(got, np.sin(b) - np.sin(0.5), rtol=0.0, atol=1e-15)
     grid = np.array([[-2.5, 7.25], [0.1, 2.0]])  # both sides of a, shape kept
-    got = shoot.gauss_legendre(np.exp, 0.5, grid)
+    got = flow.gauss_legendre(np.exp, 0.5, grid)
     assert got.shape == (2, 2)
     np.testing.assert_allclose(got, np.exp(grid) - np.exp(0.5), rtol=1e-14)
     t = r_to_t("singular", np.array([0.5, 2.0]))
@@ -609,10 +616,10 @@ def test_gauss_legendre_nodes_are_leggauss():
     """The literal 20-point nodes and weights are numpy's leggauss(20) bit for bit,
     exactly mirrored, and read-only."""
     x, w = np.polynomial.legendre.leggauss(20)
-    assert np.array_equal(shoot._GL_X, x) and np.array_equal(shoot._GL_W, w)
-    assert np.array_equal(shoot._GL_X, -shoot._GL_X[::-1])
-    assert np.array_equal(shoot._GL_W, shoot._GL_W[::-1])
-    assert not shoot._GL_X.flags.writeable and not shoot._GL_W.flags.writeable
+    assert np.array_equal(flow._GL_X, x) and np.array_equal(flow._GL_W, w)
+    assert np.array_equal(flow._GL_X, -flow._GL_X[::-1])
+    assert np.array_equal(flow._GL_W, flow._GL_W[::-1])
+    assert not flow._GL_X.flags.writeable and not flow._GL_W.flags.writeable
 
 
 def test_r_to_t_batch_matches_one_end_calls():
@@ -1095,11 +1102,12 @@ def test_one_sphere_path(monkeypatch, tmp_path):
     """The launch tail and the CLI continuation both run integrate_sphere, each with the
     one sphere_stop closure: the launch at conv_tol 1e-6, the continuation at --conv-tol."""
     spheres, integrations, stops = [], [], []
-    for name, calls in (("integrate_sphere", spheres), ("_integrate", integrations)):
-        def recording(*args, _fn=getattr(shoot, name), _calls=calls, **kwargs):
+    for module, name, calls in ((shoot, "integrate_sphere", spheres),
+                                (flow, "_integrate", integrations)):
+        def recording(*args, _fn=getattr(module, name), _calls=calls, **kwargs):
             _calls.append(kwargs)
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(shoot, name, recording)
+        monkeypatch.setattr(module, name, recording)
 
     def sphere_stop(conv_tol, _fn=shoot.sphere_stop):
         stops.append((conv_tol, _fn(conv_tol)))
