@@ -121,12 +121,13 @@ def sphere_field(a: np.ndarray) -> tuple:
     """(W, beta) at a unit direction: W = V - beta S is the tangential field and
     beta = <V(S), S> the logarithmic growth rate of the scale f.  The array view
     of _sphere_rate, bit for bit; complex input keeps Im beta."""
-    *w, beta = _sphere_rate(*np.asarray(a).tolist(), 0.0)
+    *w, beta = _sphere_rate(*np.asarray(a).tolist())
     return np.array(w), beta
 
 
-def _sphere_rate(a1, a2, a3, a4, _) -> tuple:
-    """The DP54 field of integrate_sphere on Python floats: (S, ln f) -> (W, beta)."""
+def _sphere_rate(a1, a2, a3, a4) -> tuple:
+    """The DP54 field of integrate_sphere on Python floats: S -> (W, beta), the rates of
+    (S, ln f); the rider ln f enters no rate."""
     v1, v2, v3, v4 = _components(a1, a2, a3, a4)
     beta = v1 * a1 + v2 * a2 + v3 * a3 + v4 * a4  # summed as monitor_table's beta
     return v1 - beta * a1, v2 - beta * a2, v3 - beta * a3, v4 - beta * a4, beta
@@ -326,8 +327,9 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
 
     The state has five components, as every field here has: (R, u), (S, ln f) or the
     chart's (x, y, z, u, ln f); another length raises ValueError, as does failing x0 < x1,
-    rtol >= 0 or max_step > 0 (a NaN fails each).  field(p0, p1, p2, p3, p4) takes the state
-    as five floats and returns five floats.  A step runs on Python floats held in locals,
+    rtol >= 0 or max_step > 0 (a NaN fails each).  The fifth component is a rider that no
+    rate depends on: field(p0, p1, p2, p3) takes the first four as floats and returns all
+    five rates, so no stage forms the rider.  A step runs on Python floats held in locals,
     with every stage sum and the error norm written out per component as a left-to-right
     chain of +, and the step control's max, min and abs as comparisons: rounding does not
     depend on the interpreter, and no list is built per stage.  An attempt is rejected
@@ -355,7 +357,7 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
                          f"got {x0}, {x1}, {rtol}, {max_step}")
     xs, ys = [x], [y]
     steps, rejected, evals, h_min, h_max, max_drift, error_sum = 0, 0, 1, math.inf, 0.0, 0.0, 0.0
-    k0 = field(*y)
+    k0 = field(*y[:4])
     scale = ATOL + rtol * np.abs(y)
     d0 = np.linalg.norm(y / scale) / root5
     d1 = np.linalg.norm(k0 / scale) / root5
@@ -371,45 +373,41 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
         try:
             if k0 is None:  # after a projection
                 evals += 1
-                k0 = field(p0, p1, p2, p3, p4)
+                k0 = field(p0, p1, p2, p3)
             k00, k01, k02, k03, k04 = k0
             evals += 1
             k10, k11, k12, k13, k14 = field(
                 p0 + h * (a10 * k00), p1 + h * (a10 * k01), p2 + h * (a10 * k02),
-                p3 + h * (a10 * k03), p4 + h * (a10 * k04))
+                p3 + h * (a10 * k03))
             evals += 1
             k20, k21, k22, k23, k24 = field(
                 p0 + h * (a20 * k00 + a21 * k10), p1 + h * (a20 * k01 + a21 * k11),
-                p2 + h * (a20 * k02 + a21 * k12), p3 + h * (a20 * k03 + a21 * k13),
-                p4 + h * (a20 * k04 + a21 * k14))
+                p2 + h * (a20 * k02 + a21 * k12), p3 + h * (a20 * k03 + a21 * k13))
             evals += 1
             k30, k31, k32, k33, k34 = field(
                 p0 + h * (a30 * k00 + a31 * k10 + a32 * k20),
                 p1 + h * (a30 * k01 + a31 * k11 + a32 * k21),
                 p2 + h * (a30 * k02 + a31 * k12 + a32 * k22),
-                p3 + h * (a30 * k03 + a31 * k13 + a32 * k23),
-                p4 + h * (a30 * k04 + a31 * k14 + a32 * k24))
+                p3 + h * (a30 * k03 + a31 * k13 + a32 * k23))
             evals += 1
             k40, k41, k42, k43, k44 = field(
                 p0 + h * (a40 * k00 + a41 * k10 + a42 * k20 + a43 * k30),
                 p1 + h * (a40 * k01 + a41 * k11 + a42 * k21 + a43 * k31),
                 p2 + h * (a40 * k02 + a41 * k12 + a42 * k22 + a43 * k32),
-                p3 + h * (a40 * k03 + a41 * k13 + a42 * k23 + a43 * k33),
-                p4 + h * (a40 * k04 + a41 * k14 + a42 * k24 + a43 * k34))
+                p3 + h * (a40 * k03 + a41 * k13 + a42 * k23 + a43 * k33))
             evals += 1
             k50, k51, k52, k53, k54 = field(
                 p0 + h * (a50 * k00 + a51 * k10 + a52 * k20 + a53 * k30 + a54 * k40),
                 p1 + h * (a50 * k01 + a51 * k11 + a52 * k21 + a53 * k31 + a54 * k41),
                 p2 + h * (a50 * k02 + a51 * k12 + a52 * k22 + a53 * k32 + a54 * k42),
-                p3 + h * (a50 * k03 + a51 * k13 + a52 * k23 + a53 * k33 + a54 * k43),
-                p4 + h * (a50 * k04 + a51 * k14 + a52 * k24 + a53 * k34 + a54 * k44))
+                p3 + h * (a50 * k03 + a51 * k13 + a52 * k23 + a53 * k33 + a54 * k43))
             z0 = p0 + h * (b0 * k00 + b2 * k20 + b3 * k30 + b4 * k40 + b5 * k50)
             z1 = p1 + h * (b0 * k01 + b2 * k21 + b3 * k31 + b4 * k41 + b5 * k51)
             z2 = p2 + h * (b0 * k02 + b2 * k22 + b3 * k32 + b4 * k42 + b5 * k52)
             z3 = p3 + h * (b0 * k03 + b2 * k23 + b3 * k33 + b4 * k43 + b5 * k53)
             z4 = p4 + h * (b0 * k04 + b2 * k24 + b3 * k34 + b4 * k44 + b5 * k54)
             evals += 1
-            k60, k61, k62, k63, k64 = k6 = field(z0, z1, z2, z3, z4)
+            k60, k61, k62, k63, k64 = k6 = field(z0, z1, z2, z3)
             # the error estimate r and its scaled size s, over ATOL + rtol max(|p|, |z|)
             r0 = h * (e0 * k00 + e2 * k20 + e3 * k30 + e4 * k40 + e5 * k50 + e6 * k60)
             r1 = h * (e0 * k01 + e2 * k21 + e3 * k31 + e4 * k41 + e5 * k51 + e6 * k61)

@@ -211,8 +211,9 @@ def eval_series(s: SeriesStart, t) -> np.ndarray:
 # -- trajectory assembly ----------------------------------------------------
 
 
-# DP54 field on (R, u): five Python floats in, a tuple out (on (S, ln f): flow._sphere_rate)
-def _shape_field(a1, a2, b1, b2, _):
+# DP54 field on (R, u): R as four Python floats in, five rates out (on (S, ln f):
+# flow._sphere_rate); the rider u enters no rate
+def _shape_field(a1, a2, b1, b2):
     v1, v2, v3, v4 = flow._components(a1, a2, b1, b2)
     # 1/f, with f summed as np.linalg.norm sums a row of shapes
     return v1, v2, v3, v4, 1.0 / math.sqrt(a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2)
@@ -340,7 +341,7 @@ def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
     # phase 1: chart state (x, y, z, u, ln f) in the chart time v
     p0 = np.array([0.0, 0.0, mu]) + eps * unstable_direction(mu)
 
-    def chart_field(x, y, z, u, lnf):
+    def chart_field(x, y, z, _):  # the riders u and ln f enter no rate
         g1, g2, g3, xbeta = flow._chart_components(x, y, z)
         return g1, g2, g3, x, xbeta
 

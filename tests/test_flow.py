@@ -55,9 +55,9 @@ def test_rhs_rejects_zero_denominators():
         with pytest.raises(ZeroDivisionError):
             flow.velocity(np.stack([np.ones(4), r]))
         with pytest.raises(ZeroDivisionError):
-            shoot._shape_field(*r.tolist(), 0.0)
+            shoot._shape_field(*r.tolist())
         with pytest.raises(ZeroDivisionError):
-            flow._sphere_rate(*(r / np.linalg.norm(r)).tolist(), 0.0)
+            flow._sphere_rate(*(r / np.linalg.norm(r)).tolist())
     # A1 = 0 is inside the domain (the wall is invariant: V1 = 0 there)
     v = flow.velocity(np.array([0.0, 1.0, 1.0, 1.0]))
     assert v[0] == 0.0
@@ -67,18 +67,17 @@ def test_one_state_fields_match_array_path():
     """One state, through the float kernels or the array functions: bit for bit the
     batch results, and one beta, monitor_table's."""
     rng = np.random.default_rng(11)
-    states = np.exp(rng.uniform(-4.0, 2.0, size=(1000, 5)))
-    batch = flow.velocity(states[:, :4])
-    f = np.linalg.norm(states[:, :4], axis=1)  # as the Trajectory constructor
-    spheres = states[:, :4] / f[:, None]
+    states = np.exp(rng.uniform(-4.0, 2.0, size=(1000, 4)))
+    batch = flow.velocity(states)
+    f = np.linalg.norm(states, axis=1)  # as the Trajectory constructor
+    spheres = states / f[:, None]
     sphere_batch = flow.velocity(spheres)
     betas = flow.monitor_table(spheres, f)[:, flow.MONITOR_NAMES.index("beta")]
-    for y, v, fy, s, w, beta in zip(states, batch, f, spheres, sphere_batch, betas):
-        a = y[:4]
+    for a, v, fy, s, w, beta in zip(states, batch, f, spheres, sphere_batch, betas):
         assert np.array_equal(flow.velocity(a), v)
         assert np.array_equal(flow.velocity(list(a)), v)
-        assert shoot._shape_field(*y.tolist()) == (*v.tolist(), 1.0 / fy)
-        rate = flow._sphere_rate(*s.tolist(), y[4])
+        assert shoot._shape_field(*a.tolist()) == (*v.tolist(), 1.0 / fy)
+        rate = flow._sphere_rate(*s.tolist())
         assert rate == (*(w - beta * s).tolist(), beta)
         w_s, beta_s = flow.sphere_field(s)
         assert (*w_s.tolist(), beta_s) == (*rate[:4], beta)
@@ -706,8 +705,8 @@ def test_sinf_trapping_set_proof():
     # (b) V decreases on the sphere within r0 of S_inf, off S_inf
     box = [x + iv.mpf([-flow.SINF_R0, flow.SINF_R0]) for x in s]
     w = flow._sphere_rate(*(_Dual(x, [iv.mpf(int(i == j)) for i in range(4)])
-                            for j, x in enumerate(box)), 0.0)[:4]
-    assert all(0 in x for x in flow._sphere_rate(*s, 0.0)[:4])  # S_inf is stationary
+                            for j, x in enumerate(box)))[:4]
+    assert all(0 in x for x in flow._sphere_rate(*s)[:4])  # S_inf is stationary
     pm = [[dot(row, [x.d[j] for x in w]) for j in range(4)] for row in p]  # P M
     ak, bk, kk = sandwich([[pm[i][j] + pm[j][i] for j in range(4)] for i in range(4)])
     eta = r0 / (2 * iv.sqrt(1 - r0 ** 2 / 4))

@@ -303,23 +303,25 @@ def test_stage_zero_is_the_last_stage(monkeypatch):
 def test_float_kernel_on_closed_forms():
     """The DP54 kernel on Python floats: decay and rotation to 1e-8, reruns bit for bit.
 
-    Five decays at distinct rates, and a rotation in (y0, y1) beside three
-    decays: every component of the five-float step meets a closed form.
+    Four decays at distinct rates, and a rotation in (y0, y1) beside two decays,
+    each with the quadrature rider y4' = y0 (1 - exp(-x) and sin x): every
+    component of the five-float step meets a closed form.
     """
-    rates = (1.0, 0.5, 2.0, 0.25, 1.5)
+    rates = (1.0, 0.5, 2.0, 0.25)
 
     def decay(*y):
-        return [-c * v for c, v in zip(rates, y)]
+        return [*(-c * v for c, v in zip(rates, y)), y[0]]
 
     def rotation(*y):
-        return [-y[1], y[0], -0.5 * y[2], -2.0 * y[3], -0.25 * y[4]]
+        return [-y[1], y[0], -0.5 * y[2], -2.0 * y[3], y[0]]
 
     def decays(x, cs):
         return np.exp(-np.outer(x, cs))
 
-    for field, exact in ((decay, lambda x: decays(x, rates)),
+    for field, exact in ((decay, lambda x: np.column_stack(
+                              [decays(x, rates), 1.0 - np.exp(-x)])),
                          (rotation, lambda x: np.column_stack(
-                             [np.cos(x), np.sin(x), decays(x, (0.5, 2.0, 0.25))]))):
+                             [np.cos(x), np.sin(x), decays(x, (0.5, 2.0)), np.sin(x)]))):
         y0 = exact(np.zeros(1))[0].tolist()
         xs, ys, term, st = flow._integrate(field, 0.0, y0, 5.0, 1e-10)
         assert term == shoot.REACHED_HORIZON and xs[-1] == 5.0
@@ -1078,7 +1080,7 @@ def _tangential_jacobian(s, step=1e-20):
         r = [complex(x) for x in s]
         r[j] += 1j * step
         n = sum(x * x for x in r) ** 0.5
-        jac[:, j] = [w.imag / step for w in flow._sphere_rate(*(x / n for x in r), 0.0)[:4]]
+        jac[:, j] = [w.imag / step for w in flow._sphere_rate(*(x / n for x in r))[:4]]
     return jac
 
 
