@@ -169,7 +169,7 @@ def _shoot_pipeline(mu: float, args) -> tuple:
         "u_converged": u_conv,
         "continuation": continuation,
         "u_end": float(u[-1]),
-        "dist_to_target_end": float(np.linalg.norm(spheres[-1] - flow.SINF)),
+        "dist_to_target_end": math.hypot(*(spheres[-1] - flow.SINF).tolist()),
         "F_initial": float(F[0]),
         "F_drift": float(np.max(np.abs(F - F[0]))),
     }, ok
@@ -327,7 +327,8 @@ def cmd_stationary(args, outdir: Path, report: dict) -> str:
         expected = np.sort(analysis.CHART_EIGENVALUES)
         err = float(np.max(np.abs(got - expected)))
         closed = shoot.unstable_direction(mu)
-        angle = float(np.arccos(np.clip(np.dot(direction, closed), -1.0, 1.0)))
+        d0, d1, d2 = (direction - closed).tolist()  # unit vectors: |a - b| = 2 sin(angle / 2)
+        angle = 2.0 * math.asin(min(1.0, math.sqrt(d0 * d0 + d1 * d1 + d2 * d2) / 2.0))
         entry = {"mu": mu, "eigenvalues": list(got), "expected_eigenvalues": list(expected),
                  "eigenvalue_error": err, "unstable_direction": list(direction),
                  "closed_form_direction": list(closed), "direction_angle": angle,

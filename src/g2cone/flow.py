@@ -358,10 +358,12 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
     xs, ys = [x], [y]
     steps, rejected, evals, h_min, h_max, max_drift, error_sum = 0, 0, 1, math.inf, 0.0, 0.0, 0.0
     k0 = field(*y[:4])
-    scale = ATOL + rtol * np.abs(y)
-    d0 = np.linalg.norm(y / scale) / root5
-    d1 = np.linalg.norm(k0 / scale) / root5
-    h = max(float(min(max_step, x1 - x, 1e-2 * d0 / d1 if d1 > 0 else 1e-6)), 1e-12)
+    d0 = d1 = 0.0  # the sizes of y and k0 over ATOL + rtol |y|, summed as the error norm
+    for v, k in zip(y, k0):
+        w = atol + rtol * (-v if v < 0.0 else v)
+        d0, d1 = d0 + (v / w) * (v / w), d1 + (k / w) * (k / w)
+    d0, d1 = sqrt(d0) / root5, sqrt(d1) / root5
+    h = max(min(max_step, x1 - x, 1e-2 * d0 / d1 if d1 > 0 else 1e-6), 1e-12)
     termination = REACHED_HORIZON
     while x < x1:
         h = x1 - x if x1 - x < h else h  # h = min(h, x1 - x, max_step)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -23,29 +24,11 @@ from . import flow
 from .flow import REACHED_HORIZON, STEP_FAILURE
 
 __all__ = [
-    "SeriesStart",
-    "Trajectory",
-    "ALCFit",
-    "REACHED_HORIZON",
-    "CONVERGED",
-    "POSITIVITY_VIOLATION",
-    "STEP_FAILURE",
-    "WALL_CROSSING",
-    "STAYS_INSIDE",
-    "SERIES_MAX_OFFSET",
-    "series_start",
-    "eval_series",
-    "integrate_shape",
-    "integrate_sphere",
-    "sphere_stop",
-    "launch_sphere",
-    "unstable_direction",
-    "detect_convergence",
-    "sample_at_level",
-    "alc_fit",
-    "family_shape_trajectory",
-    "critical_parameter",
-    "ALC_NOTE",
+    "SeriesStart", "Trajectory", "ALCFit", "REACHED_HORIZON", "CONVERGED",
+    "POSITIVITY_VIOLATION", "STEP_FAILURE", "WALL_CROSSING", "STAYS_INSIDE",
+    "SERIES_MAX_OFFSET", "series_start", "eval_series", "integrate_shape", "integrate_sphere",
+    "sphere_stop", "launch_sphere", "unstable_direction", "detect_convergence",
+    "sample_at_level", "alc_fit", "family_shape_trajectory", "critical_parameter", "ALC_NOTE",
 ]
 
 CONVERGED = "converged-to-target"
@@ -142,43 +125,23 @@ class ALCFit(_Record):
 # -- power series off the singular orbit ----------------------------------
 
 
-def _series_residuals(c: np.ndarray, n: int, odd: bool) -> tuple:
-    """Coefficient arrays of (E1, E3) when odd, else (E2, E4), truncated to degree n.
+def series_start(mu: float, order: int = 4) -> SeriesStart:
+    """Unique power-series solution leaving the singular orbit at parameter mu.
 
     With denominators cleared, a series solution satisfies
         E1 = 2 A1' A2^2 B2^2 - A1^2 (B2^2 - A2^2)            = 0
         E2 = 2 A2' A2 B1 B2 - A2 (B2^2 - A2^2 + B1^2) + A1 B1 B2 = 0
         E3 = B1' A2 B2 - (A2^2 + B2^2 - B1^2)                = 0
         E4 = 2 B2' A2 B1 B2 - B2 (A2^2 - B2^2 + B1^2) - A1 A2 B1 = 0
-    identically in t.  series_start reads one pair at a time, so only that pair is built.
-    """
-    a1, a2, b1, b2 = (c[:, j] for j in range(4))
-    k = np.arange(len(a1))
-
-    def d(f):  # coefficients of the t-derivative
-        return np.append((k * f)[1:], 0.0)
-
-    def m(a, b):  # product, truncated to degree n
-        return np.convolve(a, b)[: n + 1]
-
-    a2sq, b2sq, b1sq = m(a2, a2), m(b2, b2), m(b1, b1)
-    if odd:
-        return (2.0 * m(d(a1), m(a2sq, b2sq)) - m(m(a1, a1), b2sq - a2sq),
-                m(d(b1), m(a2, b2)) - (a2sq + b2sq - b1sq))
-    b1b2 = m(b1, b2)
-    a2b1b2 = m(a2, b1b2)
-    return (2.0 * m(d(a2), a2b1b2) - m(a2, b2sq - a2sq + b1sq) + m(a1, b1b2),
-            2.0 * m(d(b2), a2b1b2) - m(b2, a2sq - b2sq + b1sq) - m(a1, m(a2, b1)))
-
-
-def series_start(mu: float, order: int = 4) -> SeriesStart:
-    """Unique power-series solution leaving the singular orbit at parameter mu.
-
-    Matches the flow identities order by order from the seed
-    (mu, lambda, 0, lambda), two residual evaluations at c[k] = 0 per
-    order k: E1, E3 at t^(k-1) have slopes 2k lambda^4, k lambda^2 in a_k,
-    b_k; with those set (at k = 1, E2 holds p_1 b_1), E2, E4 at t^k have
-    the Jacobian lambda^2 [[4k+2, -2], [-2, 4k+2]] in (p_k, q_k).
+    identically in t.  Taylor mode on Python floats from the seed (mu, lambda, 0, lambda):
+    at order k, E1, E3 at t^(k-1) read at a_k = b_k = 0 have slopes 2k lambda^4, k lambda^2
+    in a_k, b_k; with those set (at k = 1, E2 holds p_1 b_1), E2, E4 at t^k read at
+    p_k = q_k = 0 have the Jacobian lambda^2 [[4k+2, -2], [-2, 4k+2]] in (p_k, q_k).  Each
+    product series gains its t^k coefficient, an fsum of its terms, once no unknown enters
+    it (as B1(0) = 0, p_k and q_k enter none of B1^2, B1 B2, A2 B1, A2 B1 B2); only the
+    four residual coefficients that the solve reads are formed.  A2 B1 B2 is B1 (A2 B2),
+    so the symmetry t -> -t, A2 <-> B2, B1 -> -B1 holds bit for bit: B1 comes out odd and
+    A1 even, exactly.
     """
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
@@ -186,26 +149,48 @@ def series_start(mu: float, order: int = 4) -> SeriesStart:
         raise ValueError(f"order must lie in 3..8, got {order}")
     lam = math.sqrt((1.0 - mu * mu) / 2.0)
     lam2 = lam * lam
-    c = np.zeros((order + 1, 4))
-    c[0] = (mu, lam, 0.0, lam)
-    for k in range(1, order + 1):
-        e1, e3 = _series_residuals(c[: k + 1], k + 1, odd=True)
-        c[k, 0] = -e1[k - 1] / (2 * k * lam2 * lam2)
-        c[k, 2] = -e3[k - 1] / (k * lam2)
-        e2, e4 = _series_residuals(c[: k + 1], k + 1, odd=False)
-        det = 16 * k * (k + 1) * lam2
-        c[k, 1] = -((4 * k + 2) * e2[k] + 2.0 * e4[k]) / det
-        c[k, 3] = -(2.0 * e2[k] + (4 * k + 2) * e4[k]) / det
-    return SeriesStart(mu, lam, order, c)
+    a1, a2, b1, b2 = ([x] + [0.0] * order for x in (mu, lam, 0.0, lam))  # 0.0 while unknown
+    da1, da2, db1, db2 = [], [], [], []  # the derivatives, without their unknown t^(k-1)
+    a1a1, a2a2, b2b2, a2b2, a2a2b2b2, b1b1, b1b2, a2b1, a2b1b2 = ([] for _ in range(9))
+
+    def at(x, y, k):  # the t^k coefficient of x y; a short x lacks its unknown terms
+        return math.fsum(map(operator.mul, x[:k + 1], y[k::-1]))
+
+    for k in range(order + 1):
+        if k:  # E1, E3 at t^(k-1) fix a_k, b_k
+            d = [y - x for x, y in zip(a2a2, b2b2)]  # B2^2 - A2^2
+            e1 = 2.0 * at(da1, a2a2b2b2, k - 1) - at(a1a1, d, k - 1)
+            e3 = at(db1, a2b2, k - 1) - (a2a2[k - 1] + b2b2[k - 1] - b1b1[k - 1])
+            a1[k] = -e1 / (2 * k * lam2 * lam2)
+            b1[k] = -e3 / (k * lam2)
+            da1.append(k * a1[k])
+            db1.append(k * b1[k])
+        for z, x, y in ((b1b1, b1, b1), (b1b2, b1, b2), (a2b1, a2, b1), (a2b1b2, a2b2, b1)):
+            z.append(at(x, y, k))
+        if k:  # E2, E4 at t^k fix p_k, q_k
+            d.append(at(b2, b2, k) - at(a2, a2, k))
+            e2 = 2.0 * at(da2, a2b1b2, k) - at(a2, [x + y for x, y in zip(d, b1b1)], k) \
+                + at(a1, b1b2, k)
+            e4 = 2.0 * at(db2, a2b1b2, k) - at(b2, [y - x for x, y in zip(d, b1b1)], k) \
+                - at(a1, a2b1, k)
+            det = 16 * k * (k + 1) * lam2
+            a2[k] = -((4 * k + 2) * e2 + 2.0 * e4) / det
+            b2[k] = -(2.0 * e2 + (4 * k + 2) * e4) / det
+            da2.append(k * a2[k])
+            db2.append(k * b2[k])
+        for z, x, y in ((a1a1, a1, a1), (a2a2, a2, a2), (b2b2, b2, b2), (a2b2, a2, b2),
+                        (a2a2b2b2, a2a2, b2b2)):
+            z.append(at(x, y, k))
+    return SeriesStart(mu, lam, order, np.array(list(zip(a1, a2, b1, b2))))
 
 
 def eval_series(s: SeriesStart, t) -> np.ndarray:
-    """Shapes (..., 4) of the truncated series at offsets t (...), all in its trust radius."""
+    """Shapes (..., 4) of the truncated series (Horner) at offsets t (...) in its trust radius."""
     t = np.asarray(t, dtype=float)
     dmax = s.truncation_offset()
     if not np.all((0.0 <= t) & (t <= dmax)):
         raise ValueError(f"t={t} outside the series trust interval [0, {dmax:.3e}]")
-    return t[..., None] ** np.arange(s.order + 1) @ s.coefficients
+    return functools.reduce(lambda r, c: r * t[..., None] + c, s.coefficients[::-1])
 
 
 # -- trajectory assembly ----------------------------------------------------
@@ -300,8 +285,8 @@ def integrate_sphere(start: np.ndarray, u0: float, u1: float, ln_f0: float = 0.0
     its callers pass sphere_stop, and u1 is the backstop.
     """
     a0 = np.asarray(start, dtype=float)
-    if not abs(np.linalg.norm(a0) - 1.0) <= 1e-9:
-        raise ValueError(f"start must be a unit vector, got |S| = {np.linalg.norm(a0)}")
+    if not abs((norm := math.hypot(*a0.tolist())) - 1.0) <= 1e-9:
+        raise ValueError(f"start must be a unit vector, got |S| = {norm}")
 
     us, ys, term, stats = flow._integrate(flow._sphere_rate, u0, np.append(a0, ln_f0), u1, tol,
                                           max_step=max_step, project=_project_sphere, stop=stop)
@@ -316,8 +301,9 @@ def unstable_direction(mu: float) -> np.ndarray:
     (1, mu/(4 lam), 0) up to scale.
     """
     lam = math.sqrt((1.0 - mu * mu) / 2.0)
-    e = np.array([1.0, mu / (4.0 * lam), 0.0])
-    return e / np.linalg.norm(e)
+    m = mu / (4.0 * lam)
+    n = math.sqrt(1.0 + m * m)
+    return np.array([1.0 / n, m / n, 0.0])
 
 
 def launch_sphere(mu: float, eps: float = 1e-5, u_max: float = 60.0,
@@ -398,7 +384,7 @@ def sample_at_level(traj: Trajectory, level: float):
     i = int(above[0])
     w = (level - col[i - 1]) / (col[i] - col[i - 1])
     s = traj.spheres[i - 1] + w * (traj.spheres[i] - traj.spheres[i - 1])
-    return s / np.linalg.norm(s)
+    return s / math.hypot(*s.tolist())
 
 
 def alc_fit(t, shapes) -> ALCFit | None:
@@ -406,22 +392,28 @@ def alc_fit(t, shapes) -> ALCFit | None:
 
     Certifies the asymptotically conic behaviour: each metric function
     approaches an affine function of t, one of them a constant.  None
-    when the samples cannot carry a fit: a t span below 30 or a trailing
-    window below 10 in t.  A t that is not 1-D with one entry per shape
-    (None, say: a sphere run has no t) raises ValueError.
+    when the samples cannot carry a fit: none at all, a t span below 30 or
+    a trailing window below 10 in t.  A t that is not 1-D with one entry per
+    shape (None, say: a sphere run has no t) raises ValueError.  Each line is
+    the least-squares fit, from fsums of the centred samples.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or len(t) != len(shapes):
         raise ValueError("asymptotic fit needs one t per row of shapes")
-    span = t[-1] - t[0]
-    sel = t >= t[-1] - 0.5 * span
-    if span < 30.0 or t[-1] - t[sel][0] < 10.0:
+    if not len(t) or t[-1] - t[0] < 30.0:
+        return None
+    sel = t >= t[-1] - 0.5 * (t[-1] - t[0])
+    if t[-1] - t[sel][0] < 10.0:
         return None
     ts = t[sel]
+    t_mean = math.fsum(ts.tolist()) / len(ts)
+    dt = ts - t_mean
     dev, slopes, intercepts = 0.0, np.empty(4), np.empty(4)
     for j in range(4):
         vals = shapes[sel, j]
-        slopes[j], intercepts[j] = np.polyfit(ts, vals, 1)
+        v_mean = math.fsum(vals.tolist()) / len(ts)
+        slopes[j] = math.fsum((dt * (vals - v_mean)).tolist()) / math.fsum((dt * dt).tolist())
+        intercepts[j] = v_mean - slopes[j] * t_mean
         fit = slopes[j] * ts + intercepts[j]
         # |1 - y/fit| with fit values indistinguishable from zero skipped
         # (an identically zero function deviates by zero from its fit)
@@ -453,7 +445,8 @@ def _edge_probe(mu: float, rtol: float) -> tuple:
     verdict = {WALL_CROSSING: 1.0, STAYS_INSIDE: -1.0}.get(traj.termination)
     if verdict is None:
         raise RuntimeError(f"undecided edge probe at mu={mu!r}, rtol={rtol!r}: {traj.termination}")
-    dwell = abs(float(np.dot(_S1_LEFT, d[k]))) * math.exp(
+    (l0, l1, l2, l3), (d0, d1, d2, d3) = _S1_LEFT, d[k].tolist()
+    dwell = abs(l0 * d0 + l1 * d1 + l2 * d2 + l3 * d3) * math.exp(
         -flow.S1_EIGENVALUES[2] * traj.u[k])
     return verdict, verdict * dwell
 

@@ -51,11 +51,30 @@ def test_series_order_residual():
 
 
 def test_series_cleared_identities_vanish_to_matched_order():
+    """E1..E4 (series_start's docstring) built here from the returned coefficients."""
     s = shoot.series_start(0.35, order=6)
-    for e in shoot._series_residuals(s.coefficients, s.order + 1, odd=True):
-        assert np.max(np.abs(e[: s.order])) <= 1e-11  # E1, E3 matched at t^0 .. t^(order-1)
-    for e in shoot._series_residuals(s.coefficients, s.order + 1, odd=False):
-        assert np.max(np.abs(e[: s.order + 1])) <= 1e-11  # E2, E4 matched at t^1 .. t^order
+    a1, a2, b1, b2 = s.coefficients.T
+    k = np.arange(s.order + 1)
+
+    def d(f):  # coefficients of the t-derivative
+        return np.append((k * f)[1:], 0.0)
+
+    def m(*fs):  # product, truncated to degree order + 1
+        out = fs[0]
+        for f in fs[1:]:
+            out = np.convolve(out, f)[: s.order + 2]
+        return out
+
+    a2sq, b2sq, b1sq = m(a2, a2), m(b2, b2), m(b1, b1)
+    e1 = 2.0 * m(d(a1), a2sq, b2sq) - m(a1, a1, b2sq - a2sq)
+    e2 = 2.0 * m(d(a2), a2, b1, b2) - m(a2, b2sq - a2sq + b1sq) + m(a1, b1, b2)
+    e3 = m(d(b1), a2, b2) - (a2sq + b2sq - b1sq)[: s.order + 2]
+    e4 = 2.0 * m(d(b2), a2, b1, b2) - m(b2, a2sq - b2sq + b1sq) - m(a1, a2, b1)
+    for e in (e1, e3):
+        assert np.max(np.abs(e[: s.order])) <= 1e-11  # matched at t^0 .. t^(order-1)
+    for e in (e2, e4):
+        assert np.max(np.abs(e[: s.order + 1])) <= 1e-11  # matched at t^1 .. t^order
+    assert np.max(np.abs(e2[s.order + 1])) > 1e-3  # the next order is not
 
 
 def _exact_series(mu, lam, order):
@@ -100,15 +119,71 @@ def test_series_matches_exact_arithmetic():
     assert np.all(np.abs(got - exact) <= 1e-13 * scale)
 
 
+def _series_50_digits(mu, order):
+    """The series by the pivots of series_start's docstring, in 50-digit mpmath arithmetic:
+    at order k, E1, E3 at t^(k-1) fix a_k, b_k, then E2, E4 at t^k fix p_k, q_k."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        mu = mpmath.mpf(mu)
+        lam = mpmath.sqrt((1 - mu * mu) / 2)
+        c = [[mu, lam, mpmath.mpf(0), lam]] + [[mpmath.mpf(0)] * 4 for _ in range(order)]
+
+        def e(j):  # E1..E4 at t^j, each product a sum over the coefficient rows
+            a1, a2, b1, b2 = ([row[i] for row in c] + [0] * (j + 2) for i in range(4))
+
+            def mul(*fs):  # the t^j coefficient of a product of series
+                out = fs[0][: j + 1]
+                for f in fs[1:]:
+                    out = [sum(out[i] * f[n - i] for i in range(n + 1)) for n in range(j + 1)]
+                return out[j]
+
+            def der(f):
+                return [(n + 1) * f[n + 1] for n in range(j + 1)]
+
+            sq = [mul(x, x) for x in (a2, b2, b1)]
+            return (2 * mul(der(a1), a2, a2, b2, b2) - mul(a1, a1, b2, b2) + mul(a1, a1, a2, a2),
+                    2 * mul(der(a2), a2, b1, b2) - mul(a2, b2, b2) + mul(a2, a2, a2)
+                    - mul(a2, b1, b1) + mul(a1, b1, b2),
+                    mul(der(b1), a2, b2) - (sq[0] + sq[1] - sq[2]),
+                    2 * mul(der(b2), a2, b1, b2) - mul(b2, a2, a2) + mul(b2, b2, b2)
+                    - mul(b2, b1, b1) - mul(a1, a2, b1))
+
+        for k in range(1, order + 1):
+            e1, _, e3, _ = e(k - 1)
+            c[k][0] = -e1 / (2 * k * lam ** 4)
+            c[k][2] = -e3 / (k * lam ** 2)
+            _, e2, _, e4 = e(k)
+            det = 16 * k * (k + 1) * lam ** 2
+            c[k][1] = -((4 * k + 2) * e2 + 2 * e4) / det
+            c[k][3] = -(2 * e2 + (4 * k + 2) * e4) / det
+        return np.array([[float(x) for x in row] for row in c])
+
+
 @pytest.mark.parametrize("order", [3, 4, 8])
-def test_series_two_residual_evaluations_per_order(monkeypatch, order):
-    """Two _series_residuals evaluations per order, one per pair: 8 at the default order 4."""
-    calls = []
-    residuals = shoot._series_residuals
-    monkeypatch.setattr(shoot, "_series_residuals",
-                        lambda c, n, odd: calls.append((n, odd)) or residuals(c, n, odd))
-    shoot.series_start(0.37, order)
-    assert calls == [(k + 1, odd) for k in range(1, order + 1) for odd in (True, False)]
+def test_series_matches_50_digit_recursion(order):
+    """Every row within 5e-15 of its largest entry of the 50-digit series over the mu grid,
+    and B1's even coefficients (A1's odd ones) exactly zero, as in exact arithmetic."""
+    for mu in MU_GRID:
+        got = shoot.series_start(mu, order).coefficients
+        exact = _series_50_digits(mu, order)
+        scale = np.max(np.abs(exact), axis=1, keepdims=True)
+        assert np.all(np.abs(got - exact) <= 5e-15 * scale), mu
+        assert np.all(got[::2, 2] == 0.0) and np.all(got[1::2, 0] == 0.0), mu
+
+
+def test_series_makes_no_numpy_call_before_its_array(monkeypatch):
+    """series_start runs on Python floats: numpy builds only the returned array."""
+    names = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            names.append(name)
+            return getattr(np, name)
+
+    monkeypatch.setattr(shoot, "np", Recorder())
+    s = shoot.series_start(0.37, 8)
+    assert names == ["array"] and s.coefficients.shape == (9, 4)
 
 
 def test_series_validation():
@@ -412,20 +487,23 @@ def test_kernel_bits_pinned(monkeypatch):
     """The last sample and stats of a family run and of a sphere launch, bit for bit.
 
     The golden gate compares to 1e-12 relative; these hex values were
-    recorded from the DP54 kernel written over lists, and any rewrite of
-    the kernel must reproduce them exactly.  The launch is pinned twice: as
-    it runs, stopped in the trapping set of SINF, and with only the wall
-    stop, on to the u = 60 horizon as it was recorded.
+    recorded from the DP54 kernel written over lists (the family run's
+    re-recorded when its series start, series evaluation and first step
+    left BLAS for Python floats), and any rewrite of the kernel must
+    reproduce them exactly.  The launch is pinned twice: as it runs,
+    stopped in the trapping set of SINF, and with only the wall stop, on
+    to the u = 60 horizon as it was recorded.  test_bits_do_not_depend_on_the_blas_kernel
+    checks the same runs under three BLAS kernels.
     """
     traj = shoot.family_shape_trajectory(0.5, t_max=60.0, tol=1e-12)
     assert (len(traj), traj.termination) == (322, shoot.REACHED_HORIZON)
     assert _hex([traj.t[-1], *traj.shapes[-1], traj.u[-1]]) == [
-        "0x1.e000000000000p+5", "0x1.d604437b4c356p-1", "0x1.13414c4b57794p+5",
-        "0x1.419738b6ce3bfp+5", "0x1.199c92e2a7d7ap+5", "0x1.09628864a6cb0p+2"]
+        "0x1.e000000000000p+5", "0x1.d604437b4c34bp-1", "0x1.13414c4b57794p+5",
+        "0x1.419738b6ce3c1p+5", "0x1.199c92e2a7d7cp+5", "0x1.09628864a6cafp+2"]
     assert _hex(traj.stats) == {
-        "steps": 321, "rejected": 0, "evals": 1927, "h_min": "0x1.541678e368066p-9",
-        "h_max": "0x1.af48f371c9bc1p+0", "max_drift": "0x0.0p+0",
-        "error_sum": "0x1.1afe51759d0d0p-29"}
+        "steps": 321, "rejected": 0, "evals": 1927, "h_min": "0x1.541674461c362p-9",
+        "h_max": "0x1.af48ef8919131p+0", "max_drift": "0x0.0p+0",
+        "error_sum": "0x1.1afe5171ea0cfp-29"}
 
     launch = shoot.launch_sphere(0.3)
     assert (len(launch), launch.termination) == (326, shoot.CONVERGED)
@@ -451,6 +529,66 @@ def test_kernel_bits_pinned(monkeypatch):
         "error_sum": "0x1.970ba05d1c568p-28",
         "chart": {"v_span": "0x1.ba93034a487afp+1", "steps": 82,
                   "u_switch": "0x1.47c640c3fdeb8p-8"}}
+
+
+# The edge search, the two runs of test_kernel_bits_pinned and their asymptotic fit, in a
+# fresh interpreter: mu* and a digest of every sample, and the BLAS kernel in effect.
+_KERNEL_RUNS = """
+import ctypes, hashlib
+import numpy as np
+from g2cone import shoot
+
+mu = shoot.critical_parameter(0.5, 0.6, 1e-9)
+traj = shoot.family_shape_trajectory(0.5, t_max=60.0, tol=1e-12)
+launch = shoot.launch_sphere(0.3)
+fit = shoot.alc_fit(traj.t, traj.shapes)
+digest = hashlib.sha256()
+for a in (traj.t, traj.u, traj.shapes, launch.u, launch.spheres, launch.f, fit.slopes,
+          fit.intercepts, [fit.max_relative_deviation]):
+    digest.update(np.asarray(a, dtype=float).tobytes())
+core = None
+with open("/proc/self/maps") as maps:
+    for path in {line.split()[-1] for line in maps if "openblas" in line and ".so" in line}:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(lib, name):
+                getattr(lib, name).restype = ctypes.c_char_p
+                core = getattr(lib, name)().decode()
+print(mu.hex(), digest.hexdigest(), core)
+"""
+_KERNELS = {"Prescott": set(), "Haswell": {"avx2", "fma"},
+            "SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"}}
+
+
+def test_bits_do_not_depend_on_the_blas_kernel():
+    """The edge search, the family run and the launch of test_kernel_bits_pinned and one
+    alc_fit give the same bits under OpenBLAS's Prescott, Haswell and SkylakeX kernels:
+    none of them makes a BLAS or LAPACK call.  One fresh interpreter per kernel, one at a
+    time with one BLAS thread; each reports the kernel it ran on."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip(f"numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, whose kernel "
+                    f"OPENBLAS_CORETYPE selects: {blas.get('name', 'unknown')}")
+    try:
+        flags = set(Path("/proc/cpuinfo").read_text().split())
+    except OSError:
+        pytest.skip("no /proc/cpuinfo to tell which kernels this CPU can run")
+    if missing := sorted(_KERNELS["SkylakeX"] - flags):
+        pytest.skip(f"this CPU cannot run the SkylakeX kernel (no {', '.join(missing)})")
+    results = {}
+    for kernel in _KERNELS:
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_CORETYPE=kernel,
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", _KERNEL_RUNS], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        *bits, results[kernel] = proc.stdout.split()
+        results[kernel, "bits"] = bits
+    assert len({results[k] for k in _KERNELS}) == 3, results  # three kernels ran
+    assert results["Prescott", "bits"] == results["Haswell", "bits"] == \
+        results["SkylakeX", "bits"], results
+    assert results["SkylakeX", "bits"][0] == MU_EDGE.hex()
 
 
 def test_first_integral_drift_small():
@@ -812,6 +950,33 @@ def test_alc_fit_validation(family_launches):
     assert shoot.alc_fit(full.t[[0, -1]], full.shapes[[0, -1]]) is None
 
 
+def test_alc_fit_is_the_least_squares_line(family_shapes):
+    """Each line is the exact least-squares line of the float samples (in fractions) to
+    rounding: the slope to 2.5e-16, the intercept to the slope's rounding times t ~ 200."""
+    from fractions import Fraction
+
+    for mu in (0.2, 0.5):
+        traj = family_shapes[mu]
+        fit = shoot.alc_fit(traj.t, traj.shapes)
+        sel = traj.t >= fit.t_lo
+        assert traj.t[sel][[0, -1]].tolist() == [fit.t_lo, fit.t_hi]
+        ts = [Fraction(x) for x in traj.t[sel].tolist()]
+        t_mean = sum(ts) / len(ts)
+        for j in range(4):
+            vs = [Fraction(v) for v in traj.shapes[sel, j].tolist()]
+            v_mean = sum(vs) / len(vs)
+            slope = (sum((x - t_mean) * (v - v_mean) for x, v in zip(ts, vs))
+                     / sum((x - t_mean) ** 2 for x in ts))
+            assert abs(fit.slopes[j] - slope) <= 2.5e-16
+            assert abs(fit.intercepts[j] - (v_mean - slope * t_mean)) <= 200 * 2.5e-16
+
+
+def test_alc_fit_of_no_samples():
+    """No samples carry no fit: None, not an IndexError from the empty t."""
+    assert shoot.alc_fit([], np.empty((0, 4))) is None
+    assert shoot.alc_fit(np.empty(0), []) is None
+
+
 # -- the family edge --------------------------------------------------------------------
 
 
@@ -850,7 +1015,7 @@ def test_critical_parameter_location():
     assert mu_star == pytest.approx(0.5441298, abs=1e-5)
 
 
-MU_EDGE = 0.5441298122028686  # critical_parameter(0.5, 0.6, tol=1e-9), probes at rtol 1e-10
+MU_EDGE = 0.5441298122028687  # critical_parameter(0.5, 0.6, tol=1e-9), probes at rtol 1e-10
 MU_EDGE_BRENT = 0.5441298122338323  # the same call when Brent's zeroin picked the probes
 MU_EDGE_RTOL_1E12 = 0.5441298121789304  # the same call by zeroin, every probe at rtol 1e-12
 MU_EDGE_BISECTION = 0.5441298123449086  # the same call when it bisected the bracket
