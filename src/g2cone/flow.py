@@ -20,10 +20,12 @@ integral, and the scalar monitors used to certify the qualitative
 behaviour of trajectories (monotone quantities, wall functions, and the
 radial log-derivative).  Every run steps these fields with _integrate, an
 adaptive Dormand-Prince 5(4) integrator (h <- h clamp(0.9 err^(-1/5), 0.2, 5),
-optional projection, the caller's stops); gauss_legendre is the quadrature
-of the series launch's u and the closed forms' r -> t map.  Shapes, their
-t-derivatives and unit directions are (..., 4) arrays, chart points (3,)
-arrays.  Nothing here imports the closure oracle g2cone.exterior.
+optional projection, the caller's stops) on five-float states whose fifth
+component (u or ln f) is a rider: a field takes the other four floats and
+returns all five rates.  gauss_legendre is the quadrature of the series
+launch's u and the closed forms' r -> t map.  Shapes, their t-derivatives
+and unit directions are (..., 4) arrays, chart points (3,) arrays.  Nothing
+here imports the closure oracle g2cone.exterior.
 """
 
 from __future__ import annotations

@@ -150,34 +150,33 @@ def series_start(mu: float, order: int = 4) -> SeriesStart:
     lam = math.sqrt((1.0 - mu * mu) / 2.0)
     lam2 = lam * lam
     a1, a2, b1, b2 = ([x] + [0.0] * order for x in (mu, lam, 0.0, lam))  # 0.0 while unknown
+    a1a1, a2a2, b2b2, a2b2, a2a2b2b2 = [mu * mu], [lam2], [lam2], [lam2], [lam2 * lam2]
+    b1b1, b1b2, a2b1, a2b1b2 = [0.0], [0.0], [0.0], [0.0]
     da1, da2, db1, db2 = [], [], [], []  # the derivatives, without their unknown t^(k-1)
-    a1a1, a2a2, b2b2, a2b2, a2a2b2b2, b1b1, b1b2, a2b1, a2b1b2 = ([] for _ in range(9))
 
     def at(x, y, k):  # the t^k coefficient of x y; a short x lacks its unknown terms
         return math.fsum(map(operator.mul, x[:k + 1], y[k::-1]))
 
-    for k in range(order + 1):
-        if k:  # E1, E3 at t^(k-1) fix a_k, b_k
-            d = [y - x for x, y in zip(a2a2, b2b2)]  # B2^2 - A2^2
-            e1 = 2.0 * at(da1, a2a2b2b2, k - 1) - at(a1a1, d, k - 1)
-            e3 = at(db1, a2b2, k - 1) - (a2a2[k - 1] + b2b2[k - 1] - b1b1[k - 1])
-            a1[k] = -e1 / (2 * k * lam2 * lam2)
-            b1[k] = -e3 / (k * lam2)
-            da1.append(k * a1[k])
-            db1.append(k * b1[k])
+    for k in range(1, order + 1):
+        d = [y - x for x, y in zip(a2a2, b2b2)]  # B2^2 - A2^2
+        e1 = 2.0 * at(da1, a2a2b2b2, k - 1) - at(a1a1, d, k - 1)
+        e3 = at(db1, a2b2, k - 1) - (a2a2[k - 1] + b2b2[k - 1] - b1b1[k - 1])
+        a1[k] = -e1 / (2 * k * lam2 * lam2)  # E1, E3 at t^(k-1) fix a_k, b_k
+        b1[k] = -e3 / (k * lam2)
+        da1.append(k * a1[k])
+        db1.append(k * b1[k])
         for z, x, y in ((b1b1, b1, b1), (b1b2, b1, b2), (a2b1, a2, b1), (a2b1b2, a2b2, b1)):
             z.append(at(x, y, k))
-        if k:  # E2, E4 at t^k fix p_k, q_k
-            d.append(at(b2, b2, k) - at(a2, a2, k))
-            e2 = 2.0 * at(da2, a2b1b2, k) - at(a2, [x + y for x, y in zip(d, b1b1)], k) \
-                + at(a1, b1b2, k)
-            e4 = 2.0 * at(db2, a2b1b2, k) - at(b2, [y - x for x, y in zip(d, b1b1)], k) \
-                - at(a1, a2b1, k)
-            det = 16 * k * (k + 1) * lam2
-            a2[k] = -((4 * k + 2) * e2 + 2.0 * e4) / det
-            b2[k] = -(2.0 * e2 + (4 * k + 2) * e4) / det
-            da2.append(k * a2[k])
-            db2.append(k * b2[k])
+        d.append(at(b2, b2, k) - at(a2, a2, k))
+        e2 = 2.0 * at(da2, a2b1b2, k) - at(a2, [x + y for x, y in zip(d, b1b1)], k) \
+            + at(a1, b1b2, k)
+        e4 = 2.0 * at(db2, a2b1b2, k) - at(b2, [y - x for x, y in zip(d, b1b1)], k) \
+            - at(a1, a2b1, k)
+        det = 16 * k * (k + 1) * lam2
+        a2[k] = -((4 * k + 2) * e2 + 2.0 * e4) / det  # E2, E4 at t^k fix p_k, q_k
+        b2[k] = -(2.0 * e2 + (4 * k + 2) * e4) / det
+        da2.append(k * a2[k])
+        db2.append(k * b2[k])
         for z, x, y in ((a1a1, a1, a1), (a2a2, a2, a2), (b2b2, b2, b2), (a2b2, a2, b2),
                         (a2a2b2b2, a2a2, b2b2)):
             z.append(at(x, y, k))
