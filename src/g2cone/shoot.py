@@ -150,7 +150,7 @@ def series_start(mu: float, order: int = 4) -> SeriesStart:
     lam = math.sqrt((1.0 - mu * mu) / 2.0)
     lam2 = lam * lam
     a1, a2, b1, b2 = ([x] + [0.0] * order for x in (mu, lam, 0.0, lam))  # 0.0 while unknown
-    a1a1, a2a2, b2b2, a2b2, a2a2b2b2 = [mu * mu], [lam2], [lam2], [lam2], [lam2 * lam2]
+    a1a1, a2a2, b2b2, a2b2, a2a2b2b2 = [], [], [], [], []
     b1b1, b1b2, a2b1, a2b1b2 = [0.0], [0.0], [0.0], [0.0]
     da1, da2, db1, db2 = [], [], [], []  # the derivatives, without their unknown t^(k-1)
 
@@ -158,6 +158,9 @@ def series_start(mu: float, order: int = 4) -> SeriesStart:
         return math.fsum(map(operator.mul, x[:k + 1], y[k::-1]))
 
     for k in range(1, order + 1):
+        for z, x, y in ((a1a1, a1, a1), (a2a2, a2, a2), (b2b2, b2, b2), (a2b2, a2, b2),
+                        (a2a2b2b2, a2a2, b2b2)):
+            z.append(at(x, y, k - 1))
         d = [y - x for x, y in zip(a2a2, b2b2)]  # B2^2 - A2^2
         e1 = 2.0 * at(da1, a2a2b2b2, k - 1) - at(a1a1, d, k - 1)
         e3 = at(db1, a2b2, k - 1) - (a2a2[k - 1] + b2b2[k - 1] - b1b1[k - 1])
@@ -177,9 +180,6 @@ def series_start(mu: float, order: int = 4) -> SeriesStart:
         b2[k] = -(2.0 * e2 + (4 * k + 2) * e4) / det
         da2.append(k * a2[k])
         db2.append(k * b2[k])
-        for z, x, y in ((a1a1, a1, a1), (a2a2, a2, a2), (b2b2, b2, b2), (a2b2, a2, b2),
-                        (a2a2b2b2, a2a2, b2b2)):
-            z.append(at(x, y, k))
     return SeriesStart(mu, lam, order, np.array(list(zip(a1, a2, b1, b2))))
 
 
@@ -407,11 +407,12 @@ def alc_fit(t, shapes) -> ALCFit | None:
     ts = t[sel]
     t_mean = math.fsum(ts.tolist()) / len(ts)
     dt = ts - t_mean
+    dt2 = math.fsum((dt * dt).tolist())
     dev, slopes, intercepts = 0.0, np.empty(4), np.empty(4)
     for j in range(4):
         vals = shapes[sel, j]
         v_mean = math.fsum(vals.tolist()) / len(ts)
-        slopes[j] = math.fsum((dt * (vals - v_mean)).tolist()) / math.fsum((dt * dt).tolist())
+        slopes[j] = math.fsum((dt * (vals - v_mean)).tolist()) / dt2
         intercepts[j] = v_mean - slopes[j] * t_mean
         fit = slopes[j] * ts + intercepts[j]
         # |1 - y/fit| with fit values indistinguishable from zero skipped
