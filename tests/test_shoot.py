@@ -487,13 +487,12 @@ def test_kernel_bits_pinned(monkeypatch):
     """The last sample and stats of a family run and of a sphere launch, bit for bit.
 
     The golden gate compares to 1e-12 relative; these hex values were
-    recorded from the DP54 kernel written over lists (the family run's
-    re-recorded when its series start, series evaluation and first step
-    left BLAS for Python floats), and any rewrite of the kernel must
-    reproduce them exactly.  The launch is pinned twice: as it runs,
-    stopped in the trapping set of SINF, and with only the wall stop, on
-    to the u = 60 horizon as it was recorded.  test_bits_do_not_depend_on_the_blas_kernel
-    checks the same runs under three BLAS kernels.
+    recorded from the DP54 kernel on Python floats, and any rewrite of the
+    kernel must reproduce them exactly.  The launch is pinned twice: as it
+    runs, stopped in the trapping set of SINF, and with only the wall stop,
+    on to the u = 60 horizon as it was recorded.
+    test_bits_do_not_depend_on_the_blas_kernel runs the same two runs under
+    three BLAS kernels.
     """
     traj = shoot.family_shape_trajectory(0.5, t_max=60.0, tol=1e-12)
     assert (len(traj), traj.termination) == (322, shoot.REACHED_HORIZON)
