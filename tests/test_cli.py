@@ -182,6 +182,17 @@ def test_input_bounds():
     for n in (0, MAX_MU_POINTS + 1):
         with pytest.raises(ConfigError):
             mu_values(parse_args(["sweep", "--mu-range", f"0.1:0.9:{n}"]), [])
+    # the integer bounds as literals, so that moving one in the option table fails here
+    for argv, ok in ((["shoot", "--order", "2"], False), (["shoot", "--order", "3"], True),
+                     (["shoot", "--order", "8"], True), (["shoot", "--order", "9"], False),
+                     (["sweep", "--stride", "0"], False), (["sweep", "--stride", "1"], True),
+                     (["verify-torsion", "--seed", "-1"], False),
+                     (["verify-torsion", "--seed", "0"], True)):
+        if ok:
+            validate(parse_args(argv))
+        else:
+            with pytest.raises(ConfigError):
+                validate(parse_args(argv))
 
 
 _RUN = ("--t-max", "--u-max", "--tol", "--conv-tol", "--order", "--stride", "--format")
