@@ -52,54 +52,45 @@ class ConfigError(ValueError):
     pass
 
 
-# every option: (type, default, help); each command takes those it reads (_COMMANDS)
-_OPTIONS = {
-    "--mu": (float, None, "family parameter in (0,1)"),
-    "--mu-range": (str, None, "inclusive mu grid LO:HI:N with N points"),
-    "--t-max": (float, 200.0, "t horizon of the shape run"),
-    "--u-max": (float, 60.0, "u horizon of its continuation on the sphere"),
-    "--tol": (float, 1e-10, "integrator relative tolerance"),
-    "--conv-tol": (float, 1e-6, "convergence tolerance on the sphere"),
-    "--order": (int, 4, "series order, 3..8"),
-    "--stride": (int, 1, "write every N-th step (and the last) to CSV/SVG"),
-    "--format": (str, "csv,json", "comma subset of csv,json,svg"),
-    "--samples": (int, 200, "number of random states"),
-    "--seed": (int, 0, "seed of the random states"),
-    "--debug-flip-psi": (bool, False, "negative control: flip one sign in the 3-form"),
-    "--out": (str, "g2cone_out", "output directory"),
-}
-# the options of one trajectory run, besides its mu
-_RUN = ("--t-max", "--u-max", "--tol", "--conv-tol", "--order", "--stride", "--format")
 MAX_SAMPLES = 100_000
 MAX_MU_POINTS = 1_000
 MAX_CONV_TOL = 0.1  # convergence ball around SINF, far from S1 (0.41 away), where paths linger
 MAX_TOL = 1e-3  # at 0.1 a run at mu 0.6 accepts its last step at B1 = -3.5
 MAX_T_MAX = 1e100  # f grows like t, and f^3 in the F monitor overflows past t ~ 1e102
 MAX_U_MAX = 200.0  # and like exp(sqrt(10) u / 3) near S_inf, so f^3 overflows past u ~ 225
+_ORDER_LO, _ORDER_HI = shoot.SERIES_ORDERS
+# each option: (type, default, help, bounds (lo, hi] or None); a command takes those it reads
+_OPTIONS = {
+    "--mu": (float, None, "family parameter in (0,1)", None),
+    "--mu-range": (str, None, "inclusive mu grid LO:HI:N with N points", None),
+    "--t-max": (float, 200.0, "t horizon of the shape run", (shoot.SERIES_MAX_OFFSET, MAX_T_MAX)),
+    "--u-max": (float, 60.0, "u horizon of its continuation on the sphere", (0, MAX_U_MAX)),
+    "--tol": (float, 1e-10, "integrator relative tolerance", (0, MAX_TOL)),
+    "--conv-tol": (float, 1e-6, "convergence tolerance on the sphere", (0, MAX_CONV_TOL)),
+    "--order": (int, 4, f"series order, {_ORDER_LO}..{_ORDER_HI}", (_ORDER_LO - 1, _ORDER_HI)),
+    "--stride": (int, 1, "write every N-th step (and the last) to CSV/SVG", (0, math.inf)),
+    "--format": (str, "csv,json", "comma subset of csv,json,svg", None),
+    "--samples": (int, 200, "number of random states", (0, MAX_SAMPLES)),
+    "--seed": (int, 0, "seed of the random states", (-1, math.inf)),
+    "--debug-flip-psi": (bool, False, "negative control: flip one sign in the 3-form", None),
+    "--out": (str, "g2cone_out", "output directory", None),
+}
+# the options of one trajectory run, besides its mu
+_RUN = ("--t-max", "--u-max", "--tol", "--conv-tol", "--order", "--stride", "--format")
 
 
 def validate(args) -> None:
-    """Reject an unusable value of an option the command has; --format becomes a sorted list."""
-    if getattr(args, "seed", 0) < 0 or not 1 <= getattr(args, "samples", 1) <= MAX_SAMPLES:
-        raise ConfigError(f"--seed must be >= 0, --samples in 1..{MAX_SAMPLES}")
-    if not hasattr(args, "t_max"):  # only shoot and sweep run trajectories
-        return
-    args.format = sorted({f.strip() for f in args.format.split(",") if f.strip()})
-    bad = set(args.format) - {"csv", "json", "svg"}
-    if bad:
-        raise ConfigError(f"unknown output formats: {sorted(bad)}")
-    if not (0 < args.t_max <= MAX_T_MAX and 0 < args.u_max <= MAX_U_MAX):
-        raise ConfigError(f"--t-max must lie in (0, {MAX_T_MAX:g}], --u-max in (0, {MAX_U_MAX:g}]")
-    if args.t_max <= shoot.SERIES_MAX_OFFSET:
-        raise ConfigError(f"--t-max must exceed the series launch offset "
-                          f"{shoot.SERIES_MAX_OFFSET:g}")
-    if args.stride < 1:
-        raise ConfigError("stride must be >= 1")
-    if not 3 <= args.order <= 8:
-        raise ConfigError("order must lie in 3..8")
-    if not (0 < args.tol <= MAX_TOL and 0 < args.conv_tol <= MAX_CONV_TOL):
-        raise ConfigError(f"--tol must lie in (0, {MAX_TOL:g}], "
-                          f"--conv-tol in (0, {MAX_CONV_TOL:g}]")
+    """Reject a value outside its bounds, named as [3, 8] or (0, 0.1]; --format: a sorted list."""
+    for flag in _COMMANDS[args.command][2]:
+        value, bounds = vars(args)[flag[2:].replace("-", "_")], _OPTIONS[flag][3]
+        if flag == "--format":
+            args.format = sorted({f.strip() for f in value.split(",") if f.strip()})
+            if not set(args.format) <= {"csv", "json", "svg"}:
+                raise ConfigError(f"--format must be a comma subset of csv,json,svg, got {value!r}")
+        elif bounds and not bounds[0] < value <= bounds[1]:
+            left = f"[{bounds[0] + 1}" if isinstance(value, int) else f"({bounds[0]:g}"
+            right = f"{bounds[1]:g}]" if bounds[1] < math.inf else "inf)"
+            raise ConfigError(f"{flag} must lie in {left}, {right}, got {value!r}")
 
 
 def mu_values(args, default) -> list:
@@ -423,7 +414,7 @@ def _help(command) -> None:
     else:
         rows = []
         for flag in (*_COMMANDS[command][2], "--out"):
-            kind, _, text = _OPTIONS[flag]
+            kind, _, text, _ = _OPTIONS[flag]
             rows.append((flag if kind is bool else f"{flag} {kind.__name__.upper()}", text))
     _exit(0, command, "\n".join(f"  {name:<20} {text}" for name, text in rows))
 

@@ -129,10 +129,12 @@ _D, _TERMS = _d_entries()
 
 
 def _shapes(state) -> np.ndarray:
-    """The (..., 4) array of shapes; rejects non-positive shapes."""
+    """The (..., 4) array of shapes; rejects non-finite and non-positive shapes."""
     r = np.asarray(state)
     if r.shape[-1:] != (4,):
         raise ValueError(f"a shape state has 4 components, got shape {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise ValueError(f"shape state must be finite, got {state}")
     if not np.all(np.real(r) > 0):
         raise ValueError(f"shape state must be strictly positive, got {state}")
     return r

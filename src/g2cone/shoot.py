@@ -25,8 +25,8 @@ from .flow import REACHED_HORIZON, STEP_FAILURE
 
 __all__ = [
     "SeriesStart", "Trajectory", "ALCFit", "REACHED_HORIZON", "CONVERGED",
-    "POSITIVITY_VIOLATION", "STEP_FAILURE", "WALL_CROSSING", "STAYS_INSIDE",
-    "SERIES_MAX_OFFSET", "series_start", "eval_series", "integrate_shape", "integrate_sphere",
+    "POSITIVITY_VIOLATION", "STEP_FAILURE", "WALL_CROSSING", "STAYS_INSIDE", "SERIES_MAX_OFFSET",
+    "SERIES_ORDERS", "series_start", "eval_series", "integrate_shape", "integrate_sphere",
     "sphere_stop", "launch_sphere", "unstable_direction", "detect_convergence",
     "sample_at_level", "alc_fit", "family_shape_trajectory", "critical_parameter", "ALC_NOTE",
 ]
@@ -38,6 +38,7 @@ STAYS_INSIDE = "stays-inside"  # runs stopped once decided, on entering Q (see i
 
 POSITIVITY_FLOOR = 1e-9
 SERIES_MAX_OFFSET = 1e-2  # the series launch offset never exceeds this t
+SERIES_ORDERS = (3, 8)  # the least and the greatest order series_start takes
 CHART_SWITCH_X = 0.01  # leave the desingularized chart once alpha3 reaches this
 LAUNCH_TOL = 1e-10  # relative tolerance of both phases of a sphere launch
 
@@ -145,8 +146,8 @@ def series_start(mu: float, order: int = 4) -> SeriesStart:
     """
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    if not 3 <= order <= 8:
-        raise ValueError(f"order must lie in 3..8, got {order}")
+    if not SERIES_ORDERS[0] <= order <= SERIES_ORDERS[1]:
+        raise ValueError(f"order must lie in {SERIES_ORDERS[0]}..{SERIES_ORDERS[1]}, got {order}")
     lam = math.sqrt((1.0 - mu * mu) / 2.0)
     lam2 = lam * lam
     a1, a2, b1, b2 = ([x] + [0.0] * order for x in (mu, lam, 0.0, lam))  # 0.0 while unknown
@@ -254,6 +255,8 @@ def integrate_shape(start, t0: float, t1: float, tol: float = 1e-10, max_step: f
     r = np.asarray(start, dtype=float)
     if not np.all(r > 0.0):
         raise ValueError(f"start must be strictly positive, got {start}")
+    if not math.isfinite(sum(x * x for x in r.tolist())):  # f = |start| overflows
+        raise ValueError(f"start must have a finite squared norm, got {start}")
 
     def stop(y, floor=POSITIVITY_FLOOR):  # y is finite, so this is min(...) < floor
         a1, a2, b1, b2, _ = y

@@ -446,6 +446,17 @@ def test_engine_rejects_nonpositive_and_malformed_shapes():
         residual_coefficients(np.ones(3), np.zeros(3))
 
 
+@pytest.mark.parametrize("state", [[1.0, 1.0, np.inf, 1.0], [1.0, np.nan, 1.0, 1.0],
+                                   [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, np.inf]]])
+def test_engine_rejects_non_finite_shapes(state):
+    """A non-finite shape, alone or in a batch, raises ValueError before any product
+    (an inf gave NaN coefficients, with an 'invalid value' warning from the matmul)."""
+    with pytest.raises(ValueError, match="finite"):
+        torsion_residual(state, np.zeros(np.shape(state)))
+    with pytest.raises(ValueError, match="finite"):
+        solve_torsion_free_derivs(state)
+
+
 # -- torsion ---------------------------------------------------------------------
 
 

@@ -441,6 +441,9 @@ SPHERE_START = "np.array([2.0, 3.0, 4.0, 5.0]) / math.sqrt(54.0)"
                  id="nan-shape-start"),
     pytest.param("shoot.integrate_shape([1.0, 1.0, 1.0, 1.0], 0.0, math.nan)", False,
                  id="nan-shape-horizon"),
+    # |start|^2 overflows: the trajectory's f column would be inf
+    pytest.param("shoot.integrate_shape([1e300] * 4, 0.0, 1.0)", False,
+                 id="overflowing-shape-start"),
     # a horizon at or before the start leaves nothing to integrate
     pytest.param("shoot.integrate_sphere(shoot.flow.SINF, 5.0, 1.0)", False,
                  id="sphere-horizon-before-start"),
@@ -589,6 +592,27 @@ def test_bits_do_not_depend_on_the_blas_kernel():
     assert len({core for _, core in runs}) == 3, runs  # OPENBLAS_CORETYPE took effect
     assert len(set(runs.values())) == 1, runs  # one mu* and one digest from all three
     assert next(iter(runs.values()))[0] == MU_EDGE.hex(), runs
+
+
+def test_edge_path_makes_no_blas_call(monkeypatch):
+    """The edge search and the launches either side of its mu* call neither np.dot nor
+    np.linalg.norm without an axis, both BLAS dots.  test_bits_do_not_depend_on_the_blas_kernel
+    cannot see these two: on its inputs they give the same bits under all three kernels."""
+    norm = np.linalg.norm
+
+    def no_dot(*args, **kwargs):
+        pytest.fail("np.dot on the edge path")
+
+    def axis_norm(x, ord=None, axis=None, keepdims=False):
+        if axis is None:
+            pytest.fail("np.linalg.norm without an axis on the edge path")
+        return norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np, "dot", no_dot)
+    monkeypatch.setattr(np.linalg, "norm", axis_norm)
+    mu = shoot.critical_parameter(0.5, 0.6, 1e-6)
+    assert shoot.launch_sphere(mu - 1e-5).termination == shoot.CONVERGED
+    assert shoot.launch_sphere(mu + 1e-5).termination == shoot.WALL_CROSSING
 
 
 def test_first_integral_drift_small():
