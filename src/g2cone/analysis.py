@@ -65,17 +65,24 @@ CLOSED_FORM_KINDS = ("bgg", "bs", "singular")
 
 
 def _orbit_size(point: np.ndarray) -> int:
-    images = set()
-    for mat, _ in flow.symmetry_group():
-        images.add(tuple(np.round(mat @ point, 12)))
-    return len(images)
+    # signed permutations map floats exactly, so images compare as tuples (0.0 == -0.0);
+    # a NaN never equals its image, so the walk would not end
+    if not np.all(np.isfinite(point)):
+        raise ValueError(f"orbit of a non-finite point {point}")
+    orbit, frontier = set(), [point]
+    while frontier:
+        p = frontier.pop()
+        if (key := tuple(p.tolist())) not in orbit:
+            orbit.add(key)
+            frontier += [mat @ p for mat, _ in flow.SYMMETRIES.values()]
+    return len(orbit)
 
 
 def stationary_points() -> list:
     """The stationary directions S1 and S_inf of the tangential flow.
 
     Each satisfies V(S) parallel to S; the report records the residual
-    |W(S)|, the size of the orbit under the discrete symmetry group and
+    |W(S)|, the size of its orbit under the discrete symmetries and
     the eigendata of the tangential linearization.
     """
     reports = []

@@ -33,7 +33,7 @@ from .reporting import write_csv, write_json, write_svg_plot
 __all__ = ["main", "parse_args"]
 
 CSV_HEADER = ["t", "u", "A1", "A2", "B1", "B2", "alpha1", "alpha2", "alpha3", "alpha4",
-              "f", "F", "F1", "F2", "F3", "F4", "F5", "G1", "G2", "beta"]
+              "f", *flow.MONITOR_NAMES]
 
 SWEEP_HEADER = ["mu", "converged", "u_converged", "F_initial", "F_drift",
                 "slope_A1", "slope_A2", "slope_B1", "slope_B2", "alc_max_deviation",

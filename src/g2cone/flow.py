@@ -15,10 +15,10 @@ formula on floats (_chart_components; modified_field is its array form)
 that never calls the analytic right-hand side.  The sphere launch runs it
 off J, then W in u to the horizon or past the wall G1 = 0 (shoot).
 
-Also provided: the discrete symmetry group of the flow, the cubic first
-integral, and the scalar monitors used to certify the qualitative
-behaviour of trajectories (monotone quantities, wall functions, and the
-radial log-derivative).  Every run steps these fields with _integrate, an
+Also provided: the five generators of the discrete symmetries (SYMMETRIES),
+the cubic first integral, and the scalar monitors used to certify the
+qualitative behaviour of trajectories (monotone quantities, wall functions,
+and the radial log-derivative).  Every run steps these fields with _integrate, an
 adaptive Dormand-Prince 5(4) integrator (h <- h clamp(0.9 err^(-1/5), 0.2, 5),
 optional projection, the caller's stops) on five-float states whose fifth
 component (u or ln f) is a rider: a field takes the other four floats and
@@ -30,7 +30,6 @@ here imports the closure oracle g2cone.exterior.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -39,7 +38,7 @@ __all__ = [
     "S1", "SINF", "S1_EIGENVALUES", "SINF_P", "SINF_R0", "SINF_DELTA",
     "CHART_RADIUS", "CHART_MIN_RADICAND", "velocity", "first_integral", "sphere_field",
     "chart_to_sphere", "modified_field",
-    "symmetry_group", "monitor_table", "MONITOR_NAMES", "gauss_legendre",
+    "SYMMETRIES", "monitor_table", "MONITOR_NAMES", "gauss_legendre",
 ]
 
 # chart validity: disc of this radius in (x, y), and enough room under
@@ -86,10 +85,13 @@ S1_EIGENVALUES = (-2.0 * math.sqrt(2.0), -7.0 * math.sqrt(2.0) / 3.0 - math.sqrt
 def velocity(r) -> np.ndarray:
     """V(R): right-hand side of the shape system, (..., 4) -> (..., 4).
 
-    Defined wherever the denominators A2, B1, B2 are nonzero; A1 never
-    divides, so the wall A1 = 0 is inside the domain (and is invariant).
+    Defined at finite states (ValueError otherwise) whose denominators A2, B1, B2
+    are nonzero; A1 never divides, so the wall A1 = 0 is inside the domain (and is
+    invariant).  A complex state (a complex step) keeps its imaginary part.
     """
     a1, a2, b1, b2 = rt = np.asarray(r).T  # components first; the last .T undoes it
+    if not np.all(np.isfinite(rt)):
+        raise ValueError(f"vector field needs a finite state, got {r}")
     if np.count_nonzero(rt[1:]) < 3 * a2.size:
         raise ZeroDivisionError(f"vector field undefined at {r}")
     return np.array(_components(a1, a2, b1, b2)).T
@@ -131,7 +133,7 @@ def _sphere_rate(a1, a2, a3, a4) -> tuple:
     """The DP54 field of integrate_sphere on Python floats: S -> (W, beta), the rates of
     (S, ln f); the rider ln f enters no rate."""
     v1, v2, v3, v4 = _components(a1, a2, a3, a4)
-    beta = v1 * a1 + v2 * a2 + v3 * a3 + v4 * a4  # summed as monitor_table's beta
+    beta = v1 * a1 + v2 * a2 + v3 * a3 + v4 * a4
     return v1 - beta * a1, v2 - beta * a2, v3 - beta * a3, v4 - beta * a4, beta
 
 
@@ -187,38 +189,15 @@ def _chart_components(x, y, z) -> tuple:
 
 # -- discrete symmetries --------------------------------------------------
 
-# (signed permutation on (a1..a4), parameter reversal u -> -u)
-_SYMMETRIES = {
-    1: (np.array([[-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=float), False),
-    2: (np.diag([-1.0, 1.0, 1.0, -1.0]), True),
-    3: (np.diag([-1.0, -1.0, 1.0, 1.0]), True),
-    4: (np.diag([1.0, 1.0, -1.0, -1.0]), False),
-    5: (np.diag([1.0, -1.0, -1.0, 1.0]), False),
+# the five generators: k -> (read-only signed permutation on (a1..a4), whether it
+# reverses the parameter u -> -u); they generate a group of order 16
+SYMMETRIES = {
+    1: (_frozen([[-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]), False),
+    2: (_frozen(np.diag([-1.0, 1.0, 1.0, -1.0])), True),
+    3: (_frozen(np.diag([-1.0, -1.0, 1.0, 1.0])), True),
+    4: (_frozen(np.diag([1.0, 1.0, -1.0, -1.0])), False),
+    5: (_frozen(np.diag([1.0, -1.0, -1.0, 1.0])), False),
 }
-
-
-@functools.cache  # one per process
-def symmetry_group() -> tuple:
-    """Closure of the five symmetries under composition.
-
-    Elements are (read-only matrix, reversal) pairs; the group is finite
-    since the matrices are signed permutations.
-    """
-    seen = {}
-    frontier = [(np.eye(4), False)]
-    seen[(tuple(np.eye(4).astype(int).ravel()), False)] = (np.eye(4), False)
-    while frontier:
-        mat, rev = frontier.pop()
-        for k in _SYMMETRIES:
-            gmat, grev = _SYMMETRIES[k]
-            nmat, nrev = gmat @ mat, grev ^ rev
-            key = (tuple(nmat.astype(int).ravel()), nrev)
-            if key not in seen:
-                seen[key] = (nmat, nrev)
-                frontier.append((nmat, nrev))
-    for mat, _ in seen.values():
-        mat.flags.writeable = False
-    return tuple(seen.values())
 
 
 # -- monitors --------------------------------------------------------------
@@ -247,9 +226,8 @@ def monitor_table(spheres, f) -> np.ndarray:
         f2 = np.where(f2_ok, np.log(arg), np.nan)
         f3 = np.where((a2 > eps) & (a4 > eps), np.log(a2 / a4), np.nan)
         f4 = np.where(np.abs(a4) > eps, a3 / a4, np.nan)
-        v1, v2, v3, v4 = _components(a1, a2, a3, a4)
         beta = np.where((a2 != 0.0) & (a3 != 0.0) & (a4 != 0.0),
-                        v1 * a1 + v2 * a2 + v3 * a3 + v4 * a4, np.nan)
+                        _sphere_rate(a1, a2, a3, a4)[4], np.nan)
     return np.column_stack([f**3 * fs, f1, f2, f3, f4, a4 * a4 - a3 * a3,
                             a2 * a4 - a1 * a3, a1 * a4 - a2 * a3, beta])
 
@@ -328,23 +306,23 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
     """Adaptive DP54 driver for an autonomous field; returns (xs, ys, termination, stats).
 
     The state has five components, as every field here has: (R, u), (S, ln f) or the
-    chart's (x, y, z, u, ln f); another length raises ValueError, as does failing x0 < x1,
-    rtol >= 0 or max_step > 0 (a NaN fails each).  The fifth component is a rider that no
-    rate depends on: field(p0, p1, p2, p3) takes the first four as floats and returns all
-    five rates, so no stage forms the rider.  A step runs on Python floats held in locals,
-    with every stage sum and the error norm written out per component as a left-to-right
-    chain of +, and the step control's max, min and abs as comparisons: rounding does not
-    depend on the interpreter, and no list is built per stage.  An attempt is rejected
-    with h *= 0.2 when a stage raises or its error norm or new state is not finite.  Every
-    accepted step is recorded (xs, ys as arrays); it ends at its stage-6 state (the
-    fifth-order weights are _DP_A's last row), whose field value is the next stage 0
-    (first-same-as-last).  project(y) -> y runs on the list y after each accepted step
-    (its displacement is logged as drift); when it moved the state, the next step
-    evaluates the field there.  stop(y) -> str | None ends the run with its reason after
-    any accepted step.  stats counts accepted and rejected steps and field evaluations
-    (1 + 6 per attempt, one more per moved projection; each counted in a local just
-    before its call, so a raising stage counts and ends its attempt); h_min, h_max bound
-    the accepted steps (inf, 0 if none).
+    chart's (x, y, z, u, ln f); another length raises ValueError, as does failing x0 < x1
+    with both finite, rtol >= 0 or max_step > 0 (a NaN fails each).  The fifth component
+    is a rider that no rate depends on: field(p0, p1, p2, p3) takes the first four as
+    floats and returns all five rates, so no stage forms the rider.  A step runs on Python
+    floats held in locals, with every stage sum and the error norm written out per
+    component as a left-to-right chain of +, and the step control's max, min and abs as
+    comparisons: rounding does not depend on the interpreter, and no list is built per
+    stage.  An attempt is rejected with h *= 0.2 when a stage raises or its error norm or
+    new state is not finite.  Every accepted step is recorded (xs, ys as arrays); it ends
+    at its stage-6 state (the fifth-order weights are _DP_A's last row), whose field value
+    is the next stage 0 (first-same-as-last).  project(y) -> y runs on the list y after
+    each accepted step (its displacement is logged as drift); when it moved the state, the
+    next step evaluates the field there.  stop(y) -> str | None ends the run with its
+    reason after any accepted step.  stats counts accepted and rejected steps and field
+    evaluations (1 + 6 per attempt, one more per moved projection; each counted in a local
+    just before its call, so a raising stage counts and ends its attempt); h_min, h_max
+    bound the accepted steps (inf, 0 if none).
     """
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
         (a50, a51, a52, a53, a54), (b0, _, b2, b3, b4, b5) = _DP_A[1:]
@@ -354,8 +332,8 @@ def _integrate(field, x0, y0, x1, rtol, max_step=np.inf, project=None, stop=None
     if len(y) != 5:
         raise ValueError(f"the DP54 state has 5 components, got {len(y)}")
     x, x1, rtol, max_step = float(x0), float(x1), float(rtol), float(max_step)
-    if not (x < x1 and rtol >= 0.0 and max_step > 0.0):  # the one check of the interval
-        raise ValueError(f"need x0 < x1, rtol >= 0 and max_step > 0, "
+    if not (-math.inf < x < x1 < math.inf and rtol >= 0.0 and max_step > 0.0):  # the one check
+        raise ValueError(f"need a finite x0 < x1, rtol >= 0 and max_step > 0, "
                          f"got {x0}, {x1}, {rtol}, {max_step}")
     xs, ys = [x], [y]
     steps, rejected, evals, h_min, h_max, max_drift, error_sum = 0, 0, 1, math.inf, 0.0, 0.0, 0.0

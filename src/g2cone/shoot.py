@@ -300,8 +300,10 @@ def unstable_direction(mu: float) -> np.ndarray:
 
     The desingularized field linearizes to [[2, 0, 0], [mu/lam, -2, 0],
     [0, 0, 0]] at (0, 0, mu); the outgoing eigenvector is
-    (1, mu/(4 lam), 0) up to scale.
+    (1, mu/(4 lam), 0) up to scale.  mu must lie in (0, 1), as for launch_sphere.
     """
+    if not 0.0 < mu < 1.0:
+        raise ValueError(f"mu must lie in (0, 1), got {mu}")
     lam = math.sqrt((1.0 - mu * mu) / 2.0)
     m = mu / (4.0 * lam)
     n = math.sqrt(1.0 + m * m)

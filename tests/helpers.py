@@ -74,9 +74,9 @@ def sphere_to_chart(s: np.ndarray) -> np.ndarray:
 
 def symmetry(k: int) -> tuple:
     """The k-th discrete symmetry (matrix, reverses_parameter), k = 1..5."""
-    if k not in flow._SYMMETRIES:
+    if k not in flow.SYMMETRIES:
         raise IndexError(f"symmetry index must be 1..5, got {k}")
-    return flow._SYMMETRIES[k]
+    return flow.SYMMETRIES[k]
 
 
 def apply_symmetry(obj, k: int):

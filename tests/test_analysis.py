@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from scipy.integrate import quad
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # -- stationary directions -----------------------------------------------------
@@ -40,6 +45,23 @@ def test_stationary_points_catalog():
         assert r.field_residual <= 1e-12
     assert names["S1"].orbit_size == 16
     assert names["Sinf"].orbit_size == 8
+
+
+def test_orbit_of_a_non_finite_point_raises():
+    """A NaN never equals its image, so an orbit walk from it would not end: ValueError.
+    Run in a fresh interpreter whose address space is capped at 512 MiB (resource acts
+    on that process only), so a regression fails with MemoryError within seconds."""
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, resource.getrlimit("
+            "resource.RLIMIT_AS)[1]))\n"
+            "import math\nimport numpy as np\nfrom g2cone import analysis\n"
+            "try:\n    analysis._orbit_size(np.array([math.nan, 0.5, 0.5, 0.5]))\n"
+            "except ValueError:\n    raise SystemExit(0)\n"
+            "raise SystemExit('no ValueError')")
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_conic_point_algebraic_relations():

@@ -63,6 +63,18 @@ def test_rhs_rejects_zero_denominators():
     assert v[0] == 0.0
 
 
+@pytest.mark.parametrize("state", [[1.0, 1.0, math.nan, 1.0], [1.0, 1.0, math.inf, 1.0],
+                                   [-math.inf, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, math.nan + 1j]])
+def test_rhs_rejects_non_finite_states(state):
+    """A NaN or an infinity raises ValueError, alone or in a batch, as exterior._shapes
+    does, where it would return NaN or warn; a finite complex step still passes."""
+    with pytest.raises(ValueError, match="finite state"):
+        flow.velocity(state)
+    with pytest.raises(ValueError, match="finite state"):
+        flow.velocity(np.stack([np.ones(4), state]))
+    assert flow.velocity(np.ones(4) + 1e-20j * np.arange(4)).imag.any()
+
+
 def test_one_state_fields_match_array_path():
     """One state, through the float kernels or the array functions: bit for bit the
     batch results, and one beta, monitor_table's."""
@@ -588,18 +600,19 @@ def test_apply_symmetry_to_trajectory():
     assert np.array_equal(apply_symmetry(base, 4).u, base.u)
 
 
-def test_symmetry_group_closure():
-    group = flow.symmetry_group()
-    assert len(group) == 16
-    assert sum(1 for _, rev in group if rev) == 8
-    # closed under composition
-    mats = {tuple(m.astype(int).ravel()) for m, _ in group}
-    for m1, _ in group:
-        for m2, _ in group:
-            assert tuple((m1 @ m2).astype(int).ravel()) in mats
-    # built once per process, its matrices read-only
-    assert flow.symmetry_group() is group
-    assert not any(m.flags.writeable for m, _ in group)
+def test_symmetry_generators():
+    """A generic unit direction has 16 images under the five generators: the order of
+    the group they generate.  The table's matrices are read-only."""
+    s = np.array([2.0, 3.0, 5.0, 7.0]) / math.sqrt(87.0)
+    orbit, frontier = {tuple(s)}, [s]
+    while frontier:
+        p = frontier.pop()
+        for image in (apply_symmetry(p, k) for k in flow.SYMMETRIES):
+            if tuple(image) not in orbit:
+                orbit.add(tuple(image))
+                frontier.append(image)
+    assert len(orbit) == 16
+    assert not any(m.flags.writeable for m, _ in flow.SYMMETRIES.values())
 
 
 # -- the trapping set of the limit direction ----------------------------------------

@@ -72,12 +72,13 @@ def _g2cone_imports(tree: ast.Module) -> tuple:
 
 
 def test_cli_and_demos_read_no_private_name():
-    """cli.py and the demos reach the other modules through public names only; a
-    private name they need is promoted (shoot's reads of flow's float kernels and of
-    its DP54 integrator _integrate are the documented kernel contract, and shoot is not
-    scanned)."""
+    """cli.py, analysis.py and the demos reach the other modules through public names
+    only; a private name they need is promoted (shoot's reads of flow's float kernels and
+    of its DP54 integrator _integrate are the documented kernel contract, and shoot alone
+    is not scanned)."""
     reads = []
-    for path in [PACKAGE / "cli.py", *sorted((ROOT / "demos").glob("*.py"))]:
+    for path in [PACKAGE / "cli.py", PACKAGE / "analysis.py",
+                 *sorted((ROOT / "demos").glob("*.py"))]:
         tree = ast.parse(path.read_text())
         modules, private = _g2cone_imports(tree)
         reads += [f"{path.name}: import {name}" for name in private]

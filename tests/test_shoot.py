@@ -425,6 +425,13 @@ SPHERE_START = "np.array([2.0, 3.0, 4.0, 5.0]) / math.sqrt(54.0)"
                  id="sphere-nan-max-step"),
     pytest.param("shoot.family_shape_trajectory(0.3, t_max=5.0, max_step=math.nan)", True,
                  id="family-nan-max-step"),
+    # an infinite horizon: the sphere run has no stop and would record samples for ever
+    pytest.param("shoot.integrate_sphere(shoot.flow.SINF, 0.0, math.inf)", True,
+                 id="sphere-infinite-horizon"),
+    pytest.param("shoot.family_shape_trajectory(0.3, t_max=math.inf)", False,
+                 id="family-infinite-horizon"),
+    pytest.param("flow._integrate(lambda *y: 1 / 0, -math.inf, [1.0] * 5, 0.0, 1e-10)", False,
+                 id="dp54-infinite-start"),
     pytest.param(f"shoot.integrate_sphere({SPHERE_START}, 0.0, 10.0, max_step=0.0)", False,
                  id="zero-max-step"),
     pytest.param(f"shoot.integrate_sphere({SPHERE_START}, 0.0, math.nan)", False,
@@ -461,10 +468,11 @@ SPHERE_START = "np.array([2.0, 3.0, 4.0, 5.0]) / math.sqrt(54.0)"
                  id="launch-horizon-before-switch"),
 ])
 def test_integration_rejects_nan_and_bad_controls(call, fresh):
-    """A NaN start, horizon, tolerance or step cap, a horizon at or before the start, a
-    negative tolerance and a step cap at or below zero raise ValueError before any step
-    of the integration they configure.  A NaN step cap would loop for ever, so those
-    calls run in a fresh interpreter under a timeout: a regression fails."""
+    """A NaN start, horizon, tolerance or step cap, an infinite start or horizon, a horizon
+    at or before the start, a negative tolerance and a step cap at or below zero raise
+    ValueError before any step of the integration they configure.  A NaN step cap or an
+    infinite sphere horizon would loop for ever, so those calls run in a fresh
+    interpreter under a timeout: a regression fails."""
     if not fresh:
         with pytest.raises(ValueError):
             eval(call, {"math": math, "np": np, "flow": flow, "shoot": shoot})
@@ -809,6 +817,14 @@ def test_unstable_direction_closed_form():
         expected = np.array([1.0, mu / (4.0 * lam), 0.0])
         expected /= np.linalg.norm(expected)
         assert np.max(np.abs(e - expected)) <= 1e-15
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
+def test_unstable_direction_rejects_mu_outside_unit_interval(mu):
+    """As series_start and launch_sphere: at mu = 1 lambda is 0 (a ZeroDivisionError),
+    and a NaN mu would give a NaN direction."""
+    with pytest.raises(ValueError, match="mu must lie in"):
+        shoot.unstable_direction(mu)
 
 
 def test_launch_initial_tangent():
